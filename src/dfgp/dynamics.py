@@ -37,7 +37,7 @@ from .model import AssembledTimeSlice, DFGPParams, ModelData, as_dense, sym
 __all__ = [
     "StatePosterior", "FilterResult", "SmootherResult", "PredictionField",
     "forecast_step", "filter_step", "filter_pass", "smoother_pass",
-    "lag1_cov", "predict_filter", "predict_smooth", "predict_from_posterior",
+    "predict_filter", "predict_smooth", "predict_from_posterior",
 ]
 
 _SOLVE_CHUNK = 64
@@ -330,11 +330,6 @@ def smoother_pass(filt: FilterResult, params: DFGPParams) -> SmootherResult:
         out[t - 1].lag1 = out[t - 1].P @ J_prev.T
     return SmootherResult(states=[s for s in out if s is not None],
                       eta0=eta0, P0=P0, pred_nodes=filt.pred_nodes)
-
-
-def lag1_cov(smooth: SmootherResult) -> list[np.ndarray]:
-    """P_{t,t-1|T} for t = 1..T (t=1 couples to the initial state)."""
-    return [s.lag1 for s in smooth.states]
 
 
 def predict_from_posterior(post: StatePosterior, Xp: np.ndarray, Sp: np.ndarray,

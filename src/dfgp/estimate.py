@@ -245,14 +245,16 @@ def e_step(data: ModelData, params: DFGPParams, config: EstimatorConfig,
 
 def _gamma_objective(gamma: float, quad_adj: float, tau2: float, structure) -> float:
     return (-gamma * quad_adj / tau2
-            - structure.logdet_i_minus_gamma_w(gamma))
+            - structure.logdet_curve(gamma))
 
 
 def optimize_gamma(structure, quad_adj: float, tau2: float,
                    gamma_old: float) -> float:
     """Bounded scalar minimization of the CAR dependence objective.
 
-    Never returns a value worse than gamma_old (EM monotonicity guard).
+    ln|I - gamma W| comes from the structure's cached log-determinant curve,
+    so no evaluation here factorizes once that curve exists.  Never returns
+    a value worse than gamma_old (EM monotonicity guard).
     """
     res = minimize_scalar(_gamma_objective, bounds=(0.0, GAMMA_MAX),
                           args=(quad_adj, tau2, structure), method="bounded",

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import math
 import struct
 from pathlib import Path
 
@@ -66,20 +67,51 @@ def write_observations(path_obs, path_fps, batches: list[ObservationBatch]) -> N
                 w.writerow([fid, b])
 
 
+_OBS_FIELDS = (("time", int), ("instrument", int), ("footprint_id", int),
+               ("value", float), ("var_factor", float))
+
+
+def _unparsable(where: str, row: dict) -> ValueError:
+    """The error naming the first field of a data row that does not parse."""
+    for field, kind in _OBS_FIELDS:
+        try:
+            kind(row[field])
+        except (TypeError, ValueError):  # TypeError: the row is short of fields
+            return ValueError(f"{where}: {field} is not {kind.__name__}: {row[field]!r}")
+    raise AssertionError("every field parses")
+
+
 def read_observations(path_obs, path_fps) -> list[ObservationBatch]:
-    """Read batches back; missing time steps become empty batches."""
+    """Read batches back; missing time steps become empty batches.
+
+    Raises ValueError naming the file, the 1-based data row and the field
+    for an unparsable number, a non-finite value, a var_factor that is not
+    finite and > 0, or a footprint_id absent from the footprint file.
+    """
     cover: dict[int, list[int]] = {}
     with open(path_fps, newline="") as ff:
         for row in csv.DictReader(ff):
             cover.setdefault(int(row["footprint_id"]), []).append(int(row["bau_index"]))
     by_time: dict[int, dict[int, list]] = {}
     with open(path_obs, newline="") as fo:
-        for row in csv.DictReader(fo):
-            t, k = int(row["time"]), int(row["instrument"])
-            fid = int(row["footprint_id"])
+        for i, row in enumerate(csv.DictReader(fo), start=1):
+            try:
+                t, k = int(row["time"]), int(row["instrument"])
+                fid = int(row["footprint_id"])
+                z, v = float(row["value"]), float(row["var_factor"])
+            except (TypeError, ValueError):
+                raise _unparsable(f"{path_obs}: data row {i}", row) from None
+            if fid not in cover:
+                raise ValueError(f"{path_obs}: data row {i}: footprint_id {fid} "
+                                 f"is not in {path_fps}")
+            if not math.isfinite(z):
+                raise ValueError(f"{path_obs}: data row {i}: value must be finite, "
+                                 f"got {row['value']!r}")
+            if not (math.isfinite(v) and v > 0):
+                raise ValueError(f"{path_obs}: data row {i}: var_factor must be finite "
+                                 f"and > 0, got {row['var_factor']!r}")
             fp = Footprint(np.asarray(cover[fid]), instrument=k, time_index=t)
-            by_time.setdefault(t, {}).setdefault(k, []).append(
-                (fp, float(row["value"]), float(row["var_factor"])))
+            by_time.setdefault(t, {}).setdefault(k, []).append((fp, z, v))
     if not by_time:
         return []
     T = max(by_time)
@@ -283,19 +315,6 @@ def load_state_checkpoint(path) -> tuple[np.ndarray, np.ndarray]:
             eta[t] = np.frombuffer(f.read(8 * r), dtype="<f8")
             P[t] = np.frombuffer(f.read(8 * r * r), dtype="<f8").reshape(r, r)
     return eta, P
-
-
-# ---------------------------------------------------------------------------
-# sparse debug dump
-
-def write_sparse_coo(path, matrix) -> None:
-    """Coordinate-triplet text dump (row,col,value), e.g. of a CAR precision."""
-    coo = matrix.tocoo()
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["row", "col", "value"])
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            w.writerow([int(i), int(j), _fmt(v)])
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from dfgp.car import (CARParams, GAMMA_MAX, build_adjacency, build_precision,
-                      sample_car, sparse_factorize)
+from dfgp.car import (CARParams, DENSE_EIG_CAP, GAMMA_MAX, build_adjacency,
+                      build_precision, sample_car, sparse_factorize)
 from dfgp.exceptions import (FactorizationError, InvalidParameterError,
                              StructureError)
 from dfgp.grid import build_grid
@@ -149,3 +149,55 @@ class TestSampleCAR:
         tgt = np.linalg.inv(build_precision(s, p).toarray())
         mcse = np.sqrt((np.outer(np.diag(tgt), np.diag(tgt)) + tgt**2) / n)
         assert (np.abs(emp - tgt) <= 5.0 * mcse).all()
+
+
+def _gamma_sweep():
+    """Linear range, points 1 - 10^-k up to GAMMA_MAX, and random points."""
+    return np.concatenate([np.linspace(0.0, 0.99, 100),
+                           1.0 - 10.0 ** -np.arange(1, 7), [GAMMA_MAX],
+                           np.random.default_rng(5).uniform(0.0, GAMMA_MAX, 30)])
+
+
+def _two_component_grid():
+    """60x40 grid cut in two by a masked column (N = 2360 > DENSE_EIG_CAP)."""
+    mask = np.ones((40, 60), dtype=bool)
+    mask[:, 30] = False
+    return build_adjacency(build_grid(60, 40, 1.0, mask=mask.ravel()))
+
+
+class TestLogdetCurve:
+    @pytest.mark.parametrize("make", [lambda: build_adjacency(build_grid(100, 100, 1.0)),
+                                      _two_component_grid], ids=["100x100", "two-components"])
+    def test_matches_exact_sparse_path(self, make):
+        s = make()
+        assert s.n > DENSE_EIG_CAP
+        gammas = _gamma_sweep()
+        exact = np.array([s.logdet_i_minus_gamma_w(g) for g in gammas])
+        curve = np.array([s.logdet_curve(g) for g in gammas])
+        # relative to max(|value|, 1): near gamma = 0 the value tends to 0 and
+        # the exact path's own rounding (~1e-11 absolute at N = 10^4) dominates
+        rel = np.abs(curve - exact) / np.maximum(np.abs(exact), 1.0)
+        assert rel.max() <= 1e-10
+
+    def test_counts_components(self):
+        assert _two_component_grid().n_components == 2
+        assert build_adjacency(build_grid(5, 4, 1.0)).n_components == 1
+
+    def test_equals_eigenvalue_path_below_cap(self):
+        s = build_adjacency(build_grid(20, 20, 1.0))
+        for g in _gamma_sweep():
+            assert s.logdet_curve(g) == s.logdet_i_minus_gamma_w(g)
+
+    def test_sampling_fills_exact_memo(self, monkeypatch):
+        s = build_adjacency(build_grid(50, 50, 1.0))
+        p = CARParams(0.7, 1.0)
+        a = sample_car(s, p, np.random.default_rng(3))
+        calls = []
+        monkeypatch.setattr("dfgp.car.sparse_factorize",
+                            lambda m: calls.append(1) or sparse_factorize(m))
+        memo = s.precision_logdet(p)
+        assert not calls
+        fresh = build_adjacency(build_grid(50, 50, 1.0)).precision_logdet(p)
+        assert memo == fresh
+        b = sample_car(s, p, np.random.default_rng(3))
+        assert np.array_equal(a, b)

@@ -7,7 +7,7 @@ from conftest import make_instance, relerr
 
 from dfgp.car import build_precision
 from dfgp.dense import DenseJoint
-from dfgp.dynamics import (filter_pass, forecast_step, lag1_cov, predict_filter,
+from dfgp.dynamics import (filter_pass, forecast_step, predict_filter,
                            predict_smooth, smoother_pass)
 from dfgp.exceptions import NumericalError
 
@@ -205,8 +205,8 @@ class TestLag1:
         params = dataclasses.replace(params, H=np.zeros((params.r, params.r)))
         filt = filter_pass(data, params)
         sm = smoother_pass(filt, params)
-        for m in lag1_cov(sm):
-            assert np.allclose(m, 0.0)
+        for st in sm.states:
+            assert np.allclose(st.lag1, 0.0)
 
     def test_no_data_at_T_gives_H_P(self):
         data, params = make_instance(12, T=3, empty_times=(3,))

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 from conftest import make_instance
 
-from dfgp.car import CARParams
+from dfgp import car as car_mod
+from dfgp import dynamics
+from dfgp.car import DENSE_EIG_CAP, GAMMA_MAX, LOGDET_CURVE_NODES, CARParams, sample_car
 from dfgp.dense import DenseJoint
 from dfgp.estimate import (EstimatorConfig, SufficientStats, _gamma_objective,
                            conditional_simulate, e_step, fit_filtering_sequence,
-                           init_params, m_step, run_estimator)
+                           init_params, m_step, optimize_gamma, run_estimator)
 from dfgp.likelihood import neg2_loglik
+from dfgp.synth import ScenarioConfig, scenario_data
 
 
 
@@ -286,6 +289,52 @@ class TestRunEstimator:
         res = run_estimator(data, cfg)
         np.linalg.cholesky(res.params_last.K0)
         np.linalg.cholesky(np.asarray(res.params_last.U))
+
+
+class TestSparseGammaSearch:
+    """Above DENSE_EIG_CAP the gamma search runs on the cached log-det curve."""
+
+    @staticmethod
+    def _data():
+        _truth, _batches, data = scenario_data(ScenarioConfig(nx=48, ny=48, T=3, seed=3))
+        assert data.structure.n > DENSE_EIG_CAP
+        return data
+
+    def test_factorization_budget(self, monkeypatch):
+        data = self._data()
+        calls = []
+        real = car_mod.sparse_factorize
+
+        def counting(matrix):
+            calls.append(matrix.shape)
+            return real(matrix)
+
+        monkeypatch.setattr(car_mod, "sparse_factorize", counting)
+        monkeypatch.setattr(dynamics, "sparse_factorize", counting)
+        res = run_estimator(data, EstimatorConfig(mode="sem", max_iter=3, seed=0))
+        u = len(data.slices)
+        assert res.n_iter == 3
+        assert len(calls) <= LOGDET_CURVE_NODES + 2 * u * res.n_iter + 1
+
+    @pytest.mark.parametrize("gamma_true", [0.3, 0.9, 0.999])
+    def test_curve_search_matches_exact_search(self, gamma_true):
+        from scipy.optimize import minimize_scalar
+        s = self._data().structure
+        x = sample_car(s, CARParams(gamma_true, 1.0), np.random.default_rng(1))
+        quad_adj = float(x @ (s.adjacency @ x))
+        tau2 = float(x @ (s.degrees * x) - 0.5 * quad_adj) / s.n
+
+        def exact(g):
+            return -g * quad_adj / tau2 - s.logdet_i_minus_gamma_w(g)
+
+        grid = np.concatenate([np.linspace(0.0, 0.99, 100), 1.0 - np.geomspace(1e-2, 1e-6, 20)])
+        k = int(np.argmin([exact(g) for g in grid]))
+        lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)]
+        best = minimize_scalar(exact, bounds=(lo, hi), method="bounded",
+                               options={"xatol": 1e-12}).x
+        got = optimize_gamma(s, quad_adj, tau2, 0.5)
+        assert 0.0 <= got <= GAMMA_MAX
+        assert abs(got - best) <= 1e-6
 
 
 class TestFilteringSequence:

@@ -55,6 +55,32 @@ class TestObservationCSV:
         assert data.slices[1].instrument_rows.keys() == {2}
         assert data.n_instruments == 2
 
+    @staticmethod
+    def _write_rows(tmp_path, rows):
+        obs, fps = tmp_path / "o.csv", tmp_path / "f.csv"
+        fps.write_text("footprint_id,bau_index\n0,0\n1,1\n")
+        obs.write_text("time,instrument,footprint_id,value,var_factor\n"
+                       + "".join(",".join(r) + "\n" for r in rows))
+        return obs, fps
+
+    @pytest.mark.parametrize("bad_row, field", [
+        (("1", "1", "1", "nan", "1.0"), "value"),
+        (("1", "1", "1", "inf", "1.0"), "value"),
+        (("1", "1", "1", "0.5", "0"), "var_factor"),
+        (("1", "1", "1", "0.5", "nan"), "var_factor"),
+        (("1", "1", "1", "", "1.0"), "value"),
+        (("1", "x", "1", "0.5", "1.0"), "instrument"),
+    ])
+    def test_bad_number_names_file_row_field(self, tmp_path, bad_row, field):
+        obs, fps = self._write_rows(tmp_path, [("1", "1", "0", "0.1", "1.0"), bad_row])
+        with pytest.raises(ValueError, match=rf"o\.csv: data row 2: {field} "):
+            dio.read_observations(obs, fps)
+
+    def test_unknown_footprint_names_file_row_field(self, tmp_path):
+        obs, fps = self._write_rows(tmp_path, [("1", "1", "7", "0.1", "1.0")])
+        with pytest.raises(ValueError, match=r"o\.csv: data row 1: footprint_id 7 .*f\.csv"):
+            dio.read_observations(obs, fps)
+
     def test_shared_footprints_deduplicated(self, scenario, tmp_path):
         truth, batches, _ = scenario
         dio.write_observations(tmp_path / "o.csv", tmp_path / "f.csv", batches)
