@@ -80,7 +80,6 @@ class StatePosterior:
     P_pred: np.ndarray              # (r, r)
     delta: np.ndarray               # (m, k)
     R_diag: np.ndarray | None       # (m,)
-    C: np.ndarray                   # (r, m)
     psi: np.ndarray                 # (m, r)
     n_obs: int = 0
     logdet_sigma: float = 0.0
@@ -88,6 +87,12 @@ class StatePosterior:
     alpha: np.ndarray | None = None
     lag1: np.ndarray | None = None
     R_full: np.ndarray | None = None   # (m, m), only when requested
+
+    @property
+    def C(self) -> np.ndarray:
+        """cov(eta_t, delta_t^P) = -P psi' (r, m), filtered or smoothed alike:
+        the smoother's C_f + J dP M' equals -(P_f + J dP J') psi'."""
+        return -self.P @ self.psi.T
 
 
 @dataclass
@@ -143,9 +148,11 @@ def filter_pass(data: ModelData, params: DFGPParams, *,
         every BAU.
     extra_obs: optional per-time arrays (n_t, k-1) of additional observation
         columns sharing the design of the real data.
-    want_variance: also compute R_diag (costs one sparse solve per
-        prediction BAU per step); pass "full" to additionally store the full
-        m x m fine-scale covariance block on each state.
+    want_variance: also compute R_diag (per step, one sparse solve per
+        prediction BAU for small sets, else one selected inversion of the
+        factor; see ``SparseFactor.solve_selected_diag``); pass "full" to
+        additionally store the full m x m fine-scale covariance block on
+        each state.
     lowrank_only: drop the fine-scale component entirely (fixed-rank
         filtering comparator): D = V^{-1}, delta = 0.
     """
@@ -213,7 +220,7 @@ def filter_step(eta_pred: np.ndarray, P_pred: np.ndarray,
         return StatePosterior(
             time_index=t, eta=eta_pred.copy(), P=P_pred.copy(),
             eta_pred=eta_pred, P_pred=P_pred, delta=np.zeros((m, n_rhs)),
-            R_diag=R_diag, C=np.zeros((r, m)), psi=np.zeros((m, r)),
+            R_diag=R_diag, psi=np.zeros((m, r)),
             n_obs=0, quad=np.zeros(n_rhs), R_full=R_full)
 
     zcols = slc.z[:, None] if extra is None else np.column_stack([slc.z, extra])
@@ -274,7 +281,6 @@ def filter_step(eta_pred: np.ndarray, P_pred: np.ndarray,
             R_diag = R_diag + _row_quad(psi, P_f)
             if full_var:
                 R_full = sym(R_full + psi @ P_f @ psi.T)
-    C = -P_f @ psi.T
     logdet_sigma = 0.0
     quad = np.zeros(n_rhs)
     if want_loglik:
@@ -282,7 +288,7 @@ def filter_step(eta_pred: np.ndarray, P_pred: np.ndarray,
         quad = ada - (sda * gain).sum(axis=0)
     return StatePosterior(
         time_index=t, eta=eta_f, P=P_f, eta_pred=eta_pred, P_pred=P_pred,
-        delta=delta, R_diag=R_diag, C=C, psi=psi, n_obs=slc.n_obs,
+        delta=delta, R_diag=R_diag, psi=psi, n_obs=slc.n_obs,
         logdet_sigma=logdet_sigma, quad=quad,
         alpha=alpha[:, 0].copy() if want_innovations else None, R_full=R_full)
 
@@ -297,7 +303,7 @@ def smoother_pass(filt: FilterResult, params: DFGPParams) -> SmootherResult:
         time_index=u, eta=last.eta.copy(), P=last.P.copy(),
         eta_pred=last.eta_pred, P_pred=last.P_pred,
         delta=last.delta.copy(), R_diag=None if last.R_diag is None else last.R_diag.copy(),
-        C=last.C.copy(), psi=last.psi, n_obs=last.n_obs,
+        psi=last.psi, n_obs=last.n_obs,
         R_full=None if last.R_full is None else last.R_full.copy())
     J_list: list[np.ndarray | None] = [None] * u
     for t in range(u - 1, 0, -1):
@@ -316,7 +322,6 @@ def smoother_pass(filt: FilterResult, params: DFGPParams) -> SmootherResult:
             eta_pred=f_t.eta_pred, P_pred=f_t.P_pred,
             delta=f_t.delta + M @ d_eta,
             R_diag=None if f_t.R_diag is None else f_t.R_diag + _row_quad(M, d_P),
-            C=f_t.C + J @ d_P @ M.T,
             psi=f_t.psi, n_obs=f_t.n_obs,
             R_full=None if f_t.R_full is None else sym(f_t.R_full + M @ d_P @ M.T))
     # smoothed initial state (eta_{0|0} = 0, P_{0|0} = K0)
@@ -337,10 +342,10 @@ def predict_from_posterior(post: StatePosterior, Xp: np.ndarray, Sp: np.ndarray,
                            rhs: int = 0) -> PredictionField:
     """Field mean and standard error from one time's posterior moments."""
     mean = Xp @ beta_t + Sp @ post.eta[:, rhs] + post.delta[:, rhs]
-    var = _row_quad(Sp, post.P)
+    # Sp P Sp' + 2 Sp C with C = -P psi'
+    var = np.einsum("ij,ij->i", Sp @ post.P, Sp - 2.0 * post.psi)
     if post.R_diag is not None:
         var = var + post.R_diag
-    var = var + 2.0 * np.einsum("ij,ji->i", Sp, post.C)
     scale = float(np.max(np.abs(var), initial=0.0))
     bad = var < -1e-10 * max(scale, 1.0)
     if bad.any():

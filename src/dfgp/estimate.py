@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .car import GAMMA_MAX, CARParams, sample_car
+from .car import GAMMA_MAX, CARParams, SparseFactor, sample_car, sparse_factorize
 from .dense import DENSE_N_CAP, DenseJoint
 from .dynamics import filter_pass, smoother_pass
 from .model import DFGPParams, ModelData, as_dense, sym
@@ -120,11 +120,17 @@ def conditional_simulate(data: ModelData, params: DFGPParams,
     eta_star[0] = np.linalg.cholesky(params.K0) @ rng.standard_normal((r, ndraws))
     xi_star = np.zeros((u, nv, ndraws))
     z_star: list[np.ndarray | None] = []
+    gammas = [c.gamma for c in params.car[:u]]
+    factors: dict[float, SparseFactor] = {}   # D - gamma E, kept while a later step shares gamma
     for t in range(1, u + 1):
         cu = np.linalg.cholesky(params.U_at(t))
         eta_star[t] = params.H_at(t) @ eta_star[t - 1] + cu @ rng.standard_normal((r, ndraws))
-        xi_star[t - 1] = sample_car(data.structure, params.car[t - 1], rng,
-                                    size=ndraws).reshape(ndraws, nv).T
+        g = gammas[t - 1]
+        if g not in factors:
+            factors[g] = sparse_factorize(data.structure.base_precision(g))
+        factor = factors[g] if g in gammas[t:] else factors.pop(g)
+        xi_star[t - 1] = sample_car(data.structure, params.car[t - 1], rng, size=ndraws,
+                                    factor=factor).reshape(ndraws, nv).T
         slc = data.slices[t - 1]
         if slc.n_obs == 0:
             z_star.append(None)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from dfgp.car import (CARParams, DENSE_EIG_CAP, GAMMA_MAX, build_adjacency,
-                      build_precision, sample_car, sparse_factorize)
+from dfgp.car import (CARParams, DENSE_EIG_CAP, GAMMA_MAX, SELECTED_INVERSION_MIN,
+                      _selected_inverse_diag, build_adjacency, build_precision,
+                      sample_car, sparse_factorize)
 from dfgp.exceptions import (FactorizationError, InvalidParameterError,
                              StructureError)
 from dfgp.grid import build_grid
@@ -201,3 +203,59 @@ class TestLogdetCurve:
         assert memo == fresh
         b = sample_car(s, p, np.random.default_rng(3))
         assert np.array_equal(a, b)
+
+
+def _scenario_f():
+    """F = Q + B' V^{-1} B of the first time step of a small scenario."""
+    from dfgp.synth import ScenarioConfig, scenario_data
+    truth, _batches, data = scenario_data(ScenarioConfig(nx=24, ny=20, T=1, seed=2))
+    slc, p = data.slices[0], truth.params
+    vinv = 1.0 / slc.v_diag(p.sigma2_eps[0])
+    return (build_precision(data.structure, p.car[0])
+            + slc.B.T @ sp.diags(vinv) @ slc.B).tocsc()
+
+
+class TestSelectedInversion:
+    """The Takahashi path of solve_selected_diag against dense inverses."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: build_precision(build_adjacency(build_grid(20, 16, 1.0)), CARParams(0.999, 1.0)),
+        lambda: build_precision(_two_component_grid(), CARParams(0.9, 0.5)),
+        _scenario_f,
+        lambda: sp.diags(np.random.default_rng(0).uniform(0.5, 2.0, 300)).tocsc(),
+    ], ids=["rook-0.999", "two-components", "scenario-F", "diagonal"])
+    def test_matches_dense_inverse(self, make):
+        m = make()
+        f = sparse_factorize(m)
+        dense = np.diag(np.linalg.inv(m.toarray()))
+        got = f._inverse_diagonal()
+        assert np.abs(got / dense - 1.0).max() <= 1e-12
+        idx = np.random.default_rng(1).permutation(m.shape[0])[:SELECTED_INVERSION_MIN]
+        assert np.array_equal(f.solve_selected_diag(idx), got[idx])
+
+    def test_strip_beyond_int32_keys(self):
+        # n = 48,000 > 46,340, where col * n + row no longer fits in int32
+        s = build_adjacency(build_grid(24000, 2, 1.0))
+        f = sparse_factorize(build_precision(s, CARParams(0.99, 1.0)))
+        idx = np.random.default_rng(2).choice(s.n, 20, replace=False)
+        rhs = np.zeros((s.n, idx.size))
+        rhs[idx, np.arange(idx.size)] = 1.0
+        unit = f.solve(rhs)[idx, np.arange(idx.size)]
+        assert np.abs(f._inverse_diagonal()[idx] / unit - 1.0).max() <= 1e-12
+
+    def test_missing_pattern_entry_raises(self):
+        s = build_adjacency(build_grid(10, 10, 1.0))
+        lu = sparse_factorize(build_precision(s, CARParams(0.5, 1.0)))._lu
+        L = sp.csc_matrix(lu.L)
+        L.sort_indices()
+        ip, rows = L.indptr, L.indices
+        col = np.repeat(np.arange(s.n), np.diff(ip))
+        # drop L[i, j] where i > j are both rows of column c below its
+        # diagonal, so the recursion at c needs Z[i, j]
+        c = int(np.argmax(np.diff(ip)))
+        j, i = rows[ip[c] + 1], rows[ip[c] + 2]
+        keep = ~((rows == i) & (col == j))
+        assert keep.sum() == L.nnz - 1
+        pruned = sp.csc_matrix((L.data[keep], (rows[keep], col[keep])), shape=L.shape)
+        with pytest.raises(FactorizationError, match="not closed"):
+            _selected_inverse_diag(pruned, lu.U.diagonal())

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from conftest import make_instance, relerr
 
-from dfgp.car import build_precision
+from dfgp.car import SELECTED_INVERSION_MIN, SparseFactor, build_precision
 from dfgp.dense import DenseJoint
 from dfgp.dynamics import (filter_pass, forecast_step, predict_filter,
                            predict_smooth, smoother_pass)
@@ -57,6 +57,7 @@ def _oracle_check(seed, **kw):
         worst = max(worst, relerr(st.delta[:, 0], mT[dj.xi_slice(t)]))
         worst = max(worst, relerr(st.R_diag, np.diag(cT[dj.xi_slice(t), dj.xi_slice(t)])))
         worst = max(worst, relerr(st.lag1, cT[dj.eta_slice(t), dj.eta_slice(t - 1)]))
+        worst = max(worst, relerr(st.C, cT[dj.eta_slice(t), dj.xi_slice(t)]))
         fld = predict_smooth(sm, data, params, t, pred)
         mu, se = dj.predict_field(t, nodes, upto=T)
         worst = max(worst, relerr(fld.mean, mu), relerr(fld.stderr, se))
@@ -263,3 +264,31 @@ class TestFullFineScaleCovariance:
                           cT[dj.xi_slice(t), dj.xi_slice(t)]) < 1e-8
             assert np.allclose(np.diag(sm.states[t - 1].R_full),
                                sm.states[t - 1].R_diag)
+
+
+class TestSelectedDiagWork:
+    """All-BAU variances come from selected inversion, small sets from unit solves."""
+
+    def test_all_bau_variance_makes_no_unit_solves(self, monkeypatch):
+        from dfgp.synth import ScenarioConfig, scenario_data
+        truth, _batches, data = scenario_data(ScenarioConfig(nx=20, ny=16, T=2, seed=4))
+        params = truth.params
+        assert data.structure.n >= SELECTED_INVERSION_MIN
+        unit_cols = []
+        real = SparseFactor.solve
+
+        def recording(self, b):
+            b = np.asarray(b)
+            if b.ndim == 2 and ((b != 0).sum(axis=0) == 1).all() and (b.max(axis=0) == 1.0).all():
+                unit_cols.append(b.shape[1])
+            return real(self, b)
+
+        monkeypatch.setattr(SparseFactor, "solve", recording)
+        full = filter_pass(data, params, pred_bau=data.structure.valid_idx, want_variance=True)
+        assert unit_cols == []
+        nodes = np.array([0, 37, 150, 300])
+        few = filter_pass(data, params, pred_bau=data.structure.valid_idx[nodes],
+                          want_variance=True)
+        assert sum(unit_cols) == nodes.size * params.u
+        for a, b in zip(full.states, few.states):
+            assert relerr(b.R_diag, a.R_diag[nodes]) <= 1e-12

@@ -6,6 +6,7 @@ from conftest import make_instance
 
 from dfgp import car as car_mod
 from dfgp import dynamics
+from dfgp import estimate as estimate_mod
 from dfgp.car import DENSE_EIG_CAP, GAMMA_MAX, LOGDET_CURVE_NODES, CARParams, sample_car
 from dfgp.dense import DenseJoint
 from dfgp.estimate import (EstimatorConfig, SufficientStats, _gamma_objective,
@@ -21,6 +22,22 @@ class TestConditionalSimulate:
         data, params = make_instance(0)
         a = conditional_simulate(data, params, np.random.default_rng(3))
         b = conditional_simulate(data, params, np.random.default_rng(3))
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+    def test_one_factor_per_gamma_keeps_draws(self, monkeypatch):
+        data, params = make_instance(2, nx=4, ny=4, T=4)
+        car = params.car
+        params = dataclasses.replace(params, car=(car[0], car[1], car[0], car[0]))
+        made = []
+        real = estimate_mod.sparse_factorize
+        monkeypatch.setattr(estimate_mod, "sparse_factorize",
+                            lambda m: made.append(1) or real(m))
+        a = conditional_simulate(data, params, np.random.default_rng(5), ndraws=2)
+        assert len(made) == 2
+        # a factorization per draw, as sample_car makes without a prebuilt factor
+        monkeypatch.setattr(estimate_mod, "sample_car",
+                            lambda s, p, rng, size=1, factor=None: sample_car(s, p, rng, size))
+        b = conditional_simulate(data, params, np.random.default_rng(5), ndraws=2)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_uninformative_data_returns_prior_draw(self):
@@ -311,10 +328,12 @@ class TestSparseGammaSearch:
 
         monkeypatch.setattr(car_mod, "sparse_factorize", counting)
         monkeypatch.setattr(dynamics, "sparse_factorize", counting)
+        monkeypatch.setattr(estimate_mod, "sparse_factorize", counting)
         res = run_estimator(data, EstimatorConfig(mode="sem", max_iter=3, seed=0))
         u = len(data.slices)
         assert res.n_iter == 3
-        assert len(calls) <= LOGDET_CURVE_NODES + 2 * u * res.n_iter + 1
+        # the first E-step samples at the u equal gammas of init_params from one factor
+        assert len(calls) <= LOGDET_CURVE_NODES + 2 * u * res.n_iter + 1 - (u - 1)
 
     @pytest.mark.parametrize("gamma_true", [0.3, 0.9, 0.999])
     def test_curve_search_matches_exact_search(self, gamma_true):
