@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import BAUGrid, BAUPointSample, Footprint, footprint_matrix
+from .grid import _POINT_CHUNK, BAUGrid, BAUPointSample, Footprint, footprint_matrix
 
 
 def bisquare_eval(u, c, radius: float):
@@ -105,24 +105,40 @@ def bau_basis_values(basis: BisquareBasis, grid: BAUGrid,
                      sample: BAUPointSample | None = None) -> np.ndarray:
     """N x r matrix of MC-averaged basis values per BAU.
 
-    Work is restricted per function to the BAUs whose cell can intersect its
-    support disc, so the cost scales with total support area rather than N*r.
+    Runs one point chunk at a time (see ``dfgp.grid``): the chunk's points
+    are drawn once, and each function is evaluated only at the chunk's BAUs
+    whose cell can intersect its support disc, so the cost scales with the
+    total support area rather than N*r.
     """
     if sample is None:
         sample = BAUPointSample(grid)
     N = grid.n_bau
     out = np.zeros((N, basis.r))
     cents = grid.centroids
-    # half-diagonal: farthest a cell point can be from the cell centroid
-    reach = grid.cell_size * np.sqrt(0.5)
-    for i in range(basis.r):
-        c, rad = basis.centers[i], basis.radii[i]
-        near = np.flatnonzero(
-            (np.abs(cents[:, 0] - c[0]) <= rad + reach)
-            & (np.abs(cents[:, 1] - c[1]) <= rad + reach))
-        if near.size == 0:
-            continue
-        out[near, i] = sample.average(lambda p, c=c, rad=rad: bisquare_eval(p, c, rad), near)
+    # a cell's points lie within half its diagonal of the centroid
+    reach = basis.radii + grid.cell_size * np.sqrt(0.5)
+    r2 = basis.radii ** 2
+    for lo in range(0, N, _POINT_CHUNK):
+        hi = min(lo + _POINT_CHUNK, N)
+        pts = sample.points_for(np.arange(lo, hi))
+        px, py = pts[..., 0].copy(), pts[..., 1].copy()
+        cx, cy = cents[lo:hi, 0], cents[lo:hi, 1]
+        for i, (c0, c1) in enumerate(basis.centers):
+            near = np.flatnonzero((np.abs(cx - c0) <= reach[i]) & (np.abs(cy - c1) <= reach[i]))
+            if near.size == 0:
+                continue
+            # bisquare_eval's arithmetic, in place: this loop is memory-bound
+            d2 = px[near]
+            d2 -= c0
+            d2 *= d2
+            w = py[near]
+            w -= c1
+            d2 += w * w
+            np.divide(d2, r2[i], out=w)
+            np.subtract(1.0, w, out=w)
+            w *= w
+            w[d2 > r2[i]] = 0.0
+            out[lo + near, i] = w.mean(axis=1)
     return out
 
 

@@ -30,7 +30,7 @@ import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
 
-from .car import CARParams, sparse_factorize
+from .car import SOLVE_BLOCK, CARParams, sparse_factorize
 from .exceptions import FactorizationError, NumericalError
 from .model import AssembledTimeSlice, DFGPParams, ModelData, as_dense, sym
 
@@ -39,8 +39,6 @@ __all__ = [
     "forecast_step", "filter_step", "filter_pass", "smoother_pass",
     "predict_filter", "predict_smooth", "predict_from_posterior",
 ]
-
-_SOLVE_CHUNK = 64
 
 
 def _cho(m: np.ndarray, t: int, what: str):
@@ -247,8 +245,8 @@ def filter_step(eta_pred: np.ndarray, P_pred: np.ndarray,
         nmat = slc.B.T @ VS                          # (n_valid, r) sparse
         fb = ffac.solve(as_dense(slc.B.T @ (vinv[:, None] * alpha)))
         gcorr = np.zeros((r, r))
-        for c0 in range(0, r, _SOLVE_CHUNK):
-            cols = slice(c0, min(c0 + _SOLVE_CHUNK, r))
+        for c0 in range(0, r, SOLVE_BLOCK):
+            cols = slice(c0, min(c0 + SOLVE_BLOCK, r))
             gf = ffac.solve(as_dense(nmat[:, cols]))
             gcorr[:, cols] = as_dense(nmat.T @ gf)
             if m:

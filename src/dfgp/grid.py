@@ -7,6 +7,11 @@ BAU-level quantity to a footprint is the plain arithmetic mean over the
 covered BAUs.  Point-level quantities (covariates, basis functions) are
 brought to BAU level by Monte Carlo averaging over uniform points inside
 each cell.
+
+The point chunk, _POINT_CHUNK consecutive BAUs, is the unit of
+reproducibility and of evaluation: one generator seeded by (seed, chunk)
+draws the points of all its BAUs at once, and callers evaluate everything
+they need on a chunk's points before moving to the next chunk.
 """
 
 from __future__ import annotations
@@ -18,8 +23,8 @@ import scipy.sparse as sp
 
 from .exceptions import InvalidFootprintError
 
-# BAUs are processed in fixed-size chunks when drawing Monte Carlo points so
-# that the per-BAU point sets are reproducible under random access.
+# BAUs [c * _POINT_CHUNK, (c + 1) * _POINT_CHUNK) share one point draw seeded
+# by (seed, c), so per-BAU point sets are reproducible under random access.
 _POINT_CHUNK = 8192
 
 DEFAULT_MC_POINTS = 30
@@ -123,13 +128,6 @@ class Footprint:
             raise InvalidFootprintError("footprint covers no BAUs")
         object.__setattr__(self, "bau_indices", idx)
 
-    def validate(self, grid: BAUGrid) -> None:
-        ok = grid.is_valid(self.bau_indices)
-        if not ok.all():
-            bad = self.bau_indices[~ok]
-            raise InvalidFootprintError(
-                f"footprint BAU indices out of range or masked: {bad.tolist()}")
-
 
 @dataclass
 class ObservationBatch:
@@ -163,34 +161,36 @@ class ObservationBatch:
 
 def footprint_row(fp: Footprint, grid: BAUGrid) -> sp.csr_matrix:
     """1 x N sparse change-of-support row: weight 1/m on each covered BAU."""
-    fp.validate(grid)
-    m = fp.bau_indices.size
-    data = np.full(m, 1.0 / m)
-    return sp.csr_matrix((data, (np.zeros(m, dtype=np.int64), fp.bau_indices)),
-                         shape=(1, grid.n_bau))
+    return footprint_matrix([fp], grid)
 
 
 def footprint_matrix(footprints: list[Footprint], grid: BAUGrid) -> sp.csr_matrix:
-    """n x N sparse matrix stacking footprint_row for each footprint."""
-    rows, cols, vals = [], [], []
-    for i, fp in enumerate(footprints):
-        fp.validate(grid)
-        m = fp.bau_indices.size
-        rows.append(np.full(m, i, dtype=np.int64))
-        cols.append(fp.bau_indices)
-        vals.append(np.full(m, 1.0 / m))
+    """n x N sparse matrix stacking footprint_row for each footprint.
+
+    Raises InvalidFootprintError naming the out-of-range or masked indices of
+    the first footprint that has any.
+    """
     if not footprints:
         return sp.csr_matrix((0, grid.n_bau))
-    return sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(len(footprints), grid.n_bau))
+    cols = np.concatenate([fp.bau_indices for fp in footprints])
+    counts = np.array([fp.bau_indices.size for fp in footprints])
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    ok = grid.is_valid(cols)
+    if not ok.all():
+        first = np.searchsorted(indptr, np.argmin(ok), side="right") - 1
+        seg = slice(indptr[first], indptr[first + 1])
+        raise InvalidFootprintError(
+            f"footprint BAU indices out of range or masked: {cols[seg][~ok[seg]].tolist()}")
+    return sp.csr_matrix((np.repeat(1.0 / counts, counts), cols, indptr),
+                         shape=(len(footprints), grid.n_bau))
 
 
 class BAUPointSample:
     """Reproducible uniform Monte Carlo points inside every BAU.
 
-    Points for BAU i depend only on (seed, i), so chunked or random-access
-    evaluation gives identical results.
+    Points for BAU i depend only on (seed, i // _POINT_CHUNK), so chunked or
+    random-access evaluation gives identical results.  Asking for whole
+    point chunks draws each chunk once.
     """
 
     def __init__(self, grid: BAUGrid, n_points: int = DEFAULT_MC_POINTS, seed: int = 0):

@@ -132,16 +132,14 @@ def simulate_truth(config: ScenarioConfig) -> SyntheticTruth:
                           params=params, X_bau=X_bau, S_bau=S_bau, y=y, eta=eta, xi=xi)
 
 
-def _block_footprints(grid: BAUGrid, block: int) -> tuple[list[np.ndarray], np.ndarray]:
-    """Index sets and centroid columns for the block x block tiling."""
+def _block_footprints(grid: BAUGrid, block: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index sets (n_fp, block^2) and centroid columns for the block x block
+    tiling, footprints in row-major block order."""
     nx, ny = grid.nx, grid.ny
-    flat = np.arange(grid.n_bau).reshape(ny, nx)
-    sets, cols = [], []
-    for i0 in range(0, ny, block):
-        for j0 in range(0, nx, block):
-            sets.append(flat[i0:i0 + block, j0:j0 + block].ravel())
-            cols.append(j0 + (block - 1) / 2.0)
-    return sets, np.asarray(cols)
+    sets = (np.arange(grid.n_bau).reshape(ny // block, block, nx // block, block)
+            .transpose(0, 2, 1, 3).reshape(-1, block * block))
+    cols = np.tile(np.arange(0, nx, block) + (block - 1) / 2.0, ny // block)
+    return sets, cols
 
 
 def _in_swath(cols: np.ndarray, spec: InstrumentSpec, t: int, nx: int) -> np.ndarray:
@@ -169,17 +167,12 @@ def observe(truth: SyntheticTruth) -> list[ObservationBatch]:
             sets, cols = tiles[spec.block]
             keep = ~_in_swath(cols, spec, t, config.nx)
             keep &= rng.uniform(size=len(sets)) >= spec.drop_rate
-            recs = []
-            noise = rng.standard_normal(int(keep.sum()))
-            j = 0
-            for i, cover in enumerate(sets):
-                if not keep[i]:
-                    continue
-                mean = truth.y[t - 1, cover].mean()
-                z = mean + np.sqrt(spec.sigma2_eps * spec.v_factor) * noise[j]
-                j += 1
-                recs.append((Footprint(cover, k, t), float(z), spec.v_factor))
-            per[k] = recs
+            kept = sets[keep]
+            noise = rng.standard_normal(len(kept))
+            z = truth.y[t - 1][kept].mean(axis=1) + np.sqrt(
+                spec.sigma2_eps * spec.v_factor) * noise
+            per[k] = [(Footprint(cover, k, t), float(zi), spec.v_factor)
+                      for cover, zi in zip(kept, z)]
         batches.append(ObservationBatch(time_index=t, per_instrument=per))
     return batches
 
@@ -207,10 +200,7 @@ def scenario_data_bulk(config: ScenarioConfig) -> tuple[SyntheticTruth, ModelDat
     truth = simulate_truth(config)
     grid = truth.grid
     rng = np.random.default_rng([config.seed, 1])
-    tiles = {}
-    for spec in config.instruments:
-        sets, cols = _block_footprints(grid, spec.block)
-        tiles[spec.block] = (np.asarray(sets), cols)   # (n_fp, block^2), (n_fp,)
+    tiles = {spec.block: _block_footprints(grid, spec.block) for spec in config.instruments}
     slices = []
     for t in range(1, config.T + 1):
         rows_z, rows_v, b_rows, b_cols, b_vals = [], [], [], [], []

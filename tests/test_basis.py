@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from dfgp.basis import (BisquareBasis, basis_matrix, bau_basis_values,
                         bisquare_eval, layout_multires)
-from dfgp.grid import BAUPointSample, Footprint, build_grid, footprint_matrix
+from dfgp.grid import (_POINT_CHUNK, BAUPointSample, Footprint, build_grid,
+                       footprint_matrix)
 
 
 class TestBisquareEval:
@@ -102,3 +103,54 @@ class TestBasisMatrix:
         via_op = basis_matrix(b, g, footprints=fps, sample=sample)
         direct = footprint_matrix(fps, g) @ bau
         assert np.allclose(via_op, direct)
+
+
+def _per_function_reference(basis, grid, sample):
+    """bau_basis_values as one ``sample.average`` per function over the BAUs
+    whose cell can meet its support: the formulation the chunked evaluation
+    must reproduce bit for bit."""
+    out = np.zeros((grid.n_bau, basis.r))
+    cents = grid.centroids
+    reach = grid.cell_size * np.sqrt(0.5)
+    for i in range(basis.r):
+        c, rad = basis.centers[i], basis.radii[i]
+        near = np.flatnonzero((np.abs(cents[:, 0] - c[0]) <= rad + reach)
+                              & (np.abs(cents[:, 1] - c[1]) <= rad + reach))
+        if near.size:
+            out[near, i] = sample.average(lambda p, c=c, rad=rad: bisquare_eval(p, c, rad),
+                                          near)
+    return out
+
+
+class TestChunkedBauBasisValues:
+    """bau_basis_values draws each point chunk once and evaluates every
+    function on it."""
+
+    @staticmethod
+    def _setup():
+        # 10,000 BAUs span two point chunks; offset origin, half cells, a mask
+        mask = np.ones(100 * 100, dtype=bool)
+        mask[[0, 57, 8191, 8192, 9999]] = False
+        g = build_grid(100, 100, 0.5, origin=(-3.0, 7.25), mask=mask)
+        assert g.n_bau > _POINT_CHUNK
+        return g, layout_multires(g.bbox, [4, 9, 16]), BAUPointSample(g, seed=11)
+
+    def test_bitwise_equal_to_per_function_average(self):
+        g, b, sample = self._setup()
+        got = bau_basis_values(b, g, sample)
+        assert np.array_equal(got, _per_function_reference(b, g, sample))
+        assert (got > 0).any(axis=0).all()
+
+    def test_one_point_draw_per_chunk(self, monkeypatch):
+        g, b, sample = self._setup()
+        calls = []
+        real = BAUPointSample.points_for
+
+        def counting(self, indices):
+            calls.append(np.asarray(indices).size)
+            return real(self, indices)
+
+        monkeypatch.setattr(BAUPointSample, "points_for", counting)
+        bau_basis_values(b, g, sample)
+        assert len(calls) <= -(-g.n_bau // _POINT_CHUNK)
+        assert sum(calls) == g.n_bau

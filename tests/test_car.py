@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from dfgp.car import (CARParams, DENSE_EIG_CAP, GAMMA_MAX, SELECTED_INVERSION_MIN,
-                      _selected_inverse_diag, build_adjacency, build_precision,
-                      sample_car, sparse_factorize)
+                      SOLVE_BLOCK, SparseFactor, _selected_inverse_diag,
+                      build_adjacency, build_precision, sample_car, sparse_factorize)
 from dfgp.exceptions import (FactorizationError, InvalidParameterError,
                              StructureError)
 from dfgp.grid import build_grid
@@ -122,6 +124,32 @@ class TestSparseFactor:
         assert np.allclose(f.solve_selected_diag(idx), dense)
 
 
+class TestUnitSolveBlocks:
+    """The unit-solve branches solve at most SOLVE_BLOCK columns at a time."""
+
+    def test_diag_and_block_match_dense(self, monkeypatch):
+        s = build_adjacency(build_grid(10, 10, 1.0))
+        q = build_precision(s, CARParams(0.9, 0.7))
+        f = sparse_factorize(q)
+        widths = []
+        real = SparseFactor.solve
+
+        def recording(self, b):
+            widths.append(np.asarray(b).shape[1])
+            return real(self, b)
+
+        monkeypatch.setattr(SparseFactor, "solve", recording)
+        idx = np.array([97, 3, 50, 51, 0, 12, 88, 40, 41, 42, 7, 66, 99, 23, 5, 60, 30, 2, 77, 14])
+        assert SOLVE_BLOCK < idx.size < SELECTED_INVERSION_MIN
+        inv = np.linalg.inv(q.toarray())
+        diag = f.solve_selected_diag(idx)
+        block = f.solve_selected_block(idx)
+        assert np.abs(diag - np.diag(inv)[idx]).max() <= 1e-12 * np.abs(inv).max()
+        assert np.abs(block - inv[np.ix_(idx, idx)]).max() <= 1e-12 * np.abs(inv).max()
+        assert max(widths) == SOLVE_BLOCK
+        assert sum(widths) == 2 * idx.size
+
+
 class TestSampleCAR:
     def test_deterministic_given_seed(self):
         s = build_adjacency(build_grid(3, 3, 1.0))
@@ -205,10 +233,10 @@ class TestLogdetCurve:
         assert np.array_equal(a, b)
 
 
-def _scenario_f():
+def _scenario_f(nx=24, ny=20):
     """F = Q + B' V^{-1} B of the first time step of a small scenario."""
     from dfgp.synth import ScenarioConfig, scenario_data
-    truth, _batches, data = scenario_data(ScenarioConfig(nx=24, ny=20, T=1, seed=2))
+    truth, _batches, data = scenario_data(ScenarioConfig(nx=nx, ny=ny, T=1, seed=2))
     slc, p = data.slices[0], truth.params
     vinv = 1.0 / slc.v_diag(p.sigma2_eps[0])
     return (build_precision(data.structure, p.car[0])
@@ -242,6 +270,19 @@ class TestSelectedInversion:
         rhs[idx, np.arange(idx.size)] = 1.0
         unit = f.solve(rhs)[idx, np.arange(idx.size)]
         assert np.abs(f._inverse_diagonal()[idx] / unit - 1.0).max() <= 1e-12
+
+    def test_working_set_per_factor_entry(self):
+        # per entry of L: its data and int32 index, an int64 key, int32 block
+        # row and column, and Z; about 32 bytes (58 with int64 block indices)
+        f = sparse_factorize(_scenario_f(64, 64))
+        nnz = f._lu.L.nnz
+        tracemalloc.start()
+        try:
+            f._inverse_diagonal()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * nnz, f"{peak / nnz:.1f} bytes per nnz(L)"
 
     def test_missing_pattern_entry_raises(self):
         s = build_adjacency(build_grid(10, 10, 1.0))

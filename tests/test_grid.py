@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dfgp.exceptions import InvalidFootprintError
-from dfgp.grid import (BAUPointSample, Footprint, aggregate_covariates,
+from dfgp.grid import (BAUGrid, BAUPointSample, Footprint, aggregate_covariates,
                        build_grid, footprint_matrix, footprint_row, mc_average)
 
 
@@ -148,3 +149,48 @@ class TestAggregateCovariates:
     def test_footprint_matrix_empty(self):
         g = build_grid(2, 2, 1.0)
         assert footprint_matrix([], g).shape == (0, 4)
+
+
+class TestFootprintMatrix:
+    @staticmethod
+    def _footprints(n_bau, count, seed=0):
+        rng = np.random.default_rng(seed)
+        return [Footprint(rng.choice(n_bau, size=rng.integers(1, 9), replace=False))
+                for _ in range(count)]
+
+    def test_equals_stacked_rows(self):
+        g = build_grid(12, 10, 1.0)
+        fps = self._footprints(g.n_bau, 40)
+        got = footprint_matrix(fps, g)
+        ref = sp.csr_matrix(sp.vstack([footprint_row(fp, g) for fp in fps]))
+        for a, b in ((got.indptr, ref.indptr), (got.indices, ref.indices),
+                     (got.data, ref.data)):
+            assert np.array_equal(a, b)
+        # and each row is the plain 1/m weighting of its footprint
+        for i, fp in enumerate(fps):
+            row = got[i].toarray().ravel()
+            assert np.array_equal(np.flatnonzero(row), fp.bau_indices)
+            assert (row[fp.bau_indices] == 1.0 / fp.bau_indices.size).all()
+
+    def test_later_bad_footprint_named(self):
+        mask = np.ones(16, dtype=bool)
+        mask[6] = False
+        g = build_grid(4, 4, 1.0, mask=mask)
+        fps = [Footprint(np.array([0, 1])), Footprint(np.array([2, 3, 4])),
+               Footprint(np.array([5, 6, 7, 16, 20])), Footprint(np.array([99]))]
+        with pytest.raises(InvalidFootprintError, match=r"\[6, 16, 20\]$"):
+            footprint_matrix(fps, g)
+
+    def test_one_validity_check(self, monkeypatch):
+        g = build_grid(12, 10, 1.0)
+        fps = self._footprints(g.n_bau, 40)
+        calls = []
+        real = BAUGrid.is_valid
+
+        def counting(self, idx):
+            calls.append(np.asarray(idx).size)
+            return real(self, idx)
+
+        monkeypatch.setattr(BAUGrid, "is_valid", counting)
+        footprint_matrix(fps, g)
+        assert calls == [sum(fp.bau_indices.size for fp in fps)]

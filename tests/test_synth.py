@@ -4,8 +4,8 @@ import scipy.sparse as sp
 
 from dfgp.car import build_precision
 from dfgp.likelihood import neg2_loglik
-from dfgp.synth import (InstrumentSpec, ScenarioConfig, observe, scenario_data,
-                        scenario_data_bulk, simulate_truth)
+from dfgp.synth import (InstrumentSpec, ScenarioConfig, _in_swath, observe,
+                        scenario_data, scenario_data_bulk, simulate_truth)
 
 
 def small_config(**kw):
@@ -123,6 +123,41 @@ class TestObserve:
         batches = observe(truth)
         for b in batches:
             assert len(b.per_instrument[1]) == 64
+
+
+class TestObserveReference:
+    def test_matches_per_record_loop(self):
+        """observe() against the record-by-record formulation: the same
+        footprints in the same order, and z bit-identical to the mean over
+        each footprint plus its noise draw."""
+        cfg = small_config(nx=12, ny=8, T=3, instruments=(
+            InstrumentSpec(1, 0.25, swath_width=3, swath_period=7, swath_shift=2,
+                           drop_rate=0.2),
+            InstrumentSpec(4, 0.04, v_factor=2.0, drop_rate=0.3)))
+        truth = simulate_truth(cfg)
+        batches = observe(truth)
+        rng = np.random.default_rng([cfg.seed, 1])
+        flat = np.arange(cfg.nx * cfg.ny).reshape(cfg.ny, cfg.nx)
+        for t, batch in enumerate(batches, start=1):
+            for k, spec in enumerate(cfg.instruments, start=1):
+                b = spec.block
+                corners = [(i0, j0) for i0 in range(0, cfg.ny, b) for j0 in range(0, cfg.nx, b)]
+                cols = np.array([j0 + (b - 1) / 2.0 for _i0, j0 in corners])
+                keep = ~_in_swath(cols, spec, t, cfg.nx)
+                keep &= rng.uniform(size=len(corners)) >= spec.drop_rate
+                noise = rng.standard_normal(int(keep.sum()))
+                expect = []
+                for (i0, j0), kept in zip(corners, keep):
+                    if kept:
+                        cover = flat[i0:i0 + b, j0:j0 + b].ravel()
+                        z = truth.y[t - 1, cover].mean() + np.sqrt(
+                            spec.sigma2_eps * spec.v_factor) * noise[len(expect)]
+                        expect.append((np.sort(cover), float(z)))
+                recs = batch.per_instrument[k]
+                assert len(recs) == len(expect)
+                for (fp, z, v), (cover, z_ref) in zip(recs, expect):
+                    assert np.array_equal(fp.bau_indices, cover)
+                    assert z == z_ref and v == spec.v_factor
 
 
 class TestBulkEquivalence:
