@@ -8,7 +8,7 @@ component, estimated by (stochastic) EM.
 
 __version__ = "0.1.0"
 
-from .basis import BisquareBasis, basis_matrix, bisquare_eval, layout_multires
+from .basis import BisquareBasis, bisquare_eval, layout_multires
 from .car import (CARParams, CARStructure, build_adjacency, build_precision,
                   sample_car, sparse_factorize)
 from .cv import HoldoutPlan, run_cv, split_holdout
@@ -21,8 +21,7 @@ from .estimate import (EstimationResult, EstimatorConfig, SufficientStats,
                        init_params, m_step, run_estimator)
 from .exceptions import (FactorizationError, InvalidFootprintError,
                          InvalidParameterError, NumericalError, StructureError)
-from .grid import (BAUGrid, Footprint, ObservationBatch, aggregate_covariates,
-                   build_grid, footprint_matrix, footprint_row, mc_average)
+from .grid import BAUGrid, Observations, build_grid
 from .likelihood import InnovationRecord, neg2_complete_loglik, neg2_loglik
 from .model import AssembledTimeSlice, DFGPParams, ModelData, assemble
 from .baselines import ExpCovParams, LocalKrigeSettings, exp_cov, local_krige

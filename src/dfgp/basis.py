@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import _POINT_CHUNK, BAUGrid, BAUPointSample, Footprint, footprint_matrix
+from .grid import _POINT_CHUNK, BAUGrid, BAUPointSample
 
 
 def bisquare_eval(u, c, radius: float):
@@ -51,14 +51,6 @@ class BisquareBasis:
     @property
     def r(self) -> int:
         return self.centers.shape[0]
-
-    def eval_points(self, pts: np.ndarray) -> np.ndarray:
-        """(m, r) matrix of all basis functions at m points."""
-        pts = np.atleast_2d(pts)
-        out = np.zeros((pts.shape[0], self.r))
-        for i in range(self.r):
-            out[:, i] = bisquare_eval(pts, self.centers[i], self.radii[i])
-        return out
 
 
 def _lattice_shape(count: int, aspect: float) -> tuple[int, int]:
@@ -140,19 +132,3 @@ def bau_basis_values(basis: BisquareBasis, grid: BAUGrid,
             w[d2 > r2[i]] = 0.0
             out[lo + near, i] = w.mean(axis=1)
     return out
-
-
-def basis_matrix(basis: BisquareBasis, grid: BAUGrid,
-                 footprints: list[Footprint] | None = None,
-                 sample: BAUPointSample | None = None,
-                 bau_values: np.ndarray | None = None) -> np.ndarray:
-    """Basis design matrix at BAU level (footprints=None) or footprint level.
-
-    Footprint rows are the change-of-support average of the BAU-level rows.
-    """
-    if bau_values is None:
-        bau_values = bau_basis_values(basis, grid, sample)
-    if footprints is None:
-        return bau_values
-    rows = footprint_matrix(footprints, grid)
-    return rows @ bau_values

@@ -67,7 +67,7 @@ SELECTED_INVERSION_MIN = 256
 
 # Right-hand sides per SuperLU solve when many columns are solved against one
 # factor (the r columns of the filter step, the unit vectors of the
-# selected-diagonal and -block solves).  Measured for the 99 columns of a
+# selected-diagonal solves).  Measured for the 99 columns of a
 # 256x256 F_t on one BLAS thread: 0.93 s in blocks of 8, 1.01 s of 16,
 # 1.44 s of 64, 1.56 s all at once (at 100x100: 0.081 s against 0.069 s
 # for 64).  A block also bounds the dense right-hand side at n x SOLVE_BLOCK.
@@ -274,14 +274,11 @@ class SparseFactor:
         out = np.empty(indices.size)
         for s in range(0, indices.size, SOLVE_BLOCK):
             idx = indices[s:s + SOLVE_BLOCK]
-            out[s:s + SOLVE_BLOCK] = self._unit_solve(idx)[idx, np.arange(idx.size)]
+            unit = (idx, np.arange(idx.size))
+            rhs = np.zeros((self.shape[0], idx.size))
+            rhs[unit] = 1.0
+            out[s:s + SOLVE_BLOCK] = self.solve(rhs)[unit]
         return out
-
-    def _unit_solve(self, idx: np.ndarray) -> np.ndarray:
-        """M^{-1} e_j for each j in idx, as the columns of an n x len(idx) array."""
-        rhs = np.zeros((self.shape[0], idx.size))
-        rhs[idx, np.arange(idx.size)] = 1.0
-        return self.solve(rhs)
 
     def _inverse_diagonal(self) -> np.ndarray:
         """diag(M^{-1}) at every index, by selected inversion of the factor.
@@ -295,15 +292,6 @@ class SparseFactor:
             raise FactorizationError("selected inversion needs equal row and column "
                                      "permutations")
         return _selected_inverse_diag(lu.L, lu.U.diagonal())[lu.perm_r]
-
-    def solve_selected_block(self, indices: np.ndarray) -> np.ndarray:
-        """The (indices x indices) block of M^{-1}, by unit solves in blocks
-        of SOLVE_BLOCK."""
-        indices = np.asarray(indices, dtype=np.int64)
-        out = np.empty((indices.size, indices.size))
-        for s in range(0, indices.size, SOLVE_BLOCK):
-            out[:, s:s + SOLVE_BLOCK] = self._unit_solve(indices[s:s + SOLVE_BLOCK])[indices]
-        return out
 
     def logdet(self) -> float:
         return self._logdet

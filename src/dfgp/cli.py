@@ -1,17 +1,20 @@
 """Command-line interface.
 
 Subcommands: simulate | fit | filter | smooth | cv, all driven by one INI
-configuration file.  Flags override only the seed, output dir, thread cap,
-and the low-rank-only switch.  Exit codes: 0 success, 1 usage/configuration
+configuration file.  Relative [data] paths resolve against the config file's
+directory: simulate writes the observation and footprint files there and the
+other commands read them from there.  Flags override only the seed, output
+dir, and the low-rank-only switch.  Each command writes a manifest of the
+files it read and wrote.  Exit codes: 0 success, 1 usage/configuration
 error, 2 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import sys
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -26,104 +29,98 @@ from .model import assemble
 from .synth import observe, simulate_truth
 
 
-def _thread_cap(n: int):
-    if n and n > 0:
-        try:
-            from threadpoolctl import threadpool_limits
-            return threadpool_limits(limits=n)
-        except ImportError:
-            print("warning: threadpoolctl unavailable, --threads ignored",
-                  file=sys.stderr)
-    return contextlib.nullcontext()
+@dataclass
+class Files:
+    """The files one command read and wrote, hashed into its manifest."""
+
+    read: list[Path] = field(default_factory=list)
+    written: list[Path] = field(default_factory=list)
 
 
-def _load_everything(cfg: RunConfig, base: Path):
+def _data_paths(cfg: RunConfig, base: Path) -> list[Path]:
+    return [base / cfg.data.observations, base / cfg.data.footprints]
+
+
+def _load_everything(cfg: RunConfig, base: Path, files: Files):
+    files.read += [Path(p) for p in (cfg.grid.mask, cfg.basis.centers_csv) if p]
     grid = cfg.build_grid()
     basis = cfg.build_basis(grid)
     structure = cfg.build_structure(grid)
-    batches = dio.read_observations(base / cfg.data.observations,
-                                    base / cfg.data.footprints)
-    if not batches:
+    paths = _data_paths(cfg, base)
+    obs = dio.read_observations(*paths)
+    files.read += paths
+    if obs.n_obs == 0:
         raise ValueError("no observations found")
-    data = assemble(batches, grid, basis, structure, covariates=cfg.covariates)
-    return grid, basis, structure, batches, data
+    data = assemble(obs, grid, basis, structure, covariates=cfg.covariates)
+    return grid, basis, structure, obs, data
 
 
-def cmd_simulate(cfg: RunConfig, out: Path) -> None:
+def cmd_simulate(cfg: RunConfig, out: Path, base: Path, lowrank: bool, files: Files) -> None:
     truth = simulate_truth(cfg.scenario_config())
-    batches = observe(truth)
-    dio.write_observations(out / cfg.data.observations, out / cfg.data.footprints,
-                           batches)
+    obs = observe(truth)
+    paths = _data_paths(cfg, base)
+    for p in paths:
+        p.parent.mkdir(parents=True, exist_ok=True)
+    dio.write_observations(*paths, obs)
     dio.write_truth(out / "truth.csv", truth.y)
     dio.write_latents(out / "latent_eta.csv", out / "latent_xi.csv",
                       truth.eta, truth.xi)
-    n_obs = sum(b.n_obs for b in batches)
-    print(f"simulated {truth.config.T} time steps, {n_obs} observations, "
+    files.written += [*paths, out / "truth.csv", out / "latent_eta.csv",
+                      out / "latent_xi.csv"]
+    print(f"simulated {truth.config.T} time steps, {obs.n_obs} observations, "
           f"N={truth.grid.n_bau}, r={truth.basis.r}")
 
 
-def _fit(cfg: RunConfig, data, out: Path, lowrank: bool):
+def _fit(cfg: RunConfig, data, out: Path, lowrank: bool, files: Files):
     est = cfg.estimator_config()
     if cfg.protocol == "smoothing":
-        res = run_estimator(data, est, lowrank_only=lowrank)
-        dio.write_params(out / "params.csv", res.params)
-        dio.write_trace(out / "trace.csv", res.trace)
-        _write_report(out / "fit_report.txt", {res.params.u: res}, cfg)
-        return {data.T: res.params}
-    fits = fit_filtering_sequence(data, est, lowrank_only=lowrank)
-    for u, res in fits.items():
-        dio.write_params(out / f"params_u{u}.csv", res.params)
-        dio.write_trace(out / f"trace_u{u}.csv", res.trace)
-    _write_report(out / "fit_report.txt", fits, cfg)
+        fits = {data.T: run_estimator(data, est, lowrank_only=lowrank)}
+    else:
+        fits = fit_filtering_sequence(data, est, lowrank_only=lowrank)
+    report = [f"protocol = {cfg.protocol}", f"seed = {cfg.seed}"]
+    for u, res in sorted(fits.items()):
+        tag = "" if cfg.protocol == "smoothing" else f"_u{u}"
+        params, trace = out / f"params{tag}.csv", out / f"trace{tag}.csv"
+        dio.write_params(params, res.params)
+        dio.write_trace(trace, res.trace)
+        files.written += [params, trace]
+        report += [f"horizon_{u}_iterations = {res.n_iter}",
+                   f"horizon_{u}_converged = {res.converged}",
+                   f"horizon_{u}_neg2loglik = {res.trace[-1]!r}",
+                   f"horizon_{u}_params_file = {params.name}",
+                   f"horizon_{u}_trace_file = {trace.name}"]
+    (out / "fit_report.txt").write_text("\n".join(report) + "\n")
+    files.written.append(out / "fit_report.txt")
     return {u: res.params for u, res in fits.items()}
 
 
-def _write_report(path, fits, cfg: RunConfig) -> None:
-    with open(path, "w") as f:
-        f.write(f"protocol = {cfg.protocol}\n")
-        f.write(f"seed = {cfg.seed}\n")
-        single = len(fits) == 1 and cfg.protocol == "smoothing"
-        for u, res in sorted(fits.items()):
-            tag = "" if single else f"_u{u}"
-            f.write(f"horizon_{u}_iterations = {res.n_iter}\n")
-            f.write(f"horizon_{u}_converged = {res.converged}\n")
-            f.write(f"horizon_{u}_neg2loglik = {res.trace[-1]!r}\n")
-            f.write(f"horizon_{u}_params_file = params{tag}.csv\n")
-            f.write(f"horizon_{u}_trace_file = trace{tag}.csv\n")
-
-
-def _load_or_fit_params(cfg: RunConfig, data, out: Path, base: Path, lowrank: bool):
+def _load_or_fit_params(cfg: RunConfig, data, out: Path, base: Path, lowrank: bool,
+                        files: Files):
     if cfg.protocol == "smoothing":
-        p = base / (cfg.data.params or "params.csv")
-        if p.exists():
-            return {data.T: dio.read_params(p)}
-        if (out / "params.csv").exists():
-            return {data.T: dio.read_params(out / "params.csv")}
-        return _fit(cfg, data, out, lowrank)
-    fits = {}
-    complete = True
-    for u in range(2, data.T + 1):
-        for root in (base, out):
-            p = root / f"params_u{u}.csv"
+        for p in (base / (cfg.data.params or "params.csv"), out / "params.csv"):
             if p.exists():
-                fits[u] = dio.read_params(p)
-                break
-        else:
-            complete = False
-    if complete and fits:
-        return fits
-    return _fit(cfg, data, out, lowrank)
+                files.read.append(p)
+                return {data.T: dio.read_params(p)}
+        return _fit(cfg, data, out, lowrank, files)
+    found = {}
+    for u in range(2, data.T + 1):
+        found[u] = next((p for p in (base / f"params_u{u}.csv", out / f"params_u{u}.csv")
+                         if p.exists()), None)
+    if found and None not in found.values():
+        files.read += found.values()
+        return {u: dio.read_params(p) for u, p in found.items()}
+    return _fit(cfg, data, out, lowrank, files)
 
 
-def cmd_fit(cfg: RunConfig, out: Path, base: Path, lowrank: bool) -> None:
-    *_rest, data = _load_everything(cfg, base)
-    _fit(cfg, data, out, lowrank)
+def cmd_fit(cfg: RunConfig, out: Path, base: Path, lowrank: bool, files: Files) -> None:
+    *_rest, data = _load_everything(cfg, base, files)
+    _fit(cfg, data, out, lowrank, files)
     print(f"fitted ({cfg.protocol} protocol); parameters written to {out}")
 
 
-def cmd_filter(cfg: RunConfig, out: Path, base: Path, lowrank: bool) -> None:
-    grid, _basis, structure, _batches, data = _load_everything(cfg, base)
-    params_by_u = _load_or_fit_params(cfg, data, out, base, lowrank)
+def cmd_filter(cfg: RunConfig, out: Path, base: Path, lowrank: bool, files: Files) -> None:
+    grid, _basis, structure, _obs, data = _load_everything(cfg, base, files)
+    params_by_u = _load_or_fit_params(cfg, data, out, base, lowrank, files)
     pred = structure.valid_idx
     fields = []
     if cfg.protocol == "smoothing":
@@ -135,6 +132,7 @@ def cmd_filter(cfg: RunConfig, out: Path, base: Path, lowrank: bool) -> None:
         dio.save_state_checkpoint(out / "state_filter.bin",
                                   np.stack([s.eta[:, 0] for s in filt.states]),
                                   np.stack([s.P for s in filt.states]))
+        files.written.append(out / "state_filter.bin")
     else:
         for u in sorted(params_by_u):
             params = params_by_u[u]
@@ -142,14 +140,15 @@ def cmd_filter(cfg: RunConfig, out: Path, base: Path, lowrank: bool) -> None:
                                want_variance=True, lowrank_only=lowrank)
             fields.append(predict_filter(filt, data, params, u, pred))
     dio.write_prediction_fields(out / "predictions_filter.csv", fields)
+    files.written.append(out / "predictions_filter.csv")
     print(f"filter predictions for {len(fields)} time steps written to {out}")
 
 
-def cmd_smooth(cfg: RunConfig, out: Path, base: Path, lowrank: bool) -> None:
-    grid, _basis, structure, _batches, data = _load_everything(cfg, base)
+def cmd_smooth(cfg: RunConfig, out: Path, base: Path, lowrank: bool, files: Files) -> None:
+    grid, _basis, structure, _obs, data = _load_everything(cfg, base, files)
     if cfg.protocol != "smoothing":
         raise ValueError("smooth requires protocol = smoothing")
-    params = _load_or_fit_params(cfg, data, out, base, lowrank)[data.T]
+    params = _load_or_fit_params(cfg, data, out, base, lowrank, files)[data.T]
     pred = structure.valid_idx
     filt = filter_pass(data, params, pred_bau=pred, want_variance=True,
                        lowrank_only=lowrank)
@@ -160,17 +159,18 @@ def cmd_smooth(cfg: RunConfig, out: Path, base: Path, lowrank: bool) -> None:
     dio.save_state_checkpoint(out / "state_smooth.bin",
                               np.stack([s.eta[:, 0] for s in sm.states]),
                               np.stack([s.P for s in sm.states]))
+    files.written += [out / "predictions_smooth.csv", out / "state_smooth.bin"]
     print(f"smoother predictions for {len(fields)} time steps written to {out}")
 
 
-def cmd_cv(cfg: RunConfig, out: Path, base: Path, lowrank: bool) -> None:
+def cmd_cv(cfg: RunConfig, out: Path, base: Path, lowrank: bool, files: Files) -> None:
     from .baselines import LocalKrigeSettings
     from .cv import run_cv
-    grid, basis, structure, batches, _data = _load_everything(cfg, base)
+    grid, basis, structure, obs, _data = _load_everything(cfg, base, files)
     methods = cfg.cv.methods
     if lowrank:
         methods = tuple(m for m in methods if m != "dfgp")
-    result = run_cv(batches, grid, basis, structure, cfg.holdout_plan(),
+    result = run_cv(obs, grid, basis, structure, cfg.holdout_plan(),
                     methods=methods, protocol=cfg.protocol,
                     est_config=cfg.estimator_config(),
                     lk_settings=LocalKrigeSettings(
@@ -179,18 +179,22 @@ def cmd_cv(cfg: RunConfig, out: Path, base: Path, lowrank: bool) -> None:
     dio.write_metrics(out / "metrics.csv", result,
                       by_subset_path=out / "metrics_by_subset.csv")
     dio.write_holdout(out / "holdout.csv", result.holdout)
+    files.written += [out / "metrics.csv", out / "metrics_by_subset.csv", out / "holdout.csv"]
     print(f"cross-validation metrics for {len(methods)} methods written to {out}")
+
+
+COMMANDS = {"simulate": cmd_simulate, "fit": cmd_fit, "filter": cmd_filter,
+            "smooth": cmd_smooth, "cv": cmd_cv}
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="dfgp",
         description="Dynamic fused Gaussian process data fusion")
-    ap.add_argument("command", choices=["simulate", "fit", "filter", "smooth", "cv"])
+    ap.add_argument("command", choices=list(COMMANDS))
     ap.add_argument("--config", required=True, help="path to the INI run config")
     ap.add_argument("--out", default=None, help="output directory override")
     ap.add_argument("--seed", type=int, default=None, help="seed override")
-    ap.add_argument("--threads", type=int, default=None, help="thread cap override")
     ap.add_argument("--lowrank-only", action="store_true",
                     help="drop the fine-scale component (fixed-rank comparator)")
     return ap
@@ -206,26 +210,14 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg = dataclasses.replace(cfg, seed=args.seed)
-        if args.threads is not None:
-            cfg = dataclasses.replace(cfg, threads=args.threads)
         out = Path(args.out if args.out is not None else cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         base = Path(args.config).resolve().parent
-        with _thread_cap(cfg.threads):
-            if args.command == "simulate":
-                cmd_simulate(cfg, out)
-            elif args.command == "fit":
-                cmd_fit(cfg, out, base, args.lowrank_only)
-            elif args.command == "filter":
-                cmd_filter(cfg, out, base, args.lowrank_only)
-            elif args.command == "smooth":
-                cmd_smooth(cfg, out, base, args.lowrank_only)
-            elif args.command == "cv":
-                cmd_cv(cfg, out, base, args.lowrank_only)
-        primary = sorted(p for p in out.iterdir()
-                         if p.suffix in (".csv", ".bin") and p.is_file())
+        files = Files()
+        COMMANDS[args.command](cfg, out, base, args.lowrank_only, files)
         dio.write_manifest(out / f"manifest_{args.command}.txt", args.command,
-                           args.config, cfg.seed, __version__, outputs=primary)
+                           args.config, cfg.seed, __version__,
+                           inputs=files.read, outputs=files.written)
         return 0
     except (NumericalError, FactorizationError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -1,14 +1,16 @@
 """Run configuration: one INI-style file drives every CLI command.
 
-Parsing and serialization round-trip exactly; all scientific choices live in
-the file so runs are reproducible from (config, seed) alone.
+Parsing and serialization round-trip exactly and are both derived from the
+dataclass fields below, their types and defaults; all scientific choices
+live in the file so runs are reproducible from (config, seed) alone.
 """
 
 from __future__ import annotations
 
 import configparser
 import io as _io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
+from typing import get_args, get_type_hints
 
 from .basis import layout_multires
 from .car import build_adjacency
@@ -40,9 +42,11 @@ class BasisSection:
 
 @dataclass(frozen=True)
 class DataSection:
+    """Data file paths; relative ones resolve against the config file's
+    directory, for reading and for writing alike."""
+
     observations: str = "observations.csv"
     footprints: str = "footprints.csv"
-    truth: str = ""
     params: str = ""
 
 
@@ -91,7 +95,6 @@ class RunConfig:
     seed: int = 0
     out_dir: str = "out"
     protocol: str = "smoothing"
-    threads: int = 0
     grid: GridSection = field(default_factory=GridSection)
     covariates: tuple[str, ...] = DEFAULT_COVARIATES
     basis: BasisSection = field(default_factory=BasisSection)
@@ -176,93 +179,55 @@ class RunConfig:
                            seed=self.seed)
 
 
-def _csv_ints(s: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in s.split(",") if x.strip() != "")
+def _codec(hint):
+    """(parse, format) between an INI string and a field of type ``hint``;
+    tuples are comma-separated, floats are written with repr."""
+    if hint is bool:
+        return None, lambda b: str(b).lower()     # parsed by getboolean
+    if hint in (int, str):
+        return hint, str
+    if hint is float:
+        return float, repr
+    item = get_args(hint)[0]                      # tuple[item, ...]
+    return (lambda s: tuple(item(x.strip()) for x in s.split(",") if x.strip() != ""),
+            lambda v: ",".join(map(repr if item is float else str, v)))
 
 
-def _csv_floats(s: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in s.split(",") if x.strip() != "")
+def _options():
+    """(section, key, owner, name, type) for every INI option, in file order.
 
-
-def _csv_strs(s: str) -> tuple[str, ...]:
-    return tuple(x.strip() for x in s.split(",") if x.strip() != "")
+    A RunConfig field holding a dataclass is the section of that name, one
+    key per field (owner = the RunConfig field); ``estimator_*`` fields form
+    [estimator], ``covariates`` is [covariates] names, the rest are [run].
+    """
+    hints = get_type_hints(RunConfig)
+    for f in fields(RunConfig):
+        hint = hints[f.name]
+        if is_dataclass(hint):
+            sub = get_type_hints(hint)
+            for g in fields(hint):
+                yield f.name, g.name, f.name, g.name, sub[g.name]
+        elif f.name == "covariates":
+            yield "covariates", "names", None, f.name, hint
+        elif f.name.startswith("estimator_"):
+            yield "estimator", f.name.removeprefix("estimator_"), None, f.name, hint
+        else:
+            yield "run", f.name, None, f.name, hint
 
 
 def parse_config(text: str) -> RunConfig:
+    """RunConfig from INI text; absent options keep the dataclass defaults."""
     cp = configparser.ConfigParser()
     cp.read_string(text)
-
-    def get(section, key, default, conv=str):
+    top: dict = {}
+    for section, key, owner, name, hint in _options():
         if cp.has_option(section, key):
-            raw = cp.get(section, key)
-            if conv is bool:
-                return cp.getboolean(section, key)
-            return conv(raw)
-        return default
-
-    grid = GridSection(
-        nx=get("grid", "nx", 40, int), ny=get("grid", "ny", 40, int),
-        cell_size=get("grid", "cell_size", 1.0, float),
-        origin_x=get("grid", "origin_x", 0.0, float),
-        origin_y=get("grid", "origin_y", 0.0, float),
-        mask=get("grid", "mask", ""))
-    basis = BasisSection(
-        counts=get("basis", "counts", (9,), _csv_ints),
-        radius_mult=get("basis", "radius_mult", 1.5, float),
-        centers_csv=get("basis", "centers_csv", ""))
-    data = DataSection(
-        observations=get("data", "observations", "observations.csv"),
-        footprints=get("data", "footprints", "footprints.csv"),
-        truth=get("data", "truth", ""),
-        params=get("data", "params", ""))
-    scen = ScenarioSection(
-        T=get("scenario", "T", 8, int),
-        beta=get("scenario", "beta", (1.0, 0.5, -0.2), _csv_floats),
-        h_diag=get("scenario", "h_diag", 0.8, float),
-        u_scale=get("scenario", "u_scale", 0.25, float),
-        k0_scale=get("scenario", "k0_scale", 1.0, float),
-        gamma=get("scenario", "gamma", 0.75, float),
-        tau2=get("scenario", "tau2", 1.0, float),
-        fine_sigma2=get("scenario", "fine_sigma2", 0.25, float),
-        fine_v=get("scenario", "fine_v", 1.0, float),
-        fine_swath_width=get("scenario", "fine_swath_width", 8, int),
-        fine_swath_period=get("scenario", "fine_swath_period", 20, int),
-        fine_swath_shift=get("scenario", "fine_swath_shift", 7, int),
-        fine_drop_rate=get("scenario", "fine_drop_rate", 0.1, float),
-        coarse_block=get("scenario", "coarse_block", 4, int),
-        coarse_sigma2=get("scenario", "coarse_sigma2", 0.04, float),
-        coarse_v=get("scenario", "coarse_v", 1.0, float),
-        coarse_drop_rate=get("scenario", "coarse_drop_rate", 0.05, float))
-    holdout = HoldoutSection(
-        x0=get("holdout", "x0", 0.0, float), x1=get("holdout", "x1", 0.0, float),
-        y0=get("holdout", "y0", 0.0, float), y1=get("holdout", "y1", 0.0, float),
-        t_first=get("holdout", "t_first", 2, int),
-        t_last=get("holdout", "t_last", 8, int),
-        fraction=get("holdout", "fraction", 0.1, float),
-        instrument=get("holdout", "instrument", 1, int))
-    cv = CVSection(
-        methods=get("cv", "methods", ("dfgp", "lowrank", "localkrige"), _csv_strs),
-        lk_k=get("cv", "lk_k", 100, int),
-        lk_max_fit_evals=get("cv", "lk_max_fit_evals", 150, int))
-    return RunConfig(
-        seed=get("run", "seed", 0, int),
-        out_dir=get("run", "out_dir", "out"),
-        protocol=get("run", "protocol", "smoothing"),
-        threads=get("run", "threads", 0, int),
-        grid=grid,
-        covariates=get("covariates", "names", DEFAULT_COVARIATES, _csv_strs),
-        basis=basis, data=data,
-        estimator_mode=get("estimator", "mode", "sem"),
-        estimator_max_iter=get("estimator", "max_iter", 60, int),
-        estimator_tol_loglik=get("estimator", "tol_loglik", 1e-6, float),
-        estimator_tol_param=get("estimator", "tol_param", 1e-5, float),
-        estimator_consecutive=get("estimator", "consecutive", 5, int),
-        estimator_nugget_time_invariant=get("estimator", "nugget_time_invariant",
-                                            False, bool),
-        estimator_hu_blocks=get("estimator", "hu_blocks", (), _csv_ints),
-        estimator_draws=get("estimator", "draws", 1, int),
-        estimator_sem_average_frac=get("estimator", "sem_average_frac", 0.2, float),
-        scenario=scen, holdout=holdout, cv=cv)
+            value = (cp.getboolean(section, key) if hint is bool
+                     else _codec(hint)[0](cp.get(section, key)))
+            (top.setdefault(owner, {}) if owner else top)[name] = value
+    hints = get_type_hints(RunConfig)
+    return RunConfig(**{name: hints[name](**value) if isinstance(value, dict) else value
+                        for name, value in top.items()})
 
 
 def load_config(path) -> RunConfig:
@@ -272,47 +237,11 @@ def load_config(path) -> RunConfig:
 
 def serialize_config(cfg: RunConfig) -> str:
     cp = configparser.ConfigParser()
-    cp["run"] = {"seed": str(cfg.seed), "out_dir": cfg.out_dir,
-                 "protocol": cfg.protocol, "threads": str(cfg.threads)}
-    g = cfg.grid
-    cp["grid"] = {"nx": str(g.nx), "ny": str(g.ny), "cell_size": repr(g.cell_size),
-                  "origin_x": repr(g.origin_x), "origin_y": repr(g.origin_y),
-                  "mask": g.mask}
-    cp["covariates"] = {"names": ",".join(cfg.covariates)}
-    b = cfg.basis
-    cp["basis"] = {"counts": ",".join(map(str, b.counts)),
-                   "radius_mult": repr(b.radius_mult), "centers_csv": b.centers_csv}
-    d = cfg.data
-    cp["data"] = {"observations": d.observations, "footprints": d.footprints,
-                  "truth": d.truth, "params": d.params}
-    cp["estimator"] = {
-        "mode": cfg.estimator_mode, "max_iter": str(cfg.estimator_max_iter),
-        "tol_loglik": repr(cfg.estimator_tol_loglik),
-        "tol_param": repr(cfg.estimator_tol_param),
-        "consecutive": str(cfg.estimator_consecutive),
-        "nugget_time_invariant": str(cfg.estimator_nugget_time_invariant).lower(),
-        "hu_blocks": ",".join(map(str, cfg.estimator_hu_blocks)),
-        "draws": str(cfg.estimator_draws),
-        "sem_average_frac": repr(cfg.estimator_sem_average_frac)}
-    s = cfg.scenario
-    cp["scenario"] = {
-        "t": str(s.T), "beta": ",".join(repr(x) for x in s.beta),
-        "h_diag": repr(s.h_diag), "u_scale": repr(s.u_scale),
-        "k0_scale": repr(s.k0_scale), "gamma": repr(s.gamma), "tau2": repr(s.tau2),
-        "fine_sigma2": repr(s.fine_sigma2), "fine_v": repr(s.fine_v),
-        "fine_swath_width": str(s.fine_swath_width),
-        "fine_swath_period": str(s.fine_swath_period),
-        "fine_swath_shift": str(s.fine_swath_shift),
-        "fine_drop_rate": repr(s.fine_drop_rate),
-        "coarse_block": str(s.coarse_block), "coarse_sigma2": repr(s.coarse_sigma2),
-        "coarse_v": repr(s.coarse_v), "coarse_drop_rate": repr(s.coarse_drop_rate)}
-    h = cfg.holdout
-    cp["holdout"] = {"x0": repr(h.x0), "x1": repr(h.x1), "y0": repr(h.y0),
-                     "y1": repr(h.y1), "t_first": str(h.t_first),
-                     "t_last": str(h.t_last), "fraction": repr(h.fraction),
-                     "instrument": str(h.instrument)}
-    cp["cv"] = {"methods": ",".join(cfg.cv.methods), "lk_k": str(cfg.cv.lk_k),
-                "lk_max_fit_evals": str(cfg.cv.lk_max_fit_evals)}
+    for section, key, owner, name, hint in _options():
+        if not cp.has_section(section):
+            cp.add_section(section)
+        value = getattr(getattr(cfg, owner) if owner else cfg, name)
+        cp.set(section, key, _codec(hint)[1](value))
     buf = _io.StringIO()
     cp.write(buf)
     return buf.getvalue()

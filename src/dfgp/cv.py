@@ -17,7 +17,7 @@ import numpy as np
 from .baselines import LocalKrigeSettings, local_krige
 from .dynamics import filter_pass, predict_filter, predict_smooth, smoother_pass
 from .estimate import EstimatorConfig, fit_filtering_sequence, run_estimator
-from .grid import BAUGrid, ObservationBatch
+from .grid import BAUGrid, Observations
 from .model import ModelData, assemble
 from .scoring import crps_gaussian, rmspe
 
@@ -69,45 +69,44 @@ class CVResult:
     predictions: dict = field(default_factory=dict)   # method -> {(t, bau): (mean, se)}
 
 
-def split_holdout(batches: list[ObservationBatch], grid: BAUGrid,
-                  plan: HoldoutPlan) -> tuple[list[ObservationBatch], list[HoldoutRecord]]:
+def _footprint_centroids(obs: Observations, grid: BAUGrid) -> np.ndarray:
+    """(n_footprints, 2) mean of the covered BAU centroids.  Footprints are
+    grouped by size, which sums each mean in the same order as a mean taken
+    footprint by footprint (np.add.reduceat does not)."""
+    cents = grid.centroids
+    sizes = np.diff(obs.fp_indptr)
+    out = np.empty((sizes.size, 2))
+    for m in np.unique(sizes):
+        rows = np.flatnonzero(sizes == m)
+        out[rows] = cents[obs.fp_indices[obs.fp_indptr[rows, None] + np.arange(m)]].mean(axis=1)
+    return out
+
+
+def split_holdout(obs: Observations, grid: BAUGrid,
+                  plan: HoldoutPlan) -> tuple[Observations, list[HoldoutRecord]]:
     """Partition the fine-instrument records into training and holdout sets.
 
     Holdout footprints must cover exactly one BAU (the fine instrument);
     coarse instruments always stay in training.
     """
     rng = np.random.default_rng(plan.seed)
-    cents = grid.centroids
-    train, holdout = [], []
-    for batch in batches:
-        t = batch.time_index
-        if not (plan.time_first <= t <= plan.time_last) or plan.instrument not in batch.per_instrument:
-            train.append(batch)
-            continue
-        new_per = {k: list(v) for k, v in batch.per_instrument.items()}
-        kept = []
-        recs = new_per[plan.instrument]
-        in_block = np.zeros(len(recs), dtype=bool)
-        for i, (fp, _z, _v) in enumerate(recs):
-            c = cents[fp.bau_indices].mean(axis=0)
-            in_block[i] = (plan.block_x[0] <= c[0] <= plan.block_x[1]
-                           and plan.block_y[0] <= c[1] <= plan.block_y[1])
-        u = rng.uniform(size=len(recs))
-        for i, (fp, z, v) in enumerate(recs):
-            tag = None
-            if in_block[i]:
-                tag = "block"
-            elif u[i] < plan.fraction:
-                tag = "random"
-            if tag is None:
-                kept.append((fp, z, v))
-                continue
-            if fp.bau_indices.size != 1:
-                raise ValueError("holdout footprints must cover a single BAU")
-            holdout.append(HoldoutRecord(t, int(fp.bau_indices[0]), float(z), tag))
-        new_per[plan.instrument] = kept
-        train.append(ObservationBatch(time_index=t, per_instrument=new_per))
-    return train, holdout
+    cand = np.flatnonzero((obs.instrument == plan.instrument)
+                          & (obs.time >= plan.time_first) & (obs.time <= plan.time_last))
+    c = _footprint_centroids(obs, grid)[obs.footprint[cand]]
+    in_block = ((plan.block_x[0] <= c[:, 0]) & (c[:, 0] <= plan.block_x[1])
+                & (plan.block_y[0] <= c[:, 1]) & (c[:, 1] <= plan.block_y[1]))
+    held = in_block | (rng.uniform(size=cand.size) < plan.fraction)
+    rows = cand[held]
+    fps = obs.footprint[rows]
+    if (np.diff(obs.fp_indptr)[fps] != 1).any():
+        raise ValueError("holdout footprints must cover a single BAU")
+    holdout = [HoldoutRecord(t, b, z, "block" if blk else "random")
+               for t, b, z, blk in zip(obs.time[rows].tolist(),
+                                       obs.fp_indices[obs.fp_indptr[fps]].tolist(),
+                                       obs.value[rows].tolist(), in_block[held].tolist())]
+    keep = np.ones(obs.n_obs, dtype=bool)
+    keep[rows] = False
+    return obs.subset(keep), holdout
 
 
 def _score_rows(method: str, protocol: str, preds: dict[tuple[int, int], tuple[float, float]],
@@ -168,20 +167,13 @@ def _dfgp_predictions(data: ModelData, holdout: list[HoldoutRecord], protocol: s
     return preds, times
 
 
-def _localkrige_predictions(train: list[ObservationBatch], grid: BAUGrid,
+def _localkrige_predictions(train: Observations, grid: BAUGrid,
                             holdout: list[HoldoutRecord],
                             settings: LocalKrigeSettings, times: list[int]):
     cents = grid.centroids
-    coords, tv, zv = [], [], []
-    for batch in train:
-        for k, recs in batch.per_instrument.items():
-            for fp, z, _v in recs:
-                coords.append(cents[fp.bau_indices].mean(axis=0))
-                tv.append(batch.time_index)
-                zv.append(z)
-    coords = np.asarray(coords)
-    tv = np.asarray(tv, dtype=float)
-    zv = np.asarray(zv)
+    coords = _footprint_centroids(train, grid)[train.footprint]
+    tv = train.time.astype(float)
+    zv = train.value
     preds = {}
     for h in holdout:
         if h.time_index not in times:
@@ -194,7 +186,7 @@ def _localkrige_predictions(train: list[ObservationBatch], grid: BAUGrid,
     return preds
 
 
-def run_cv(batches: list[ObservationBatch], grid: BAUGrid, basis, structure,
+def run_cv(obs: Observations, grid: BAUGrid, basis, structure,
            plan: HoldoutPlan, methods=("dfgp", "lowrank", "localkrige"),
            protocol: str = "filtering",
            est_config: EstimatorConfig | None = None,
@@ -206,7 +198,7 @@ def run_cv(batches: list[ObservationBatch], grid: BAUGrid, basis, structure,
             raise ValueError(f"unknown method {m!r}; choose from {METHODS}")
     est_config = est_config or EstimatorConfig(max_iter=30)
     lk_settings = lk_settings or LocalKrigeSettings(k=100)
-    train, holdout = split_holdout(batches, grid, plan)
+    train, holdout = split_holdout(obs, grid, plan)
     kwargs = {} if covariates is None else {"covariates": covariates}
     data = assemble(train, grid, basis, structure, **kwargs)
     T = data.T

@@ -84,7 +84,6 @@ class StatePosterior:
     quad: np.ndarray = field(default_factory=lambda: np.zeros(1))
     alpha: np.ndarray | None = None
     lag1: np.ndarray | None = None
-    R_full: np.ndarray | None = None   # (m, m), only when requested
 
     @property
     def C(self) -> np.ndarray:
@@ -148,9 +147,7 @@ def filter_pass(data: ModelData, params: DFGPParams, *,
         columns sharing the design of the real data.
     want_variance: also compute R_diag (per step, one sparse solve per
         prediction BAU for small sets, else one selected inversion of the
-        factor; see ``SparseFactor.solve_selected_diag``); pass "full" to
-        additionally store the full m x m fine-scale covariance block on
-        each state.
+        factor; see ``SparseFactor.solve_selected_diag``).
     lowrank_only: drop the fine-scale component entirely (fixed-rank
         filtering comparator): D = V^{-1}, delta = 0.
     """
@@ -202,24 +199,18 @@ def filter_step(eta_pred: np.ndarray, P_pred: np.ndarray,
     m = pred_nodes.size
     if n_rhs is None:
         n_rhs = 1 + (0 if extra is None else extra.shape[1])
-    full_var = want_variance == "full"
     if slc.n_obs == 0:
-        R_diag, R_full = None, None
+        R_diag = None
         if want_variance and m and not lowrank_only:
             afac = sparse_factorize(structure.base_precision(car.gamma))
-            if full_var:
-                R_full = car.tau2 * afac.solve_selected_block(pred_nodes)
-                R_diag = np.diag(R_full).copy()
-            else:
-                R_diag = car.tau2 * afac.solve_selected_diag(pred_nodes)
+            R_diag = car.tau2 * afac.solve_selected_diag(pred_nodes)
         elif want_variance:
             R_diag = np.zeros(m)
-            R_full = np.zeros((m, m)) if full_var else None
         return StatePosterior(
             time_index=t, eta=eta_pred.copy(), P=P_pred.copy(),
             eta_pred=eta_pred, P_pred=P_pred, delta=np.zeros((m, n_rhs)),
             R_diag=R_diag, psi=np.zeros((m, r)),
-            n_obs=0, quad=np.zeros(n_rhs), R_full=R_full)
+            n_obs=0, quad=np.zeros(n_rhs))
 
     zcols = slc.z[:, None] if extra is None else np.column_stack([slc.z, extra])
     v = slc.v_diag(sigma2_row)
@@ -232,7 +223,6 @@ def filter_step(eta_pred: np.ndarray, P_pred: np.ndarray,
     psi = np.zeros((m, r))
     delta = np.zeros((m, n_rhs))
     R_diag = np.zeros(m) if want_variance else None
-    R_full = np.zeros((m, m)) if (want_variance and full_var) else None
     if lowrank_only:
         ln_dinv = float(np.log(v).sum()) if want_loglik else 0.0
     else:
@@ -261,11 +251,7 @@ def filter_step(eta_pred: np.ndarray, P_pred: np.ndarray,
         else:
             ln_dinv = 0.0
         if want_variance and m:
-            if full_var:
-                R_full = ffac.solve_selected_block(pred_nodes)
-                R_diag = np.diag(R_full).copy()
-            else:
-                R_diag = ffac.solve_selected_diag(pred_nodes)
+            R_diag = ffac.solve_selected_diag(pred_nodes)
 
     pp_cf = _cho(P_pred, t, "forecast covariance")
     A = sym(_cho_inv(pp_cf) + sds)
@@ -277,8 +263,6 @@ def filter_step(eta_pred: np.ndarray, P_pred: np.ndarray,
         delta = fb[pred_nodes] - psi @ gain
         if want_variance:
             R_diag = R_diag + _row_quad(psi, P_f)
-            if full_var:
-                R_full = sym(R_full + psi @ P_f @ psi.T)
     logdet_sigma = 0.0
     quad = np.zeros(n_rhs)
     if want_loglik:
@@ -288,7 +272,7 @@ def filter_step(eta_pred: np.ndarray, P_pred: np.ndarray,
         time_index=t, eta=eta_f, P=P_f, eta_pred=eta_pred, P_pred=P_pred,
         delta=delta, R_diag=R_diag, psi=psi, n_obs=slc.n_obs,
         logdet_sigma=logdet_sigma, quad=quad,
-        alpha=alpha[:, 0].copy() if want_innovations else None, R_full=R_full)
+        alpha=alpha[:, 0].copy() if want_innovations else None)
 
 
 def smoother_pass(filt: FilterResult, params: DFGPParams) -> SmootherResult:
@@ -301,8 +285,7 @@ def smoother_pass(filt: FilterResult, params: DFGPParams) -> SmootherResult:
         time_index=u, eta=last.eta.copy(), P=last.P.copy(),
         eta_pred=last.eta_pred, P_pred=last.P_pred,
         delta=last.delta.copy(), R_diag=None if last.R_diag is None else last.R_diag.copy(),
-        psi=last.psi, n_obs=last.n_obs,
-        R_full=None if last.R_full is None else last.R_full.copy())
+        psi=last.psi, n_obs=last.n_obs)
     J_list: list[np.ndarray | None] = [None] * u
     for t in range(u - 1, 0, -1):
         f_t, nxt = fs[t - 1], out[t]
@@ -320,8 +303,7 @@ def smoother_pass(filt: FilterResult, params: DFGPParams) -> SmootherResult:
             eta_pred=f_t.eta_pred, P_pred=f_t.P_pred,
             delta=f_t.delta + M @ d_eta,
             R_diag=None if f_t.R_diag is None else f_t.R_diag + _row_quad(M, d_P),
-            psi=f_t.psi, n_obs=f_t.n_obs,
-            R_full=None if f_t.R_full is None else sym(f_t.R_full + M @ d_P @ M.T))
+            psi=f_t.psi, n_obs=f_t.n_obs)
     # smoothed initial state (eta_{0|0} = 0, P_{0|0} = K0)
     pp_cf = _cho(fs[0].P_pred, 1, "forecast covariance")
     J0 = params.K0 @ la.cho_solve(pp_cf, params.H_at(1)).T

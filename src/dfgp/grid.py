@@ -4,7 +4,8 @@ The latent field lives on a regular grid of equal-area basic areal units
 (BAUs), indexed row-major from the lower-left origin.  An instrument
 footprint is the set of BAU indices it integrates over; aggregating any
 BAU-level quantity to a footprint is the plain arithmetic mean over the
-covered BAUs.  Point-level quantities (covariates, basis functions) are
+covered BAUs.  ``Observations`` holds every record of a dataset as columns
+that point into one shared footprint table.  Point-level quantities (covariates, basis functions) are
 brought to BAU level by Monte Carlo averaging over uniform points inside
 each cell.
 
@@ -16,7 +17,7 @@ they need on a chunk's points before moving to the next chunk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -115,74 +116,102 @@ def build_grid(nx: int, ny: int, cell_size: float, origin=(0.0, 0.0),
 
 
 @dataclass(frozen=True)
-class Footprint:
-    """Set of BAU indices one observation integrates over."""
+class Observations:
+    """Every observation record of a dataset, one array per field.
 
-    bau_indices: np.ndarray
-    instrument: int = 1
-    time_index: int = 1
-
-    def __post_init__(self):
-        idx = np.unique(np.asarray(self.bau_indices, dtype=np.int64))
-        if idx.size == 0:
-            raise InvalidFootprintError("footprint covers no BAUs")
-        object.__setattr__(self, "bau_indices", idx)
-
-
-@dataclass
-class ObservationBatch:
-    """All observations for one time step, grouped by instrument.
-
-    ``per_instrument`` maps instrument id k (1..k0, contiguous) to a list of
-    (Footprint, value, variance_factor) records with variance_factor > 0.
+    Records point into a footprint table: footprint f covers the BAUs
+    ``fp_indices[fp_indptr[f]:fp_indptr[f + 1]]`` (a CSR row), and an
+    instrument's footprints are shared by all the days that observe them.
+    The constructor sorts each footprint's indices and drops repeats, and
+    stably sorts the records by (time, instrument).  Time steps run
+    1..n_times, so trailing steps without records still count.
     """
 
-    time_index: int
-    per_instrument: dict[int, list[tuple[Footprint, float, float]]] = field(default_factory=dict)
+    time: np.ndarray          # (n,) 1-based time step
+    instrument: np.ndarray    # (n,) instrument id >= 1
+    footprint: np.ndarray     # (n,) row of the footprint table
+    value: np.ndarray         # (n,)
+    var_factor: np.ndarray    # (n,) > 0
+    fp_indptr: np.ndarray     # (n_footprints + 1,)
+    fp_indices: np.ndarray    # BAU indices of all footprints
+    n_times: int
 
     def __post_init__(self):
-        # ids must be positive ints; contiguity over the whole dataset is
-        # checked at assembly (a single time step may miss an instrument)
-        for k, recs in self.per_instrument.items():
-            if not (isinstance(k, int) and k >= 1):
-                raise ValueError(f"instrument ids must be integers >= 1, got {k!r}")
-            for fp, _z, v in recs:
-                if not v > 0:
-                    raise ValueError(f"variance factor must be > 0 (instrument {k})")
+        for name in ("time", "instrument", "footprint", "fp_indptr", "fp_indices"):
+            col = np.asarray(getattr(self, name))
+            if col.size and col.dtype.kind not in "iu":
+                raise ValueError(f"{name} must hold integers, got {col.dtype}")
+            object.__setattr__(self, name, col.astype(np.int64))
+        value = np.asarray(self.value, dtype=float)
+        var = np.asarray(self.var_factor, dtype=float)
+        time, inst, fp, indptr, indices = (self.time, self.instrument, self.footprint,
+                                           self.fp_indptr, self.fp_indices)
+        sizes = np.diff(indptr)
+        if not time.shape == inst.shape == fp.shape == value.shape == var.shape:
+            raise ValueError("observation fields must have one entry per record")
+        if (inst < 1).any():
+            raise ValueError("instrument ids must be integers >= 1")
+        if not (var > 0).all():
+            raise ValueError("variance factors must be > 0")
+        if ((time < 1) | (time > self.n_times)).any():
+            raise ValueError(f"time indices must lie in 1..{self.n_times}")
+        if indptr[:1].tolist() != [0] or indptr[-1] != indices.size or (sizes < 0).any():
+            raise ValueError("fp_indptr does not delimit fp_indices")
+        if (sizes == 0).any():
+            raise InvalidFootprintError(f"footprint {np.argmin(sizes)} covers no BAUs")
+        if ((fp < 0) | (fp >= sizes.size)).any():
+            raise ValueError("footprint rows must index the footprint table")
+        # each footprint's indices sorted and unique
+        rows = np.repeat(np.arange(sizes.size), sizes)
+        order = np.lexsort((indices, rows))
+        rows, indices = rows[order], indices[order]
+        new = (np.diff(rows, prepend=-1) != 0) | (np.diff(indices, prepend=-1) != 0)
+        rows, indices = rows[new], indices[new]
+        object.__setattr__(self, "fp_indices", indices)
+        object.__setattr__(self, "fp_indptr", np.searchsorted(rows, np.arange(sizes.size + 1)))
+        order = np.argsort(time * (inst.max(initial=0) + 1) + inst, kind="stable")
+        for name, col in (("time", time), ("instrument", inst), ("footprint", fp),
+                          ("value", value), ("var_factor", var)):
+            object.__setattr__(self, name, col[order])
+        object.__setattr__(self, "n_times", int(self.n_times))
 
     @property
     def n_obs(self) -> int:
-        return sum(len(v) for v in self.per_instrument.values())
+        return self.value.size
 
     @property
     def instruments(self) -> list[int]:
-        return sorted(self.per_instrument)
+        return np.unique(self.instrument).tolist()
 
+    def time_bounds(self) -> np.ndarray:
+        """Records of time t are those in [bounds[t - 1], bounds[t])."""
+        return np.searchsorted(self.time, np.arange(1, self.n_times + 2))
 
-def footprint_row(fp: Footprint, grid: BAUGrid) -> sp.csr_matrix:
-    """1 x N sparse change-of-support row: weight 1/m on each covered BAU."""
-    return footprint_matrix([fp], grid)
+    def subset(self, keep: np.ndarray) -> "Observations":
+        """The records where ``keep`` is True, over the same footprint table."""
+        return replace(self, time=self.time[keep], instrument=self.instrument[keep],
+                       footprint=self.footprint[keep], value=self.value[keep],
+                       var_factor=self.var_factor[keep])
 
+    def footprint_matrix(self, grid: BAUGrid) -> sp.csr_matrix:
+        """n_footprints x N change-of-support matrix: row f puts weight 1/m on
+        each of the m BAUs footprint f covers.
 
-def footprint_matrix(footprints: list[Footprint], grid: BAUGrid) -> sp.csr_matrix:
-    """n x N sparse matrix stacking footprint_row for each footprint.
-
-    Raises InvalidFootprintError naming the out-of-range or masked indices of
-    the first footprint that has any.
-    """
-    if not footprints:
-        return sp.csr_matrix((0, grid.n_bau))
-    cols = np.concatenate([fp.bau_indices for fp in footprints])
-    counts = np.array([fp.bau_indices.size for fp in footprints])
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    ok = grid.is_valid(cols)
-    if not ok.all():
-        first = np.searchsorted(indptr, np.argmin(ok), side="right") - 1
-        seg = slice(indptr[first], indptr[first + 1])
-        raise InvalidFootprintError(
-            f"footprint BAU indices out of range or masked: {cols[seg][~ok[seg]].tolist()}")
-    return sp.csr_matrix((np.repeat(1.0 / counts, counts), cols, indptr),
-                         shape=(len(footprints), grid.n_bau))
+        Only footprints some record uses are checked against the grid; the
+        InvalidFootprintError names the out-of-range or masked indices of the
+        first bad one.
+        """
+        sizes = np.diff(self.fp_indptr)
+        used = np.zeros(sizes.size, dtype=bool)
+        used[self.footprint] = True
+        ok = grid.is_valid(self.fp_indices) | np.repeat(~used, sizes)
+        if not ok.all():
+            first = np.searchsorted(self.fp_indptr, np.argmin(ok), side="right") - 1
+            seg = slice(self.fp_indptr[first], self.fp_indptr[first + 1])
+            raise InvalidFootprintError("footprint BAU indices out of range or masked: "
+                                        f"{self.fp_indices[seg][~ok[seg]].tolist()}")
+        return sp.csr_matrix((np.repeat(1.0 / sizes, sizes), self.fp_indices, self.fp_indptr),
+                             shape=(sizes.size, grid.n_bau))
 
 
 class BAUPointSample:
@@ -230,26 +259,3 @@ class BAUPointSample:
             vals = np.asarray(point_fn(pts.reshape(-1, 2)), dtype=float)
             out[start:start + _POINT_CHUNK] = vals.reshape(idx.size, self.n_points).mean(axis=1)
         return out
-
-
-def mc_average(point_fn, grid: BAUGrid, bau_index: int,
-               n_points: int = DEFAULT_MC_POINTS, seed: int = 0) -> float:
-    """Monte Carlo average of a point function over one BAU cell."""
-    sample = BAUPointSample(grid, n_points=n_points, seed=seed)
-    return float(sample.average(point_fn, np.array([bau_index]))[0])
-
-
-def aggregate_covariates(point_fns, footprints: list[Footprint], grid: BAUGrid,
-                         n_points: int = DEFAULT_MC_POINTS, seed: int = 0,
-                         bau_values: np.ndarray | None = None) -> np.ndarray:
-    """n x p covariate matrix at footprint support.
-
-    Each point-level covariate is first averaged to BAU level, then averaged
-    over each footprint's BAUs.  ``bau_values`` (N x p) short-circuits the
-    BAU-level step when the caller has already cached it.
-    """
-    if bau_values is None:
-        sample = BAUPointSample(grid, n_points=n_points, seed=seed)
-        bau_values = np.column_stack([sample.average(f) for f in point_fns])
-    rows = footprint_matrix(footprints, grid)
-    return rows @ bau_values

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -21,7 +22,7 @@ import numpy as np
 from .car import CARParams
 from .cv import CVResult, HoldoutRecord
 from .dynamics import PredictionField
-from .grid import Footprint, ObservationBatch
+from .grid import Observations
 from .model import DFGPParams
 
 _F = "%.17g"
@@ -44,27 +45,29 @@ def _fmt(x: float) -> str:
 # ---------------------------------------------------------------------------
 # observations + footprints
 
-def write_observations(path_obs, path_fps, batches: list[ObservationBatch]) -> None:
+def write_observations(path_obs, path_fps, obs: Observations) -> None:
     """Write the observation and footprint CSVs.
 
-    Footprints with identical BAU coverage share one footprint_id.
+    The footprints records use are numbered by first appearance; the others
+    are left out.
     """
-    fp_ids: dict[tuple, int] = {}
+    used, first = np.unique(obs.footprint, return_index=True)
+    rows = used[np.argsort(first)]
+    fid = np.empty(obs.fp_indptr.size - 1, dtype=np.int64)
+    fid[rows] = np.arange(rows.size)
     with open(path_obs, "w", newline="") as fo:
         w = csv.writer(fo)
         w.writerow(["time", "instrument", "footprint_id", "value", "var_factor"])
-        for batch in batches:
-            for k in batch.instruments:
-                for fp, z, v in batch.per_instrument[k]:
-                    key = tuple(fp.bau_indices.tolist())
-                    fid = fp_ids.setdefault(key, len(fp_ids))
-                    w.writerow([batch.time_index, k, fid, _fmt(z), _fmt(v)])
+        for t, k, f, z, v in zip(obs.time.tolist(), obs.instrument.tolist(),
+                                 fid[obs.footprint].tolist(), obs.value.tolist(),
+                                 obs.var_factor.tolist()):
+            w.writerow([t, k, f, _fmt(z), _fmt(v)])
     with open(path_fps, "w", newline="") as ff:
         w = csv.writer(ff)
         w.writerow(["footprint_id", "bau_index"])
-        for key, fid in sorted(fp_ids.items(), key=lambda kv: kv[1]):
-            for b in key:
-                w.writerow([fid, b])
+        for i, f in enumerate(rows.tolist()):
+            for b in obs.fp_indices[obs.fp_indptr[f]:obs.fp_indptr[f + 1]].tolist():
+                w.writerow([i, b])
 
 
 _OBS_FIELDS = (("time", int), ("instrument", int), ("footprint_id", int),
@@ -81,42 +84,49 @@ def _unparsable(where: str, row: dict) -> ValueError:
     raise AssertionError("every field parses")
 
 
-def read_observations(path_obs, path_fps) -> list[ObservationBatch]:
-    """Read batches back; missing time steps become empty batches.
+def read_observations(path_obs, path_fps) -> Observations:
+    """Read the observation and footprint CSVs; footprints that no record
+    uses are dropped, and time steps run 1..max(time).
 
     Raises ValueError naming the file, the 1-based data row and the field
-    for an unparsable number, a non-finite value, a var_factor that is not
-    finite and > 0, or a footprint_id absent from the footprint file.
+    for an unparsable number, a time or instrument below 1, a non-finite
+    value, a var_factor that is not finite and > 0, or a footprint_id absent
+    from the footprint file.
     """
     cover: dict[int, list[int]] = {}
     with open(path_fps, newline="") as ff:
         for row in csv.DictReader(ff):
             cover.setdefault(int(row["footprint_id"]), []).append(int(row["bau_index"]))
-    by_time: dict[int, dict[int, list]] = {}
+    cols: tuple[list, ...] = ([], [], [], [], [])
     with open(path_obs, newline="") as fo:
         for i, row in enumerate(csv.DictReader(fo), start=1):
+            where = f"{path_obs}: data row {i}"
             try:
-                t, k = int(row["time"]), int(row["instrument"])
-                fid = int(row["footprint_id"])
-                z, v = float(row["value"]), float(row["var_factor"])
+                rec = (int(row["time"]), int(row["instrument"]), int(row["footprint_id"]),
+                       float(row["value"]), float(row["var_factor"]))
             except (TypeError, ValueError):
-                raise _unparsable(f"{path_obs}: data row {i}", row) from None
+                raise _unparsable(where, row) from None
+            t, k, fid, z, v = rec
+            for field, n in (("time", t), ("instrument", k)):
+                if n < 1:
+                    raise ValueError(f"{where}: {field} must be >= 1, got {row[field]!r}")
             if fid not in cover:
-                raise ValueError(f"{path_obs}: data row {i}: footprint_id {fid} "
-                                 f"is not in {path_fps}")
+                raise ValueError(f"{where}: footprint_id {fid} is not in {path_fps}")
             if not math.isfinite(z):
-                raise ValueError(f"{path_obs}: data row {i}: value must be finite, "
-                                 f"got {row['value']!r}")
+                raise ValueError(f"{where}: value must be finite, got {row['value']!r}")
             if not (math.isfinite(v) and v > 0):
-                raise ValueError(f"{path_obs}: data row {i}: var_factor must be finite "
-                                 f"and > 0, got {row['var_factor']!r}")
-            fp = Footprint(np.asarray(cover[fid]), instrument=k, time_index=t)
-            by_time.setdefault(t, {}).setdefault(k, []).append((fp, z, v))
-    if not by_time:
-        return []
-    T = max(by_time)
-    return [ObservationBatch(time_index=t, per_instrument=by_time.get(t, {}))
-            for t in range(1, T + 1)]
+                raise ValueError(f"{where}: var_factor must be finite and > 0, "
+                                 f"got {row['var_factor']!r}")
+            for col, x in zip(cols, rec):
+                col.append(x)
+    time, inst, fids, value, var = cols
+    used, fp = np.unique(np.asarray(fids, dtype=np.int64), return_inverse=True)
+    covers = [cover[f] for f in used.tolist()]
+    return Observations(
+        time=time, instrument=inst, footprint=fp, value=value, var_factor=var,
+        fp_indptr=np.cumsum([0] + [len(c) for c in covers]),
+        fp_indices=np.array([b for c in covers for b in c], dtype=np.int64),
+        n_times=max(time, default=0))
 
 
 # ---------------------------------------------------------------------------
@@ -321,15 +331,18 @@ def load_state_checkpoint(path) -> tuple[np.ndarray, np.ndarray]:
 # manifest
 
 def write_manifest(path, command: str, config_path, seed: int, version: str,
-                   outputs=()) -> None:
+                   inputs=(), outputs=()) -> None:
+    """Header lines ``key = value``, then one ``input|output <sha256>  <file>``
+    line per file the command read or wrote, in that order; files are named
+    relative to the manifest's directory."""
+    path = Path(path)
     digest = hashlib.sha256(Path(config_path).read_bytes()).hexdigest()
     with open(path, "w") as f:
         f.write(f"command = {command}\n")
         f.write(f"config_sha256 = {digest}\n")
         f.write(f"seed = {seed}\n")
         f.write(f"version = {version}\n")
-        for out in outputs:
-            out = Path(out)
-            if out.exists():
-                h = hashlib.sha256(out.read_bytes()).hexdigest()
-                f.write(f"sha256_{out.name} = {h}\n")
+        for role, files in (("input", inputs), ("output", outputs)):
+            for p in files:
+                h = hashlib.sha256(Path(p).read_bytes()).hexdigest()
+                f.write(f"{role} {h}  {os.path.relpath(p, path.parent)}\n")

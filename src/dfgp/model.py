@@ -18,7 +18,7 @@ import scipy.sparse as sp
 from .basis import BisquareBasis, bau_basis_values
 from .car import CARParams, CARStructure
 from .exceptions import InvalidParameterError
-from .grid import BAUGrid, BAUPointSample, ObservationBatch, footprint_matrix
+from .grid import BAUGrid, BAUPointSample, Observations
 
 
 def sym(m: np.ndarray) -> np.ndarray:
@@ -217,45 +217,45 @@ def covariate_functions(names) -> list:
                          f"choose from {sorted(COVARIATE_FNS)}") from exc
 
 
-def assemble(batches: list[ObservationBatch], grid: BAUGrid, basis: BisquareBasis,
+def assemble(obs: Observations, grid: BAUGrid, basis: BisquareBasis,
              structure: CARStructure, covariates=DEFAULT_COVARIATES,
-             n_points: int | None = None, mc_seed: int = 0) -> ModelData:
-    """Build per-time design matrices from raw observation batches.
+             design: tuple[np.ndarray, np.ndarray] | None = None) -> ModelData:
+    """Build per-time design matrices for time steps 1..obs.n_times.
 
-    Batches must be ordered t = 1..T with contiguous time indices; missing
-    time steps are represented by batches with no records.
+    ``design`` is the BAU-level (X_bau, S_bau) for these covariates and this
+    basis on the default point sample, when the caller already holds it;
+    otherwise it is computed here.  B_t, X_t and S_t select their rows from
+    one footprint-level matrix each, so a footprint observed on many days is
+    averaged once.
     """
-    ids = sorted({k for b in batches for k in b.instruments})
+    ids = obs.instruments
     if ids and ids != list(range(1, len(ids) + 1)):
         raise ValueError(f"instrument ids must be contiguous from 1, got {ids}")
-    fns = covariate_functions(covariates)
-    kwargs = {} if n_points is None else {"n_points": n_points}
-    sample = BAUPointSample(grid, seed=mc_seed, **kwargs)
-    X_bau = np.column_stack([sample.average(f) for f in fns])
-    S_bau = bau_basis_values(basis, grid, sample)
+    if design is None:
+        sample = BAUPointSample(grid)
+        X_bau = np.column_stack([sample.average(f) for f in covariate_functions(covariates)])
+        S_bau = bau_basis_values(basis, grid, sample)
+    else:
+        X_bau, S_bau = design
+    B_fp = obs.footprint_matrix(grid)
+    X_fp = B_fp @ X_bau
+    S_fp = sp.csr_matrix(B_fp @ S_bau)
+    bounds = obs.time_bounds()
     slices = []
-    for t, batch in enumerate(batches, start=1):
-        if batch.time_index != t:
-            raise ValueError(f"batches must be contiguous in time: expected {t}, "
-                             f"got {batch.time_index}")
-        fps, zs, vs, rows = [], [], [], {}
-        at = 0
-        for k in batch.instruments:
-            recs = batch.per_instrument[k]
-            rows[k] = slice(at, at + len(recs))
-            at += len(recs)
-            for fp, z, v in recs:
-                fps.append(fp)
-                zs.append(z)
-                vs.append(v)
-        B_full = footprint_matrix(fps, grid)
+    for t in range(1, obs.n_times + 1):
+        recs = slice(bounds[t - 1], bounds[t])
+        fps = obs.footprint[recs]
+        inst = obs.instrument[recs]
+        ks, starts = np.unique(inst, return_index=True)
+        ends = np.append(starts[1:], inst.size)
         slices.append(AssembledTimeSlice(
             time_index=t,
-            z=np.asarray(zs, dtype=float),
-            X=B_full @ X_bau if fps else np.zeros((0, X_bau.shape[1])),
-            S=sp.csr_matrix(B_full @ S_bau) if fps else np.zeros((0, S_bau.shape[1])),
-            B=B_full[:, structure.valid_idx].tocsr(),
-            v_factors=np.asarray(vs, dtype=float),
-            instrument_rows=rows))
+            z=obs.value[recs],
+            X=X_fp[fps],
+            S=S_fp[fps] if fps.size else np.zeros((0, S_bau.shape[1])),
+            B=B_fp[fps][:, structure.valid_idx].tocsr(),
+            v_factors=obs.var_factor[recs],
+            instrument_rows={int(k): slice(int(a), int(b))
+                             for k, a, b in zip(ks, starts, ends)}))
     return ModelData(grid=grid, basis=basis, structure=structure, slices=slices,
                      X_bau=X_bau, S_bau=S_bau, covariate_names=tuple(covariates))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .basis import BisquareBasis, bau_basis_values, layout_multires
 from .car import CARParams, CARStructure, build_adjacency, sample_car
-from .grid import BAUGrid, Footprint, ObservationBatch, build_grid
+from .grid import BAUGrid, Observations, build_grid
 from .model import (DEFAULT_COVARIATES, BAUPointSample, DFGPParams, ModelData,
                     assemble, covariate_functions)
 
@@ -150,87 +150,50 @@ def _in_swath(cols: np.ndarray, spec: InstrumentSpec, t: int, nx: int) -> np.nda
     return phase < spec.swath_width
 
 
-def observe(truth: SyntheticTruth) -> list[ObservationBatch]:
+def observe(truth: SyntheticTruth) -> Observations:
     """Noisy multi-instrument observations of the truth, with missingness.
 
-    The RNG stream continues from the truth seed (offset domain) so that the
-    full scenario is a pure function of the config.
+    The footprint table holds one tiling per distinct block size; records
+    come in (time, instrument, tile) order.  The RNG stream continues from
+    the truth seed (offset domain) so that the full scenario is a pure
+    function of the config.
     """
     config = truth.config
     rng = np.random.default_rng([config.seed, 1])
-    batches = []
-    tiles = {spec.block: _block_footprints(truth.grid, spec.block)
-             for spec in config.instruments}
+    tiles, table = {}, []
+    for spec in config.instruments:
+        if spec.block not in tiles:
+            sets, cols = _block_footprints(truth.grid, spec.block)
+            tiles[spec.block] = (sets, cols, sum(len(s) for s in table))
+            table.append(sets)
+    fields = []
     for t in range(1, config.T + 1):
-        per = {}
         for k, spec in enumerate(config.instruments, start=1):
-            sets, cols = tiles[spec.block]
+            sets, cols, row0 = tiles[spec.block]
             keep = ~_in_swath(cols, spec, t, config.nx)
             keep &= rng.uniform(size=len(sets)) >= spec.drop_rate
-            kept = sets[keep]
-            noise = rng.standard_normal(len(kept))
-            z = truth.y[t - 1][kept].mean(axis=1) + np.sqrt(
+            kept = np.flatnonzero(keep)
+            noise = rng.standard_normal(kept.size)
+            z = truth.y[t - 1][sets[kept]].mean(axis=1) + np.sqrt(
                 spec.sigma2_eps * spec.v_factor) * noise
-            per[k] = [(Footprint(cover, k, t), float(zi), spec.v_factor)
-                      for cover, zi in zip(kept, z)]
-        batches.append(ObservationBatch(time_index=t, per_instrument=per))
-    return batches
+            fields.append((np.full(kept.size, t), np.full(kept.size, k), row0 + kept, z,
+                           np.full(kept.size, spec.v_factor)))
+    time, inst, fp, value, var = (np.concatenate(c) for c in zip(*fields))
+    sizes = np.concatenate([np.full(len(sets), sets.shape[1]) for sets in table])
+    return Observations(time=time, instrument=inst, footprint=fp, value=value,
+                        var_factor=var, fp_indptr=np.concatenate([[0], np.cumsum(sizes)]),
+                        fp_indices=np.concatenate([sets.ravel() for sets in table]),
+                        n_times=config.T)
 
 
-def scenario_data(config: ScenarioConfig) -> tuple[SyntheticTruth, list[ObservationBatch], ModelData]:
-    """Truth, observations, and assembled design matrices in one call."""
-    truth = simulate_truth(config)
-    batches = observe(truth)
-    data = assemble(batches, truth.grid, truth.basis, truth.structure,
-                    covariates=config.covariates)
-    return truth, batches, data
+def scenario_data(config: ScenarioConfig) -> tuple[SyntheticTruth, Observations, ModelData]:
+    """Truth, observations, and assembled design matrices in one call.
 
-
-def scenario_data_bulk(config: ScenarioConfig) -> tuple[SyntheticTruth, ModelData]:
-    """Vectorized observe + assemble for large grids.
-
-    Skips per-record Footprint objects and builds each time slice's sparse
-    design matrices directly from index arrays; produces the same slices as
-    observe() + assemble() (same RNG stream and record order).
+    Assembly reuses the truth's BAU-level design, drawn from the same
+    default point sample.
     """
-    import scipy.sparse as sp
-
-    from .model import AssembledTimeSlice
-
     truth = simulate_truth(config)
-    grid = truth.grid
-    rng = np.random.default_rng([config.seed, 1])
-    tiles = {spec.block: _block_footprints(grid, spec.block) for spec in config.instruments}
-    slices = []
-    for t in range(1, config.T + 1):
-        rows_z, rows_v, b_rows, b_cols, b_vals = [], [], [], [], []
-        inst_rows = {}
-        at = 0
-        for k, spec in enumerate(config.instruments, start=1):
-            sets, cols = tiles[spec.block]
-            keep = ~_in_swath(cols, spec, t, config.nx)
-            keep &= rng.uniform(size=len(sets)) >= spec.drop_rate
-            sel = sets[keep]                        # (m, block^2)
-            m, bsz = sel.shape
-            noise = rng.standard_normal(m)
-            z = truth.y[t - 1][sel].mean(axis=1) + np.sqrt(
-                spec.sigma2_eps * spec.v_factor) * noise
-            rows_z.append(z)
-            rows_v.append(np.full(m, spec.v_factor))
-            b_rows.append(np.repeat(np.arange(at, at + m), bsz))
-            b_cols.append(sel.ravel())
-            b_vals.append(np.full(m * bsz, 1.0 / bsz))
-            inst_rows[k] = slice(at, at + m)
-            at += m
-        B = sp.csr_matrix(
-            (np.concatenate(b_vals), (np.concatenate(b_rows), np.concatenate(b_cols))),
-            shape=(at, grid.n_bau))
-        slices.append(AssembledTimeSlice(
-            time_index=t, z=np.concatenate(rows_z),
-            X=B @ truth.X_bau, S=sp.csr_matrix(B @ truth.S_bau),
-            B=B[:, truth.structure.valid_idx].tocsr(),
-            v_factors=np.concatenate(rows_v), instrument_rows=inst_rows))
-    data = ModelData(grid=grid, basis=truth.basis, structure=truth.structure,
-                     slices=slices, X_bau=truth.X_bau, S_bau=truth.S_bau,
-                     covariate_names=tuple(config.covariates))
-    return truth, data
+    obs = observe(truth)
+    data = assemble(obs, truth.grid, truth.basis, truth.structure,
+                    covariates=config.covariates, design=(truth.X_bau, truth.S_bau))
+    return truth, obs, data

@@ -5,7 +5,7 @@ import pytest
 
 from dfgp.basis import layout_multires
 from dfgp.car import CARParams
-from dfgp.grid import Footprint, ObservationBatch, build_grid
+from dfgp.grid import Observations, build_grid
 from dfgp.model import DFGPParams, assemble
 from dfgp.synth import build_adjacency
 
@@ -13,6 +13,19 @@ from dfgp.synth import build_adjacency
 def rand_spd(rng, r, scale=1.0):
     a = rng.standard_normal((r, r))
     return scale * (a @ a.T / r + np.eye(r))
+
+
+def make_observations(records, n_times):
+    """Observations with one footprint per record, from a list of
+    (time, instrument, bau_indices, value, var_factor) tuples."""
+    times, insts, covers, values, vfs = zip(*records) if records else ((),) * 5
+    return Observations(
+        time=list(times), instrument=list(insts), footprint=np.arange(len(covers)),
+        value=list(values), var_factor=list(vfs),
+        fp_indptr=np.cumsum([0] + [len(c) for c in covers]),
+        fp_indices=np.concatenate([np.asarray(c, dtype=np.int64) for c in covers])
+        if covers else np.zeros(0, dtype=np.int64),
+        n_times=n_times)
 
 
 def make_instance(seed, nx=3, ny=3, T=3, r_counts=(2,), k0=2, mask=None,
@@ -28,24 +41,21 @@ def make_instance(seed, nx=3, ny=3, T=3, r_counts=(2,), k0=2, mask=None,
     N = grid.n_bau
     basis = layout_multires(grid.bbox, list(r_counts))
     structure = build_adjacency(grid)
-    batches = []
+    records = []
     for t in range(1, T + 1):
-        per = {}
         if t not in empty_times:
             n1 = int(rng.integers(2, valid.size))
             idx1 = rng.choice(valid, size=n1, replace=False)
-            per[1] = [(Footprint(np.array([i]), 1, t), float(rng.standard_normal()),
-                       float(rng.uniform(*v_range))) for i in idx1]
+            records += [(t, 1, [i], float(rng.standard_normal()),
+                         float(rng.uniform(*v_range))) for i in idx1]
             if k0 == 2:
-                per[2] = []
                 for _ in range(int(rng.integers(1, 4))):
                     sz = min(int(rng.integers(2, 5)), valid.size)
                     cover = rng.choice(valid, size=sz, replace=False)
-                    per[2].append((Footprint(cover, 2, t),
-                                   float(rng.standard_normal()),
-                                   float(rng.uniform(*v_range))))
-        batches.append(ObservationBatch(time_index=t, per_instrument=per))
-    data = assemble(batches, grid, basis, structure, covariates=("1", "y"))
+                    records.append((t, 2, cover, float(rng.standard_normal()),
+                                    float(rng.uniform(*v_range))))
+    data = assemble(make_observations(records, T), grid, basis, structure,
+                    covariates=("1", "y"))
     r = basis.r
     params = DFGPParams(
         beta=rng.standard_normal((T, 2)) * 0.5,

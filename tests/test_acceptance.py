@@ -25,8 +25,7 @@ from dfgp.estimate import (EstimatorConfig, _gamma_objective, e_step,
                            init_params, m_step, run_estimator)
 from dfgp.likelihood import neg2_loglik
 from dfgp.scoring import crps_gaussian, rmspe
-from dfgp.synth import (InstrumentSpec, ScenarioConfig, scenario_data,
-                        scenario_data_bulk)
+from dfgp.synth import InstrumentSpec, ScenarioConfig, scenario_data
 
 
 def _report(criterion: str, ok: bool, detail: str, seconds: float) -> None:
@@ -242,7 +241,7 @@ def test_criterion_5_parameter_recovery():
     gam_err, sig_rel = [], []
     for seed in (101, 202, 303, 404, 505):
         cfg = ScenarioConfig(seed=seed)      # defaults: 40x40=1600, T=8, r=9
-        truth, batches, data = scenario_data(cfg)
+        truth, _obs, data = scenario_data(cfg)
         est = EstimatorConfig(mode="sem", max_iter=150, seed=seed + 1,
                               nugget_time_invariant=True)
         res = run_estimator(data, est)
@@ -266,14 +265,14 @@ def _ordering_rep(seed):
                                     swath_shift=5, drop_rate=0.5),
                      InstrumentSpec(4, 0.04, swath_width=2, swath_period=5,
                                     swath_shift=2, drop_rate=0.2)))
-    truth, batches, _ = scenario_data(cfg)
+    truth, obs, _ = scenario_data(cfg)
     plan = HoldoutPlan(block_x=(5.0, 10.0), block_y=(5.0, 15.0),
                        time_first=2, time_last=7, fraction=0.1, seed=seed)
     out = {}
     for proto, tag, iters in (("filtering", "F", 25), ("smoothing", "S", 150)):
         est = EstimatorConfig(mode="sem", max_iter=iters, seed=seed,
                               nugget_time_invariant=True)
-        res = run_cv(batches, truth.grid, truth.basis, truth.structure, plan,
+        res = run_cv(obs, truth.grid, truth.basis, truth.structure, plan,
                      methods=("dfgp", "lowrank"), protocol=proto, est_config=est)
         for row in res.rows:
             if row.time_index == "all" and row.subset == "all":
@@ -337,7 +336,7 @@ def test_criterion_8_scalability_smoke():
         instruments=(InstrumentSpec(1, 0.2, swath_width=120, swath_period=260,
                                     swath_shift=90, drop_rate=0.3),
                      InstrumentSpec(4, 0.04, drop_rate=0.1)))
-    truth, data = scenario_data_bulk(cfg)
+    truth, _obs, data = scenario_data(cfg)
     assert truth.grid.n_bau == 250_000 and truth.basis.r == 99
     pred = np.random.default_rng(0).choice(truth.structure.valid_idx, size=50,
                                            replace=False)

@@ -3,10 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dfgp.basis import (BisquareBasis, basis_matrix, bau_basis_values,
-                        bisquare_eval, layout_multires)
-from dfgp.grid import (_POINT_CHUNK, BAUPointSample, Footprint, build_grid,
-                       footprint_matrix)
+from conftest import make_observations
+
+from dfgp.basis import BisquareBasis, bau_basis_values, bisquare_eval, layout_multires
+from dfgp.car import build_adjacency
+from dfgp.grid import _POINT_CHUNK, BAUPointSample, build_grid
+from dfgp.model import as_dense, assemble
+
+
+def footprint_design(basis, grid, footprints):
+    """S of one time step observing each footprint once, and S at BAU level."""
+    obs = make_observations([(1, 1, fp, 0.0, 1.0) for fp in footprints], 1)
+    data = assemble(obs, grid, basis, build_adjacency(grid), covariates=("1",))
+    return as_dense(data.slices[0].S), data.S_bau, obs
 
 
 class TestBisquareEval:
@@ -74,35 +83,28 @@ class TestBasisMatrix:
     def test_single_bau_footprint_equals_bau_row(self):
         g = build_grid(4, 4, 1.0)
         b = layout_multires(g.bbox, [4])
-        bau = basis_matrix(b, g)
-        fp = basis_matrix(b, g, footprints=[Footprint(np.array([5]))])
+        fp, bau, _obs = footprint_design(b, g, [[5]])
         assert np.allclose(fp[0], bau[5])
 
     def test_entries_in_unit_interval(self):
         g = build_grid(5, 5, 1.0)
         b = layout_multires(g.bbox, [1, 4])
-        vals = basis_matrix(b, g)
+        vals = bau_basis_values(b, g)
         assert vals.min() >= 0.0 and vals.max() <= 1.0
 
     def test_whole_domain_function_footprint_mean(self):
         g = build_grid(3, 3, 1.0)
         b = BisquareBasis(np.array([[1.5, 1.5]]), np.array([50.0]), np.array([0]))
-        sample = BAUPointSample(g)
-        bau = basis_matrix(b, g, sample=sample)
-        fp = Footprint(np.array([0, 4, 8]))
-        got = basis_matrix(b, g, footprints=[fp], sample=sample)[0, 0]
-        assert got == pytest.approx(bau[[0, 4, 8], 0].mean())
+        fp, bau, _obs = footprint_design(b, g, [[0, 4, 8]])
+        assert np.array_equal(bau, bau_basis_values(b, g, BAUPointSample(g)))
+        assert fp[0, 0] == pytest.approx(bau[[0, 4, 8], 0].mean())
 
     def test_cos_linearity(self):
-        # footprint rows of the basis matrix equal footprint_row @ BAU matrix
+        # footprint rows of the basis design equal the footprint matrix @ BAU rows
         g = build_grid(4, 4, 1.0)
         b = layout_multires(g.bbox, [4])
-        sample = BAUPointSample(g)
-        bau = basis_matrix(b, g, sample=sample)
-        fps = [Footprint(np.array([0, 1, 4])), Footprint(np.array([10, 11]))]
-        via_op = basis_matrix(b, g, footprints=fps, sample=sample)
-        direct = footprint_matrix(fps, g) @ bau
-        assert np.allclose(via_op, direct)
+        fp, bau, obs = footprint_design(b, g, [[0, 1, 4], [10, 11]])
+        assert np.allclose(fp, obs.footprint_matrix(g) @ bau)
 
 
 def _per_function_reference(basis, grid, sample):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -23,8 +25,8 @@ def plan():
 
 class TestSplit:
     def test_block_and_random_tags(self, scenario, plan):
-        truth, batches, _ = scenario
-        train, hold = split_holdout(batches, truth.grid, plan)
+        truth, obs, _ = scenario
+        train, hold = split_holdout(obs, truth.grid, plan)
         assert {h.subset for h in hold} == {"block", "random"}
         cents = truth.grid.centroids
         for h in hold:
@@ -34,39 +36,40 @@ class TestSplit:
             assert plan.time_first <= h.time_index <= plan.time_last
 
     def test_training_does_not_contain_holdouts(self, scenario, plan):
-        truth, batches, _ = scenario
-        train, hold = split_holdout(batches, truth.grid, plan)
+        truth, obs, _ = scenario
+        train, hold = split_holdout(obs, truth.grid, plan)
         held = {(h.time_index, h.bau_index) for h in hold}
-        for b in train:
-            for fp, _z, _v in b.per_instrument.get(1, []):
-                assert (b.time_index, int(fp.bau_indices[0])) not in held
+        fine = train.instrument == 1
+        first = train.fp_indices[train.fp_indptr[train.footprint[fine]]]
+        assert not held & set(zip(train.time[fine].tolist(), first.tolist()))
 
     def test_counts_preserved(self, scenario, plan):
-        truth, batches, _ = scenario
-        train, hold = split_holdout(batches, truth.grid, plan)
-        total = sum(len(b.per_instrument[1]) for b in batches)
-        kept = sum(len(b.per_instrument[1]) for b in train)
+        truth, obs, _ = scenario
+        train, hold = split_holdout(obs, truth.grid, plan)
+        total = int((obs.instrument == 1).sum())
+        kept = int((train.instrument == 1).sum())
         assert kept + len(hold) == total
 
     def test_coarse_instrument_untouched(self, scenario, plan):
-        truth, batches, _ = scenario
-        train, _ = split_holdout(batches, truth.grid, plan)
-        for b0, b1 in zip(batches, train):
-            assert len(b0.per_instrument[2]) == len(b1.per_instrument[2])
+        truth, obs, _ = scenario
+        train, _ = split_holdout(obs, truth.grid, plan)
+        for name in ("time", "footprint", "value"):
+            col0, col1 = getattr(obs, name), getattr(train, name)
+            assert np.array_equal(col0[obs.instrument == 2], col1[train.instrument == 2])
 
 
 class TestScoring:
     def test_oracle_passthrough_scores_zero(self, scenario, plan):
-        truth, batches, _ = scenario
-        _, hold = split_holdout(batches, truth.grid, plan)
+        truth, obs, _ = scenario
+        _, hold = split_holdout(obs, truth.grid, plan)
         preds = {(h.time_index, h.bau_index): (h.value, 1.0) for h in hold}
         rows = _score_rows("oracle", "filtering", preds, hold, [2, 3, 4])
         for row in rows:
             assert row.rmspe == 0.0
 
     def test_absent_cells_skipped(self, scenario, plan):
-        truth, batches, _ = scenario
-        _, hold = split_holdout(batches, truth.grid, plan)
+        truth, obs, _ = scenario
+        _, hold = split_holdout(obs, truth.grid, plan)
         preds = {(h.time_index, h.bau_index): (h.value, 1.0) for h in hold}
         rows = _score_rows("m", "filtering", preds, hold, [2, 3, 4, 9])
         assert not any(r.time_index == 9 for r in rows)
@@ -74,10 +77,10 @@ class TestScoring:
 
 class TestRunCV:
     def test_three_methods_report_rows(self, scenario, plan):
-        truth, batches, _ = scenario
+        truth, obs, _ = scenario
         est = EstimatorConfig(mode="sem", max_iter=4, seed=0)
         lk = LocalKrigeSettings(k=40, fit=False)
-        res = run_cv(batches, truth.grid, truth.basis, truth.structure, plan,
+        res = run_cv(obs, truth.grid, truth.basis, truth.structure, plan,
                      methods=("dfgp", "lowrank", "localkrige"),
                      protocol="smoothing", est_config=est, lk_settings=lk)
         agg = [r for r in res.rows if r.time_index == "all" and r.subset == "all"]
@@ -86,47 +89,38 @@ class TestRunCV:
             assert np.isfinite(r.rmspe) and np.isfinite(r.crps)
 
     def test_filtering_protocol_skips_time_one(self, scenario):
-        truth, batches, _ = scenario
+        truth, obs, _ = scenario
         plan = HoldoutPlan(block_x=(2.0, 4.0), block_y=(2.0, 6.0),
                            time_first=1, time_last=4, fraction=0.15, seed=1)
         est = EstimatorConfig(mode="sem", max_iter=3, seed=0)
-        res = run_cv(batches, truth.grid, truth.basis, truth.structure, plan,
+        res = run_cv(obs, truth.grid, truth.basis, truth.structure, plan,
                      methods=("dfgp",), protocol="filtering", est_config=est)
         times = {r.time_index for r in res.rows if r.method == "dfgp"}
         assert 1 not in times
         assert {2, 3, 4} <= times
 
     def test_smoothing_protocol_reports_1_to_Tminus1(self, scenario, plan):
-        truth, batches, _ = scenario
+        truth, obs, _ = scenario
         est = EstimatorConfig(mode="sem", max_iter=3, seed=0)
-        res = run_cv(batches, truth.grid, truth.basis, truth.structure, plan,
+        res = run_cv(obs, truth.grid, truth.basis, truth.structure, plan,
                      methods=("dfgp",), protocol="smoothing", est_config=est)
         times = {r.time_index for r in res.rows if r.time_index != "all"}
         assert times <= {1, 2, 3}
         assert 4 not in times   # t = T is not scored under smoothing
 
     def test_no_holdout_leakage_sentinel(self, scenario, plan):
-        truth, batches, _ = scenario
+        truth, obs, _ = scenario
         est = EstimatorConfig(mode="sem", max_iter=3, seed=0)
-        res1 = run_cv(batches, truth.grid, truth.basis, truth.structure, plan,
+        res1 = run_cv(obs, truth.grid, truth.basis, truth.structure, plan,
                       methods=("dfgp",), protocol="smoothing", est_config=est)
         # poison every held-out record's value; training must not change
-        _, hold = split_holdout(batches, truth.grid, plan)
+        _, hold = split_holdout(obs, truth.grid, plan)
         held = {(h.time_index, h.bau_index) for h in hold}
-        from dfgp.grid import ObservationBatch
-        poisoned = []
-        for b in batches:
-            per = {}
-            for k, recs in b.per_instrument.items():
-                newr = []
-                for fp, z, v in recs:
-                    key = (b.time_index, int(fp.bau_indices[0]))
-                    if k == 1 and key in held:
-                        newr.append((fp, 1e12, v))
-                    else:
-                        newr.append((fp, z, v))
-                per[k] = newr
-            poisoned.append(ObservationBatch(b.time_index, per))
+        first = obs.fp_indices[obs.fp_indptr[obs.footprint]]
+        hit = np.array([k == 1 and key in held for k, key in zip(
+            obs.instrument.tolist(), zip(obs.time.tolist(), first.tolist()))])
+        assert hit.sum() == len(hold)
+        poisoned = dataclasses.replace(obs, value=np.where(hit, 1e12, obs.value))
         res2 = run_cv(poisoned, truth.grid, truth.basis, truth.structure, plan,
                       methods=("dfgp",), protocol="smoothing", est_config=est)
         # sentinel never reached any training path: predictions are identical
@@ -138,7 +132,7 @@ class TestRunCV:
         assert len(res1.holdout) == len(res2.holdout)
 
     def test_unknown_method_rejected(self, scenario, plan):
-        truth, batches, _ = scenario
+        truth, obs, _ = scenario
         with pytest.raises(ValueError):
-            run_cv(batches, truth.grid, truth.basis, truth.structure, plan,
+            run_cv(obs, truth.grid, truth.basis, truth.structure, plan,
                    methods=("nope",))

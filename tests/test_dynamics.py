@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import make_instance, relerr
+from conftest import make_instance, make_observations, relerr
 
 from dfgp.car import SELECTED_INVERSION_MIN, SparseFactor, build_precision
 from dfgp.dense import DenseJoint
@@ -138,20 +138,17 @@ class TestFilterSpecialCases:
         # adding observations at time t cannot increase prediction variance
         data_full, params = make_instance(21, nx=4, ny=4, T=1, k0=1)
         batch = data_full.slices[0]
-        from dfgp.grid import Footprint, ObservationBatch
         from dfgp.model import assemble
         grid = data_full.grid
         recs_all = []
         for i in range(batch.n_obs):
             bau = int(data_full.structure.valid_idx[batch.B[i].indices[0]])
-            recs_all.append((Footprint(np.array([bau]), 1, 1), float(batch.z[i]),
-                             float(batch.v_factors[i])))
+            recs_all.append((1, 1, [bau], float(batch.z[i]), float(batch.v_factors[i])))
         pred = grid.valid_indices()
         prev_var = None
         for n_keep in (1, len(recs_all) // 2, len(recs_all)):
-            batches = [ObservationBatch(1, {1: recs_all[:n_keep]})]
-            d = assemble(batches, grid, data_full.basis, data_full.structure,
-                         covariates=("1", "y"))
+            d = assemble(make_observations(recs_all[:n_keep], 1), grid, data_full.basis,
+                         data_full.structure, covariates=("1", "y"))
             filt = filter_pass(d, params, pred_bau=pred, want_variance=True)
             var = predict_filter(filt, d, params, 1, pred).stderr ** 2
             if prev_var is not None:
@@ -230,13 +227,13 @@ class TestStateCovariances:
 
 def test_allocation_budget_no_dense_nxn():
     """A filter+smooth pass at N = 10^4 must not allocate a dense N x N array."""
-    from dfgp.synth import InstrumentSpec, ScenarioConfig, scenario_data_bulk
+    from dfgp.synth import InstrumentSpec, ScenarioConfig, scenario_data
     cfg = ScenarioConfig(
         nx=100, ny=100, T=3, basis_counts=(9,), seed=1,
         beta=(1.0, 0.05, -0.002),
         instruments=(InstrumentSpec(1, 0.2, drop_rate=0.4),
                      InstrumentSpec(4, 0.04, drop_rate=0.1)))
-    truth, data = scenario_data_bulk(cfg)
+    truth, _obs, data = scenario_data(cfg)
     pred = np.arange(0, truth.grid.n_bau, 23)
     tracemalloc.start()
     filt = filter_pass(data, truth.params, pred_bau=pred, want_variance=True,
@@ -248,30 +245,12 @@ def test_allocation_budget_no_dense_nxn():
     assert peak < 0.25 * 8 * n * n, f"peak {peak/1e6:.0f} MB vs N^2 {8*n*n/1e6:.0f} MB"
 
 
-class TestFullFineScaleCovariance:
-    def test_full_R_matches_dense(self):
-        data, params = make_instance(13)
-        pred = data.structure.valid_idx
-        dj = DenseJoint(data, params)
-        filt = filter_pass(data, params, pred_bau=pred, want_variance="full")
-        sm = smoother_pass(filt, params)
-        mT, cT = dj.posterior()
-        for t in range(1, params.u + 1):
-            m, c = dj.posterior(upto=t)
-            assert relerr(filt.states[t - 1].R_full,
-                          c[dj.xi_slice(t), dj.xi_slice(t)]) < 1e-8
-            assert relerr(sm.states[t - 1].R_full,
-                          cT[dj.xi_slice(t), dj.xi_slice(t)]) < 1e-8
-            assert np.allclose(np.diag(sm.states[t - 1].R_full),
-                               sm.states[t - 1].R_diag)
-
-
 class TestSelectedDiagWork:
     """All-BAU variances come from selected inversion, small sets from unit solves."""
 
     def test_all_bau_variance_makes_no_unit_solves(self, monkeypatch):
         from dfgp.synth import ScenarioConfig, scenario_data
-        truth, _batches, data = scenario_data(ScenarioConfig(nx=20, ny=16, T=2, seed=4))
+        truth, _obs, data = scenario_data(ScenarioConfig(nx=20, ny=16, T=2, seed=4))
         params = truth.params
         assert data.structure.n >= SELECTED_INVERSION_MIN
         unit_cols = []

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from conftest import make_instance
+from conftest import make_instance, make_observations
 
 from dfgp import car as car_mod
 from dfgp import dynamics
@@ -56,16 +56,12 @@ class TestConditionalSimulate:
         # reproduce Z - X beta along the conditional draw
         data, params = make_instance(2, k0=1, v_range=(1e-10, 2e-10))
         # keep only time steps where every BAU is observed: rebuild with full cover
-        from dfgp.grid import Footprint, ObservationBatch
         from dfgp.model import assemble
         rng0 = np.random.default_rng(9)
-        batches = []
-        for t in range(1, params.u + 1):
-            recs = [(Footprint(np.array([i]), 1, t), float(rng0.standard_normal()),
-                     1e-10) for i in range(data.grid.n_bau)]
-            batches.append(ObservationBatch(t, {1: recs}))
-        data = assemble(batches, data.grid, data.basis, data.structure,
-                        covariates=("1", "y"))
+        records = [(t, 1, [i], float(rng0.standard_normal()), 1e-10)
+                   for t in range(1, params.u + 1) for i in range(data.grid.n_bau)]
+        data = assemble(make_observations(records, params.u), data.grid, data.basis,
+                        data.structure, covariates=("1", "y"))
         params = dataclasses.replace(params, sigma2_eps=params.sigma2_eps[:, :1])
         etas, xis, _ = conditional_simulate(data, params, np.random.default_rng(1))
         for t in range(1, params.u + 1):
@@ -313,7 +309,7 @@ class TestSparseGammaSearch:
 
     @staticmethod
     def _data():
-        _truth, _batches, data = scenario_data(ScenarioConfig(nx=48, ny=48, T=3, seed=3))
+        _truth, _obs, data = scenario_data(ScenarioConfig(nx=48, ny=48, T=3, seed=3))
         assert data.structure.n > DENSE_EIG_CAP
         return data
 

@@ -1,14 +1,17 @@
 import csv
 import filecmp
+import hashlib
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from conftest import make_observations
 
 from dfgp import io as dio
 from dfgp.car import CARParams
 from dfgp.cli import main
 from dfgp.config import parse_config, serialize_config
-from dfgp.model import DFGPParams
+from dfgp.model import DFGPParams, assemble
 from dfgp.synth import InstrumentSpec, ScenarioConfig, scenario_data
 
 
@@ -22,33 +25,57 @@ def scenario():
 
 class TestObservationCSV:
     def test_round_trip(self, scenario, tmp_path):
-        truth, batches, _ = scenario
-        dio.write_observations(tmp_path / "o.csv", tmp_path / "f.csv", batches)
+        truth, obs, _ = scenario
+        dio.write_observations(tmp_path / "o.csv", tmp_path / "f.csv", obs)
         back = dio.read_observations(tmp_path / "o.csv", tmp_path / "f.csv")
-        assert len(back) == len(batches)
-        for b0, b1 in zip(batches, back):
-            assert b0.time_index == b1.time_index
-            for k in b0.instruments:
-                r0, r1 = b0.per_instrument[k], b1.per_instrument[k]
-                assert len(r0) == len(r1)
-                for (fp0, z0, v0), (fp1, z1, v1) in zip(r0, r1):
-                    assert np.array_equal(fp0.bau_indices, fp1.bau_indices)
-                    assert z0 == z1 and v0 == v1
+        assert back.n_times == obs.n_times
+        for name in ("time", "instrument", "value", "var_factor"):
+            assert np.array_equal(getattr(back, name), getattr(obs, name))
+
+        def covers(o):
+            return [o.fp_indices[o.fp_indptr[f]:o.fp_indptr[f + 1]].tolist()
+                    for f in o.footprint]
+        assert covers(back) == covers(obs)
+
+    def test_round_trip_assembles_identical_slices(self, tmp_path):
+        """CSV round trip + assemble (computing its own BAU design) gives
+        scenario_data's slices bit for bit, and rewriting gives the same bytes."""
+        cfg = ScenarioConfig(nx=8, ny=8, T=3, basis_counts=(4,), seed=4, instruments=(
+            InstrumentSpec(1, 0.25, swath_width=2, swath_period=5, swath_shift=1,
+                           drop_rate=0.2),
+            InstrumentSpec(2, 0.04, drop_rate=0.1)))
+        truth, obs, data = scenario_data(cfg)
+        paths = [tmp_path / "o.csv", tmp_path / "f.csv"]
+        dio.write_observations(*paths, obs)
+        back = dio.read_observations(*paths)
+        data2 = assemble(back, truth.grid, truth.basis, truth.structure,
+                         covariates=cfg.covariates)
+        assert np.array_equal(data2.X_bau, data.X_bau)
+        assert np.array_equal(data2.S_bau, data.S_bau)
+        assert len(data2.slices) == len(data.slices) == cfg.T
+        for s1, s2 in zip(data.slices, data2.slices):
+            for a, b in ((s1.z, s2.z), (s1.X, s2.X), (s1.v_factors, s2.v_factors)):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+            for a, b in ((s1.S, s2.S), (s1.B, s2.B)):
+                assert sp.issparse(b) and a.shape == b.shape
+                for x, y in ((a.indptr, b.indptr), (a.indices, b.indices), (a.data, b.data)):
+                    assert x.dtype == y.dtype and np.array_equal(x, y)
+            assert s1.instrument_rows == s2.instrument_rows
+        again = [tmp_path / "o2.csv", tmp_path / "f2.csv"]
+        dio.write_observations(*again, back)
+        for a, b in zip(paths, again):
+            assert filecmp.cmp(a, b, shallow=False)
 
     def test_time_step_missing_one_instrument(self, tmp_path):
         # a fully swathed-out instrument at one time must survive the
         # CSV round trip and assembly
         from dfgp.basis import layout_multires
         from dfgp.car import build_adjacency
-        from dfgp.grid import Footprint, ObservationBatch, build_grid
-        from dfgp.model import assemble
+        from dfgp.grid import build_grid
         grid = build_grid(3, 3, 1.0)
-        rec = lambda i, k, t: (Footprint(np.array([i]), k, t), 1.0, 1.0)  # noqa: E731
-        batches = [
-            ObservationBatch(1, {1: [rec(0, 1, 1)], 2: [rec(4, 2, 1)]}),
-            ObservationBatch(2, {2: [rec(5, 2, 2)]}),
-        ]
-        dio.write_observations(tmp_path / "o.csv", tmp_path / "f.csv", batches)
+        obs = make_observations([(1, 1, [0], 1.0, 1.0), (1, 2, [4], 1.0, 1.0),
+                                 (2, 2, [5], 1.0, 1.0)], 2)
+        dio.write_observations(tmp_path / "o.csv", tmp_path / "f.csv", obs)
         back = dio.read_observations(tmp_path / "o.csv", tmp_path / "f.csv")
         data = assemble(back, grid, layout_multires(grid.bbox, [1]),
                         build_adjacency(grid), covariates=("1",))
@@ -70,6 +97,8 @@ class TestObservationCSV:
         (("1", "1", "1", "0.5", "nan"), "var_factor"),
         (("1", "1", "1", "", "1.0"), "value"),
         (("1", "x", "1", "0.5", "1.0"), "instrument"),
+        (("0", "1", "1", "0.5", "1.0"), "time"),
+        (("1", "0", "1", "0.5", "1.0"), "instrument"),
     ])
     def test_bad_number_names_file_row_field(self, tmp_path, bad_row, field):
         obs, fps = self._write_rows(tmp_path, [("1", "1", "0", "0.1", "1.0"), bad_row])
@@ -81,9 +110,16 @@ class TestObservationCSV:
         with pytest.raises(ValueError, match=r"o\.csv: data row 1: footprint_id 7 .*f\.csv"):
             dio.read_observations(obs, fps)
 
+    def test_unused_footprints_dropped(self, tmp_path):
+        obs, fps = self._write_rows(tmp_path, [("1", "1", "1", "0.1", "1.0")])
+        back = dio.read_observations(obs, fps)
+        assert back.fp_indptr.tolist() == [0, 1]
+        assert back.fp_indices.tolist() == [1]
+        assert back.footprint.tolist() == [0]
+
     def test_shared_footprints_deduplicated(self, scenario, tmp_path):
-        truth, batches, _ = scenario
-        dio.write_observations(tmp_path / "o.csv", tmp_path / "f.csv", batches)
+        truth, obs, _ = scenario
+        dio.write_observations(tmp_path / "o.csv", tmp_path / "f.csv", obs)
         with open(tmp_path / "f.csv") as f:
             ids = {int(row["footprint_id"]) for row in csv.DictReader(f)}
         # fine cells + coarse blocks shared across times
@@ -212,39 +248,55 @@ class TestCLI:
         out = tmp_path / "out"
         cfgp = self._write_config(tmp_path, out)
         assert main(["simulate", "--config", str(cfgp)]) == 0
-        assert (out / "observations.csv").exists()
+        # relative [data] paths resolve against the config file's directory
+        assert (tmp_path / "observations.csv").exists()
+        assert (tmp_path / "footprints.csv").exists()
         assert (out / "truth.csv").exists()
-        # fit/filter/smooth read the CSVs from the config directory; point the
-        # data paths at the simulate outputs by running from there
-        assert main(["fit", "--config", str(cfgp), "--out", str(out)]) == 1
-        # (data files live in out/, not next to the config: expected usage error)
-        cfg2 = tmp_path / "run2.ini"
-        cfg2.write_text((BASE_CONFIG.format(out=out)).replace(
-            "[data]", "").replace(
-            "[grid]", f"[data]\nobservations = {out}/observations.csv\n"
-                      f"footprints = {out}/footprints.csv\n\n[grid]"))
-        assert main(["fit", "--config", str(cfg2)]) == 0
+        assert main(["fit", "--config", str(cfgp), "--out", str(out)]) == 0
         assert (out / "params.csv").exists()
         assert (out / "trace.csv").exists()
-        assert main(["filter", "--config", str(cfg2)]) == 0
-        assert main(["smooth", "--config", str(cfg2)]) == 0
+        assert main(["filter", "--config", str(cfgp)]) == 0
+        assert main(["smooth", "--config", str(cfgp)]) == 0
         pf = (out / "predictions_filter.csv").read_text().splitlines()
         ps = (out / "predictions_smooth.csv").read_text().splitlines()
         # smoothed and filtered coincide at t = T
         last_f = [l for l in pf if l.startswith("3,")]
         last_s = [l for l in ps if l.startswith("3,")]
         assert last_f == last_s
-        assert main(["cv", "--config", str(cfg2)]) == 0
+        assert main(["cv", "--config", str(cfgp)]) == 0
         assert (out / "metrics.csv").exists()
         assert (out / "holdout.csv").exists()
+
+    def test_manifest_lists_this_commands_files(self, tmp_path):
+        out = tmp_path / "out"
+        cfgp = self._write_config(tmp_path, out)
+        assert main(["simulate", "--config", str(cfgp)]) == 0
+        (out / "stale.csv").write_text("x\n")
+        assert main(["smooth", "--config", str(cfgp)]) == 0
+        header, *files = (out / "manifest_smooth.txt").read_text().splitlines()[3:]
+        assert header.startswith("version = ")
+        listed = [line.split() for line in files]
+        assert [(role, name) for role, _h, name in listed] == [
+            ("input", "../observations.csv"), ("input", "../footprints.csv"),
+            ("output", "params.csv"), ("output", "trace.csv"),
+            ("output", "fit_report.txt"), ("output", "predictions_smooth.csv"),
+            ("output", "state_smooth.bin")]
+        for _role, digest, name in listed:
+            assert digest == hashlib.sha256((out / name).read_bytes()).hexdigest()
+        # a second run reads the fitted parameters instead of refitting
+        assert main(["smooth", "--config", str(cfgp)]) == 0
+        roles = [line.split()[::2] for line in
+                 (out / "manifest_smooth.txt").read_text().splitlines()[4:]]
+        assert ["input", "params.csv"] in roles
+        assert ["output", "params.csv"] not in roles
 
     def test_simulate_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         cfgp = self._write_config(tmp_path, out1)
         assert main(["simulate", "--config", str(cfgp)]) == 0
+        first = (tmp_path / "observations.csv").read_bytes()
         assert main(["simulate", "--config", str(cfgp), "--out", str(out2)]) == 0
-        assert filecmp.cmp(out1 / "observations.csv", out2 / "observations.csv",
-                           shallow=False)
+        assert (tmp_path / "observations.csv").read_bytes() == first
         assert filecmp.cmp(out1 / "truth.csv", out2 / "truth.csv", shallow=False)
 
     def test_missing_config_is_usage_error(self, tmp_path):
@@ -259,9 +311,7 @@ class TestCLI:
         assert main(["simulate", "--config", str(cfgp)]) == 0
         cfg2 = tmp_path / "run2.ini"
         cfg2.write_text((BASE_CONFIG.format(out=out)).replace(
-            "protocol = smoothing", "protocol = filtering").replace(
-            "[grid]", f"[data]\nobservations = {out}/observations.csv\n"
-                      f"footprints = {out}/footprints.csv\n\n[grid]"))
+            "protocol = smoothing", "protocol = filtering"))
         assert main(["fit", "--config", str(cfg2)]) == 0
         assert (out / "params_u2.csv").exists()
         assert (out / "params_u3.csv").exists()
@@ -274,8 +324,4 @@ class TestCLI:
         out = tmp_path / "out"
         cfgp = self._write_config(tmp_path, out)
         assert main(["simulate", "--config", str(cfgp)]) == 0
-        cfg2 = tmp_path / "run2.ini"
-        cfg2.write_text((BASE_CONFIG.format(out=out)).replace(
-            "[grid]", f"[data]\nobservations = {out}/observations.csv\n"
-                      f"footprints = {out}/footprints.csv\n\n[grid]"))
-        assert main(["filter", "--config", str(cfg2), "--lowrank-only"]) == 0
+        assert main(["filter", "--config", str(cfgp), "--lowrank-only"]) == 0

@@ -3,12 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from conftest import make_instance
+from conftest import make_instance, make_observations
 
 from dfgp.car import CARParams
 from dfgp.dense import DenseJoint
 from dfgp.dynamics import filter_pass
-from dfgp.grid import Footprint, ObservationBatch, build_grid
+from dfgp.grid import build_grid
 from dfgp.likelihood import neg2_complete_loglik, neg2_loglik
 from dfgp.model import DFGPParams, assemble
 from dfgp.synth import build_adjacency
@@ -20,9 +20,8 @@ def _scalar_diag_instance(n=6, tau2=0.7, sig2=0.3):
     structure = build_adjacency(grid)
     from dfgp.basis import layout_multires
     basis = layout_multires(grid.bbox, [1])
-    recs = [(Footprint(np.array([i]), 1, 1), 0.0, 1.0) for i in range(n)]
-    batches = [ObservationBatch(1, {1: recs})]
-    data = assemble(batches, grid, basis, structure, covariates=("1",))
+    obs = make_observations([(1, 1, [i], 0.0, 1.0) for i in range(n)], 1)
+    data = assemble(obs, grid, basis, structure, covariates=("1",))
     params = DFGPParams(beta=np.zeros((1, 1)), H=np.zeros((1, 1)),
                         U=1e-18 * np.eye(1), K0=1e-18 * np.eye(1),
                         car=(CARParams(0.0, tau2),),
@@ -65,19 +64,17 @@ class TestMarginal:
         base = neg2_loglik(data, params)
         # permute the fine-instrument records within each batch
         rng = np.random.default_rng(0)
-        from dfgp.grid import ObservationBatch
-        batches = []
+        records = []
         for t, slc in enumerate(data.slices, 1):
             recs = []
             for i in range(slc.n_obs):
                 cols = slc.B[i].indices
                 baus = data.structure.valid_idx[cols]
-                recs.append((Footprint(baus, 1, t), float(slc.z[i]),
-                             float(slc.v_factors[i])))
+                recs.append((t, 1, baus, float(slc.z[i]), float(slc.v_factors[i])))
             order = rng.permutation(len(recs))
-            batches.append(ObservationBatch(t, {1: [recs[i] for i in order]}))
-        data2 = assemble(batches, data.grid, data.basis, data.structure,
-                         covariates=("1", "y"))
+            records += [recs[i] for i in order]
+        data2 = assemble(make_observations(records, len(data.slices)), data.grid,
+                         data.basis, data.structure, covariates=("1", "y"))
         params2 = dataclasses.replace(params, sigma2_eps=params.sigma2_eps[:, :1])
         params1 = dataclasses.replace(params, sigma2_eps=np.column_stack(
             [params.sigma2_eps[:, 0], params.sigma2_eps[:, 0]]))

@@ -1,11 +1,20 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from dfgp.car import build_precision
 from dfgp.likelihood import neg2_loglik
 from dfgp.synth import (InstrumentSpec, ScenarioConfig, _in_swath, observe,
-                        scenario_data, scenario_data_bulk, simulate_truth)
+                        scenario_data, simulate_truth)
+
+
+def records(obs, t, k):
+    """Record positions of instrument k at time t."""
+    return np.flatnonzero((obs.time == t) & (obs.instrument == k))
+
+
+def first_bau(obs, rows):
+    """The first (lowest) BAU index of each record's footprint."""
+    return obs.fp_indices[obs.fp_indptr[obs.footprint[rows]]]
 
 
 def small_config(**kw):
@@ -61,13 +70,13 @@ class TestObserve:
                            instruments=(InstrumentSpec(1, 1e-18),
                                         InstrumentSpec(4, 1e-18)))
         truth = simulate_truth(cfg)
-        batches = observe(truth)
-        for fp, z, v in batches[0].per_instrument[2]:
-            assert z == pytest.approx(3.0, abs=1e-6)
+        obs = observe(truth)
+        z = obs.value[records(obs, 1, 2)]
+        assert z.size and np.abs(z - 3.0).max() <= 1e-6
 
     def test_coarse_rows_weight_one_over_block(self):
         cfg = small_config()
-        truth, batches, data = scenario_data(cfg)
+        truth, obs, data = scenario_data(cfg)
         rows = data.slices[0].instrument_rows[2]
         B = data.slices[0].B[rows]
         assert np.allclose(B.data, 1.0 / 16.0)
@@ -82,8 +91,8 @@ class TestObserve:
         zs = []
         for s in range(120):
             truth = simulate_truth(ScenarioConfig(**{**cfg.__dict__, "seed": s}))
-            batches = observe(truth)
-            zs.extend(z for _fp, z, _v in batches[0].per_instrument[1])
+            obs = observe(truth)
+            zs.extend(obs.value[records(obs, 1, 1)])
         assert len(zs) >= 10000
         assert np.var(zs) == pytest.approx(0.5, rel=0.1)
 
@@ -92,9 +101,9 @@ class TestObserve:
                              instruments=(InstrumentSpec(1, 0.2, drop_rate=0.3),
                                           InstrumentSpec(4, 0.04)))
         truth = simulate_truth(cfg)
-        batches = observe(truth)
+        obs = observe(truth)
         n_total = 400 * 8
-        kept = sum(len(b.per_instrument[1]) for b in batches)
+        kept = int((obs.instrument == 1).sum())
         p = 0.7
         se = np.sqrt(n_total * p * (1 - p))
         assert abs(kept - n_total * p) < 5 * se
@@ -106,23 +115,21 @@ class TestObserve:
                                                          swath_shift=3),
                                           InstrumentSpec(2, 0.1)))
         truth = simulate_truth(cfg)
-        batches = observe(truth)
+        obs = observe(truth)
         # at t=1 the band covers columns 0..3
-        cols_t1 = {int(fp.bau_indices[0]) % 12
-                   for fp, _z, _v in batches[0].per_instrument[1]}
+        cols_t1 = set((first_bau(obs, records(obs, 1, 1)) % 12).tolist())
         assert cols_t1 == set(range(4, 12))
         # at t=2 the band has shifted by 3
-        cols_t2 = {int(fp.bau_indices[0]) % 12
-                   for fp, _z, _v in batches[1].per_instrument[1]}
+        cols_t2 = set((first_bau(obs, records(obs, 2, 1)) % 12).tolist())
         assert cols_t2 == {0, 1, 2} | set(range(7, 12))
 
     def test_no_missingness_fine_emits_all_cells(self):
         cfg = small_config(instruments=(InstrumentSpec(1, 0.2),
                                         InstrumentSpec(4, 0.04)))
         truth = simulate_truth(cfg)
-        batches = observe(truth)
-        for b in batches:
-            assert len(b.per_instrument[1]) == 64
+        obs = observe(truth)
+        for t in range(1, cfg.T + 1):
+            assert records(obs, t, 1).size == 64
 
 
 class TestObserveReference:
@@ -135,10 +142,11 @@ class TestObserveReference:
                            drop_rate=0.2),
             InstrumentSpec(4, 0.04, v_factor=2.0, drop_rate=0.3)))
         truth = simulate_truth(cfg)
-        batches = observe(truth)
+        obs = observe(truth)
         rng = np.random.default_rng([cfg.seed, 1])
         flat = np.arange(cfg.nx * cfg.ny).reshape(cfg.ny, cfg.nx)
-        for t, batch in enumerate(batches, start=1):
+        assert obs.n_times == cfg.T
+        for t in range(1, cfg.T + 1):
             for k, spec in enumerate(cfg.instruments, start=1):
                 b = spec.block
                 corners = [(i0, j0) for i0 in range(0, cfg.ny, b) for j0 in range(0, cfg.nx, b)]
@@ -153,33 +161,13 @@ class TestObserveReference:
                         z = truth.y[t - 1, cover].mean() + np.sqrt(
                             spec.sigma2_eps * spec.v_factor) * noise[len(expect)]
                         expect.append((np.sort(cover), float(z)))
-                recs = batch.per_instrument[k]
-                assert len(recs) == len(expect)
-                for (fp, z, v), (cover, z_ref) in zip(recs, expect):
-                    assert np.array_equal(fp.bau_indices, cover)
-                    assert z == z_ref and v == spec.v_factor
-
-
-class TestBulkEquivalence:
-    def test_bulk_matches_object_path(self):
-        cfg = small_config(instruments=(
-            InstrumentSpec(1, 0.25, swath_width=2, swath_period=5, swath_shift=1,
-                           drop_rate=0.2),
-            InstrumentSpec(2, 0.04, drop_rate=0.1)))
-        truth1, batches, data1 = scenario_data(cfg)
-        truth2, data2 = scenario_data_bulk(cfg)
-        assert np.array_equal(truth1.y, truth2.y)
-        for s1, s2 in zip(data1.slices, data2.slices):
-            assert np.array_equal(s1.z, s2.z)
-            assert np.array_equal(s1.v_factors, s2.v_factors)
-            assert (s1.B != s2.B).nnz == 0
-            assert np.allclose(_dense(s1.S), _dense(s2.S))
-            assert np.allclose(s1.X, s2.X)
-            assert s1.instrument_rows == s2.instrument_rows
-
-
-def _dense(x):
-    return x.toarray() if sp.issparse(x) else np.asarray(x)
+                rows = records(obs, t, k)
+                assert rows.size == len(expect)
+                for i, (cover, z_ref) in zip(rows, expect):
+                    f = obs.footprint[i]
+                    assert np.array_equal(obs.fp_indices[obs.fp_indptr[f]:obs.fp_indptr[f + 1]],
+                                          cover)
+                    assert obs.value[i] == z_ref and obs.var_factor[i] == spec.v_factor
 
 
 class TestLikelihoodFavorsTruth:
@@ -190,7 +178,7 @@ class TestLikelihoodFavorsTruth:
             cfg = ScenarioConfig(nx=8, ny=8, T=3, basis_counts=(4,), seed=s,
                                  instruments=(InstrumentSpec(1, 0.25, drop_rate=0.1),
                                               InstrumentSpec(4, 0.04)))
-            truth, batches, data = scenario_data(cfg)
+            truth, _obs, data = scenario_data(cfg)
             tp = truth.params
             ll_true = neg2_loglik(data, tp)
             import dataclasses
