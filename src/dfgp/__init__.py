@@ -22,7 +22,6 @@ from .estimate import (EstimationResult, EstimatorConfig, SufficientStats,
 from .exceptions import (FactorizationError, InvalidFootprintError,
                          InvalidParameterError, NumericalError, StructureError)
 from .grid import BAUGrid, Observations, build_grid
-from .likelihood import InnovationRecord, neg2_complete_loglik, neg2_loglik
 from .model import AssembledTimeSlice, DFGPParams, ModelData, assemble
 from .baselines import ExpCovParams, LocalKrigeSettings, exp_cov, local_krige
 from .scoring import crps_gaussian, rmspe

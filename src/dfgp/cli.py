@@ -1,12 +1,12 @@
 """Command-line interface.
 
 Subcommands: simulate | fit | filter | smooth | cv, all driven by one INI
-configuration file.  Relative [data] paths resolve against the config file's
-directory: simulate writes the observation and footprint files there and the
-other commands read them from there.  Flags override only the seed, output
-dir, and the low-rank-only switch.  Each command writes a manifest of the
-files it read and wrote.  Exit codes: 0 success, 1 usage/configuration
-error, 2 numerical failure.
+configuration file.  Relative [data], [grid] mask and [basis] centers_csv
+paths resolve against the config file's directory: simulate writes the
+observation and footprint files there and the other commands read them from
+there.  Flags override only the seed, output dir, and the low-rank-only
+switch.  Each command writes a manifest of the files it read and wrote.
+Exit codes: 0 success, 1 usage/configuration error, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -41,8 +41,12 @@ def _data_paths(cfg: RunConfig, base: Path) -> list[Path]:
     return [base / cfg.data.observations, base / cfg.data.footprints]
 
 
-def _load_everything(cfg: RunConfig, base: Path, files: Files):
-    files.read += [Path(p) for p in (cfg.grid.mask, cfg.basis.centers_csv) if p]
+def _load_inputs(cfg: RunConfig, base: Path, files: Files):
+    """Observations, grid, basis and CAR structure named by the config."""
+    mask, centers = (str(base / p) if p else "" for p in (cfg.grid.mask, cfg.basis.centers_csv))
+    cfg = dataclasses.replace(cfg, grid=dataclasses.replace(cfg.grid, mask=mask),
+                              basis=dataclasses.replace(cfg.basis, centers_csv=centers))
+    files.read += [Path(p) for p in (mask, centers) if p]
     grid = cfg.build_grid()
     basis = cfg.build_basis(grid)
     structure = cfg.build_structure(grid)
@@ -51,8 +55,12 @@ def _load_everything(cfg: RunConfig, base: Path, files: Files):
     files.read += paths
     if obs.n_obs == 0:
         raise ValueError("no observations found")
-    data = assemble(obs, grid, basis, structure, covariates=cfg.covariates)
-    return grid, basis, structure, obs, data
+    return obs, grid, basis, structure
+
+
+def _load_data(cfg: RunConfig, base: Path, files: Files):
+    """The assembled model data of every observation."""
+    return assemble(*_load_inputs(cfg, base, files), covariates=cfg.covariates)
 
 
 def cmd_simulate(cfg: RunConfig, out: Path, base: Path, lowrank: bool, files: Files) -> None:
@@ -113,15 +121,15 @@ def _load_or_fit_params(cfg: RunConfig, data, out: Path, base: Path, lowrank: bo
 
 
 def cmd_fit(cfg: RunConfig, out: Path, base: Path, lowrank: bool, files: Files) -> None:
-    *_rest, data = _load_everything(cfg, base, files)
+    data = _load_data(cfg, base, files)
     _fit(cfg, data, out, lowrank, files)
     print(f"fitted ({cfg.protocol} protocol); parameters written to {out}")
 
 
 def cmd_filter(cfg: RunConfig, out: Path, base: Path, lowrank: bool, files: Files) -> None:
-    grid, _basis, structure, _obs, data = _load_everything(cfg, base, files)
+    data = _load_data(cfg, base, files)
     params_by_u = _load_or_fit_params(cfg, data, out, base, lowrank, files)
-    pred = structure.valid_idx
+    pred = data.structure.valid_idx
     fields = []
     if cfg.protocol == "smoothing":
         params = params_by_u[data.T]
@@ -145,11 +153,11 @@ def cmd_filter(cfg: RunConfig, out: Path, base: Path, lowrank: bool, files: File
 
 
 def cmd_smooth(cfg: RunConfig, out: Path, base: Path, lowrank: bool, files: Files) -> None:
-    grid, _basis, structure, _obs, data = _load_everything(cfg, base, files)
+    data = _load_data(cfg, base, files)
     if cfg.protocol != "smoothing":
         raise ValueError("smooth requires protocol = smoothing")
     params = _load_or_fit_params(cfg, data, out, base, lowrank, files)[data.T]
-    pred = structure.valid_idx
+    pred = data.structure.valid_idx
     filt = filter_pass(data, params, pred_bau=pred, want_variance=True,
                        lowrank_only=lowrank)
     sm = smoother_pass(filt, params)
@@ -166,7 +174,7 @@ def cmd_smooth(cfg: RunConfig, out: Path, base: Path, lowrank: bool, files: File
 def cmd_cv(cfg: RunConfig, out: Path, base: Path, lowrank: bool, files: Files) -> None:
     from .baselines import LocalKrigeSettings
     from .cv import run_cv
-    grid, basis, structure, obs, _data = _load_everything(cfg, base, files)
+    obs, grid, basis, structure = _load_inputs(cfg, base, files)
     methods = cfg.cv.methods
     if lowrank:
         methods = tuple(m for m in methods if m != "dfgp")

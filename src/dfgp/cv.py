@@ -142,8 +142,7 @@ def _dfgp_predictions(data: ModelData, holdout: list[HoldoutRecord], protocol: s
                 continue
             pred_bau = np.asarray(baus)
             filt = filter_pass(data, fits[u].params, horizon=u, pred_bau=pred_bau,
-                               want_variance=True, want_loglik=False,
-                               lowrank_only=lowrank_only)
+                               want_variance=True, lowrank_only=lowrank_only)
             fld = predict_filter(filt, data, fits[u].params, u, pred_bau)
             for b, m, s in zip(pred_bau, fld.mean, fld.stderr):
                 preds[(u, int(b))] = (float(m), float(s))
@@ -155,8 +154,7 @@ def _dfgp_predictions(data: ModelData, holdout: list[HoldoutRecord], protocol: s
         if baus:
             pred_bau = np.asarray(baus)
             filt = filter_pass(data, fit.params, pred_bau=pred_bau,
-                               want_variance=True, want_loglik=False,
-                               lowrank_only=lowrank_only)
+                               want_variance=True, lowrank_only=lowrank_only)
             sm = smoother_pass(filt, fit.params)
             for t in times:
                 fld = predict_smooth(sm, data, fit.params, t, pred_bau)

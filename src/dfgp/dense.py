@@ -28,7 +28,6 @@ class DenseJoint:
         r = params.r
         self.u, self.r, self.nv = u, r, nv
         self.data, self.params = data, params
-        self.lowrank_only = lowrank_only
 
         # state layout: eta_0..eta_u then xi_1..xi_u
         self.dim_x = (u + 1) * r + u * nv

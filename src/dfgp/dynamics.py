@@ -17,7 +17,8 @@ No dense N x N or n x n matrix is ever formed.
 
 Means are computed for any number of observation columns at once (the
 conditional-simulation machinery feeds simulated replicates through the same
-sweep); covariances are shared across columns.
+sweep); covariances are shared across columns.  Each step also yields its
+term of the marginal -2 log-likelihood (``FilterResult.neg2loglik``).
 """
 
 from __future__ import annotations
@@ -66,7 +67,9 @@ class StatePosterior:
     """Moments of (eta_t, delta_t^P) given data up to some horizon.
 
     ``eta`` and ``delta`` carry one column per observation set fed through
-    the sweep (column 0 is the real data).  ``psi`` is the m x r coupling
+    the sweep (column 0 is the real data), as does ``quad`` =
+    alpha' Sigma^{-1} alpha for the innovation alpha; ``logdet_sigma`` is
+    ln|Sigma| (both filtered states only).  ``psi`` is the m x r coupling
     block the smoother needs; ``lag1`` is cov(eta_t, eta_{t-1} | Z) and is
     populated on smoothed states only.
     """
@@ -82,7 +85,6 @@ class StatePosterior:
     n_obs: int = 0
     logdet_sigma: float = 0.0
     quad: np.ndarray = field(default_factory=lambda: np.zeros(1))
-    alpha: np.ndarray | None = None
     lag1: np.ndarray | None = None
 
     @property
@@ -96,11 +98,11 @@ class StatePosterior:
 class FilterResult:
     states: list[StatePosterior]
     pred_nodes: np.ndarray
-    lowrank_only: bool
 
     @property
     def neg2loglik(self) -> float:
-        """Sum of ln|Sigma_t| + alpha' Sigma^{-1} alpha (up to a constant)."""
+        """Marginal -2 log-likelihood of the real data (up to a constant):
+        the fsum of ln|Sigma_t| + alpha' Sigma^{-1} alpha."""
         return math.fsum(
             [s.logdet_sigma for s in self.states]
             + [float(s.quad[0]) for s in self.states])
@@ -111,7 +113,7 @@ class SmootherResult:
     states: list[StatePosterior]
     eta0: np.ndarray               # (r, k) smoothed initial state mean
     P0: np.ndarray                 # (r, r)
-    pred_nodes: np.ndarray | None = None
+    pred_nodes: np.ndarray
 
 
 @dataclass
@@ -134,8 +136,6 @@ def filter_pass(data: ModelData, params: DFGPParams, *,
                 pred_bau: np.ndarray | None = None,
                 extra_obs: list[np.ndarray | None] | None = None,
                 want_variance: bool = False,
-                want_loglik: bool = True,
-                want_innovations: bool = False,
                 lowrank_only: bool = False,
                 horizon: int | None = None) -> FilterResult:
     """Forward filtering sweep over t = 1..horizon.
@@ -172,33 +172,28 @@ def filter_pass(data: ModelData, params: DFGPParams, *,
         st = filter_step(
             eta_pred, P_pred, slc, params.car[t - 1], data.structure,
             params.sigma2_eps[t - 1], params.beta[t - 1], pred_nodes=pred_nodes,
-            extra=extra, n_rhs=n_rhs, want_variance=want_variance,
-            want_loglik=want_loglik, want_innovations=want_innovations,
-            lowrank_only=lowrank_only)
+            extra=extra, want_variance=want_variance, lowrank_only=lowrank_only)
         states.append(st)
         eta, P = st.eta, st.P
-    return FilterResult(states=states, pred_nodes=pred_nodes,
-                        lowrank_only=lowrank_only)
+    return FilterResult(states=states, pred_nodes=pred_nodes)
 
 
 def filter_step(eta_pred: np.ndarray, P_pred: np.ndarray,
                 slc: AssembledTimeSlice, car: CARParams, structure,
                 sigma2_row: np.ndarray, beta_t: np.ndarray, *,
                 pred_nodes: np.ndarray, extra: np.ndarray | None = None,
-                n_rhs: int | None = None, want_variance: bool = False,
-                want_loglik: bool = True, want_innovations: bool = False,
+                want_variance: bool = False,
                 lowrank_only: bool = False) -> StatePosterior:
     """One measurement update from forecast moments to filtered moments.
 
+    eta_pred has one column for the data and one per column of ``extra``.
     With no observations the filtered moments equal the forecast and the
     fine-scale posterior reverts to its prior.  All D-applications factor
     through the sparse SPD matrix F = Q + B' V^{-1} B.
     """
     t = slc.time_index
-    r = eta_pred.shape[0]
+    r, n_rhs = eta_pred.shape
     m = pred_nodes.size
-    if n_rhs is None:
-        n_rhs = 1 + (0 if extra is None else extra.shape[1])
     if slc.n_obs == 0:
         R_diag = None
         if want_variance and m and not lowrank_only:
@@ -224,7 +219,7 @@ def filter_step(eta_pred: np.ndarray, P_pred: np.ndarray,
     delta = np.zeros((m, n_rhs))
     R_diag = np.zeros(m) if want_variance else None
     if lowrank_only:
-        ln_dinv = float(np.log(v).sum()) if want_loglik else 0.0
+        ln_dinv = float(np.log(v).sum())
     else:
         try:
             F = (structure.base_precision(car.gamma) / car.tau2
@@ -233,7 +228,8 @@ def filter_step(eta_pred: np.ndarray, P_pred: np.ndarray,
         except FactorizationError as exc:
             raise NumericalError(str(exc), time_index=t) from exc
         nmat = slc.B.T @ VS                          # (n_valid, r) sparse
-        fb = ffac.solve(as_dense(slc.B.T @ (vinv[:, None] * alpha)))
+        bva = as_dense(slc.B.T @ (vinv[:, None] * alpha))
+        fb = ffac.solve(bva)
         gcorr = np.zeros((r, r))
         for c0 in range(0, r, SOLVE_BLOCK):
             cols = slice(c0, min(c0 + SOLVE_BLOCK, r))
@@ -242,14 +238,10 @@ def filter_step(eta_pred: np.ndarray, P_pred: np.ndarray,
             if m:
                 psi[:, cols] = gf[pred_nodes]
         sds = sds - gcorr
-        bva = as_dense(slc.B.T @ (vinv[:, None] * alpha))
         sda = sda - as_dense(nmat.T @ fb)
         ada = ada - (bva * fb).sum(axis=0)
-        if want_loglik:
-            ln_dinv = (ffac.logdet() - structure.precision_logdet(car)
-                       + float(np.log(v).sum()))
-        else:
-            ln_dinv = 0.0
+        ln_dinv = (ffac.logdet() - structure.precision_logdet(car)
+                   + float(np.log(v).sum()))
         if want_variance and m:
             R_diag = ffac.solve_selected_diag(pred_nodes)
 
@@ -263,16 +255,11 @@ def filter_step(eta_pred: np.ndarray, P_pred: np.ndarray,
         delta = fb[pred_nodes] - psi @ gain
         if want_variance:
             R_diag = R_diag + _row_quad(psi, P_f)
-    logdet_sigma = 0.0
-    quad = np.zeros(n_rhs)
-    if want_loglik:
-        logdet_sigma = _cho_logdet(a_cf) + _cho_logdet(pp_cf) + ln_dinv
-        quad = ada - (sda * gain).sum(axis=0)
     return StatePosterior(
         time_index=t, eta=eta_f, P=P_f, eta_pred=eta_pred, P_pred=P_pred,
         delta=delta, R_diag=R_diag, psi=psi, n_obs=slc.n_obs,
-        logdet_sigma=logdet_sigma, quad=quad,
-        alpha=alpha[:, 0].copy() if want_innovations else None)
+        logdet_sigma=_cho_logdet(a_cf) + _cho_logdet(pp_cf) + ln_dinv,
+        quad=ada - (sda * gain).sum(axis=0))
 
 
 def smoother_pass(filt: FilterResult, params: DFGPParams) -> SmootherResult:
@@ -318,10 +305,10 @@ def smoother_pass(filt: FilterResult, params: DFGPParams) -> SmootherResult:
 
 
 def predict_from_posterior(post: StatePosterior, Xp: np.ndarray, Sp: np.ndarray,
-                           beta_t: np.ndarray, bau_indices: np.ndarray,
-                           rhs: int = 0) -> PredictionField:
-    """Field mean and standard error from one time's posterior moments."""
-    mean = Xp @ beta_t + Sp @ post.eta[:, rhs] + post.delta[:, rhs]
+                           beta_t: np.ndarray, bau_indices: np.ndarray) -> PredictionField:
+    """Field mean and standard error from one time's posterior moments
+    (column 0, the real data)."""
+    mean = Xp @ beta_t + Sp @ post.eta[:, 0] + post.delta[:, 0]
     # Sp P Sp' + 2 Sp C with C = -P psi'
     var = np.einsum("ij,ij->i", Sp @ post.P, Sp - 2.0 * post.psi)
     if post.R_diag is not None:
@@ -346,19 +333,18 @@ def _check_pred_alignment(data: ModelData, pred_bau, tracked: np.ndarray) -> Non
 
 
 def predict_filter(filt: FilterResult, data: ModelData, params: DFGPParams,
-                   t: int, pred_bau: np.ndarray, rhs: int = 0) -> PredictionField:
+                   t: int, pred_bau: np.ndarray) -> PredictionField:
     """Filtered field predictor at time t over the tracked prediction BAUs."""
     _check_pred_alignment(data, pred_bau, filt.pred_nodes)
     post = filt.states[t - 1]
     Xp, Sp = data.design_at(pred_bau)
-    return predict_from_posterior(post, Xp, Sp, params.beta[t - 1], pred_bau, rhs)
+    return predict_from_posterior(post, Xp, Sp, params.beta[t - 1], pred_bau)
 
 
 def predict_smooth(smooth: SmootherResult, data: ModelData, params: DFGPParams,
-                   t: int, pred_bau: np.ndarray, rhs: int = 0) -> PredictionField:
+                   t: int, pred_bau: np.ndarray) -> PredictionField:
     """Smoothed field predictor at time t over the tracked prediction BAUs."""
-    if smooth.pred_nodes is not None:
-        _check_pred_alignment(data, pred_bau, smooth.pred_nodes)
+    _check_pred_alignment(data, pred_bau, smooth.pred_nodes)
     post = smooth.states[t - 1]
     Xp, Sp = data.design_at(pred_bau)
-    return predict_from_posterior(post, Xp, Sp, params.beta[t - 1], pred_bau, rhs)
+    return predict_from_posterior(post, Xp, Sp, params.beta[t - 1], pred_bau)

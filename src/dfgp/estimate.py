@@ -6,11 +6,12 @@ Two modes share one M-step:
   exactly from a filter/smoother sweep; the fine-scale expectations are
   replaced by quantities evaluated at conditional-simulation draws.
 * ``exact``: full EM with every conditional expectation computed from the
-  dense joint posterior.  Cubic in u*N, so it is capped at small N and
-  exists as the oracle mode and for tiny problems.
+  dense joint posterior.  Cubic in u*N, so ``DenseJoint`` refuses it above
+  ``DENSE_N_CAP`` BAUs; it is the oracle mode and for tiny problems.
 
 Each iteration's sweep also yields the marginal -2 log-likelihood at the
-current parameters, which drives the convergence monitor and the trace.
+current parameters (``FilterResult.neg2loglik``), which drives the
+convergence monitor and the trace.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .car import GAMMA_MAX, CARParams, SparseFactor, sample_car, sparse_factorize
-from .dense import DENSE_N_CAP, DenseJoint
+from .dense import DenseJoint
 from .dynamics import filter_pass, smoother_pass
 from .model import DFGPParams, ModelData, as_dense, sym
 
@@ -52,9 +53,7 @@ class EstimatorConfig:
     hu_blocks: tuple[int, ...] = ()
     draws: int = 1
     sem_average_frac: float = 0.2
-    exact_n_cap: int = DENSE_N_CAP
     seed: int = 0
-    warm_start: bool = True
 
     def __post_init__(self):
         if self.mode not in ("sem", "exact"):
@@ -141,7 +140,7 @@ def conditional_simulate(data: ModelData, params: DFGPParams,
                       + as_dense(slc.S @ eta_star[t]) + slc.B @ xi_star[t - 1] + eps)
 
     filt = filter_pass(data, params, horizon=u, pred_bau=data.structure.valid_idx,
-                       extra_obs=z_star, want_loglik=True)
+                       extra_obs=z_star)
     sm = smoother_pass(filt, params)
     eta_draws = np.empty((ndraws, u + 1, r))
     xi_draws = np.empty((ndraws, u, nv))
@@ -177,9 +176,6 @@ def e_step(data: ModelData, params: DFGPParams, config: EstimatorConfig,
     adj = data.structure.adjacency
 
     if config.mode == "exact":
-        if nv > config.exact_n_cap:
-            raise ValueError(
-                f"exact mode refused above N={config.exact_n_cap} (got {nv})")
         dj = DenseJoint(data, params, horizon=u, lowrank_only=lowrank_only)
         mean, cov = dj.posterior()
         eta_mean = np.vstack([mean[dj.eta_slice(t)] for t in range(u + 1)])
@@ -218,8 +214,7 @@ def e_step(data: ModelData, params: DFGPParams, config: EstimatorConfig,
 
     # SEM: exact eta moments, fine-scale expectations from conditional draws.
     if lowrank_only:
-        filt = filter_pass(data, params, horizon=u, want_loglik=True,
-                           lowrank_only=True)
+        filt = filter_pass(data, params, horizon=u, lowrank_only=True)
         sm = smoother_pass(filt, params)
         eta_mean, K, L = _eta_stats_from_smoother(sm, u, r)
         zeros = np.zeros((u, nv))
@@ -479,16 +474,15 @@ def run_estimator(data: ModelData, config: EstimatorConfig,
 def fit_filtering_sequence(data: ModelData, config: EstimatorConfig,
                            init: DFGPParams | None = None,
                            lowrank_only: bool = False) -> dict[int, EstimationResult]:
-    """One fit per horizon u = 2..T on Z_{1:u}, warm-started from u-1."""
+    """One fit per horizon u = 2..T on Z_{1:u}, each started from the fit
+    at u-1 extended by one time step (u = 2 from ``init`` or init_params)."""
     T = len(data.slices)
     if T < 2:
         raise ValueError("filtering protocol needs T >= 2")
     results: dict[int, EstimationResult] = {}
     prev: DFGPParams | None = init
     for u in range(2, T + 1):
-        start = None
-        if prev is not None and config.warm_start:
-            start = _extend_params(prev, u) if prev.u < u else prev.truncated(u)
+        start = None if prev is None else _extend_params(prev, u)
         cfg_u = config
         if config.hu_blocks:
             # clip block boundaries to the current horizon

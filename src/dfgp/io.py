@@ -72,11 +72,21 @@ def write_observations(path_obs, path_fps, obs: Observations) -> None:
 
 _OBS_FIELDS = (("time", int), ("instrument", int), ("footprint_id", int),
                ("value", float), ("var_factor", float))
+_FP_FIELDS = (("footprint_id", int), ("bau_index", int))
 
 
-def _unparsable(where: str, row: dict) -> ValueError:
+def _reader(f, path, fields) -> csv.DictReader:
+    """A DictReader over f whose header names every field in ``fields``."""
+    reader = csv.DictReader(f)
+    missing = [name for name, _kind in fields if name not in (reader.fieldnames or ())]
+    if missing:
+        raise ValueError(f"{path}: header row lacks {', '.join(missing)}")
+    return reader
+
+
+def _unparsable(where: str, row: dict, fields) -> ValueError:
     """The error naming the first field of a data row that does not parse."""
-    for field, kind in _OBS_FIELDS:
+    for field, kind in fields:
         try:
             kind(row[field])
         except (TypeError, ValueError):  # TypeError: the row is short of fields
@@ -88,24 +98,29 @@ def read_observations(path_obs, path_fps) -> Observations:
     """Read the observation and footprint CSVs; footprints that no record
     uses are dropped, and time steps run 1..max(time).
 
-    Raises ValueError naming the file, the 1-based data row and the field
-    for an unparsable number, a time or instrument below 1, a non-finite
-    value, a var_factor that is not finite and > 0, or a footprint_id absent
-    from the footprint file.
+    Raises ValueError naming the file and the missing fields for a header
+    row that lacks one, and naming the file, the 1-based data row and the
+    field for an unparsable number, a time or instrument below 1, a
+    non-finite value, a var_factor that is not finite and > 0, or a
+    footprint_id absent from the footprint file.
     """
     cover: dict[int, list[int]] = {}
     with open(path_fps, newline="") as ff:
-        for row in csv.DictReader(ff):
-            cover.setdefault(int(row["footprint_id"]), []).append(int(row["bau_index"]))
+        for i, row in enumerate(_reader(ff, path_fps, _FP_FIELDS), start=1):
+            try:
+                fid, bau = int(row["footprint_id"]), int(row["bau_index"])
+            except (TypeError, ValueError):
+                raise _unparsable(f"{path_fps}: data row {i}", row, _FP_FIELDS) from None
+            cover.setdefault(fid, []).append(bau)
     cols: tuple[list, ...] = ([], [], [], [], [])
     with open(path_obs, newline="") as fo:
-        for i, row in enumerate(csv.DictReader(fo), start=1):
+        for i, row in enumerate(_reader(fo, path_obs, _OBS_FIELDS), start=1):
             where = f"{path_obs}: data row {i}"
             try:
                 rec = (int(row["time"]), int(row["instrument"]), int(row["footprint_id"]),
                        float(row["value"]), float(row["var_factor"]))
             except (TypeError, ValueError):
-                raise _unparsable(where, row) from None
+                raise _unparsable(where, row, _OBS_FIELDS) from None
             t, k, fid, z, v = rec
             for field, n in (("time", t), ("instrument", k)):
                 if n < 1:

@@ -236,8 +236,7 @@ def test_allocation_budget_no_dense_nxn():
     truth, _obs, data = scenario_data(cfg)
     pred = np.arange(0, truth.grid.n_bau, 23)
     tracemalloc.start()
-    filt = filter_pass(data, truth.params, pred_bau=pred, want_variance=True,
-                       want_loglik=True)
+    filt = filter_pass(data, truth.params, pred_bau=pred, want_variance=True)
     smoother_pass(filt, truth.params)
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()

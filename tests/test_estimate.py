@@ -12,7 +12,6 @@ from dfgp.dense import DenseJoint
 from dfgp.estimate import (EstimatorConfig, SufficientStats, _gamma_objective,
                            conditional_simulate, e_step, fit_filtering_sequence,
                            init_params, m_step, optimize_gamma, run_estimator)
-from dfgp.likelihood import neg2_loglik
 from dfgp.synth import ScenarioConfig, scenario_data
 
 
@@ -122,9 +121,9 @@ class TestEStep:
         assert np.allclose(sem.xi_quad_deg, exact.xi_quad_deg, rtol=0.25)
 
     def test_exact_mode_refused_above_cap(self):
-        data, params = make_instance(0)
-        cfg = EstimatorConfig(mode="exact", exact_n_cap=4)
-        with pytest.raises(ValueError, match="exact mode refused"):
+        data, params = make_instance(0, nx=17, ny=16)     # N = 272 > DENSE_N_CAP
+        cfg = EstimatorConfig(mode="exact")
+        with pytest.raises(ValueError, match="dense path refused above N=256"):
             e_step(data, params, cfg, np.random.default_rng(0))
 
 
@@ -286,7 +285,8 @@ class TestRunEstimator:
         cfg = EstimatorConfig(mode="exact", max_iter=3, seed=0)
         res = run_estimator(data, cfg)
         start = init_params(data)
-        assert res.trace[0] == pytest.approx(neg2_loglik(data, start), rel=1e-8)
+        expect = dynamics.filter_pass(data, start).neg2loglik
+        assert res.trace[0] == pytest.approx(expect, rel=1e-8)
 
     def test_lowrank_mode_keeps_car_fixed(self):
         data, _ = make_instance(3)
@@ -374,8 +374,9 @@ class TestFilteringSequence:
         assert np.asarray(fits[2].params.H).ndim == 2      # single block at u=2
         assert np.asarray(fits[4].params.H).shape == (4, 2, 2)
 
-    def test_warm_start_reaches_similar_likelihood(self):
-        # model-generated data: the two starting points settle to the same fit
+    def test_sequence_fits_match_fits_from_init_params(self):
+        # model-generated data: the sequence's starts (the previous horizon's
+        # fit) and init_params settle to the same fit
         from dfgp.synth import InstrumentSpec, ScenarioConfig, scenario_data
         cfg = ScenarioConfig(nx=6, ny=6, T=3, basis_counts=(1,), seed=4,
                              instruments=(InstrumentSpec(1, 0.2),
@@ -383,9 +384,8 @@ class TestFilteringSequence:
         _, _, data = scenario_data(cfg)
         warm = fit_filtering_sequence(
             data, EstimatorConfig(mode="exact", max_iter=300, seed=0))
-        cold = fit_filtering_sequence(
-            data, EstimatorConfig(mode="exact", max_iter=300, seed=0,
-                                  warm_start=False))
+        cold = {u: run_estimator(data, EstimatorConfig(mode="exact", max_iter=300, seed=0),
+                                 horizon=u) for u in (2, 3)}
         for u in (2, 3):
             a, b = warm[u].trace[-1], cold[u].trace[-1]
             assert abs(a - b) / max(abs(b), 1.0) < 0.01

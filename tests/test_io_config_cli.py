@@ -105,6 +105,18 @@ class TestObservationCSV:
         with pytest.raises(ValueError, match=rf"o\.csv: data row 2: {field} "):
             dio.read_observations(obs, fps)
 
+    def test_bad_footprint_row_names_file_row_field(self, tmp_path):
+        obs, fps = self._write_rows(tmp_path, [("1", "1", "0", "0.1", "1.0")])
+        fps.write_text("footprint_id,bau_index\n0,0\n0,x3\n")
+        with pytest.raises(ValueError, match=r"f\.csv: data row 2: bau_index is not int: 'x3'"):
+            dio.read_observations(obs, fps)
+
+    def test_missing_column_names_file_and_field(self, tmp_path):
+        obs, fps = self._write_rows(tmp_path, [])
+        obs.write_text("time,instrument,footprint_id,value\n1,1,0,0.1\n")
+        with pytest.raises(ValueError, match=r"o\.csv: header row lacks var_factor"):
+            dio.read_observations(obs, fps)
+
     def test_unknown_footprint_names_file_row_field(self, tmp_path):
         obs, fps = self._write_rows(tmp_path, [("1", "1", "7", "0.1", "1.0")])
         with pytest.raises(ValueError, match=r"o\.csv: data row 1: footprint_id 7 .*f\.csv"):
@@ -319,6 +331,38 @@ class TestCLI:
         lines = (out / "predictions_filter.csv").read_text().splitlines()
         times = {l.split(",")[0] for l in lines[1:]}
         assert times == {"2", "3"}
+
+    def test_cv_assembles_once(self, tmp_path, monkeypatch):
+        from dfgp import cli, cv
+        cfgp = self._write_config(tmp_path, tmp_path / "out")
+        assert main(["simulate", "--config", str(cfgp)]) == 0
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return assemble(*args, **kwargs)
+        monkeypatch.setattr(cli, "assemble", counted)
+        monkeypatch.setattr(cv, "assemble", counted)
+        assert main(["cv", "--config", str(cfgp)]) == 0
+        assert len(calls) == 1
+
+    def test_mask_and_centers_resolve_against_config_dir(self, tmp_path, monkeypatch):
+        cfg_dir, out = tmp_path / "cfg", tmp_path / "out"
+        cfg_dir.mkdir()
+        (cfg_dir / "mask.txt").write_text("1 1 1 1 1 1 1 1\n" * 8)
+        (cfg_dir / "centers.csv").write_text(
+            "center_x,center_y,radius\n2,2,3\n2,6,3\n6,2,3\n6,6,3\n")
+        cfgp = cfg_dir / "run.ini"
+        cfgp.write_text(BASE_CONFIG.format(out=out).replace(
+            "cell_size = 1.0", "cell_size = 1.0\nmask = mask.txt").replace(
+            "counts = 4", "counts = 4\ncenters_csv = centers.csv"))
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "--config", str(cfgp)]) == 0
+        assert main(["smooth", "--config", str(cfgp)]) == 0
+        inputs = [line.split()[2] for line in
+                  (out / "manifest_smooth.txt").read_text().splitlines()[4:]
+                  if line.startswith("input ")]
+        assert inputs[:2] == ["../cfg/mask.txt", "../cfg/centers.csv"]
 
     def test_lowrank_flag(self, tmp_path):
         out = tmp_path / "out"

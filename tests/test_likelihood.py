@@ -9,7 +9,6 @@ from dfgp.car import CARParams
 from dfgp.dense import DenseJoint
 from dfgp.dynamics import filter_pass
 from dfgp.grid import build_grid
-from dfgp.likelihood import neg2_complete_loglik, neg2_loglik
 from dfgp.model import DFGPParams, assemble
 from dfgp.synth import build_adjacency
 
@@ -36,32 +35,32 @@ class TestMarginal:
         data, params = _scalar_diag_instance(n, tau2, sig2)
         deg = data.structure.degrees
         expect = float(np.log(tau2 / deg + sig2).sum())
-        assert neg2_loglik(data, params) == pytest.approx(expect, rel=1e-8)
+        assert filter_pass(data, params).neg2loglik == pytest.approx(expect, rel=1e-8)
 
     def test_zero_innovations_leave_only_logdet(self):
         data, params = make_instance(1)
-        val, recs = neg2_loglik(data, params, return_records=True)
+        for st in filter_pass(data, params).states:
+            assert st.quad[0] >= 0
         # rebuild data with Z set to the trend so every innovation vanishes
-        zero = []
-        for slc, rec in zip(data.slices, recs):
-            assert rec.quad >= 0
         for t, slc in enumerate(data.slices, 1):
             slc.z = slc.X @ params.beta[t - 1]
         params = dataclasses.replace(params, H=np.zeros_like(np.asarray(params.H)))
-        val2, recs2 = neg2_loglik(data, params, return_records=True)
-        assert val2 == pytest.approx(sum(r.logdet for r in recs2), rel=1e-12)
-        for r in recs2:
-            assert r.quad == pytest.approx(0.0, abs=1e-16)
+        filt = filter_pass(data, params)
+        states = [st for st in filt.states if st.n_obs > 0]
+        assert filt.neg2loglik == pytest.approx(sum(st.logdet_sigma for st in states),
+                                                rel=1e-12)
+        for st in states:
+            assert st.quad[0] == pytest.approx(0.0, abs=1e-16)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_dense_evaluation(self, seed):
         data, params = make_instance(seed)
         dj = DenseJoint(data, params)
-        assert neg2_loglik(data, params) == pytest.approx(dj.neg2loglik(), rel=1e-10)
+        assert filter_pass(data, params).neg2loglik == pytest.approx(dj.neg2loglik(),
+                                                                     rel=1e-10)
 
     def test_reorder_invariance(self):
         data, params = make_instance(3)
-        base = neg2_loglik(data, params)
         # permute the fine-instrument records within each batch
         rng = np.random.default_rng(0)
         records = []
@@ -79,8 +78,8 @@ class TestMarginal:
         params1 = dataclasses.replace(params, sigma2_eps=np.column_stack(
             [params.sigma2_eps[:, 0], params.sigma2_eps[:, 0]]))
         # same per-record variances requires a single shared sigma2
-        base = neg2_loglik(data, params1)
-        assert neg2_loglik(data2, params2) == pytest.approx(base, rel=1e-9)
+        base = filter_pass(data, params1).neg2loglik
+        assert filter_pass(data2, params2).neg2loglik == pytest.approx(base, rel=1e-9)
 
     def test_woodbury_quadratic_matches_dense_on_random_vectors(self):
         data, params = make_instance(2, T=1)
@@ -99,7 +98,7 @@ class TestMarginal:
     def test_lowrank_reduction_matches_direct_innovation_form(self):
         # independent dense implementation of the low-rank-only likelihood
         data, params = make_instance(4)
-        got = neg2_loglik(data, params, lowrank_only=True)
+        got = filter_pass(data, params, lowrank_only=True).neg2loglik
         eta = np.zeros(params.r)
         P = params.K0.copy()
         total = 0.0
@@ -118,43 +117,3 @@ class TestMarginal:
             P = P - gain @ S @ P
         assert got == pytest.approx(total, rel=1e-8)
 
-
-class TestCompleteData:
-    def test_trend_only_states_zero(self):
-        data, params = make_instance(6)
-        u, r, nv = params.u, params.r, data.structure.n
-        for t, slc in enumerate(data.slices, 1):
-            slc.z = slc.X @ params.beta[t - 1]
-        got = neg2_complete_loglik(data, params, np.zeros((u + 1, r)), np.zeros((u, nv)))
-        expect = 0.0
-        for t in range(1, u + 1):
-            v = data.slices[t - 1].v_diag(params.sigma2_eps[t - 1])
-            expect += np.log(v).sum()
-            expect += np.linalg.slogdet(params.U_at(t))[1]
-            expect -= data.structure.precision_logdet(params.car[t - 1])
-        expect += np.linalg.slogdet(params.K0)[1]
-        assert got == pytest.approx(expect, rel=1e-10)
-
-    def test_matches_termwise_dense_evaluation(self):
-        data, params = make_instance(7)
-        rng = np.random.default_rng(0)
-        u, r, nv = params.u, params.r, data.structure.n
-        eta = rng.standard_normal((u + 1, r))
-        xi = rng.standard_normal((u, nv))
-        got = neg2_complete_loglik(data, params, eta, xi)
-        from dfgp.car import build_precision
-        expect = float(eta[0] @ np.linalg.solve(params.K0, eta[0])
-                       + np.linalg.slogdet(params.K0)[1])
-        for t in range(1, u + 1):
-            slc = data.slices[t - 1]
-            v = slc.v_diag(params.sigma2_eps[t - 1])
-            S = slc.S.toarray() if sp.issparse(slc.S) else slc.S
-            res = slc.z - slc.X @ params.beta[t - 1] - S @ eta[t] - slc.B @ xi[t - 1]
-            expect += float(res @ (res / v) + np.log(v).sum())
-            U = params.U_at(t)
-            innov = eta[t] - params.H_at(t) @ eta[t - 1]
-            expect += float(innov @ np.linalg.solve(U, innov)
-                            + np.linalg.slogdet(U)[1])
-            q = build_precision(data.structure, params.car[t - 1]).toarray()
-            expect += float(xi[t - 1] @ q @ xi[t - 1] - np.linalg.slogdet(q)[1])
-        assert got == pytest.approx(expect, rel=1e-10)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dfgp.car import build_precision
-from dfgp.likelihood import neg2_loglik
+from dfgp.dynamics import filter_pass
 from dfgp.synth import (InstrumentSpec, ScenarioConfig, _in_swath, observe,
                         scenario_data, simulate_truth)
 
@@ -180,7 +180,7 @@ class TestLikelihoodFavorsTruth:
                                               InstrumentSpec(4, 0.04)))
             truth, _obs, data = scenario_data(cfg)
             tp = truth.params
-            ll_true = neg2_loglik(data, tp)
+            ll_true = filter_pass(data, tp).neg2loglik
             import dataclasses
 
             from dfgp.car import CARParams
@@ -192,6 +192,6 @@ class TestLikelihoodFavorsTruth:
                 sigma2_eps=tp.sigma2_eps * 1.5,
                 car=tuple(CARParams(min(c.gamma * 1.2, 0.99), c.tau2 * 0.5)
                           for c in tp.car))
-            if ll_true < neg2_loglik(data, pert):
+            if ll_true < filter_pass(data, pert).neg2loglik:
                 wins += 1
         assert wins > len(list(seeds)) // 2
