@@ -4,8 +4,9 @@ Subcommands: simulate | fit | filter | smooth | cv, all driven by one INI
 configuration file.  Relative [data], [grid] mask and [basis] centers_csv
 paths resolve against the config file's directory: simulate writes the
 observation and footprint files there and the other commands read them from
-there.  Flags override only the seed, output dir, and the low-rank-only
-switch.  Each command writes a manifest of the files it read and wrote.
+there.  Flags override only the seed and the output dir.  A fixed-rank fit
+([estimator] lowrank_only = true) has its own ``*_lowrank*`` fit files.
+Each command writes a manifest of the files it read and wrote.
 Exit codes: 0 success, 1 usage/configuration error, 2 numerical failure.
 """
 
@@ -51,7 +52,7 @@ def _load_inputs(cfg: RunConfig, base: Path, files: Files):
     basis = cfg.build_basis(grid)
     structure = cfg.build_structure(grid)
     paths = _data_paths(cfg, base)
-    obs = dio.read_observations(*paths)
+    obs = dio.read_observations(*paths, grid)
     files.read += paths
     if obs.n_obs == 0:
         raise ValueError("no observations found")
@@ -63,7 +64,7 @@ def _load_data(cfg: RunConfig, base: Path, files: Files):
     return assemble(*_load_inputs(cfg, base, files), covariates=cfg.covariates)
 
 
-def cmd_simulate(cfg: RunConfig, out: Path, base: Path, lowrank: bool, files: Files) -> None:
+def cmd_simulate(cfg: RunConfig, out: Path, base: Path, files: Files) -> None:
     truth = simulate_truth(cfg.scenario_config())
     obs = observe(truth)
     paths = _data_paths(cfg, base)
@@ -79,62 +80,65 @@ def cmd_simulate(cfg: RunConfig, out: Path, base: Path, lowrank: bool, files: Fi
           f"N={truth.grid.n_bau}, r={truth.basis.r}")
 
 
-def _fit(cfg: RunConfig, data, out: Path, lowrank: bool, files: Files):
+def _fit(cfg: RunConfig, data, out: Path, files: Files):
     est = cfg.estimator_config()
     if cfg.protocol == "smoothing":
-        fits = {data.T: run_estimator(data, est, lowrank_only=lowrank)}
+        fits = {data.T: run_estimator(data, est)}
     else:
-        fits = fit_filtering_sequence(data, est, lowrank_only=lowrank)
+        fits = fit_filtering_sequence(data, est)
+    model = "_lowrank" if cfg.estimator.lowrank_only else ""
     report = [f"protocol = {cfg.protocol}", f"seed = {cfg.seed}"]
     for u, res in sorted(fits.items()):
-        tag = "" if cfg.protocol == "smoothing" else f"_u{u}"
+        tag = model + ("" if cfg.protocol == "smoothing" else f"_u{u}")
         params, trace = out / f"params{tag}.csv", out / f"trace{tag}.csv"
         dio.write_params(params, res.params)
         dio.write_trace(trace, res.trace)
         files.written += [params, trace]
         report += [f"horizon_{u}_iterations = {res.n_iter}",
                    f"horizon_{u}_converged = {res.converged}",
-                   f"horizon_{u}_neg2loglik = {res.trace[-1]!r}",
+                   f"horizon_{u}_neg2loglik = {dio._fmt(res.trace[-1])}",
                    f"horizon_{u}_params_file = {params.name}",
                    f"horizon_{u}_trace_file = {trace.name}"]
-    (out / "fit_report.txt").write_text("\n".join(report) + "\n")
-    files.written.append(out / "fit_report.txt")
+    report_path = out / f"fit_report{model}.txt"
+    report_path.write_text("\n".join(report) + "\n")
+    files.written.append(report_path)
     return {u: res.params for u, res in fits.items()}
 
 
-def _load_or_fit_params(cfg: RunConfig, data, out: Path, base: Path, lowrank: bool,
-                        files: Files):
+def _load_or_fit_params(cfg: RunConfig, data, out: Path, base: Path, files: Files):
+    model = "_lowrank" if cfg.estimator.lowrank_only else ""
     if cfg.protocol == "smoothing":
-        for p in (base / (cfg.data.params or "params.csv"), out / "params.csv"):
+        name = f"params{model}.csv"
+        for p in (base / (cfg.data.params or name), out / name):
             if p.exists():
                 files.read.append(p)
                 return {data.T: dio.read_params(p)}
-        return _fit(cfg, data, out, lowrank, files)
+        return _fit(cfg, data, out, files)
     found = {}
     for u in range(2, data.T + 1):
-        found[u] = next((p for p in (base / f"params_u{u}.csv", out / f"params_u{u}.csv")
-                         if p.exists()), None)
+        name = f"params{model}_u{u}.csv"
+        found[u] = next((p for p in (base / name, out / name) if p.exists()), None)
     if found and None not in found.values():
         files.read += found.values()
         return {u: dio.read_params(p) for u, p in found.items()}
-    return _fit(cfg, data, out, lowrank, files)
+    return _fit(cfg, data, out, files)
 
 
-def cmd_fit(cfg: RunConfig, out: Path, base: Path, lowrank: bool, files: Files) -> None:
+def cmd_fit(cfg: RunConfig, out: Path, base: Path, files: Files) -> None:
     data = _load_data(cfg, base, files)
-    _fit(cfg, data, out, lowrank, files)
+    _fit(cfg, data, out, files)
     print(f"fitted ({cfg.protocol} protocol); parameters written to {out}")
 
 
-def cmd_filter(cfg: RunConfig, out: Path, base: Path, lowrank: bool, files: Files) -> None:
+def cmd_filter(cfg: RunConfig, out: Path, base: Path, files: Files) -> None:
     data = _load_data(cfg, base, files)
-    params_by_u = _load_or_fit_params(cfg, data, out, base, lowrank, files)
+    params_by_u = _load_or_fit_params(cfg, data, out, base, files)
     pred = data.structure.valid_idx
     fields = []
     if cfg.protocol == "smoothing":
         params = params_by_u[data.T]
         filt = filter_pass(data, params, pred_bau=pred, want_variance=True,
-                           lowrank_only=lowrank)
+                           lowrank_only=cfg.estimator.lowrank_only)
         fields = [predict_filter(filt, data, params, t, pred)
                   for t in range(1, data.T + 1)]
         dio.save_state_checkpoint(out / "state_filter.bin",
@@ -143,23 +147,23 @@ def cmd_filter(cfg: RunConfig, out: Path, base: Path, lowrank: bool, files: File
         files.written.append(out / "state_filter.bin")
     else:
         for u in sorted(params_by_u):
-            params = params_by_u[u]
-            filt = filter_pass(data, params, horizon=u, pred_bau=pred,
-                               want_variance=True, lowrank_only=lowrank)
+            params = params_by_u[u].truncated(u)
+            filt = filter_pass(data, params, pred_bau=pred, want_variance=True,
+                               lowrank_only=cfg.estimator.lowrank_only)
             fields.append(predict_filter(filt, data, params, u, pred))
     dio.write_prediction_fields(out / "predictions_filter.csv", fields)
     files.written.append(out / "predictions_filter.csv")
     print(f"filter predictions for {len(fields)} time steps written to {out}")
 
 
-def cmd_smooth(cfg: RunConfig, out: Path, base: Path, lowrank: bool, files: Files) -> None:
+def cmd_smooth(cfg: RunConfig, out: Path, base: Path, files: Files) -> None:
     data = _load_data(cfg, base, files)
     if cfg.protocol != "smoothing":
         raise ValueError("smooth requires protocol = smoothing")
-    params = _load_or_fit_params(cfg, data, out, base, lowrank, files)[data.T]
+    params = _load_or_fit_params(cfg, data, out, base, files)[data.T]
     pred = data.structure.valid_idx
     filt = filter_pass(data, params, pred_bau=pred, want_variance=True,
-                       lowrank_only=lowrank)
+                       lowrank_only=cfg.estimator.lowrank_only)
     sm = smoother_pass(filt, params)
     fields = [predict_smooth(sm, data, params, t, pred)
               for t in range(1, data.T + 1)]
@@ -171,15 +175,12 @@ def cmd_smooth(cfg: RunConfig, out: Path, base: Path, lowrank: bool, files: File
     print(f"smoother predictions for {len(fields)} time steps written to {out}")
 
 
-def cmd_cv(cfg: RunConfig, out: Path, base: Path, lowrank: bool, files: Files) -> None:
+def cmd_cv(cfg: RunConfig, out: Path, base: Path, files: Files) -> None:
     from .baselines import LocalKrigeSettings
     from .cv import run_cv
     obs, grid, basis, structure = _load_inputs(cfg, base, files)
-    methods = cfg.cv.methods
-    if lowrank:
-        methods = tuple(m for m in methods if m != "dfgp")
     result = run_cv(obs, grid, basis, structure, cfg.holdout_plan(),
-                    methods=methods, protocol=cfg.protocol,
+                    methods=cfg.cv.methods, protocol=cfg.protocol,
                     est_config=cfg.estimator_config(),
                     lk_settings=LocalKrigeSettings(
                         k=cfg.cv.lk_k, max_fit_evals=cfg.cv.lk_max_fit_evals),
@@ -188,7 +189,7 @@ def cmd_cv(cfg: RunConfig, out: Path, base: Path, lowrank: bool, files: Files) -
                       by_subset_path=out / "metrics_by_subset.csv")
     dio.write_holdout(out / "holdout.csv", result.holdout)
     files.written += [out / "metrics.csv", out / "metrics_by_subset.csv", out / "holdout.csv"]
-    print(f"cross-validation metrics for {len(methods)} methods written to {out}")
+    print(f"cross-validation metrics for {len(cfg.cv.methods)} methods written to {out}")
 
 
 COMMANDS = {"simulate": cmd_simulate, "fit": cmd_fit, "filter": cmd_filter,
@@ -203,8 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--config", required=True, help="path to the INI run config")
     ap.add_argument("--out", default=None, help="output directory override")
     ap.add_argument("--seed", type=int, default=None, help="seed override")
-    ap.add_argument("--lowrank-only", action="store_true",
-                    help="drop the fine-scale component (fixed-rank comparator)")
     return ap
 
 
@@ -222,7 +221,7 @@ def main(argv=None) -> int:
         out.mkdir(parents=True, exist_ok=True)
         base = Path(args.config).resolve().parent
         files = Files()
-        COMMANDS[args.command](cfg, out, base, args.lowrank_only, files)
+        COMMANDS[args.command](cfg, out, base, files)
         dio.write_manifest(out / f"manifest_{args.command}.txt", args.command,
                            args.config, cfg.seed, __version__,
                            inputs=files.read, outputs=files.written)

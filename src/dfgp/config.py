@@ -1,15 +1,17 @@
 """Run configuration: one INI-style file drives every CLI command.
 
 Parsing and serialization round-trip exactly and are both derived from the
-dataclass fields below, their types and defaults; all scientific choices
-live in the file so runs are reproducible from (config, seed) alone.
+dataclass fields below and ``EstimatorConfig``'s, their types and defaults;
+all scientific choices live in the file, the fixed-rank switch
+([estimator] lowrank_only) included, so runs are reproducible from
+(config, seed) alone.
 """
 
 from __future__ import annotations
 
 import configparser
 import io as _io
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import get_args, get_type_hints
 
 from .basis import layout_multires
@@ -99,15 +101,7 @@ class RunConfig:
     covariates: tuple[str, ...] = DEFAULT_COVARIATES
     basis: BasisSection = field(default_factory=BasisSection)
     data: DataSection = field(default_factory=DataSection)
-    estimator_mode: str = "sem"
-    estimator_max_iter: int = 60
-    estimator_tol_loglik: float = 1e-6
-    estimator_tol_param: float = 1e-5
-    estimator_consecutive: int = 5
-    estimator_nugget_time_invariant: bool = False
-    estimator_hu_blocks: tuple[int, ...] = ()
-    estimator_draws: int = 1
-    estimator_sem_average_frac: float = 0.2
+    estimator: EstimatorConfig = field(default_factory=lambda: EstimatorConfig(max_iter=60))
     scenario: ScenarioSection = field(default_factory=ScenarioSection)
     holdout: HoldoutSection = field(default_factory=HoldoutSection)
     cv: CVSection = field(default_factory=CVSection)
@@ -145,13 +139,7 @@ class RunConfig:
         return build_adjacency(grid)
 
     def estimator_config(self) -> EstimatorConfig:
-        return EstimatorConfig(
-            mode=self.estimator_mode, max_iter=self.estimator_max_iter,
-            tol_loglik=self.estimator_tol_loglik, tol_param=self.estimator_tol_param,
-            consecutive=self.estimator_consecutive,
-            nugget_time_invariant=self.estimator_nugget_time_invariant,
-            hu_blocks=self.estimator_hu_blocks, draws=self.estimator_draws,
-            sem_average_frac=self.estimator_sem_average_frac, seed=self.seed)
+        return replace(self.estimator, seed=self.seed)
 
     def scenario_config(self) -> ScenarioConfig:
         s = self.scenario
@@ -196,9 +184,9 @@ def _codec(hint):
 def _options():
     """(section, key, owner, name, type) for every INI option, in file order.
 
-    A RunConfig field holding a dataclass is the section of that name, one
-    key per field (owner = the RunConfig field); ``estimator_*`` fields form
-    [estimator], ``covariates`` is [covariates] names, the rest are [run].
+    A RunConfig field holding a dataclass is the section of that name, one key
+    per field (owner = the RunConfig field) bar the estimator's seed, which is
+    [run] seed; ``covariates`` is [covariates] names, the rest are [run].
     """
     hints = get_type_hints(RunConfig)
     for f in fields(RunConfig):
@@ -206,17 +194,17 @@ def _options():
         if is_dataclass(hint):
             sub = get_type_hints(hint)
             for g in fields(hint):
-                yield f.name, g.name, f.name, g.name, sub[g.name]
+                if (f.name, g.name) != ("estimator", "seed"):
+                    yield f.name, g.name, f.name, g.name, sub[g.name]
         elif f.name == "covariates":
             yield "covariates", "names", None, f.name, hint
-        elif f.name.startswith("estimator_"):
-            yield "estimator", f.name.removeprefix("estimator_"), None, f.name, hint
         else:
             yield "run", f.name, None, f.name, hint
 
 
 def parse_config(text: str) -> RunConfig:
-    """RunConfig from INI text; absent options keep the dataclass defaults."""
+    """RunConfig from INI text; absent options keep the defaults of
+    ``RunConfig()``.  Invalid values raise ValueError here."""
     cp = configparser.ConfigParser()
     cp.read_string(text)
     top: dict = {}
@@ -225,8 +213,9 @@ def parse_config(text: str) -> RunConfig:
             value = (cp.getboolean(section, key) if hint is bool
                      else _codec(hint)[0](cp.get(section, key)))
             (top.setdefault(owner, {}) if owner else top)[name] = value
-    hints = get_type_hints(RunConfig)
-    return RunConfig(**{name: hints[name](**value) if isinstance(value, dict) else value
+    default = RunConfig()
+    return RunConfig(**{name: replace(getattr(default, name), **value)
+                        if isinstance(value, dict) else value
                         for name, value in top.items()})
 
 

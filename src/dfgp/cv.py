@@ -10,7 +10,7 @@ t = 1..T-1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -131,30 +131,30 @@ def _score_rows(method: str, protocol: str, preds: dict[tuple[int, int], tuple[f
 
 
 def _dfgp_predictions(data: ModelData, holdout: list[HoldoutRecord], protocol: str,
-                      est_config: EstimatorConfig, lowrank_only: bool):
+                      est_config: EstimatorConfig):
     T = data.T
     preds: dict[tuple[int, int], tuple[float, float]] = {}
     if protocol == "filtering":
-        fits = fit_filtering_sequence(data, est_config, lowrank_only=lowrank_only)
+        fits = fit_filtering_sequence(data, est_config)
         for u in range(2, T + 1):
             baus = sorted({h.bau_index for h in holdout if h.time_index == u})
             if not baus:
                 continue
             pred_bau = np.asarray(baus)
-            filt = filter_pass(data, fits[u].params, horizon=u, pred_bau=pred_bau,
-                               want_variance=True, lowrank_only=lowrank_only)
+            filt = filter_pass(data, fits[u].params, pred_bau=pred_bau, want_variance=True,
+                               lowrank_only=est_config.lowrank_only)
             fld = predict_filter(filt, data, fits[u].params, u, pred_bau)
             for b, m, s in zip(pred_bau, fld.mean, fld.stderr):
                 preds[(u, int(b))] = (float(m), float(s))
         times = list(range(2, T + 1))
     elif protocol == "smoothing":
-        fit = run_estimator(data, est_config, lowrank_only=lowrank_only)
+        fit = run_estimator(data, est_config)
         times = list(range(1, T))
         baus = sorted({h.bau_index for h in holdout if h.time_index in times})
         if baus:
             pred_bau = np.asarray(baus)
-            filt = filter_pass(data, fit.params, pred_bau=pred_bau,
-                               want_variance=True, lowrank_only=lowrank_only)
+            filt = filter_pass(data, fit.params, pred_bau=pred_bau, want_variance=True,
+                               lowrank_only=est_config.lowrank_only)
             sm = smoother_pass(filt, fit.params)
             for t in times:
                 fld = predict_smooth(sm, data, fit.params, t, pred_bau)
@@ -206,8 +206,8 @@ def run_cv(obs: Observations, grid: BAUGrid, basis, structure,
         if method == "localkrige":
             preds = _localkrige_predictions(train, grid, holdout, lk_settings, times)
         else:
-            preds, times = _dfgp_predictions(data, holdout, protocol, est_config,
-                                             lowrank_only=(method == "lowrank"))
+            cfg = replace(est_config, lowrank_only=method == "lowrank")
+            preds, times = _dfgp_predictions(data, holdout, protocol, cfg)
         result.predictions[method] = preds
         result.rows.extend(_score_rows(method, protocol, preds, holdout, times))
     return result

@@ -17,11 +17,10 @@ DENSE_N_CAP = 256
 
 
 class DenseJoint:
-    """Exact joint moments of (eta_{0:u}, xi_{1:u}, Z_{1:u})."""
+    """Exact joint moments of (eta_{0:u}, xi_{1:u}, Z_{1:u}), u = params.u."""
 
-    def __init__(self, data: ModelData, params: DFGPParams, horizon: int | None = None,
-                 lowrank_only: bool = False):
-        u = params.u if horizon is None else min(horizon, params.u)
+    def __init__(self, data: ModelData, params: DFGPParams, lowrank_only: bool = False):
+        u = params.u
         nv = data.structure.n
         if nv > DENSE_N_CAP:
             raise ValueError(f"dense path refused above N={DENSE_N_CAP} (got {nv})")

@@ -136,9 +136,8 @@ def filter_pass(data: ModelData, params: DFGPParams, *,
                 pred_bau: np.ndarray | None = None,
                 extra_obs: list[np.ndarray | None] | None = None,
                 want_variance: bool = False,
-                lowrank_only: bool = False,
-                horizon: int | None = None) -> FilterResult:
-    """Forward filtering sweep over t = 1..horizon.
+                lowrank_only: bool = False) -> FilterResult:
+    """Forward filtering sweep over t = 1..params.u.
 
     pred_bau: flat BAU indices where the fine-scale posterior (delta, R, C)
         is tracked; None disables tracking, data.structure.valid_idx tracks
@@ -151,7 +150,7 @@ def filter_pass(data: ModelData, params: DFGPParams, *,
     lowrank_only: drop the fine-scale component entirely (fixed-rank
         filtering comparator): D = V^{-1}, delta = 0.
     """
-    u = params.u if horizon is None else min(horizon, params.u)
+    u = params.u
     if len(data.slices) < u:
         raise ValueError(f"data has {len(data.slices)} time steps, need {u}")
     r = params.r

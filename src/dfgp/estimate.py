@@ -42,6 +42,8 @@ class EstimatorConfig:
 
     hu_blocks: increasing 1-based end times of the H/U blocks (empty = one
     time-invariant block; the last entry must equal the fitted horizon).
+    lowrank_only: fit the fixed-rank model, which drops the fine-scale CAR
+    component; its gamma/tau2 stay at their starting values.
     """
 
     mode: str = "sem"
@@ -53,6 +55,7 @@ class EstimatorConfig:
     hu_blocks: tuple[int, ...] = ()
     draws: int = 1
     sem_average_frac: float = 0.2
+    lowrank_only: bool = False
     seed: int = 0
 
     def __post_init__(self):
@@ -102,8 +105,7 @@ class EstimationResult:
 
 
 def conditional_simulate(data: ModelData, params: DFGPParams,
-                         rng: np.random.Generator, *, horizon: int | None = None,
-                         ndraws: int = 1):
+                         rng: np.random.Generator, *, ndraws: int = 1):
     """Draws from [eta_{0:u}, xi_{1:u} | Z_{1:u}] by conditional simulation.
 
     A prior trajectory (eta*, xi*) and synthetic data Z* are drawn from the
@@ -113,7 +115,7 @@ def conditional_simulate(data: ModelData, params: DFGPParams,
     Returns (eta_draws (ndraws, u+1, r), xi_draws (ndraws, u, n_valid), sweep)
     where sweep = (filter result, smoother result) at the real data.
     """
-    u = params.u if horizon is None else min(horizon, params.u)
+    u = params.u
     r, nv = params.r, data.structure.n
     eta_star = np.zeros((u + 1, r, ndraws))
     eta_star[0] = np.linalg.cholesky(params.K0) @ rng.standard_normal((r, ndraws))
@@ -139,8 +141,7 @@ def conditional_simulate(data: ModelData, params: DFGPParams,
         z_star.append((slc.X @ params.beta[t - 1])[:, None]
                       + as_dense(slc.S @ eta_star[t]) + slc.B @ xi_star[t - 1] + eps)
 
-    filt = filter_pass(data, params, horizon=u, pred_bau=data.structure.valid_idx,
-                       extra_obs=z_star)
+    filt = filter_pass(data, params, pred_bau=data.structure.valid_idx, extra_obs=z_star)
     sm = smoother_pass(filt, params)
     eta_draws = np.empty((ndraws, u + 1, r))
     xi_draws = np.empty((ndraws, u, nv))
@@ -167,16 +168,15 @@ def _eta_stats_from_smoother(sm, u: int, r: int) -> tuple[np.ndarray, np.ndarray
 
 
 def e_step(data: ModelData, params: DFGPParams, config: EstimatorConfig,
-           rng: np.random.Generator, *, horizon: int | None = None,
-           lowrank_only: bool = False) -> SufficientStats:
+           rng: np.random.Generator) -> SufficientStats:
     """E-step summaries plus the -2 log-likelihood at the current parameters."""
-    u = params.u if horizon is None else min(horizon, params.u)
+    u = params.u
     r, nv = params.r, data.structure.n
     deg = data.structure.degrees
     adj = data.structure.adjacency
 
     if config.mode == "exact":
-        dj = DenseJoint(data, params, horizon=u, lowrank_only=lowrank_only)
+        dj = DenseJoint(data, params, lowrank_only=config.lowrank_only)
         mean, cov = dj.posterior()
         eta_mean = np.vstack([mean[dj.eta_slice(t)] for t in range(u + 1)])
         K = np.empty((u + 1, r, r))
@@ -213,8 +213,8 @@ def e_step(data: ModelData, params: DFGPParams, config: EstimatorConfig,
                                neg2loglik=dj.neg2loglik())
 
     # SEM: exact eta moments, fine-scale expectations from conditional draws.
-    if lowrank_only:
-        filt = filter_pass(data, params, horizon=u, lowrank_only=True)
+    if config.lowrank_only:
+        filt = filter_pass(data, params, lowrank_only=True)
         sm = smoother_pass(filt, params)
         eta_mean, K, L = _eta_stats_from_smoother(sm, u, r)
         zeros = np.zeros((u, nv))
@@ -223,7 +223,7 @@ def e_step(data: ModelData, params: DFGPParams, config: EstimatorConfig,
                                neg2loglik=filt.neg2loglik)
 
     _eta_draws, xi_draws, (filt, sm) = conditional_simulate(
-        data, params, rng, horizon=u, ndraws=config.draws)
+        data, params, rng, ndraws=config.draws)
     eta_mean, K, L = _eta_stats_from_smoother(sm, u, r)
     xi_mean = xi_draws.mean(axis=0)
     xi_qd = np.array([np.mean([x @ (deg * x) for x in xi_draws[:, t]])
@@ -268,7 +268,7 @@ def optimize_gamma(structure, quad_adj: float, tau2: float,
 
 
 def m_step(stats: SufficientStats, data: ModelData, prev: DFGPParams,
-           config: EstimatorConfig, *, lowrank_only: bool = False) -> DFGPParams:
+           config: EstimatorConfig) -> DFGPParams:
     """Closed-form conditional-maximization updates for every parameter block."""
     u = prev.u
     r = prev.r
@@ -338,7 +338,7 @@ def m_step(stats: SufficientStats, data: ModelData, prev: DFGPParams,
         U_new = np.concatenate([np.repeat(v[None], n, axis=0)
                                 for v, n in zip(u_parts, spans)])
 
-    if lowrank_only:
+    if config.lowrank_only:
         car = prev.car
     else:
         car = []
@@ -412,9 +412,8 @@ def _average_params(history: list[DFGPParams], frac: float) -> DFGPParams:
         sigma2_eps=mean([p.sigma2_eps for p in tail]))
 
 
-def run_estimator(data: ModelData, config: EstimatorConfig,
-                  init: DFGPParams | None = None, *, horizon: int | None = None,
-                  lowrank_only: bool = False) -> EstimationResult:
+def run_estimator(data: ModelData, config: EstimatorConfig, init: DFGPParams | None = None,
+                  *, horizon: int | None = None) -> EstimationResult:
     """Iterate E/M steps until the likelihood trace or parameters settle.
 
     SEM reports the average of the last ``sem_average_frac`` of the iterate
@@ -436,7 +435,7 @@ def run_estimator(data: ModelData, config: EstimatorConfig,
     message = "max_iter reached"
     stable = 0
     for it in range(config.max_iter):
-        stats = e_step(data, params, config, rng, horizon=u, lowrank_only=lowrank_only)
+        stats = e_step(data, params, config, rng)
         trace.append(stats.neg2loglik)
         history.append(params)
         if best is None or stats.neg2loglik < best[0]:
@@ -448,7 +447,7 @@ def run_estimator(data: ModelData, config: EstimatorConfig,
                 converged = True
                 message = "likelihood settled"
                 break
-        new = m_step(stats, data, params, config, lowrank_only=lowrank_only)
+        new = m_step(stats, data, params, config)
         new_flat, old_flat = new.flat(), params.flat()
         if (new_flat.size == old_flat.size
                 and np.linalg.norm(new_flat - old_flat) < config.tol_param):
@@ -472,8 +471,7 @@ def run_estimator(data: ModelData, config: EstimatorConfig,
 
 
 def fit_filtering_sequence(data: ModelData, config: EstimatorConfig,
-                           init: DFGPParams | None = None,
-                           lowrank_only: bool = False) -> dict[int, EstimationResult]:
+                           init: DFGPParams | None = None) -> dict[int, EstimationResult]:
     """One fit per horizon u = 2..T on Z_{1:u}, each started from the fit
     at u-1 extended by one time step (u = 2 from ``init`` or init_params)."""
     T = len(data.slices)
@@ -488,8 +486,7 @@ def fit_filtering_sequence(data: ModelData, config: EstimatorConfig,
             # clip block boundaries to the current horizon
             blocks = tuple(b for b in config.hu_blocks if b < u) + (u,)
             cfg_u = replace(config, hu_blocks=blocks)
-        res = run_estimator(data, cfg_u, init=start, horizon=u,
-                            lowrank_only=lowrank_only)
+        res = run_estimator(data, cfg_u, init=start, horizon=u)
         results[u] = res
         prev = res.params
     return results

@@ -22,7 +22,7 @@ import numpy as np
 from .car import CARParams
 from .cv import CVResult, HoldoutRecord
 from .dynamics import PredictionField
-from .grid import Observations
+from .grid import BAUGrid, Observations
 from .model import DFGPParams
 
 _F = "%.17g"
@@ -94,17 +94,19 @@ def _unparsable(where: str, row: dict, fields) -> ValueError:
     raise AssertionError("every field parses")
 
 
-def read_observations(path_obs, path_fps) -> Observations:
-    """Read the observation and footprint CSVs; footprints that no record
-    uses are dropped, and time steps run 1..max(time).
+def read_observations(path_obs, path_fps, grid: BAUGrid) -> Observations:
+    """Read the observation and footprint CSVs of data on ``grid``; footprints
+    that no record uses are dropped, and time steps run 1..max(time).
 
     Raises ValueError naming the file and the missing fields for a header
     row that lacks one, and naming the file, the 1-based data row and the
-    field for an unparsable number, a time or instrument below 1, a
-    non-finite value, a var_factor that is not finite and > 0, or a
-    footprint_id absent from the footprint file.
+    field for an unparsable number, a bau_index outside the grid or on a
+    masked cell, a time or instrument below 1, a non-finite value, a
+    var_factor that is not finite and > 0, or a footprint_id absent from the
+    footprint file.
     """
     cover: dict[int, list[int]] = {}
+    baus: list[int] = []
     with open(path_fps, newline="") as ff:
         for i, row in enumerate(_reader(ff, path_fps, _FP_FIELDS), start=1):
             try:
@@ -112,6 +114,13 @@ def read_observations(path_obs, path_fps) -> Observations:
             except (TypeError, ValueError):
                 raise _unparsable(f"{path_fps}: data row {i}", row, _FP_FIELDS) from None
             cover.setdefault(fid, []).append(bau)
+            baus.append(bau)
+    # clipped to [-1, N] first, so that no parsed int overflows int64
+    clipped = np.array([min(max(b, -1), grid.n_bau) for b in baus], dtype=np.int64)
+    bad = np.flatnonzero(~grid.is_valid(clipped))
+    if bad.size:
+        raise ValueError(f"{path_fps}: data row {bad[0] + 1}: bau_index {baus[bad[0]]} "
+                         f"is outside the {grid.nx}x{grid.ny} grid or masked")
     cols: tuple[list, ...] = ([], [], [], [], [])
     with open(path_obs, newline="") as fo:
         for i, row in enumerate(_reader(fo, path_obs, _OBS_FIELDS), start=1):

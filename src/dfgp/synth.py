@@ -118,15 +118,12 @@ def simulate_truth(config: ScenarioConfig) -> SyntheticTruth:
     eta[0] = np.linalg.cholesky(params.K0) @ rng.standard_normal(r)
     xi = np.zeros((T, N))
     y = np.zeros((T, N))
-    # time-invariant CAR params share one factorization across all draws
-    shared_car = len(set(params.car)) == 1
-    if shared_car:
-        xi[:] = sample_car(structure, params.car[0], rng, size=T).reshape(T, N)
+    # true_params holds one CAR parameter set for every t: one factorization
+    # serves all T draws
+    xi[:] = sample_car(structure, params.car[0], rng, size=T).reshape(T, N)
     for t in range(1, T + 1):
         cu = np.linalg.cholesky(params.U_at(t))
         eta[t] = params.H_at(t) @ eta[t - 1] + cu @ rng.standard_normal(r)
-        if not shared_car:
-            xi[t - 1] = sample_car(structure, params.car[t - 1], rng)
         y[t - 1] = X_bau @ params.beta[t - 1] + S_bau @ eta[t] + xi[t - 1]
     return SyntheticTruth(config=config, grid=grid, basis=basis, structure=structure,
                           params=params, X_bau=X_bau, S_bau=S_bau, y=y, eta=eta, xi=xi)

@@ -290,8 +290,8 @@ class TestRunEstimator:
 
     def test_lowrank_mode_keeps_car_fixed(self):
         data, _ = make_instance(3)
-        cfg = EstimatorConfig(mode="sem", max_iter=5, seed=1)
-        res = run_estimator(data, cfg, lowrank_only=True)
+        cfg = EstimatorConfig(mode="sem", max_iter=5, seed=1, lowrank_only=True)
+        res = run_estimator(data, cfg)
         start = init_params(data)
         assert all(c == s for c, s in zip(res.params_last.car, start.car))
 

@@ -11,6 +11,8 @@ from dfgp import io as dio
 from dfgp.car import CARParams
 from dfgp.cli import main
 from dfgp.config import parse_config, serialize_config
+from dfgp.estimate import EstimatorConfig
+from dfgp.grid import build_grid
 from dfgp.model import DFGPParams, assemble
 from dfgp.synth import InstrumentSpec, ScenarioConfig, scenario_data
 
@@ -27,7 +29,7 @@ class TestObservationCSV:
     def test_round_trip(self, scenario, tmp_path):
         truth, obs, _ = scenario
         dio.write_observations(tmp_path / "o.csv", tmp_path / "f.csv", obs)
-        back = dio.read_observations(tmp_path / "o.csv", tmp_path / "f.csv")
+        back = dio.read_observations(tmp_path / "o.csv", tmp_path / "f.csv", truth.grid)
         assert back.n_times == obs.n_times
         for name in ("time", "instrument", "value", "var_factor"):
             assert np.array_equal(getattr(back, name), getattr(obs, name))
@@ -47,7 +49,7 @@ class TestObservationCSV:
         truth, obs, data = scenario_data(cfg)
         paths = [tmp_path / "o.csv", tmp_path / "f.csv"]
         dio.write_observations(*paths, obs)
-        back = dio.read_observations(*paths)
+        back = dio.read_observations(*paths, truth.grid)
         data2 = assemble(back, truth.grid, truth.basis, truth.structure,
                          covariates=cfg.covariates)
         assert np.array_equal(data2.X_bau, data.X_bau)
@@ -71,16 +73,17 @@ class TestObservationCSV:
         # CSV round trip and assembly
         from dfgp.basis import layout_multires
         from dfgp.car import build_adjacency
-        from dfgp.grid import build_grid
         grid = build_grid(3, 3, 1.0)
         obs = make_observations([(1, 1, [0], 1.0, 1.0), (1, 2, [4], 1.0, 1.0),
                                  (2, 2, [5], 1.0, 1.0)], 2)
         dio.write_observations(tmp_path / "o.csv", tmp_path / "f.csv", obs)
-        back = dio.read_observations(tmp_path / "o.csv", tmp_path / "f.csv")
+        back = dio.read_observations(tmp_path / "o.csv", tmp_path / "f.csv", grid)
         data = assemble(back, grid, layout_multires(grid.bbox, [1]),
                         build_adjacency(grid), covariates=("1",))
         assert data.slices[1].instrument_rows.keys() == {2}
         assert data.n_instruments == 2
+
+    GRID = build_grid(8, 8, 1.0)
 
     @staticmethod
     def _write_rows(tmp_path, rows):
@@ -103,28 +106,38 @@ class TestObservationCSV:
     def test_bad_number_names_file_row_field(self, tmp_path, bad_row, field):
         obs, fps = self._write_rows(tmp_path, [("1", "1", "0", "0.1", "1.0"), bad_row])
         with pytest.raises(ValueError, match=rf"o\.csv: data row 2: {field} "):
-            dio.read_observations(obs, fps)
+            dio.read_observations(obs, fps, self.GRID)
 
     def test_bad_footprint_row_names_file_row_field(self, tmp_path):
         obs, fps = self._write_rows(tmp_path, [("1", "1", "0", "0.1", "1.0")])
         fps.write_text("footprint_id,bau_index\n0,0\n0,x3\n")
         with pytest.raises(ValueError, match=r"f\.csv: data row 2: bau_index is not int: 'x3'"):
-            dio.read_observations(obs, fps)
+            dio.read_observations(obs, fps, self.GRID)
+
+    @pytest.mark.parametrize("bau", ["99999", "-3", "9", "99999999999999999999"])
+    def test_footprint_outside_grid_names_file_row(self, tmp_path, bau):
+        # BAU 9 is the masked cell; the footprint is unused, and still checked
+        grid = build_grid(8, 8, 1.0, mask=np.arange(64) != 9)
+        obs, fps = self._write_rows(tmp_path, [("1", "1", "0", "0.1", "1.0")])
+        fps.write_text(f"footprint_id,bau_index\n0,0\n1,{bau}\n")
+        with pytest.raises(ValueError, match=rf"f\.csv: data row 2: bau_index {bau} is "
+                                             r"outside the 8x8 grid or masked"):
+            dio.read_observations(obs, fps, grid)
 
     def test_missing_column_names_file_and_field(self, tmp_path):
         obs, fps = self._write_rows(tmp_path, [])
         obs.write_text("time,instrument,footprint_id,value\n1,1,0,0.1\n")
         with pytest.raises(ValueError, match=r"o\.csv: header row lacks var_factor"):
-            dio.read_observations(obs, fps)
+            dio.read_observations(obs, fps, self.GRID)
 
     def test_unknown_footprint_names_file_row_field(self, tmp_path):
         obs, fps = self._write_rows(tmp_path, [("1", "1", "7", "0.1", "1.0")])
         with pytest.raises(ValueError, match=r"o\.csv: data row 1: footprint_id 7 .*f\.csv"):
-            dio.read_observations(obs, fps)
+            dio.read_observations(obs, fps, self.GRID)
 
     def test_unused_footprints_dropped(self, tmp_path):
         obs, fps = self._write_rows(tmp_path, [("1", "1", "1", "0.1", "1.0")])
-        back = dio.read_observations(obs, fps)
+        back = dio.read_observations(obs, fps, self.GRID)
         assert back.fp_indptr.tolist() == [0, 1]
         assert back.fp_indices.tolist() == [1]
         assert back.footprint.tolist() == [0]
@@ -247,7 +260,23 @@ class TestConfig:
 
     def test_defaults(self):
         cfg = parse_config("[run]\nseed = 1\n")
-        assert cfg.grid.nx == 40 and cfg.estimator_mode == "sem"
+        assert cfg.grid.nx == 40 and cfg.estimator.mode == "sem"
+
+    def test_estimator_section_is_estimator_config(self):
+        cfg = parse_config(BASE_CONFIG.format(out="x"))
+        assert cfg.estimator_config() == EstimatorConfig(mode="sem", max_iter=4, seed=3)
+        assert parse_config("").estimator_config() == EstimatorConfig(max_iter=60)
+        section = serialize_config(cfg).split("[estimator]\n")[1].split("\n\n")[0]
+        assert [line.split(" = ")[0] for line in section.splitlines()] == [
+            "mode", "max_iter", "tol_loglik", "tol_param", "consecutive",
+            "nugget_time_invariant", "hu_blocks", "draws", "sem_average_frac",
+            "lowrank_only"]
+
+    @pytest.mark.parametrize("line", ["mode = exactt", "tol_loglik = 0",
+                                      "hu_blocks = 3,2"])
+    def test_bad_estimator_value_fails_to_parse(self, line):
+        with pytest.raises(ValueError):
+            parse_config(f"[estimator]\n{line}\n")
 
 
 class TestCLI:
@@ -267,6 +296,10 @@ class TestCLI:
         assert main(["fit", "--config", str(cfgp), "--out", str(out)]) == 0
         assert (out / "params.csv").exists()
         assert (out / "trace.csv").exists()
+        report = dict(line.split(" = ") for line in
+                      (out / "fit_report.txt").read_text().splitlines())
+        last = (out / "trace.csv").read_text().splitlines()[-1].split(",")[1]
+        assert float(report["horizon_3_neg2loglik"]) == float(last)
         assert main(["filter", "--config", str(cfgp)]) == 0
         assert main(["smooth", "--config", str(cfgp)]) == 0
         pf = (out / "predictions_filter.csv").read_text().splitlines()
@@ -364,8 +397,43 @@ class TestCLI:
                   if line.startswith("input ")]
         assert inputs[:2] == ["../cfg/mask.txt", "../cfg/centers.csv"]
 
+    @staticmethod
+    def _variant(tmp_path, name, out, old, new):
+        p = tmp_path / name
+        p.write_text(BASE_CONFIG.format(out=out).replace(old, new))
+        return p
+
     def test_lowrank_flag(self, tmp_path):
+        out = tmp_path / "out"
+        cfgp = self._variant(tmp_path, "run.ini", out, "max_iter = 4",
+                             "max_iter = 4\nlowrank_only = true")
+        assert main(["simulate", "--config", str(cfgp)]) == 0
+        assert main(["filter", "--config", str(cfgp)]) == 0
+
+    def test_fixed_rank_fit_keeps_its_own_files(self, tmp_path):
+        shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+        dfgp = self._write_config(tmp_path, shared)
+        lowrank = self._variant(tmp_path, "lowrank.ini", shared, "max_iter = 4",
+                                "max_iter = 4\nlowrank_only = true")
+        assert main(["simulate", "--config", str(dfgp)]) == 0
+        for cfgp in (dfgp, lowrank):
+            assert main(["filter", "--config", str(cfgp), "--out", str(fresh / cfgp.stem)]) == 0
+        # each model's filter ignores the other model's fit in the same directory
+        assert main(["fit", "--config", str(dfgp)]) == 0
+        assert main(["filter", "--config", str(lowrank)]) == 0
+        assert (shared / "params_lowrank.csv").exists()
+        assert (shared / "fit_report_lowrank.txt").exists()
+        assert filecmp.cmp(shared / "predictions_filter.csv",
+                           fresh / "lowrank" / "predictions_filter.csv", shallow=False)
+        (shared / "params.csv").unlink()
+        assert main(["filter", "--config", str(dfgp)]) == 0
+        assert filecmp.cmp(shared / "predictions_filter.csv",
+                           fresh / "run" / "predictions_filter.csv", shallow=False)
+
+    def test_bad_estimator_value_fails_with_saved_params(self, tmp_path):
         out = tmp_path / "out"
         cfgp = self._write_config(tmp_path, out)
         assert main(["simulate", "--config", str(cfgp)]) == 0
-        assert main(["filter", "--config", str(cfgp), "--lowrank-only"]) == 0
+        assert main(["fit", "--config", str(cfgp)]) == 0
+        bad = self._variant(tmp_path, "bad.ini", out, "mode = sem", "mode = exactt")
+        assert main(["smooth", "--config", str(bad)]) == 1
