@@ -13,6 +13,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.linalg as la
 from scipy.optimize import minimize
 
 
@@ -32,13 +33,17 @@ class ExpCovParams:
             raise ValueError("nugget must be >= 0")
 
 
+def _kernel(h, u, p: ExpCovParams):
+    """sigma2 * exp(-sqrt(h^2/phi_s^2 + u^2/phi_t^2)), without the nugget."""
+    return p.sigma2 * np.exp(-np.sqrt((h / p.phi_s) ** 2 + (u / p.phi_t) ** 2))
+
+
 def exp_cov(h, u, p: ExpCovParams):
-    """C(h, u) = sigma2 * exp(-sqrt(h^2/phi_s^2 + u^2/phi_t^2)), plus the
-    nugget exactly at (h, u) = (0, 0)."""
+    """C(h, u): the exponential kernel plus the nugget exactly at
+    (h, u) = (0, 0)."""
     h = np.asarray(h, dtype=float)
     u = np.asarray(u, dtype=float)
-    c = p.sigma2 * np.exp(-np.sqrt((h / p.phi_s) ** 2 + (u / p.phi_t) ** 2))
-    out = c + np.where((h == 0) & (u == 0), p.nugget, 0.0)
+    out = _kernel(h, u, p) + np.where((h == 0) & (u == 0), p.nugget, 0.0)
     return float(out) if out.ndim == 0 else out
 
 
@@ -51,35 +56,39 @@ class LocalKrigeSettings:
     jitter: float = 1e-8
 
 
-def _cov_matrix(coords, times, p: ExpCovParams) -> np.ndarray:
+def _lags(coords, times) -> tuple[np.ndarray, np.ndarray]:
+    """Pairwise spatial and temporal lags of a window's observations."""
     dh = np.sqrt(((coords[:, None, :] - coords[None, :, :]) ** 2).sum(-1))
     du = np.abs(times[:, None] - times[None, :])
-    c = p.sigma2 * np.exp(-np.sqrt((dh / p.phi_s) ** 2 + (du / p.phi_t) ** 2))
-    return c + p.nugget * np.eye(len(times))
+    return dh, du
 
 
-def _profile_neg2ll(logp: np.ndarray, coords, times, z) -> float:
+def _cov_factor(lags, p: ExpCovParams):
+    """Cholesky factor (scipy.linalg.cho_factor) of the window covariance:
+    the kernel at the window's lags plus the nugget on the diagonal."""
+    dh, du = lags
+    return la.cho_factor(_kernel(dh, du, p) + p.nugget * np.eye(len(dh)),
+                         lower=True, check_finite=False)
+
+
+def _profile_neg2ll(logp: np.ndarray, lags, z) -> float:
     p = ExpCovParams(*np.exp(logp[:3]), nugget=np.exp(logp[3]))
-    C = _cov_matrix(coords, times, p)
     try:
-        cf = np.linalg.cholesky(C)
-    except np.linalg.LinAlgError:
+        cf = _cov_factor(lags, p)
+    except la.LinAlgError:
         return 1e12
-    logdet = 2.0 * np.log(np.diag(cf)).sum()
-    ones = np.ones_like(z)
-    ci_z = np.linalg.solve(cf.T, np.linalg.solve(cf, z))
-    ci_1 = np.linalg.solve(cf.T, np.linalg.solve(cf, ones))
-    mu = (ones @ ci_z) / (ones @ ci_1)
-    resid = z - mu
-    quad = resid @ np.linalg.solve(cf.T, np.linalg.solve(cf, resid))
-    return float(logdet + quad)
+    ci_z, ci_1 = la.cho_solve(cf, np.column_stack([z, np.ones_like(z)]),
+                              check_finite=False).T
+    mu = ci_z.sum() / ci_1.sum()
+    quad = (z - mu) @ (ci_z - mu * ci_1)
+    return float(2.0 * np.log(np.diag(cf[0])).sum() + quad)
 
 
 def fit_exp_cov(coords, times, z, start: ExpCovParams,
                 max_evals: int = 200) -> ExpCovParams:
     """Profile-likelihood fit of the exponential covariance (constant mean)."""
     x0 = np.log([start.sigma2, start.phi_s, start.phi_t, max(start.nugget, 1e-6)])
-    res = minimize(_profile_neg2ll, x0, args=(coords, times, z),
+    res = minimize(_profile_neg2ll, x0, args=(_lags(coords, times), z),
                    method="Nelder-Mead",
                    options={"maxfev": max_evals, "xatol": 1e-3, "fatol": 1e-4})
     sig, ps, pt, ng = np.exp(res.x)
@@ -117,21 +126,18 @@ def local_krige(target_xy, target_t, coords, times, values,
     p = pilot
     if settings.fit:
         p = fit_exp_cov(cw, tw, zw, pilot, settings.max_fit_evals)
-    C = _cov_matrix(cw, tw, p)
+    lags = _lags(cw, tw)
     try:
-        cf = np.linalg.cholesky(C)
-    except np.linalg.LinAlgError:
+        cf = _cov_factor(lags, p)
+    except la.LinAlgError:
         warnings.warn("degenerate kriging window; regularizing covariance")
         p = replace(p, nugget=p.nugget + settings.jitter * p.sigma2 + 1e-10)
-        cf = np.linalg.cholesky(_cov_matrix(cw, tw, p))
-    hw = np.sqrt(((cw - np.asarray(target_xy, dtype=float)) ** 2).sum(axis=1))
-    uw = np.abs(tw - float(target_t))
-    c0 = p.sigma2 * np.exp(-np.sqrt((hw / p.phi_s) ** 2 + (uw / p.phi_t) ** 2))
-    solve = lambda b: np.linalg.solve(cf.T, np.linalg.solve(cf, b))  # noqa: E731
-    ones = np.ones_like(zw)
-    ci_1 = solve(ones)
-    mu = (ones @ solve(zw)) / (ones @ ci_1)
-    w = solve(c0)
-    mean = mu + c0 @ solve(zw - mu)
-    var = p.sigma2 - c0 @ w + (1.0 - ones @ w) ** 2 / (ones @ ci_1)
+        cf = _cov_factor(lags, p)
+    c0 = _kernel(np.sqrt(((cw - np.asarray(target_xy, dtype=float)) ** 2).sum(axis=1)),
+                 np.abs(tw - float(target_t)), p)
+    ci_z, ci_1, w = la.cho_solve(cf, np.column_stack([zw, np.ones_like(zw), c0]),
+                                 check_finite=False).T
+    mu = ci_z.sum() / ci_1.sum()
+    mean = mu + c0 @ (ci_z - mu * ci_1)
+    var = p.sigma2 - c0 @ w + (1.0 - w.sum()) ** 2 / ci_1.sum()
     return float(mean), float(max(var, 0.0))

@@ -7,17 +7,15 @@ row-normalized proximity matrix.  Everything heavy goes through one sparse
 symmetric factorization (SuperLU in symmetric mode with a fill-reducing
 ordering), which provides solves and the log-determinant.
 
-ln|I - gamma W| has two paths, chosen by the number of valid BAUs N:
-
-* N <= DENSE_EIG_CAP: the eigenvalues of W, computed once per structure,
-  serve every caller exactly.
-* N > DENSE_EIG_CAP: the likelihood (``precision_logdet``) uses the exact
-  sparse factorization of D - gamma E, memoized per gamma as a float;
-  ``sample_car`` fills that memo from the factor it builds anyway.  The
-  M-step gamma search uses ``logdet_curve``: a Chebyshev interpolant in
-  s = ln(1 - gamma) through LOGDET_CURVE_NODES exact values, built once per
-  structure on first use (Pace & Barry 1997).  Its error against the exact
-  path is about 1e-11 relative at N = 10^4.
+ln|I - gamma W| has one path.  ``CARStructure.factor`` is the only code that
+factorizes D - gamma E; each factor it builds records the exact
+ln|I - gamma W| in a per-gamma memo, so the likelihood
+(``precision_logdet``) and CAR sampling share one factorization per gamma.
+The M-step gamma search uses ``logdet_curve``: a Chebyshev interpolant in
+s = ln(1 - gamma) through LOGDET_CURVE_NODES exact values, built once per
+structure on first use (Pace & Barry 1997).  Its error against the exact
+path is about 1e-12 relative from N = 12 to N = 1,600 and about 1e-11 at
+N = 10^4.
 
 Prediction variances need diagonal entries of M^{-1} for a factored M
 (``SparseFactor.solve_selected_diag``).  One cost rule picks the path: below
@@ -51,12 +49,8 @@ from .grid import BAUGrid
 GAMMA_MAX = 1.0 - 1e-6
 GAMMA_MIN = 0.0
 
-# Largest N for which ln|I - gamma W| uses a one-time dense eigendecomposition
-# of the (symmetrized) proximity matrix instead of a per-gamma sparse factorization.
-DENSE_EIG_CAP = 2048
-
 # Chebyshev-Lobatto nodes (one exact sparse log-determinant each) behind the
-# cached ln|I - gamma W| curve used by the gamma search above DENSE_EIG_CAP.
+# cached ln|I - gamma W| curve used by the gamma search.
 # On a 100x100 grid 48 nodes leave ~1e-8 relative error and 64 leave ~1e-11.
 LOGDET_CURVE_NODES = 64
 
@@ -136,15 +130,6 @@ class CARStructure:
         vals = np.tile([1.0, -1.0], ne)
         return sp.csr_matrix((vals, (rows, cols)), shape=(ne, self.n))
 
-    @cached_property
-    def _w_eigvals(self) -> np.ndarray | None:
-        """Eigenvalues of W (real: W is similar to a symmetric matrix)."""
-        if self.n > DENSE_EIG_CAP:
-            return None
-        dhalf = 1.0 / np.sqrt(self.degrees)
-        m = self.adjacency.toarray() * np.outer(dhalf, dhalf)
-        return np.linalg.eigvalsh(m)
-
     def base_precision(self, gamma: float) -> sp.csc_matrix:
         """D - gamma*E, the unscaled CAR precision (SPD for gamma in [0,1))."""
         return (sp.diags(self.degrees) - gamma * self.adjacency).tocsc()
@@ -153,19 +138,18 @@ class CARStructure:
     def _log_degree_sum(self) -> float:
         return float(np.log(self.degrees).sum())
 
-    def logdet_i_minus_gamma_w(self, gamma: float) -> float:
-        """Exact ln|I - gamma W|, by cached eigenvalues or a memoized sparse
-        factorization."""
-        ev = self._w_eigvals
-        if ev is not None:
-            return float(np.log1p(-gamma * ev).sum())
-        if gamma not in self._logdet_memo:
-            self._remember_logdet(gamma, sparse_factorize(self.base_precision(gamma)))
-        return self._logdet_memo[gamma]
-
-    def _remember_logdet(self, gamma: float, factor: SparseFactor) -> None:
-        """Memoize ln|I - gamma W| from a factor of D - gamma E."""
+    def factor(self, gamma: float) -> SparseFactor:
+        """Factorize D - gamma E and memoize ln|I - gamma W| from the factor."""
+        factor = sparse_factorize(self.base_precision(gamma))
         self._logdet_memo.setdefault(float(gamma), factor.logdet() - self._log_degree_sum)
+        return factor
+
+    def logdet_i_minus_gamma_w(self, gamma: float) -> float:
+        """Exact ln|I - gamma W|, memoized per gamma (one factorization on a
+        miss)."""
+        if gamma not in self._logdet_memo:
+            self.factor(gamma)
+        return self._logdet_memo[gamma]
 
     @cached_property
     def _logdet_chebyshev(self) -> Chebyshev:
@@ -183,11 +167,8 @@ class CARStructure:
         return Chebyshev.fit(s, h, LOGDET_CURVE_NODES - 1, domain=(lo, 0.0))
 
     def logdet_curve(self, gamma: float) -> float:
-        """ln|I - gamma W| for the gamma search: the exact eigenvalue path for
-        N <= DENSE_EIG_CAP, else the cached Chebyshev curve (built on first
-        call from LOGDET_CURVE_NODES exact factorizations)."""
-        if self._w_eigvals is not None:
-            return self.logdet_i_minus_gamma_w(gamma)
+        """ln|I - gamma W| for the gamma search, from the cached Chebyshev
+        curve (built on first call from LOGDET_CURVE_NODES exact values)."""
         s = float(np.log1p(-gamma))
         return float(self._logdet_chebyshev(s)) + self.n_components * s
 
@@ -197,22 +178,14 @@ class CARStructure:
                 + self.logdet_i_minus_gamma_w(params.gamma))
 
 
-def build_adjacency(grid: BAUGrid, neighborhood: str = "rook") -> CARStructure:
-    """First-order adjacency over the grid's valid BAUs.
+def build_adjacency(grid: BAUGrid) -> CARStructure:
+    """First-order (rook, 4-neighbor) adjacency over the grid's valid BAUs.
 
-    ``neighborhood`` is "rook" (4-neighbor) or "queen" (8-neighbor).  Raises
-    StructureError naming any valid BAU left without a valid neighbor.
+    Raises StructureError naming any valid BAU left without a valid neighbor.
     """
-    if neighborhood not in ("rook", "queen"):
-        raise ValueError(f"unknown neighborhood {neighborhood!r}")
-    nx, ny = grid.nx, grid.ny
-    idx = np.arange(grid.n_bau).reshape(ny, nx)
-    pairs = [np.column_stack([idx[:, :-1].ravel(), idx[:, 1:].ravel()]),
-             np.column_stack([idx[:-1, :].ravel(), idx[1:, :].ravel()])]
-    if neighborhood == "queen":
-        pairs.append(np.column_stack([idx[:-1, :-1].ravel(), idx[1:, 1:].ravel()]))
-        pairs.append(np.column_stack([idx[:-1, 1:].ravel(), idx[1:, :-1].ravel()]))
-    pairs = np.vstack(pairs)
+    idx = np.arange(grid.n_bau).reshape(grid.ny, grid.nx)
+    pairs = np.vstack([np.column_stack([idx[:, :-1].ravel(), idx[:, 1:].ravel()]),
+                       np.column_stack([idx[:-1, :].ravel(), idx[1:, :].ravel()])])
     if grid.mask is not None:
         keep = grid.mask[pairs[:, 0]] & grid.mask[pairs[:, 1]]
         pairs = pairs[keep]
@@ -372,14 +345,12 @@ def sample_car(structure: CARStructure, params: CARParams,
     Uses the split D - gamma*E = (1-gamma)*D + gamma*L with L = M'M the graph
     Laplacian: w = sqrt(1-gamma)*D^{1/2} z1 + sqrt(gamma)*M' z2 has covariance
     D - gamma*E, so tau * solve(D - gamma*E, w) has covariance Q^{-1}.
-    ``factor`` is an optional prebuilt factor of
-    ``structure.base_precision(params.gamma)``, for callers that draw several
-    times at one gamma; the draws do not depend on who built it.
-    Returns (n,) for size=1 else (size, n).
+    ``factor`` is an optional ``structure.factor(params.gamma)``, for callers
+    that draw several times at one gamma; the draws do not depend on who
+    built it.  Returns (n,) for size=1 else (size, n).
     """
     if factor is None:
-        factor = sparse_factorize(structure.base_precision(params.gamma))
-    structure._remember_logdet(params.gamma, factor)
+        factor = structure.factor(params.gamma)
     n, ne = structure.n, structure.edges.shape[0]
     z1 = rng.standard_normal((n, size))
     z2 = rng.standard_normal((ne, size))

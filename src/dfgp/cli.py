@@ -22,6 +22,7 @@ import numpy as np
 
 from . import __version__
 from . import io as dio
+from .car import build_adjacency
 from .config import RunConfig, load_config
 from .dynamics import filter_pass, predict_filter, predict_smooth, smoother_pass
 from .estimate import fit_filtering_sequence, run_estimator
@@ -50,7 +51,7 @@ def _load_inputs(cfg: RunConfig, base: Path, files: Files):
     files.read += [Path(p) for p in (mask, centers) if p]
     grid = cfg.build_grid()
     basis = cfg.build_basis(grid)
-    structure = cfg.build_structure(grid)
+    structure = build_adjacency(grid)
     paths = _data_paths(cfg, base)
     obs = dio.read_observations(*paths, grid)
     files.read += paths
@@ -109,6 +110,8 @@ def _load_or_fit_params(cfg: RunConfig, data, out: Path, base: Path, files: File
     model = "_lowrank" if cfg.estimator.lowrank_only else ""
     if cfg.protocol == "smoothing":
         name = f"params{model}.csv"
+        if cfg.data.params and not (base / cfg.data.params).exists():
+            raise ValueError(f"[data] params names a missing file: {base / cfg.data.params}")
         for p in (base / (cfg.data.params or name), out / name):
             if p.exists():
                 files.read.append(p)

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import get_args, get_type_hints
 
 from .basis import layout_multires
-from .car import build_adjacency
 from .cv import HoldoutPlan
 from .estimate import EstimatorConfig
 from .grid import build_grid
@@ -109,6 +108,9 @@ class RunConfig:
     def __post_init__(self):
         if self.protocol not in PROTOCOLS:
             raise ValueError(f"protocol must be one of {PROTOCOLS}")
+        if self.protocol == "filtering" and self.data.params:
+            raise ValueError("[data] params applies to protocol = smoothing only; "
+                             "protocol = filtering reads params_u<u>.csv per horizon")
 
     # ---- derived objects -------------------------------------------------
     def build_grid(self):
@@ -134,9 +136,6 @@ class RunConfig:
             return BisquareBasis(np.asarray(cs), np.asarray(rs),
                                  np.zeros(len(rs), dtype=int))
         return layout_multires(grid.bbox, list(self.basis.counts), self.basis.radius_mult)
-
-    def build_structure(self, grid):
-        return build_adjacency(grid)
 
     def estimator_config(self) -> EstimatorConfig:
         return replace(self.estimator, seed=self.seed)

@@ -196,7 +196,7 @@ def filter_step(eta_pred: np.ndarray, P_pred: np.ndarray,
     if slc.n_obs == 0:
         R_diag = None
         if want_variance and m and not lowrank_only:
-            afac = sparse_factorize(structure.base_precision(car.gamma))
+            afac = structure.factor(car.gamma)
             R_diag = car.tau2 * afac.solve_selected_diag(pred_nodes)
         elif want_variance:
             R_diag = np.zeros(m)
@@ -272,13 +272,13 @@ def smoother_pass(filt: FilterResult, params: DFGPParams) -> SmootherResult:
         eta_pred=last.eta_pred, P_pred=last.P_pred,
         delta=last.delta.copy(), R_diag=None if last.R_diag is None else last.R_diag.copy(),
         psi=last.psi, n_obs=last.n_obs)
-    J_list: list[np.ndarray | None] = [None] * u
+    # lag-1 cross covariances: cov(eta_t, eta_{t-1} | Z) = P_{t|Z} J_{t-1}'
     for t in range(u - 1, 0, -1):
         f_t, nxt = fs[t - 1], out[t]
         H_next = params.H_at(t + 1)
         pp_cf = _cho(fs[t].P_pred, t + 1, "forecast covariance")
         J = f_t.P @ la.cho_solve(pp_cf, H_next).T       # P_f H' P_pred^{-1}
-        J_list[t - 1] = J
+        nxt.lag1 = nxt.P @ J.T
         d_eta = nxt.eta - fs[t].eta_pred
         d_P = nxt.P - fs[t].P_pred
         M = -f_t.psi @ J                                 # (m, r)
@@ -295,10 +295,7 @@ def smoother_pass(filt: FilterResult, params: DFGPParams) -> SmootherResult:
     J0 = params.K0 @ la.cho_solve(pp_cf, params.H_at(1)).T
     eta0 = J0 @ (out[0].eta - fs[0].eta_pred)
     P0 = sym(params.K0 + J0 @ (out[0].P - fs[0].P_pred) @ J0.T)
-    # lag-1 cross covariances: cov(eta_t, eta_{t-1} | Z) = P_{t|Z} J_{t-1}'
-    for t in range(1, u + 1):
-        J_prev = J0 if t == 1 else J_list[t - 2]
-        out[t - 1].lag1 = out[t - 1].P @ J_prev.T
+    out[0].lag1 = out[0].P @ J0.T
     return SmootherResult(states=[s for s in out if s is not None],
                       eta0=eta0, P0=P0, pred_nodes=filt.pred_nodes)
 

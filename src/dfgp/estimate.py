@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .car import GAMMA_MAX, CARParams, SparseFactor, sample_car, sparse_factorize
+from .car import GAMMA_MAX, CARParams, SparseFactor, sample_car
 from .dense import DenseJoint
 from .dynamics import filter_pass, smoother_pass
 from .model import DFGPParams, ModelData, as_dense, sym
@@ -128,7 +128,7 @@ def conditional_simulate(data: ModelData, params: DFGPParams,
         eta_star[t] = params.H_at(t) @ eta_star[t - 1] + cu @ rng.standard_normal((r, ndraws))
         g = gammas[t - 1]
         if g not in factors:
-            factors[g] = sparse_factorize(data.structure.base_precision(g))
+            factors[g] = data.structure.factor(g)
         factor = factors[g] if g in gammas[t:] else factors.pop(g)
         xi_star[t - 1] = sample_car(data.structure, params.car[t - 1], rng, size=ndraws,
                                     factor=factor).reshape(ndraws, nv).T

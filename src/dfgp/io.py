@@ -73,6 +73,7 @@ def write_observations(path_obs, path_fps, obs: Observations) -> None:
 _OBS_FIELDS = (("time", int), ("instrument", int), ("footprint_id", int),
                ("value", float), ("var_factor", float))
 _FP_FIELDS = (("footprint_id", int), ("bau_index", int))
+_INT64_END = 2 ** 63  # parsed ids must satisfy -_INT64_END <= n < _INT64_END
 
 
 def _reader(f, path, fields) -> csv.DictReader:
@@ -101,9 +102,9 @@ def read_observations(path_obs, path_fps, grid: BAUGrid) -> Observations:
     Raises ValueError naming the file and the missing fields for a header
     row that lacks one, and naming the file, the 1-based data row and the
     field for an unparsable number, a bau_index outside the grid or on a
-    masked cell, a time or instrument below 1, a non-finite value, a
-    var_factor that is not finite and > 0, or a footprint_id absent from the
-    footprint file.
+    masked cell, a time or instrument below 1, a time, instrument or
+    footprint_id beyond int64, a non-finite value, a var_factor that is not
+    finite and > 0, or a footprint_id absent from the footprint file.
     """
     cover: dict[int, list[int]] = {}
     baus: list[int] = []
@@ -113,6 +114,9 @@ def read_observations(path_obs, path_fps, grid: BAUGrid) -> Observations:
                 fid, bau = int(row["footprint_id"]), int(row["bau_index"])
             except (TypeError, ValueError):
                 raise _unparsable(f"{path_fps}: data row {i}", row, _FP_FIELDS) from None
+            if not -_INT64_END <= fid < _INT64_END:
+                raise ValueError(f"{path_fps}: data row {i}: footprint_id does not fit "
+                                 f"in int64: {row['footprint_id']!r}")
             cover.setdefault(fid, []).append(bau)
             baus.append(bau)
     # clipped to [-1, N] first, so that no parsed int overflows int64
@@ -134,6 +138,8 @@ def read_observations(path_obs, path_fps, grid: BAUGrid) -> Observations:
             for field, n in (("time", t), ("instrument", k)):
                 if n < 1:
                     raise ValueError(f"{where}: {field} must be >= 1, got {row[field]!r}")
+                if n >= _INT64_END:
+                    raise ValueError(f"{where}: {field} does not fit in int64: {row[field]!r}")
             if fid not in cover:
                 raise ValueError(f"{where}: footprint_id {fid} is not in {path_fps}")
             if not math.isfinite(z):

@@ -102,6 +102,8 @@ class TestObservationCSV:
         (("1", "x", "1", "0.5", "1.0"), "instrument"),
         (("0", "1", "1", "0.5", "1.0"), "time"),
         (("1", "0", "1", "0.5", "1.0"), "instrument"),
+        (("99999999999999999999", "1", "1", "0.5", "1.0"), "time"),
+        (("1", "9223372036854775808", "1", "0.5", "1.0"), "instrument"),
     ])
     def test_bad_number_names_file_row_field(self, tmp_path, bad_row, field):
         obs, fps = self._write_rows(tmp_path, [("1", "1", "0", "0.1", "1.0"), bad_row])
@@ -123,6 +125,14 @@ class TestObservationCSV:
         with pytest.raises(ValueError, match=rf"f\.csv: data row 2: bau_index {bau} is "
                                              r"outside the 8x8 grid or masked"):
             dio.read_observations(obs, fps, grid)
+
+    @pytest.mark.parametrize("fid", ["99999999999999999999", "-9223372036854775809"])
+    def test_footprint_id_beyond_int64_names_file_row(self, tmp_path, fid):
+        obs, fps = self._write_rows(tmp_path, [("1", "1", fid, "0.1", "1.0")])
+        fps.write_text(f"footprint_id,bau_index\n0,0\n{fid},1\n")
+        with pytest.raises(ValueError, match=rf"f\.csv: data row 2: footprint_id does not "
+                                             rf"fit in int64: '{fid}'"):
+            dio.read_observations(obs, fps, self.GRID)
 
     def test_missing_column_names_file_and_field(self, tmp_path):
         obs, fps = self._write_rows(tmp_path, [])
@@ -429,6 +439,18 @@ class TestCLI:
         assert main(["filter", "--config", str(dfgp)]) == 0
         assert filecmp.cmp(shared / "predictions_filter.csv",
                            fresh / "run" / "predictions_filter.csv", shallow=False)
+
+    @pytest.mark.parametrize("protocol, command", [("smoothing", "smooth"),
+                                                   ("filtering", "filter")])
+    def test_params_key_fails_at_boundary(self, tmp_path, protocol, command):
+        # a missing [data] params file, or one under the filtering protocol,
+        # which reads per-horizon files, fails instead of refitting
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(self._write_config(tmp_path, out))]) == 0
+        bad = self._variant(tmp_path, "bad.ini", out, "protocol = smoothing",
+                            f"protocol = {protocol}\n\n[data]\nparams = typo.csv")
+        assert main([command, "--config", str(bad)]) == 1
+        assert not list(out.glob("params*.csv"))
 
     def test_bad_estimator_value_fails_with_saved_params(self, tmp_path):
         out = tmp_path / "out"
