@@ -86,10 +86,19 @@ def _profile_neg2ll(logp: np.ndarray, lags, z) -> float:
 
 def fit_exp_cov(coords, times, z, start: ExpCovParams,
                 max_evals: int = 200) -> ExpCovParams:
-    """Profile-likelihood fit of the exponential covariance (constant mean)."""
+    """Profile-likelihood fit of the exponential covariance (constant mean),
+    boxed to the window (unbounded, a smooth window drives the nugget to 0
+    and the ranges to infinity): sill in [1e-4, 1e2] and nugget in [1e-6, 10]
+    times var(z), ranges in [1e-2, 1e2] times the window's spatial
+    (bounding-box diagonal) and temporal extents."""
+    var = max(float(np.var(z)), 1e-12)
+    ext_s = max(float(np.hypot(*np.ptp(coords, axis=0))), 1e-3)
+    ext_t = max(float(np.ptp(times)), 1.0)
+    lo = np.log([1e-4 * var, 1e-2 * ext_s, 1e-2 * ext_t, 1e-6 * var])
+    hi = np.log([1e2 * var, 1e2 * ext_s, 1e2 * ext_t, 10.0 * var])
     x0 = np.log([start.sigma2, start.phi_s, start.phi_t, max(start.nugget, 1e-6)])
-    res = minimize(_profile_neg2ll, x0, args=(_lags(coords, times), z),
-                   method="Nelder-Mead",
+    res = minimize(_profile_neg2ll, np.clip(x0, lo, hi), args=(_lags(coords, times), z),
+                   method="Nelder-Mead", bounds=list(zip(lo, hi)),
                    options={"maxfev": max_evals, "xatol": 1e-3, "fatol": 1e-4})
     sig, ps, pt, ng = np.exp(res.x)
     return ExpCovParams(sigma2=float(sig), phi_s=float(ps), phi_t=float(pt),

@@ -17,11 +17,11 @@ structure on first use (Pace & Barry 1997).  Its error against the exact
 path is about 1e-12 relative from N = 12 to N = 1,600 and about 1e-11 at
 N = 10^4.
 
-Prediction variances need diagonal entries of M^{-1} for a factored M
-(``SparseFactor.solve_selected_diag``).  One cost rule picks the path: below
-SELECTED_INVERSION_MIN requested indices, one unit solve each; from it on,
-the exact Takahashi selected inversion of the whole factor, which touches
-only the pattern of L and makes no solve.  The crossover measured on one
+Exact EM needs M^{-1} on the pattern of M (``SparseFactor.selected_inverse``),
+prediction variances its diagonal (``solve_selected_diag``); both come from
+one Takahashi selected inversion over the pattern of L, which makes no
+solve.  For the diagonal, below SELECTED_INVERSION_MIN requested indices one
+unit solve each is cheaper.  The crossover measured on one
 BLAS thread lies at 230-450 indices for rook and queen grids from N = 1,024
 to 65,536 (about 450 at N = 4,096, 230 at N = 65,536): both costs grow with
 the fill of L at about the same rate, so the crossover barely moves with N.
@@ -253,25 +253,33 @@ class SparseFactor:
             out[s:s + SOLVE_BLOCK] = self.solve(rhs)[unit]
         return out
 
-    def _inverse_diagonal(self) -> np.ndarray:
-        """diag(M^{-1}) at every index, by selected inversion of the factor.
+    def selected_inverse(self) -> sp.csc_matrix:
+        """M^{-1} on pattern(L + L'), which contains pattern(M), in the
+        original order; entries off that pattern are not stored."""
+        z, p = self._permuted_inverse(), self._lu.perm_r
+        return (z + sp.tril(z, k=-1).T).tocsc()[p][:, p]
 
-        SuperLU in symmetric mode with no off-diagonal pivoting gives
-        P M P' = L U with perm_r == perm_c and U = diag(d) L', so
-        (M^{-1})_{ii} = Z[p_i, p_i] for Z = (L diag(d) L')^{-1}.
-        """
+    def _inverse_diagonal(self) -> np.ndarray:
+        z = self._permuted_inverse()
+        return z.data[z.indptr[:-1]][self._lu.perm_r]
+
+    def _permuted_inverse(self) -> sp.csc_matrix:
+        """Z = (L diag(d) L')^{-1} on the lower pattern of L.  SuperLU in
+        symmetric mode with no off-diagonal pivoting gives P M P' = L U with
+        perm_r == perm_c and U = diag(d) L', so (M^{-1})_{ij} = Z[p_i, p_j]."""
         lu = self._lu
         if not np.array_equal(lu.perm_r, lu.perm_c):
             raise FactorizationError("selected inversion needs equal row and column "
                                      "permutations")
-        return _selected_inverse_diag(lu.L, lu.U.diagonal())[lu.perm_r]
+        return _selected_inverse(lu.L, lu.U.diagonal())
 
     def logdet(self) -> float:
         return self._logdet
 
 
-def _selected_inverse_diag(L: sp.spmatrix, d: np.ndarray) -> np.ndarray:
-    """diag(Z) for Z = (L diag(d) L')^{-1}, with L unit lower triangular.
+def _selected_inverse(L: sp.spmatrix, d: np.ndarray) -> sp.csc_matrix:
+    """Z = (L diag(d) L')^{-1} on the pattern of L (its lower triangle), with
+    L unit lower triangular; the result shares L's sorted index arrays.
 
     Takahashi recursion (Takahashi, Fagan & Chen 1973; Rue & Martino 2007),
     run backwards over the supernodes of L.  A supernode S is a run of
@@ -329,7 +337,7 @@ def _selected_inverse_diag(L: sp.spmatrix, d: np.ndarray) -> np.ndarray:
         blk[w:] = -(Z[pos].reshape(K.size, K.size) @ lh)
         blk[:w] = linv.T @ (linv / d[s:e, None]) - lh.T @ blk[w:]
         Z[a:b] = blk[r, c]
-    return Z[ip[:-1]]
+    return sp.csc_matrix((Z, L.indices, L.indptr), shape=L.shape)
 
 
 def sparse_factorize(matrix: sp.spmatrix) -> SparseFactor:

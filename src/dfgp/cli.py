@@ -106,6 +106,19 @@ def _fit(cfg: RunConfig, data, out: Path, files: Files):
     return {u: res.params for u, res in fits.items()}
 
 
+def _read_params(path: Path, data, u: int, files: Files):
+    """Saved parameters checked against the data and truncated to horizon u."""
+    params = dio.read_params(path)
+    files.read.append(path)
+    bad = [f"{name} {got} where the data need {need}" for name, got, need in (
+        ("r", params.r, data.basis.r), ("p", params.p, data.X_bau.shape[1]),
+        ("instrument count", params.n_instruments, data.n_instruments),
+        ("horizon", min(params.u, u), u)) if got != need]
+    if bad:
+        raise ValueError(f"{path}: parameters do not fit the data: {'; '.join(bad)}")
+    return params.truncated(u)
+
+
 def _load_or_fit_params(cfg: RunConfig, data, out: Path, base: Path, files: Files):
     model = "_lowrank" if cfg.estimator.lowrank_only else ""
     if cfg.protocol == "smoothing":
@@ -114,16 +127,14 @@ def _load_or_fit_params(cfg: RunConfig, data, out: Path, base: Path, files: File
             raise ValueError(f"[data] params names a missing file: {base / cfg.data.params}")
         for p in (base / (cfg.data.params or name), out / name):
             if p.exists():
-                files.read.append(p)
-                return {data.T: dio.read_params(p)}
+                return {data.T: _read_params(p, data, data.T, files)}
         return _fit(cfg, data, out, files)
     found = {}
     for u in range(2, data.T + 1):
         name = f"params{model}_u{u}.csv"
         found[u] = next((p for p in (base / name, out / name) if p.exists()), None)
     if found and None not in found.values():
-        files.read += found.values()
-        return {u: dio.read_params(p) for u, p in found.items()}
+        return {u: _read_params(p, data, u, files) for u, p in found.items()}
     return _fit(cfg, data, out, files)
 
 
@@ -150,7 +161,7 @@ def cmd_filter(cfg: RunConfig, out: Path, base: Path, files: Files) -> None:
         files.written.append(out / "state_filter.bin")
     else:
         for u in sorted(params_by_u):
-            params = params_by_u[u].truncated(u)
+            params = params_by_u[u]
             filt = filter_pass(data, params, pred_bau=pred, want_variance=True,
                                lowrank_only=cfg.estimator.lowrank_only)
             fields.append(predict_filter(filt, data, params, u, pred))

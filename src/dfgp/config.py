@@ -14,6 +14,7 @@ import io as _io
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import get_args, get_type_hints
 
+from . import io as dio
 from .basis import layout_multires
 from .cv import HoldoutPlan
 from .estimate import EstimatorConfig
@@ -115,26 +116,12 @@ class RunConfig:
     # ---- derived objects -------------------------------------------------
     def build_grid(self):
         g = self.grid
-        mask = None
-        if g.mask:
-            import numpy as np
-            mask = np.loadtxt(g.mask, dtype=int).astype(bool).ravel()
+        mask = dio.read_mask(g.mask, g.nx * g.ny) if g.mask else None
         return build_grid(g.nx, g.ny, g.cell_size, (g.origin_x, g.origin_y), mask)
 
     def build_basis(self, grid):
         if self.basis.centers_csv:
-            import csv
-
-            import numpy as np
-
-            from .basis import BisquareBasis
-            cs, rs = [], []
-            with open(self.basis.centers_csv, newline="") as f:
-                for row in csv.DictReader(f):
-                    cs.append((float(row["center_x"]), float(row["center_y"])))
-                    rs.append(float(row["radius"]))
-            return BisquareBasis(np.asarray(cs), np.asarray(rs),
-                                 np.zeros(len(rs), dtype=int))
+            return dio.read_basis_centers(self.basis.centers_csv)
         return layout_multires(grid.bbox, list(self.basis.counts), self.basis.radius_mult)
 
     def estimator_config(self) -> EstimatorConfig:

@@ -2,8 +2,8 @@
 
 Builds the exact joint distribution of all latent states and observations
 and conditions it directly.  Complexity is cubic in (u+1)*r + u*N, so this
-path is capped at small N; it backs the exact-EM mode and is the independent
-check for every sequential recursion in :mod:`dfgp.dynamics`.
+path is capped at small N; it is the test oracle for every recursion in
+:mod:`dfgp.dynamics` and for the exact-EM E-step, and nothing else uses it.
 """
 
 from __future__ import annotations
@@ -100,19 +100,15 @@ class DenseJoint:
         return np.concatenate(
             [self.data.slices[t - 1].z for t in range(1, upto + 1)])
 
-    def posterior(self, upto: int | None = None,
-                  z: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    def posterior(self, upto: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Mean and covariance of the full state given Z_{1:upto}."""
         upto = self.u if upto is None else upto
         nz = int(self.z_starts[upto])
-        if z is None:
-            z = self.stacked_z(upto)
         if nz == 0:
             return np.zeros(self.dim_x), self.cov_x.copy()
         czz = self.cov_z[:nz, :nz]
         cxz = self.cov_xz[:, :nz]
-        w = np.linalg.solve(czz, (z - self.mean_z[:nz]).T).T
-        mean = cxz @ w if w.ndim == 1 else (cxz @ w.T)
+        mean = cxz @ np.linalg.solve(czz, self.stacked_z(upto) - self.mean_z[:nz])
         cov = sym(self.cov_x - cxz @ np.linalg.solve(czz, cxz.T))
         return mean, cov
 

@@ -37,7 +37,7 @@ from .model import AssembledTimeSlice, DFGPParams, ModelData, as_dense, sym
 
 __all__ = [
     "StatePosterior", "FilterResult", "SmootherResult", "PredictionField",
-    "forecast_step", "filter_step", "filter_pass", "smoother_pass",
+    "forecast_step", "fine_precision", "filter_step", "filter_pass", "smoother_pass",
     "predict_filter", "predict_smooth", "predict_from_posterior",
 ]
 
@@ -177,6 +177,12 @@ def filter_pass(data: ModelData, params: DFGPParams, *,
     return FilterResult(states=states, pred_nodes=pred_nodes)
 
 
+def fine_precision(structure, car: CARParams, B, vinv: np.ndarray) -> sp.csc_matrix:
+    """F = (D - gamma E)/tau2 + B' diag(vinv) B, the precision of xi_t | eta_t, Z_t."""
+    return (structure.base_precision(car.gamma) / car.tau2
+            + B.T @ sp.diags(vinv) @ B).tocsc()
+
+
 def filter_step(eta_pred: np.ndarray, P_pred: np.ndarray,
                 slc: AssembledTimeSlice, car: CARParams, structure,
                 sigma2_row: np.ndarray, beta_t: np.ndarray, *,
@@ -221,9 +227,7 @@ def filter_step(eta_pred: np.ndarray, P_pred: np.ndarray,
         ln_dinv = float(np.log(v).sum())
     else:
         try:
-            F = (structure.base_precision(car.gamma) / car.tau2
-                 + slc.B.T @ sp.diags(vinv) @ slc.B).tocsc()
-            ffac = sparse_factorize(F)
+            ffac = sparse_factorize(fine_precision(structure, car, slc.B, vinv))
         except FactorizationError as exc:
             raise NumericalError(str(exc), time_index=t) from exc
         nmat = slc.B.T @ VS                          # (n_valid, r) sparse

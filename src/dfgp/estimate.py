@@ -1,13 +1,11 @@
 """Maximum-likelihood parameter estimation.
 
-Two modes share one M-step:
+Two modes share one M-step.  Moments of the dynamic coefficients come
+exactly from a filter/smoother sweep in both; the fine-scale expectations:
 
-* ``sem``: stochastic EM.  Moments of the dynamic coefficients are computed
-  exactly from a filter/smoother sweep; the fine-scale expectations are
-  replaced by quantities evaluated at conditional-simulation draws.
-* ``exact``: full EM with every conditional expectation computed from the
-  dense joint posterior.  Cubic in u*N, so ``DenseJoint`` refuses it above
-  ``DENSE_N_CAP`` BAUs; it is the oracle mode and for tiny problems.
+* ``sem``: stochastic EM, from conditional-simulation draws.
+* ``exact``: full EM, exact from the smoothed fine-scale moments and one
+  selected inversion of F_t per step; no dense joint, so no cap on N.
 
 Each iteration's sweep also yields the marginal -2 log-likelihood at the
 current parameters (``FilterResult.neg2loglik``), which drives the
@@ -20,11 +18,12 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.optimize import minimize_scalar
 
-from .car import GAMMA_MAX, CARParams, SparseFactor, sample_car
-from .dense import DenseJoint
-from .dynamics import filter_pass, smoother_pass
+from .car import GAMMA_MAX, CARParams, SparseFactor, sample_car, sparse_factorize
+from .dynamics import _row_quad, filter_pass, fine_precision, smoother_pass
+from .exceptions import InvalidParameterError
 from .model import DFGPParams, ModelData, as_dense, sym
 
 _VAR_FLOOR = 1e-12
@@ -63,6 +62,10 @@ class EstimatorConfig:
             raise ValueError(f"mode must be 'sem' or 'exact', got {self.mode!r}")
         if self.tol_loglik <= 0 or self.tol_param <= 0:
             raise ValueError("convergence thresholds must be > 0")
+        if min(self.max_iter, self.draws, self.consecutive) < 1:
+            raise ValueError("max_iter, draws and consecutive must be >= 1")
+        if not 0 < self.sem_average_frac <= 1:
+            raise ValueError(f"sem_average_frac must lie in (0, 1], got {self.sem_average_frac}")
         if list(self.hu_blocks) != sorted(set(self.hu_blocks)):
             raise ValueError("hu_blocks must be strictly increasing")
 
@@ -169,77 +172,62 @@ def _eta_stats_from_smoother(sm, u: int, r: int) -> tuple[np.ndarray, np.ndarray
 
 def e_step(data: ModelData, params: DFGPParams, config: EstimatorConfig,
            rng: np.random.Generator) -> SufficientStats:
-    """E-step summaries plus the -2 log-likelihood at the current parameters."""
+    """E-step summaries plus the -2 log-likelihood, from one filter/smoother
+    sweep.  Exact mode uses Cov(xi_t | Z) = Z_t + psi_t P_{t|u} psi_t', with
+    Z_t = F_t^{-1} on pattern(F_t) (0 in the fixed-rank model)."""
     u = params.u
     r, nv = params.r, data.structure.n
     deg = data.structure.degrees
     adj = data.structure.adjacency
-
+    xi_mean, xi_qd, xi_qa = np.zeros((u, nv)), np.zeros(u), np.zeros(u)
+    meas_trace = np.zeros((u, params.n_instruments))
     if config.mode == "exact":
-        dj = DenseJoint(data, params, lowrank_only=config.lowrank_only)
-        mean, cov = dj.posterior()
-        eta_mean = np.vstack([mean[dj.eta_slice(t)] for t in range(u + 1)])
-        K = np.empty((u + 1, r, r))
-        L = np.empty((u, r, r))
-        for t in range(u + 1):
-            es = dj.eta_slice(t)
-            K[t] = sym(cov[es, es] + np.outer(eta_mean[t], eta_mean[t]))
-            if t >= 1:
-                L[t - 1] = (cov[es, dj.eta_slice(t - 1)]
-                            + np.outer(eta_mean[t], eta_mean[t - 1]))
-        xi_mean = np.vstack([mean[dj.xi_slice(t)] for t in range(1, u + 1)])
-        xi_qd = np.empty(u)
-        xi_qa = np.empty(u)
-        meas_trace = np.zeros((u, params.n_instruments))
+        filt = filter_pass(data, params, pred_bau=data.structure.valid_idx,
+                           lowrank_only=config.lowrank_only)
+        sm = smoother_pass(filt, params)
         for t in range(1, u + 1):
-            xs = dj.xi_slice(t)
-            vxi = cov[xs, xs]
-            xm = xi_mean[t - 1]
-            xi_qd[t - 1] = xm @ (deg * xm) + float((deg * np.diag(vxi)).sum())
-            xi_qa[t - 1] = xm @ (adj @ xm) + float((adj.multiply(vxi)).sum())
-            slc = data.slices[t - 1]
-            if slc.n_obs == 0:
-                continue
-            S, B = as_dense(slc.S), as_dense(slc.B)
-            pe = cov[dj.eta_slice(t), dj.eta_slice(t)]
-            pex = cov[dj.eta_slice(t), xs]
-            quad_rows = (np.einsum("ij,jk,ik->i", S, pe, S)
-                         + np.einsum("ij,jk,ik->i", B, vxi, B)
-                         + 2.0 * np.einsum("ij,jk,ik->i", S, pex, B))
+            slc, st = data.slices[t - 1], sm.states[t - 1]
+            m, psi, P = st.delta[:, 0], st.psi, st.P
+            Z = sp.csc_matrix((nv, nv))
+            if not config.lowrank_only:
+                # E's pattern, which E[xi' E xi] reads, drops out of F_t at gamma = 0
+                if params.car[t - 1].gamma == 0:
+                    raise InvalidParameterError("exact EM needs gamma > 0 at every time step")
+                Z = sparse_factorize(fine_precision(
+                    data.structure, params.car[t - 1], slc.B,
+                    1.0 / slc.v_diag(params.sigma2_eps[t - 1]))).selected_inverse()
+            xi_mean[t - 1] = m
+            xi_qd[t - 1] = m @ (deg * m) + deg @ (Z.diagonal() + _row_quad(psi, P))
+            xi_qa[t - 1] = (m @ (adj @ m) + adj.multiply(Z).sum()
+                            + float((P * (psi.T @ (adj @ psi))).sum()))
+            # rows of Cov(S eta + B xi) = (S - B psi) P (S - B psi)' + B F^{-1} B'
+            quad_rows = (_row_quad(as_dense(slc.S) - slc.B @ psi, P)
+                         + np.asarray((slc.B @ Z).multiply(slc.B).sum(axis=1)).ravel())
             for k, rows in slc.instrument_rows.items():
                 meas_trace[t - 1, k - 1] = float(
                     (quad_rows[rows] / slc.v_factors[rows]).sum())
-        return SufficientStats(eta_mean, K, L, xi_mean, xi_qd, xi_qa, meas_trace,
-                               neg2loglik=dj.neg2loglik())
-
-    # SEM: exact eta moments, fine-scale expectations from conditional draws.
-    if config.lowrank_only:
+    elif config.lowrank_only:
         filt = filter_pass(data, params, lowrank_only=True)
         sm = smoother_pass(filt, params)
-        eta_mean, K, L = _eta_stats_from_smoother(sm, u, r)
-        zeros = np.zeros((u, nv))
-        return SufficientStats(eta_mean, K, L, zeros, np.zeros(u), np.zeros(u),
-                               np.zeros((u, params.n_instruments)),
-                               neg2loglik=filt.neg2loglik)
-
-    _eta_draws, xi_draws, (filt, sm) = conditional_simulate(
-        data, params, rng, ndraws=config.draws)
+    else:
+        # SEM: fine-scale expectations from conditional draws
+        _eta_draws, xi_draws, (filt, sm) = conditional_simulate(
+            data, params, rng, ndraws=config.draws)
+        xi_mean = xi_draws.mean(axis=0)
+        xi_qd = np.array([np.mean([x @ (deg * x) for x in xi_draws[:, t]])
+                          for t in range(u)])
+        xi_qa = np.array([np.mean([x @ (adj @ x) for x in xi_draws[:, t]])
+                          for t in range(u)])
+        if config.draws > 1:
+            for t in range(1, u + 1):
+                slc = data.slices[t - 1]
+                if slc.n_obs == 0:
+                    continue
+                spread = slc.B @ (xi_draws[:, t - 1] - xi_mean[t - 1]).T  # (n, ndraws)
+                for k, rows in slc.instrument_rows.items():
+                    meas_trace[t - 1, k - 1] = float(
+                        (spread[rows] ** 2 / slc.v_factors[rows, None]).sum()) / config.draws
     eta_mean, K, L = _eta_stats_from_smoother(sm, u, r)
-    xi_mean = xi_draws.mean(axis=0)
-    xi_qd = np.array([np.mean([x @ (deg * x) for x in xi_draws[:, t]])
-                      for t in range(u)])
-    xi_qa = np.array([np.mean([x @ (adj @ x) for x in xi_draws[:, t]])
-                      for t in range(u)])
-    meas_trace = np.zeros((u, params.n_instruments))
-    if config.draws > 1:
-        for t in range(1, u + 1):
-            slc = data.slices[t - 1]
-            if slc.n_obs == 0:
-                continue
-            spread = slc.B @ (xi_draws[:, t - 1] - xi_mean[t - 1]).T  # (n, ndraws)
-            for k, rows in slc.instrument_rows.items():
-                meas_trace[t - 1, k - 1] = float(
-                    (spread[rows] ** 2 / slc.v_factors[rows, None]).sum()) / config.draws
     return SufficientStats(eta_mean, K, L, xi_mean, xi_qd, xi_qa, meas_trace,
                            neg2loglik=filt.neg2loglik)
 

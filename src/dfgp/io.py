@@ -19,9 +19,11 @@ from pathlib import Path
 
 import numpy as np
 
+from .basis import BisquareBasis
 from .car import CARParams
 from .cv import CVResult, HoldoutRecord
 from .dynamics import PredictionField
+from .exceptions import InvalidParameterError
 from .grid import BAUGrid, Observations
 from .model import DFGPParams
 
@@ -42,6 +44,13 @@ def _fmt(x: float) -> str:
     return _F % float(x)
 
 
+def _write_csv(path, header: list[str], rows) -> None:
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows(rows)
+
+
 # ---------------------------------------------------------------------------
 # observations + footprints
 
@@ -55,19 +64,13 @@ def write_observations(path_obs, path_fps, obs: Observations) -> None:
     rows = used[np.argsort(first)]
     fid = np.empty(obs.fp_indptr.size - 1, dtype=np.int64)
     fid[rows] = np.arange(rows.size)
-    with open(path_obs, "w", newline="") as fo:
-        w = csv.writer(fo)
-        w.writerow(["time", "instrument", "footprint_id", "value", "var_factor"])
-        for t, k, f, z, v in zip(obs.time.tolist(), obs.instrument.tolist(),
-                                 fid[obs.footprint].tolist(), obs.value.tolist(),
-                                 obs.var_factor.tolist()):
-            w.writerow([t, k, f, _fmt(z), _fmt(v)])
-    with open(path_fps, "w", newline="") as ff:
-        w = csv.writer(ff)
-        w.writerow(["footprint_id", "bau_index"])
-        for i, f in enumerate(rows.tolist()):
-            for b in obs.fp_indices[obs.fp_indptr[f]:obs.fp_indptr[f + 1]].tolist():
-                w.writerow([i, b])
+    _write_csv(path_obs, ["time", "instrument", "footprint_id", "value", "var_factor"],
+               ([t, k, f, _fmt(z), _fmt(v)] for t, k, f, z, v in zip(
+                   obs.time.tolist(), obs.instrument.tolist(), fid[obs.footprint].tolist(),
+                   obs.value.tolist(), obs.var_factor.tolist())))
+    _write_csv(path_fps, ["footprint_id", "bau_index"],
+               ([i, b] for i, f in enumerate(rows.tolist())
+                for b in obs.fp_indices[obs.fp_indptr[f]:obs.fp_indptr[f + 1]].tolist()))
 
 
 _OBS_FIELDS = (("time", int), ("instrument", int), ("footprint_id", int),
@@ -159,88 +162,91 @@ def read_observations(path_obs, path_fps, grid: BAUGrid) -> Observations:
         n_times=max(time, default=0))
 
 
+_CENTER_FIELDS = (("center_x", float), ("center_y", float), ("radius", float))
+
+
+def read_basis_centers(path) -> BisquareBasis:
+    """One bisquare function per row of a center_x,center_y,radius CSV; a bad
+    entry raises ValueError naming the file, the 1-based data row and field."""
+    rows = []
+    with open(path, newline="") as f:
+        for i, row in enumerate(_reader(f, path, _CENTER_FIELDS), start=1):
+            try:
+                x, y, radius = (float(row[k]) for k, _kind in _CENTER_FIELDS)
+            except (TypeError, ValueError):
+                raise _unparsable(f"{path}: data row {i}", row, _CENTER_FIELDS) from None
+            if not (math.isfinite(x + y + radius) and radius > 0):
+                raise ValueError(f"{path}: data row {i}: need finite center_x, center_y "
+                                 f"and radius > 0, got {x!r}, {y!r}, {radius!r}")
+            rows.append((x, y, radius))
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    a = np.array(rows)
+    return BisquareBasis(a[:, :2], a[:, 2], np.zeros(len(rows), dtype=int))
+
+
+def read_mask(path, n_bau: int) -> np.ndarray:
+    """Validity mask of n_bau cells from whitespace-separated integers (nonzero
+    = valid), row-major from the grid origin."""
+    try:
+        mask = np.loadtxt(path, dtype=int, ndmin=1).ravel()
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if mask.size != n_bau:
+        raise ValueError(f"{path}: {mask.size} entries for a grid of {n_bau} cells")
+    return mask.astype(bool)
+
+
 # ---------------------------------------------------------------------------
 # truth / latents / predictions / holdouts / metrics / trace
 
+def _write_table(path, header, a: np.ndarray, t0: int) -> None:
+    """One row (t + t0, j, a[t, j]) per entry of a 2-d array."""
+    _write_csv(path, header, ([t + t0, j, _fmt(v)] for t, row in enumerate(a.tolist())
+                              for j, v in enumerate(row)))
+
+
 def write_truth(path, y: np.ndarray) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["time", "bau_index", "y_true"])
-        for t in range(y.shape[0]):
-            for i in range(y.shape[1]):
-                w.writerow([t + 1, i, _fmt(y[t, i])])
+    _write_table(path, ["time", "bau_index", "y_true"], y, 1)
 
 
 def read_truth(path) -> np.ndarray:
-    rows = []
-    with open(path, newline="") as f:
-        for row in csv.DictReader(f):
-            rows.append((int(row["time"]), int(row["bau_index"]), float(row["y_true"])))
-    T = max(r[0] for r in rows)
-    N = max(r[1] for r in rows) + 1
-    y = np.full((T, N), np.nan)
-    for t, i, v in rows:
-        y[t - 1, i] = v
-    return y
+    t, i, y = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2).T
+    out = np.full((int(t.max()), int(i.max()) + 1), np.nan)
+    out[t.astype(int) - 1, i.astype(int)] = y
+    return out
 
 
 def write_latents(path_eta, path_xi, eta: np.ndarray, xi: np.ndarray) -> None:
-    with open(path_eta, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["time", "component", "value"])
-        for t in range(eta.shape[0]):
-            for j in range(eta.shape[1]):
-                w.writerow([t, j, _fmt(eta[t, j])])
-    with open(path_xi, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["time", "bau_index", "xi"])
-        for t in range(xi.shape[0]):
-            for i in range(xi.shape[1]):
-                w.writerow([t + 1, i, _fmt(xi[t, i])])
+    _write_table(path_eta, ["time", "component", "value"], eta, 0)
+    _write_table(path_xi, ["time", "bau_index", "xi"], xi, 1)
 
 
 def write_prediction_fields(path, fields: list[PredictionField]) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["time", "bau_index", "mean", "stderr"])
-        for fld in fields:
-            for b, m, s in zip(fld.bau_indices, fld.mean, fld.stderr):
-                w.writerow([fld.time_index, int(b), _fmt(m), _fmt(s)])
+    _write_csv(path, ["time", "bau_index", "mean", "stderr"],
+               ([fld.time_index, int(b), _fmt(m), _fmt(s)] for fld in fields
+                for b, m, s in zip(fld.bau_indices, fld.mean, fld.stderr)))
 
 
 def write_holdout(path, holdout: list[HoldoutRecord]) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["time", "bau_index", "value", "subset"])
-        for h in holdout:
-            w.writerow([h.time_index, h.bau_index, _fmt(h.value), h.subset])
+    _write_csv(path, ["time", "bau_index", "value", "subset"],
+               ([h.time_index, h.bau_index, _fmt(h.value), h.subset] for h in holdout))
 
 
 def write_metrics(path, result: CVResult, by_subset_path=None) -> None:
     """Main metrics table (subset == all) plus an optional by-subset table."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["method", "protocol", "time", "rmspe", "crps", "n_holdout"])
-        for row in result.rows:
-            if row.subset != "all":
-                continue
-            w.writerow([row.method, row.protocol, row.time_index,
-                        _fmt(row.rmspe), _fmt(row.crps), row.n])
+    _write_csv(path, ["method", "protocol", "time", "rmspe", "crps", "n_holdout"],
+               ([row.method, row.protocol, row.time_index, _fmt(row.rmspe), _fmt(row.crps),
+                 row.n] for row in result.rows if row.subset == "all"))
     if by_subset_path is not None:
-        with open(by_subset_path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["method", "protocol", "subset", "time", "rmspe", "crps", "n_holdout"])
-            for row in result.rows:
-                w.writerow([row.method, row.protocol, row.subset, row.time_index,
-                            _fmt(row.rmspe), _fmt(row.crps), row.n])
+        _write_csv(by_subset_path,
+                   ["method", "protocol", "subset", "time", "rmspe", "crps", "n_holdout"],
+                   ([row.method, row.protocol, row.subset, row.time_index, _fmt(row.rmspe),
+                     _fmt(row.crps), row.n] for row in result.rows))
 
 
 def write_trace(path, trace: np.ndarray) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["iteration", "neg2loglik"])
-        for i, v in enumerate(trace):
-            w.writerow([i, _fmt(v)])
+    _write_csv(path, ["iteration", "neg2loglik"], ([i, _fmt(v)] for i, v in enumerate(trace)))
 
 
 # ---------------------------------------------------------------------------
@@ -248,81 +254,81 @@ def write_trace(path, trace: np.ndarray) -> None:
 
 def write_params(path, params: DFGPParams) -> None:
     """Flat CSV layout: param,time,instrument,row,col,value."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["param", "time", "instrument", "row", "col", "value"])
-        u, p, r = params.u, params.p, params.r
-        for t in range(u):
-            for j in range(p):
-                w.writerow(["beta", t + 1, "", "", j, _fmt(params.beta[t, j])])
-        H, U = np.asarray(params.H), np.asarray(params.U)
-        for name, m in (("H", H), ("U", U)):
-            if m.ndim == 2:
-                for i in range(r):
-                    for j in range(r):
-                        w.writerow([name, "", "", i, j, _fmt(m[i, j])])
-            else:
-                for t in range(u):
-                    for i in range(r):
-                        for j in range(r):
-                            w.writerow([name, t + 1, "", i, j, _fmt(m[t, i, j])])
-        for i in range(r):
-            for j in range(r):
-                w.writerow(["K0", "", "", i, j, _fmt(params.K0[i, j])])
-        for t in range(u):
-            for k in range(params.n_instruments):
-                w.writerow(["sigma2_eps", t + 1, k + 1, "", "", _fmt(params.sigma2_eps[t, k])])
-        for t in range(u):
-            w.writerow(["gamma", t + 1, "", "", "", _fmt(params.car[t].gamma)])
-            w.writerow(["tau2", t + 1, "", "", "", _fmt(params.car[t].tau2)])
+    rows = [["beta", t + 1, "", "", j, _fmt(v)]
+            for t, row in enumerate(params.beta.tolist()) for j, v in enumerate(row)]
+    for name, m in (("H", np.asarray(params.H)), ("U", np.asarray(params.U)), ("K0", params.K0)):
+        rows += [[name, t + 1 if m.ndim == 3 else "", "", i, j, _fmt(v)]
+                 for t, mt in enumerate(m.tolist() if m.ndim == 3 else [m.tolist()])
+                 for i, row in enumerate(mt) for j, v in enumerate(row)]
+    rows += [["sigma2_eps", t + 1, k + 1, "", "", _fmt(v)]
+             for t, row in enumerate(params.sigma2_eps.tolist()) for k, v in enumerate(row)]
+    for t, car in enumerate(params.car, start=1):
+        rows += [["gamma", t, "", "", "", _fmt(car.gamma)], ["tau2", t, "", "", "", _fmt(car.tau2)]]
+    _write_csv(path, ["param", "time", "instrument", "row", "col", "value"], rows)
+
+
+_PARAM_FIELDS = (("param", str), ("time", int), ("instrument", int), ("row", int),
+                 ("col", int), ("value", float))
+_PARAM_BASE = {"time": 1, "instrument": 1, "row": 0, "col": 0}   # first index in the file
+_ABSENT = -2 ** 62   # an index field left empty
 
 
 def read_params(path) -> DFGPParams:
-    cells: dict[str, list] = {}
+    """Read a ``write_params`` file.  Raises ValueError naming the file, the
+    1-based data row and the field of an entry that does not parse, is not
+    finite or lies outside its block, and naming the file and parameter of
+    a block that is missing or incomplete."""
+    blocks: dict[str, list] = {}
     with open(path, newline="") as f:
-        for row in csv.DictReader(f):
-            cells.setdefault(row["param"], []).append(row)
+        for i, row in enumerate(_reader(f, path, _PARAM_FIELDS), start=1):
+            try:  # indices become 0-based
+                at = [int(v) - b if (v := row[k]) else _ABSENT for k, b in _PARAM_BASE.items()]
+                value = float(row["value"])
+            except (TypeError, ValueError):
+                raise _unparsable(f"{path}: data row {i}", row, [
+                    (k, kind) for k, kind in _PARAM_FIELDS[1:] if row[k] != "" or k == "value"]
+                ) from None
+            if not math.isfinite(value):
+                raise ValueError(f"{path}: data row {i}: value must be finite, got {row['value']!r}")
+            blocks.setdefault(row["param"], []).append((i, at, value))
+    try:
+        blocks = {name: (np.array(line), dict(zip(_PARAM_BASE, np.array(at, dtype=np.int64).T)), np.array(value))
+                  for name, (line, at, value) in ((n, zip(*rows)) for n, rows in blocks.items())}
+    except OverflowError:
+        i, k = next((i, k) for rows in blocks.values() for i, at, _v in rows
+                    for k, a in zip(_PARAM_BASE, at) if abs(a) >= 2 ** 63 - 1)
+        raise ValueError(f"{path}: data row {i}: {k} does not fit in int64") from None
 
-    def geti(row, key):
-        return int(row[key]) if row[key] != "" else None
+    def entries(name):  # data rows, 0-based index columns by field, values
+        if name not in blocks:
+            raise ValueError(f"{path}: no {name} rows")
+        return blocks[name]
 
-    beta_rows = cells["beta"]
-    u = max(geti(r, "time") for r in beta_rows)
-    p = max(geti(r, "col") for r in beta_rows) + 1
-    beta = np.zeros((u, p))
-    for r_ in beta_rows:
-        beta[geti(r_, "time") - 1, geti(r_, "col")] = float(r_["value"])
-    rdim = max(geti(r_, "row") for r_ in cells["K0"]) + 1
-    K0 = np.zeros((rdim, rdim))
-    for r_ in cells["K0"]:
-        K0[geti(r_, "row"), geti(r_, "col")] = float(r_["value"])
+    def fill(name, keys, shape):
+        line, index, value = entries(name)
+        at = np.column_stack([index[k] for k in keys])
+        bad = ((at < 0) | (at >= shape)).any(axis=1)
+        if bad.any():
+            raise ValueError(f"{path}: data row {line[bad.argmax()]}: {name} needs "
+                             f"{'/'.join(keys)} inside {shape}")
+        out = np.full(shape, np.nan)
+        out[tuple(at.T)] = value
+        if np.isnan(out).any():
+            raise ValueError(f"{path}: {name} lacks entries of its {shape} block")
+        return out
 
-    def read_hu(name):
-        rows = cells[name]
-        per_time = any(r_["time"] != "" for r_ in rows)
-        if per_time:
-            m = np.zeros((u, rdim, rdim))
-            for r_ in rows:
-                m[geti(r_, "time") - 1, geti(r_, "row"), geti(r_, "col")] = float(r_["value"])
-        else:
-            m = np.zeros((rdim, rdim))
-            for r_ in rows:
-                m[geti(r_, "row"), geti(r_, "col")] = float(r_["value"])
-        return m
-
-    H, U = read_hu("H"), read_hu("U")
-    k0n = max(geti(r_, "instrument") for r_ in cells["sigma2_eps"])
-    sig = np.zeros((u, k0n))
-    for r_ in cells["sigma2_eps"]:
-        sig[geti(r_, "time") - 1, geti(r_, "instrument") - 1] = float(r_["value"])
-    gamma = np.zeros(u)
-    tau2 = np.zeros(u)
-    for r_ in cells["gamma"]:
-        gamma[geti(r_, "time") - 1] = float(r_["value"])
-    for r_ in cells["tau2"]:
-        tau2[geti(r_, "time") - 1] = float(r_["value"])
-    car = tuple(CARParams(gamma[t], tau2[t]) for t in range(u))
-    return DFGPParams(beta=beta, H=H, U=U, K0=K0, car=car, sigma2_eps=sig)
+    u, p, r, k = (max(0, 1 + int(entries(n)[1][key].max())) for n, key in (
+        ("beta", "time"), ("beta", "col"), ("K0", "row"), ("sigma2_eps", "instrument")))
+    H, U = (fill(n, ("time", "row", "col"), (u, r, r)) if (entries(n)[1]["time"] != _ABSENT).any()
+            else fill(n, ("row", "col"), (r, r)) for n in ("H", "U"))
+    try:
+        return DFGPParams(beta=fill("beta", ("time", "col"), (u, p)), H=H, U=U,
+                          K0=fill("K0", ("row", "col"), (r, r)),
+                          car=tuple(map(CARParams, *(fill(n, ("time",), (u,))
+                                                     for n in ("gamma", "tau2")))),
+                          sigma2_eps=fill("sigma2_eps", ("time", "instrument"), (u, k)))
+    except InvalidParameterError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -330,31 +336,22 @@ def read_params(path) -> DFGPParams:
 
 def save_state_checkpoint(path, eta: np.ndarray, P: np.ndarray) -> None:
     """eta: (T, r) means; P: (T, r, r) covariances."""
-    eta = np.asarray(eta, dtype="<f8")
-    P = np.asarray(P, dtype="<f8")
-    T, r = eta.shape
+    T, r = np.shape(eta)
     with open(path, "wb") as f:
-        f.write(STATE_MAGIC)
-        f.write(struct.pack("<III", 1, r, T))
-        for t in range(T):
-            f.write(eta[t].tobytes())
-            f.write(P[t].tobytes())
+        f.write(STATE_MAGIC + struct.pack("<III", 1, r, T))
+        f.write(np.column_stack([np.reshape(eta, (T, r)), np.reshape(P, (T, r * r))])
+                .astype("<f8").tobytes())
 
 
 def load_state_checkpoint(path) -> tuple[np.ndarray, np.ndarray]:
     with open(path, "rb") as f:
-        magic = f.read(8)
-        if magic != STATE_MAGIC:
+        if f.read(8) != STATE_MAGIC:
             raise ValueError("not a state checkpoint file")
         version, r, T = struct.unpack("<III", f.read(12))
         if version != 1:
             raise ValueError(f"unsupported checkpoint version {version}")
-        eta = np.empty((T, r))
-        P = np.empty((T, r, r))
-        for t in range(T):
-            eta[t] = np.frombuffer(f.read(8 * r), dtype="<f8")
-            P[t] = np.frombuffer(f.read(8 * r * r), dtype="<f8").reshape(r, r)
-    return eta, P
+        data = np.frombuffer(f.read(8 * T * (r + r * r)), dtype="<f8").reshape(T, r + r * r)
+    return data[:, :r].astype(float), data[:, r:].reshape(T, r, r).astype(float)
 
 
 # ---------------------------------------------------------------------------

@@ -167,7 +167,6 @@ class ModelData:
     slices: list[AssembledTimeSlice]
     X_bau: np.ndarray                  # (N, p) covariates at BAU level
     S_bau: np.ndarray                  # (N, r) basis at BAU level
-    covariate_names: tuple[str, ...] = ()
 
     @property
     def T(self) -> int:
@@ -258,4 +257,4 @@ def assemble(obs: Observations, grid: BAUGrid, basis: BisquareBasis,
             instrument_rows={int(k): slice(int(a), int(b))
                              for k, a, b in zip(ks, starts, ends)}))
     return ModelData(grid=grid, basis=basis, structure=structure, slices=slices,
-                     X_bau=X_bau, S_bau=S_bau, covariate_names=tuple(covariates))
+                     X_bau=X_bau, S_bau=S_bau)

@@ -90,3 +90,19 @@ class TestLocalKrige:
         fit = fit_exp_cov(coords, times, z, start, max_evals=300)
         assert 0.2 < fit.sigma2 < 8.0
         assert fit.nugget < 0.7
+
+    def test_ml_fit_stays_in_window_box(self):
+        # a nearly noiseless linear trend: unbounded, the fit ran to a nugget
+        # of 1e-28..1e-224 and temporal ranges of 3e4..1e6
+        rng = np.random.default_rng(0)
+        coords = rng.uniform(0, 10, size=(60, 2))
+        times = rng.integers(1, 5, size=60).astype(float)
+        z = 3 * coords[:, 0] + 0.5 * coords[:, 1] + 0.01 * rng.standard_normal(60)
+        var, ext_s, ext_t = np.var(z), np.hypot(*np.ptp(coords, axis=0)), np.ptp(times)
+        start = ExpCovParams(var, np.ptp(coords) / 3, np.ptp(times) / 2, 0.1 * var)
+        fit = fit_exp_cov(coords, times, z, start, max_evals=150)
+        tol = 1 + 1e-9
+        assert 1e-4 * var / tol <= fit.sigma2 <= 1e2 * var * tol
+        assert 1e-6 * var / tol <= fit.nugget <= 10.0 * var * tol
+        assert 1e-2 * ext_s / tol <= fit.phi_s <= 1e2 * ext_s * tol
+        assert 1e-2 * ext_t / tol <= fit.phi_t <= 1e2 * ext_t * tol

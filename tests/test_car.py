@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from dfgp.car import (CARParams, GAMMA_MAX, SELECTED_INVERSION_MIN,
-                      SOLVE_BLOCK, SparseFactor, _selected_inverse_diag,
+                      SOLVE_BLOCK, SparseFactor, _selected_inverse,
                       build_adjacency, build_precision, sample_car, sparse_factorize)
 from dfgp.exceptions import (FactorizationError, InvalidParameterError,
                              StructureError)
@@ -233,15 +233,19 @@ def _scenario_f(nx=24, ny=20):
             + slc.B.T @ sp.diags(vinv) @ slc.B).tocsc()
 
 
-class TestSelectedInversion:
-    """The Takahashi path of solve_selected_diag against dense inverses."""
+_SELINV_CASES = pytest.mark.parametrize("make", [
+    lambda: build_precision(build_adjacency(build_grid(20, 16, 1.0)), CARParams(0.999, 1.0)),
+    lambda: build_precision(_two_component_grid(), CARParams(0.9, 0.5)),
+    _scenario_f,
+    lambda: sp.diags(np.random.default_rng(0).uniform(0.5, 2.0, 300)).tocsc(),
+], ids=["rook-0.999", "two-components", "scenario-F", "diagonal"])
 
-    @pytest.mark.parametrize("make", [
-        lambda: build_precision(build_adjacency(build_grid(20, 16, 1.0)), CARParams(0.999, 1.0)),
-        lambda: build_precision(_two_component_grid(), CARParams(0.9, 0.5)),
-        _scenario_f,
-        lambda: sp.diags(np.random.default_rng(0).uniform(0.5, 2.0, 300)).tocsc(),
-    ], ids=["rook-0.999", "two-components", "scenario-F", "diagonal"])
+
+class TestSelectedInversion:
+    """The Takahashi path of solve_selected_diag and selected_inverse against
+    dense inverses."""
+
+    @_SELINV_CASES
     def test_matches_dense_inverse(self, make):
         m = make()
         f = sparse_factorize(m)
@@ -250,6 +254,14 @@ class TestSelectedInversion:
         assert np.abs(got / dense - 1.0).max() <= 1e-12
         idx = np.random.default_rng(1).permutation(m.shape[0])[:SELECTED_INVERSION_MIN]
         assert np.array_equal(f.solve_selected_diag(idx), got[idx])
+
+    @_SELINV_CASES
+    def test_selected_inverse_on_pattern(self, make):
+        m = make().tocsc()
+        z = sparse_factorize(m).selected_inverse()
+        rows, cols = m.nonzero()
+        dense = np.linalg.inv(m.toarray())[rows, cols]
+        assert np.abs(np.asarray(z[rows, cols]).ravel() / dense - 1.0).max() <= 1e-12
 
     def test_strip_beyond_int32_keys(self):
         # n = 48,000 > 46,340, where col * n + row no longer fits in int32
@@ -289,4 +301,4 @@ class TestSelectedInversion:
         assert keep.sum() == L.nnz - 1
         pruned = sp.csc_matrix((L.data[keep], (rows[keep], col[keep])), shape=L.shape)
         with pytest.raises(FactorizationError, match="not closed"):
-            _selected_inverse_diag(pruned, lu.U.diagonal())
+            _selected_inverse(pruned, lu.U.diagonal())

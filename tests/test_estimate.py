@@ -120,11 +120,70 @@ class TestEStep:
         # quadratic statistics agree within a loose MC band
         assert np.allclose(sem.xi_quad_deg, exact.xi_quad_deg, rtol=0.25)
 
-    def test_exact_mode_refused_above_cap(self):
+    def test_exact_mode_above_dense_cap(self):
         data, params = make_instance(0, nx=17, ny=16)     # N = 272 > DENSE_N_CAP
-        cfg = EstimatorConfig(mode="exact")
-        with pytest.raises(ValueError, match="dense path refused above N=256"):
-            e_step(data, params, cfg, np.random.default_rng(0))
+        stats = e_step(data, params, EstimatorConfig(mode="exact"), np.random.default_rng(0))
+        for f in dataclasses.fields(stats):
+            assert np.isfinite(getattr(stats, f.name)).all()
+        for k in stats.K:
+            np.linalg.cholesky(k)
+        expect = dynamics.filter_pass(data, params).neg2loglik
+        assert stats.neg2loglik == expect
+
+    def test_exact_mode_refuses_gamma_zero(self):
+        data, params = make_instance(1)
+        params = dataclasses.replace(params, car=(CARParams(0.0, 1.0),) + params.car[1:])
+        with pytest.raises(ValueError, match="gamma > 0"):
+            e_step(data, params, EstimatorConfig(mode="exact"), np.random.default_rng(0))
+
+
+def _dense_e_step(data, params, lowrank_only):
+    """SufficientStats from the dense joint posterior (DenseJoint)."""
+    u = params.u
+    deg, adj = data.structure.degrees, data.structure.adjacency
+    dj = DenseJoint(data, params, lowrank_only=lowrank_only)
+    mean, cov = dj.posterior()
+    eta = np.vstack([mean[dj.eta_slice(t)] for t in range(u + 1)])
+    K = np.stack([cov[dj.eta_slice(t), dj.eta_slice(t)] + np.outer(eta[t], eta[t])
+                  for t in range(u + 1)])
+    L = np.stack([cov[dj.eta_slice(t), dj.eta_slice(t - 1)] + np.outer(eta[t], eta[t - 1])
+                  for t in range(1, u + 1)])
+    xi = np.vstack([mean[dj.xi_slice(t)] for t in range(1, u + 1)])
+    qd, qa = np.zeros(u), np.zeros(u)
+    trace = np.zeros((u, params.n_instruments))
+    for t in range(1, u + 1):
+        es, xs, m = dj.eta_slice(t), dj.xi_slice(t), xi[t - 1]
+        qd[t - 1] = m @ (deg * m) + deg @ np.diag(cov[xs, xs])
+        qa[t - 1] = m @ (adj @ m) + adj.multiply(cov[xs, xs]).sum()
+        slc = data.slices[t - 1]
+        if slc.n_obs:
+            SB = np.hstack([slc.S.toarray(), slc.B.toarray()])
+            idx = np.r_[np.arange(es.start, es.stop), np.arange(xs.start, xs.stop)]
+            rows = np.einsum("ij,jk,ik->i", SB, cov[np.ix_(idx, idx)], SB)
+            for k, rr in slc.instrument_rows.items():
+                trace[t - 1, k - 1] = (rows[rr] / slc.v_factors[rr]).sum()
+    return SufficientStats(eta, K, L, xi, qd, qa, trace, neg2loglik=dj.neg2loglik())
+
+
+class TestExactEStepMatchesDense:
+    """Exact EM's sparse E-step (one sweep plus F_t^{-1} by selected
+    inversion) against the dense joint posterior."""
+
+    @pytest.mark.parametrize("lowrank_only", [False, True])
+    @pytest.mark.parametrize("kw", [
+        dict(seed=0), dict(seed=1, nx=6, ny=5), dict(seed=2, nx=16, ny=16, r_counts=(4, 9)),
+        dict(seed=3, nx=5, ny=4, mask=np.arange(20) % 7 != 3),
+        dict(seed=4, empty_times=(2,)), dict(seed=5, T=1, k0=1),
+    ], ids=["3x3", "6x5", "16x16-r13", "masked-5x4", "empty-t2", "T1-one-instrument"])
+    def test_every_field_matches(self, kw, lowrank_only):
+        # k0 = 2 (the default) adds multi-BAU footprints of 2-4 cells
+        data, params = make_instance(**kw)
+        got = e_step(data, params, EstimatorConfig(mode="exact", lowrank_only=lowrank_only),
+                     np.random.default_rng(0))
+        expect = _dense_e_step(data, params, lowrank_only)
+        for f in dataclasses.fields(SufficientStats):
+            a, b = np.asarray(getattr(got, f.name)), np.asarray(getattr(expect, f.name))
+            assert np.abs(a - b).max() <= 1e-10 * max(np.abs(b).max(), 1e-12), f.name
 
 
 def _neg2_qsem(data, params, stats, lowrank=False):

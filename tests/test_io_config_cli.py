@@ -194,6 +194,42 @@ class TestParamsCSV:
         assert np.array_equal(np.asarray(q.U), U)
 
 
+    @staticmethod
+    def _written(tmp_path):
+        p = DFGPParams(beta=np.ones((3, 2)), H=0.5 * np.eye(2), U=np.eye(2), K0=np.eye(2),
+                       car=tuple(CARParams(0.5, 1.0) for _ in range(3)),
+                       sigma2_eps=np.full((3, 2), 0.3))
+        dio.write_params(tmp_path / "p.csv", p)
+        return (tmp_path / "p.csv").read_text().splitlines()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda ls: [l.replace("gamma,2,,,,0.5", "gamma,2,,,,abc") for l in ls],
+         r"p\.csv: data row 27: value is not float: 'abc'"),
+        (lambda ls: [l.replace("gamma,2,,,,0.5", "gamma,2,,,,inf") for l in ls],
+         r"p\.csv: data row 27: value must be finite"),
+        (lambda ls: [l.replace("beta,1,,,1,", "beta,1,x,,1,") for l in ls],
+         r"p\.csv: data row 2: instrument is not int: 'x'"),
+        (lambda ls: [l for l in ls if not l.startswith("gamma")], r"p\.csv: no gamma rows"),
+        (lambda ls: [l for l in ls if not l.startswith("tau2,3")],
+         r"p\.csv: tau2 lacks entries of its \(3,\) block"),
+        (lambda ls: [l.replace("K0,,,1,0,", "K0,,,-1,0,") for l in ls],
+         r"p\.csv: data row \d+: K0 needs row/col inside \(2, 2\)"),
+        (lambda ls: [l.replace("gamma,2,,,,0.5", "gamma,2,,,,1.5") for l in ls],
+         r"p\.csv: gamma must lie in"),
+        (lambda ls: [ls[0].replace("value", "val")] + ls[1:], r"p\.csv: header row lacks value"),
+        (lambda ls: [l.replace("beta,2,,,0,", "beta,99999999999999999999,,,0,") for l in ls],
+         r"p\.csv: data row 3: time does not fit in int64"),
+        (lambda ls: [l.replace("H,,,0,1,", "H,0,,0,1,") for l in ls],
+         r"p\.csv: data row 7: H needs time/row/col inside \(3, 2, 2\)"),
+    ], ids=["text", "inf", "bad-index", "no-gamma", "short-tau2", "negative-row",
+            "gamma-range", "header", "index-beyond-int64", "time-zero"])
+    def test_bad_file_names_file_row_field(self, tmp_path, edit, message):
+        lines = edit(self._written(tmp_path))
+        (tmp_path / "p.csv").write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=message):
+            dio.read_params(tmp_path / "p.csv")
+
+
 class TestStateCheckpoint:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -283,10 +319,31 @@ class TestConfig:
             "lowrank_only"]
 
     @pytest.mark.parametrize("line", ["mode = exactt", "tol_loglik = 0",
-                                      "hu_blocks = 3,2"])
+                                      "hu_blocks = 3,2", "max_iter = 0", "draws = 0",
+                                      "consecutive = 0", "sem_average_frac = 0",
+                                      "sem_average_frac = 1.5", "sem_average_frac = nan"])
     def test_bad_estimator_value_fails_to_parse(self, line):
         with pytest.raises(ValueError):
             parse_config(f"[estimator]\n{line}\n")
+
+
+    @pytest.mark.parametrize("name, text, message", [
+        ("centers.csv", "center_x,center_y,radius\n2,2,abc\n",
+         r"centers\.csv: data row 1: radius is not float: 'abc'"),
+        ("centers.csv", "centre_x,center_y,radius\n2,2,3\n",
+         r"centers\.csv: header row lacks center_x"),
+        ("centers.csv", "center_x,center_y,radius\n2,2,3\n2,6,-1\n",
+         r"centers\.csv: data row 2: need finite center_x, center_y and radius > 0"),
+        ("mask.txt", "1 1\n", r"mask\.txt: 2 entries for a grid of 64 cells"),
+        ("mask.txt", "1 x\n", r"mask\.txt: .*'x'"),
+    ], ids=["radius-text", "header", "radius-negative", "mask-size", "mask-text"])
+    def test_bad_mask_or_centers_names_file(self, tmp_path, name, text, message):
+        (tmp_path / name).write_text(text)
+        line = (f"[basis]\ncenters_csv = {tmp_path / name}" if name == "centers.csv"
+                else f"mask = {tmp_path / name}")
+        cfg = parse_config(f"[grid]\nnx = 8\nny = 8\n{line}\n")
+        with pytest.raises(ValueError, match=message):
+            cfg.build_basis(cfg.build_grid())
 
 
 class TestCLI:
@@ -451,6 +508,44 @@ class TestCLI:
                             f"protocol = {protocol}\n\n[data]\nparams = typo.csv")
         assert main([command, "--config", str(bad)]) == 1
         assert not list(out.glob("params*.csv"))
+
+    @staticmethod
+    def _params(u=3, r=4, p=3, k=2):
+        return DFGPParams(beta=np.zeros((u, p)), H=0.5 * np.eye(r), U=np.eye(r), K0=np.eye(r),
+                          car=tuple(CARParams(0.5, 1.0) for _ in range(u)),
+                          sigma2_eps=np.full((u, k), 0.1))
+
+    @pytest.mark.parametrize("kw, message", [
+        (dict(u=2), "horizon 2 where the data need 3"), (dict(r=9), "r 9 where the data need 4"),
+        (dict(p=2), "p 2 where the data need 3"),
+        (dict(k=1), "instrument count 1 where the data need 2"),
+    ], ids=["horizon", "r", "p", "instruments"])
+    def test_saved_params_checked_against_data(self, tmp_path, capsys, kw, message):
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(self._write_config(tmp_path, out))]) == 0
+        dio.write_params(tmp_path / "saved.csv", self._params(**kw))
+        cfgp = self._variant(tmp_path, "saved.ini", out, "protocol = smoothing",
+                             "protocol = smoothing\n\n[data]\nparams = saved.csv")
+        capsys.readouterr()
+        assert main(["smooth", "--config", str(cfgp)]) == 1
+        err = capsys.readouterr().err
+        assert "saved.csv: parameters do not fit the data" in err and message in err
+        # a longer horizon serves its first T steps
+        dio.write_params(tmp_path / "saved.csv", self._params(u=4))
+        assert main(["smooth", "--config", str(cfgp)]) == 0
+
+    def test_unreadable_saved_params_exit_one(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(self._write_config(tmp_path, out))]) == 0
+        dio.write_params(out / "params_u2.csv", self._params(u=2))
+        dio.write_params(out / "params_u3.csv", self._params(u=3))
+        text = (out / "params_u3.csv").read_text()
+        (out / "params_u3.csv").write_text(text.replace("gamma,3,,,,0.5", "gamma,3,,,,abc"))
+        cfgp = self._variant(tmp_path, "f.ini", out, "protocol = smoothing",
+                             "protocol = filtering")
+        capsys.readouterr()
+        assert main(["filter", "--config", str(cfgp)]) == 1
+        assert "params_u3.csv: data row" in capsys.readouterr().err
 
     def test_bad_estimator_value_fails_with_saved_params(self, tmp_path):
         out = tmp_path / "out"
