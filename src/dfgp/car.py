@@ -27,12 +27,21 @@ to 65,536 (about 450 at N = 4,096, 230 at N = 65,536): both costs grow with
 the fill of L at about the same rate, so the crossover barely moves with N.
 At N = 4,096 the full diagonal takes ~0.15 s against ~2 s of unit solves,
 at N = 65,536 ~4 s against ~18 min.
+
+Independent SuperLU calls (the blocks of one factor's multi-column solves,
+the curve's node factorizations) run on one thread pool with a thread per
+CPU the process may run on (``run_parallel``).  Each block makes the same
+call on the same data whatever thread runs it, so results do not depend on
+the thread count.
 """
 
 from __future__ import annotations
 
+import os
+from collections.abc import Callable, Sequence
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property, partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -61,11 +70,37 @@ SELECTED_INVERSION_MIN = 256
 
 # Right-hand sides per SuperLU solve when many columns are solved against one
 # factor (the r columns of the filter step, the unit vectors of the
-# selected-diagonal solves).  Measured for the 99 columns of a
-# 256x256 F_t on one BLAS thread: 0.93 s in blocks of 8, 1.01 s of 16,
-# 1.44 s of 64, 1.56 s all at once (at 100x100: 0.081 s against 0.069 s
-# for 64).  A block also bounds the dense right-hand side at n x SOLVE_BLOCK.
+# selected-diagonal solves); the blocks run on the solve pool.  Measured for
+# the 99 columns and the innovation column of a 256x256 F_t on a 2-CPU pool,
+# one BLAS thread, median of 7: 0.31 s in blocks of 8, 0.39 s of 4, 0.30 s
+# of 12, 0.32 s of 16, 0.46 s of 33, 1.0 s all at once; the columns alone in
+# blocks of 8 take 0.58 s on one thread.  Blocks of up to 16 give the same
+# bits as blocks of 8, blocks of 33 and more do not.  A block also bounds
+# each worker's dense right-hand side at n x SOLVE_BLOCK.
 SOLVE_BLOCK = 8
+
+
+@cache
+def _pool() -> ThreadPoolExecutor:
+    """The process's solve pool, one thread per CPU the process may run on,
+    created on first use."""
+    try:
+        workers = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        workers = os.cpu_count() or 1
+    return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="dfgp-solve")
+
+
+def run_parallel(tasks: Sequence[Callable[[], object]]) -> list:
+    """Run independent zero-argument tasks on the solve pool and return their
+    results in order; the first failing task's exception re-raises here.
+
+    SuperLU's factorization and solves release the GIL, so tasks that each
+    make one such call overlap.  A task must not write state another task
+    reads, nor submit to the pool itself (a task waiting on the pool from
+    inside it can deadlock).
+    """
+    return list(_pool().map(lambda task: task(), tasks))
 
 
 @dataclass(frozen=True)
@@ -130,9 +165,28 @@ class CARStructure:
         vals = np.tile([1.0, -1.0], ne)
         return sp.csr_matrix((vals, (rows, cols)), shape=(ne, self.n))
 
+    @cached_property
+    def _precision_parts(self) -> tuple[sp.csc_matrix, np.ndarray, np.ndarray]:
+        """The CSC pattern of D + E and its values split as D + (-E)."""
+        pattern = (sp.diags(self.degrees) - self.adjacency).tocsc()
+        rows = pattern.indices
+        cols = np.repeat(np.arange(self.n), np.diff(pattern.indptr))
+        on_diag = rows == cols
+        return (pattern, np.where(on_diag, pattern.data, 0.0),
+                np.where(on_diag, 0.0, pattern.data))
+
     def base_precision(self, gamma: float) -> sp.csc_matrix:
-        """D - gamma*E, the unscaled CAR precision (SPD for gamma in [0,1))."""
-        return (sp.diags(self.degrees) - gamma * self.adjacency).tocsc()
+        """D - gamma*E, the unscaled CAR precision (SPD for gamma in [0,1)).
+
+        At gamma = 0 only the diagonal is stored.  Otherwise the values fill
+        one cached pattern of D + E, so the matrix equals
+        (sp.diags(D) - gamma * E).tocsc() array for array.
+        """
+        if gamma == 0:
+            return sp.diags(self.degrees, format="csc")
+        pattern, d, minus_e = self._precision_parts
+        return sp.csc_matrix((d + gamma * minus_e, pattern.indices, pattern.indptr),
+                             shape=pattern.shape)
 
     @cached_property
     def _log_degree_sum(self) -> float:
@@ -162,8 +216,9 @@ class CARStructure:
         lo = float(np.log1p(-GAMMA_MAX))
         k = np.arange(LOGDET_CURVE_NODES)
         s = lo * (1.0 - np.cos(np.pi * k / (LOGDET_CURVE_NODES - 1))) / 2.0
-        h = [self.logdet_i_minus_gamma_w(-np.expm1(si)) - self.n_components * si
-             for si in s]
+        logdets = run_parallel([partial(self.logdet_i_minus_gamma_w, -np.expm1(si))
+                                for si in s])
+        h = [ld - self.n_components * si for ld, si in zip(logdets, s)]
         return Chebyshev.fit(s, h, LOGDET_CURVE_NODES - 1, domain=(lo, 0.0))
 
     def logdet_curve(self, gamma: float) -> float:
@@ -244,14 +299,15 @@ class SparseFactor:
         indices = np.asarray(indices, dtype=np.int64)
         if indices.size >= SELECTED_INVERSION_MIN:
             return self._inverse_diagonal()[indices]
-        out = np.empty(indices.size)
-        for s in range(0, indices.size, SOLVE_BLOCK):
-            idx = indices[s:s + SOLVE_BLOCK]
-            unit = (idx, np.arange(idx.size))
-            rhs = np.zeros((self.shape[0], idx.size))
-            rhs[unit] = 1.0
-            out[s:s + SOLVE_BLOCK] = self.solve(rhs)[unit]
-        return out
+        blocks = run_parallel([partial(self._unit_solve_diag, indices[s:s + SOLVE_BLOCK])
+                               for s in range(0, indices.size, SOLVE_BLOCK)])
+        return np.concatenate([np.empty(0), *blocks])
+
+    def _unit_solve_diag(self, idx: np.ndarray) -> np.ndarray:
+        unit = (idx, np.arange(idx.size))
+        rhs = np.zeros((self.shape[0], idx.size))
+        rhs[unit] = 1.0
+        return self.solve(rhs)[unit]
 
     def selected_inverse(self) -> sp.csc_matrix:
         """M^{-1} on pattern(L + L'), which contains pattern(M), in the

@@ -26,12 +26,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
 
-from .car import SOLVE_BLOCK, CARParams, sparse_factorize
+from .car import SOLVE_BLOCK, CARParams, run_parallel, sparse_factorize
 from .exceptions import FactorizationError, NumericalError
 from .model import AssembledTimeSlice, DFGPParams, ModelData, as_dense, sym
 
@@ -232,14 +233,18 @@ def filter_step(eta_pred: np.ndarray, P_pred: np.ndarray,
             raise NumericalError(str(exc), time_index=t) from exc
         nmat = slc.B.T @ VS                          # (n_valid, r) sparse
         bva = as_dense(slc.B.T @ (vinv[:, None] * alpha))
-        fb = ffac.solve(bva)
         gcorr = np.zeros((r, r))
-        for c0 in range(0, r, SOLVE_BLOCK):
-            cols = slice(c0, min(c0 + SOLVE_BLOCK, r))
+
+        def solve_cols(cols: slice) -> None:
+            # the blocks write disjoint columns of gcorr and psi
             gf = ffac.solve(as_dense(nmat[:, cols]))
             gcorr[:, cols] = as_dense(nmat.T @ gf)
             if m:
                 psi[:, cols] = gf[pred_nodes]
+
+        fb = run_parallel([partial(ffac.solve, bva)]
+                          + [partial(solve_cols, slice(c0, min(c0 + SOLVE_BLOCK, r)))
+                             for c0 in range(0, r, SOLVE_BLOCK)])[0]
         sds = sds - gcorr
         sda = sda - as_dense(nmat.T @ fb)
         ada = ada - (bva * fb).sum(axis=0)

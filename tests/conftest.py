@@ -1,5 +1,9 @@
 """Shared builders for randomized small test instances."""
 
+import contextlib
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -13,6 +17,26 @@ from dfgp.synth import build_adjacency
 def rand_spd(rng, r, scale=1.0):
     a = rng.standard_normal((r, r))
     return scale * (a @ a.T / r + np.eye(r))
+
+
+@contextlib.contextmanager
+def stand_in_pool(workers):
+    """Run dfgp's solve pool on a stand-in executor of ``workers`` threads.
+
+    Yields the list of pool requests, so a test can check the stand-in was
+    used.  Above one worker the interpreter switches threads every
+    microsecond, so tasks interleave as finely as they can.
+    """
+    requests = []
+    switch = sys.getswitchinterval()
+    with pytest.MonkeyPatch.context() as mp, ThreadPoolExecutor(max_workers=workers) as pool:
+        mp.setattr("dfgp.car._pool", lambda: requests.append(1) or pool)
+        if workers > 1:
+            sys.setswitchinterval(1e-6)
+        try:
+            yield requests
+        finally:
+            sys.setswitchinterval(switch)
 
 
 def make_observations(records, n_times):

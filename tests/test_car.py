@@ -3,10 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from conftest import stand_in_pool
 
 from dfgp.car import (CARParams, GAMMA_MAX, SELECTED_INVERSION_MIN,
                       SOLVE_BLOCK, SparseFactor, _selected_inverse,
-                      build_adjacency, build_precision, sample_car, sparse_factorize)
+                      build_adjacency, build_precision, run_parallel, sample_car,
+                      sparse_factorize)
 from dfgp.exceptions import (FactorizationError, InvalidParameterError,
                              StructureError)
 from dfgp.grid import build_grid
@@ -74,6 +76,18 @@ class TestPrecision:
         assert s.precision_logdet(p) == pytest.approx(direct, rel=1e-10)
 
 
+class TestBasePrecision:
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, GAMMA_MAX])
+    def test_matches_diags_minus_gamma_e(self, gamma):
+        mask = np.ones(30, dtype=bool)
+        mask[[0, 7, 8, 22]] = False
+        s = build_adjacency(build_grid(6, 5, 1.0, mask=mask))
+        want = (sp.diags(s.degrees) - gamma * s.adjacency).tocsc()
+        got = s.base_precision(gamma)
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
+
+
 class TestSparseFactor:
     def test_identity(self):
         import scipy.sparse as sp
@@ -118,6 +132,14 @@ class TestSparseFactor:
         idx = np.array([0, 5, 15])
         dense = np.diag(np.linalg.inv(q.toarray()))[idx]
         assert np.allclose(f.solve_selected_diag(idx), dense)
+
+
+class TestRunParallel:
+    def test_results_in_order_and_errors_reraise(self):
+        assert run_parallel([lambda k=k: k for k in range(20)]) == list(range(20))
+        indefinite = sp.csc_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        with pytest.raises(FactorizationError):
+            run_parallel([lambda: 1, lambda: sparse_factorize(indefinite)])
 
 
 class TestUnitSolveBlocks:
@@ -203,6 +225,14 @@ class TestLogdetCurve:
         # the exact path's own rounding (~1e-11 absolute at N = 10^4) dominates
         rel = np.abs(curve - exact) / np.maximum(np.abs(exact), 1.0)
         assert rel.max() <= 1e-10
+
+    @pytest.mark.parametrize("workers", [1, 8])
+    def test_curve_independent_of_workers(self, workers):
+        ref = _two_component_grid()._logdet_chebyshev.coef
+        with stand_in_pool(workers) as requests:
+            got = _two_component_grid()._logdet_chebyshev.coef
+        assert requests
+        assert np.array_equal(got, ref)
 
     def test_counts_components(self):
         assert _two_component_grid().n_components == 2

@@ -3,9 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import make_instance, make_observations, relerr
+from conftest import make_instance, make_observations, relerr, stand_in_pool
 
-from dfgp.car import SELECTED_INVERSION_MIN, SparseFactor, build_precision
+from dfgp.car import SELECTED_INVERSION_MIN, SOLVE_BLOCK, SparseFactor, build_precision
 from dfgp.dense import DenseJoint
 from dfgp.dynamics import (filter_pass, forecast_step, predict_filter,
                            predict_smooth, smoother_pass)
@@ -92,6 +92,36 @@ class TestOracleEquivalence:
             assert relerr(sm.states[t - 1].eta[:, 0], mT[dj.eta_slice(t)]) < 1e-8
             assert relerr(sm.states[t - 1].P,
                           cT[dj.eta_slice(t), dj.eta_slice(t)]) < 1e-8
+
+
+class TestSolvePool:
+    """The solve pool only reorders independent SuperLU calls, so the states
+    do not depend on how many threads run them."""
+
+    @pytest.mark.parametrize("workers", [1, 8])
+    def test_states_bit_identical(self, workers):
+        # two blocks of columns (r = 13), four of unit solves (30 tracked
+        # nodes), four observation columns, an empty step
+        data, params = make_instance(3, nx=6, ny=5, T=3, r_counts=(4, 9),
+                                     empty_times=(2,))
+        rng = np.random.default_rng(0)
+        extra = [rng.standard_normal((slc.n_obs, 3)) for slc in data.slices]
+        pred = data.structure.valid_idx
+        assert SOLVE_BLOCK < pred.size < SELECTED_INVERSION_MIN and params.r > SOLVE_BLOCK
+
+        def run():
+            return filter_pass(data, params, pred_bau=pred, extra_obs=extra,
+                               want_variance=True)
+
+        ref = run()
+        with stand_in_pool(workers) as requests:
+            runs = [run() for _ in range(5)]  # repeats give a race more chances
+        assert requests
+        for got in runs:
+            for a, b in zip(ref.states, got.states, strict=True):
+                for f in dataclasses.fields(a):
+                    x, y = getattr(a, f.name), getattr(b, f.name)
+                    assert np.array_equal(x, y), f.name
 
 
 class TestFilterSpecialCases:
