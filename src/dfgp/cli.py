@@ -97,6 +97,7 @@ def _fit(cfg: RunConfig, data, out: Path, files: Files):
         files.written += [params, trace]
         report += [f"horizon_{u}_iterations = {res.n_iter}",
                    f"horizon_{u}_converged = {res.converged}",
+                   f"horizon_{u}_stop = {res.message}",
                    f"horizon_{u}_neg2loglik = {dio._fmt(res.trace[-1])}",
                    f"horizon_{u}_params_file = {params.name}",
                    f"horizon_{u}_trace_file = {trace.name}"]

@@ -190,9 +190,21 @@ def _options():
 
 def parse_config(text: str) -> RunConfig:
     """RunConfig from INI text; absent options keep the defaults of
-    ``RunConfig()``.  Invalid values raise ValueError here."""
+    ``RunConfig()``.  Unknown sections or keys and invalid values raise
+    ValueError here."""
     cp = configparser.ConfigParser()
     cp.read_string(text)
+    known: dict[str, set[str]] = {}
+    for section, key, *_ in _options():
+        known.setdefault(section, set()).add(cp.optionxform(key))
+    if cp.defaults():
+        raise ValueError("unknown config section [DEFAULT]")
+    for section in cp.sections():
+        if section not in known:
+            raise ValueError(f"unknown config section [{section}]")
+        unknown = sorted(set(cp.options(section)) - known[section])
+        if unknown:
+            raise ValueError(f"unknown key(s) in [{section}]: {', '.join(unknown)}")
     top: dict = {}
     for section, key, owner, name, hint in _options():
         if cp.has_option(section, key):

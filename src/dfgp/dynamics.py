@@ -11,9 +11,12 @@ and every application of D uses the Woodbury identity
     D = V^{-1} - V^{-1} B F^{-1} B' V^{-1},      F = Q + B' V^{-1} B,
 
 so the only large factorization per step is the sparse SPD matrix F.  The
-fine-scale posterior pieces ride along at no extra factorization cost via
-    Q^{-1} B' D = F^{-1} B' V^{-1}.
-No dense N x N or n x n matrix is ever formed.
+same factor gives the fine-scale posterior at no extra factorization cost:
+given eta_t and Z_t, xi_t ~ N(delta0 - psi eta_t, F^{-1}) with
+    delta0 = F^{-1} B' V^{-1} (z - X beta),      psi = F^{-1} B' V^{-1} S,
+which depend on no state.  Each step stores them at the tracked nodes, so
+the smoother moves (eta, P) alone and the predictors read E[xi] and var(xi)
+from (eta, P).  No dense N x N or n x n matrix is ever formed.
 
 Means are computed for any number of observation columns at once (the
 conditional-simulation machinery feeds simulated replicates through the same
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -67,12 +70,14 @@ def _row_quad(rows: np.ndarray, m: np.ndarray) -> np.ndarray:
 class StatePosterior:
     """Moments of (eta_t, delta_t^P) given data up to some horizon.
 
-    ``eta`` and ``delta`` carry one column per observation set fed through
-    the sweep (column 0 is the real data), as does ``quad`` =
-    alpha' Sigma^{-1} alpha for the innovation alpha; ``logdet_sigma`` is
-    ln|Sigma| (both filtered states only).  ``psi`` is the m x r coupling
-    block the smoother needs; ``lag1`` is cov(eta_t, eta_{t-1} | Z) and is
-    populated on smoothed states only.
+    At the m tracked nodes xi_t | eta_t, Z ~ N(delta0 - psi eta_t, F_t^{-1}),
+    which needs no state: ``fine_var`` = diag F_t^{-1} (None without
+    want_variance).  Filtered and smoothed states share delta0, psi and
+    fine_var and differ only in (eta, P, lag1); ``delta``, ``R_diag`` and
+    ``C`` follow.  ``eta``, ``delta0`` and ``quad`` = alpha' Sigma^{-1} alpha
+    carry one column per observation set fed through the sweep (column 0 is
+    the real data); ``logdet_sigma`` is ln|Sigma|; ``lag1`` is
+    cov(eta_t, eta_{t-1} | Z), on smoothed states only.
     """
 
     time_index: int
@@ -80,8 +85,8 @@ class StatePosterior:
     P: np.ndarray                   # (r, r)
     eta_pred: np.ndarray            # (r, k)
     P_pred: np.ndarray              # (r, r)
-    delta: np.ndarray               # (m, k)
-    R_diag: np.ndarray | None       # (m,)
+    delta0: np.ndarray              # (m, k)
+    fine_var: np.ndarray | None     # (m,)
     psi: np.ndarray                 # (m, r)
     n_obs: int = 0
     logdet_sigma: float = 0.0
@@ -89,9 +94,20 @@ class StatePosterior:
     lag1: np.ndarray | None = None
 
     @property
+    def delta(self) -> np.ndarray:
+        """E[delta_t^P | data] = delta0 - psi eta, (m, k)."""
+        return self.delta0 - self.psi @ self.eta
+
+    @property
+    def R_diag(self) -> np.ndarray | None:
+        """var(delta_t^P | data) = fine_var + diag(psi P psi'), (m,)."""
+        if self.fine_var is None:
+            return None
+        return self.fine_var + _row_quad(self.psi, self.P)
+
+    @property
     def C(self) -> np.ndarray:
-        """cov(eta_t, delta_t^P) = -P psi' (r, m), filtered or smoothed alike:
-        the smoother's C_f + J dP M' equals -(P_f + J dP J') psi'."""
+        """cov(eta_t, delta_t^P) = -P psi' (r, m)."""
         return -self.P @ self.psi.T
 
 
@@ -140,12 +156,12 @@ def filter_pass(data: ModelData, params: DFGPParams, *,
                 lowrank_only: bool = False) -> FilterResult:
     """Forward filtering sweep over t = 1..params.u.
 
-    pred_bau: flat BAU indices where the fine-scale posterior (delta, R, C)
-        is tracked; None disables tracking, data.structure.valid_idx tracks
-        every BAU.
+    pred_bau: flat BAU indices where the fine-scale posterior (delta0, psi,
+        fine_var) is tracked; None disables tracking,
+        data.structure.valid_idx tracks every BAU.
     extra_obs: optional per-time arrays (n_t, k-1) of additional observation
         columns sharing the design of the real data.
-    want_variance: also compute R_diag (per step, one sparse solve per
+    want_variance: also compute fine_var (per step, one sparse solve per
         prediction BAU for small sets, else one selected inversion of the
         factor; see ``SparseFactor.solve_selected_diag``).
     lowrank_only: drop the fine-scale component entirely (fixed-rank
@@ -200,18 +216,17 @@ def filter_step(eta_pred: np.ndarray, P_pred: np.ndarray,
     t = slc.time_index
     r, n_rhs = eta_pred.shape
     m = pred_nodes.size
+    psi = np.zeros((m, r))
+    delta0 = np.zeros((m, n_rhs))
+    fine_var = np.zeros(m) if want_variance else None
     if slc.n_obs == 0:
-        R_diag = None
         if want_variance and m and not lowrank_only:
             afac = structure.factor(car.gamma)
-            R_diag = car.tau2 * afac.solve_selected_diag(pred_nodes)
-        elif want_variance:
-            R_diag = np.zeros(m)
+            fine_var = car.tau2 * afac.solve_selected_diag(pred_nodes)
         return StatePosterior(
             time_index=t, eta=eta_pred.copy(), P=P_pred.copy(),
-            eta_pred=eta_pred, P_pred=P_pred, delta=np.zeros((m, n_rhs)),
-            R_diag=R_diag, psi=np.zeros((m, r)),
-            n_obs=0, quad=np.zeros(n_rhs))
+            eta_pred=eta_pred, P_pred=P_pred, delta0=delta0,
+            fine_var=fine_var, psi=psi, n_obs=0, quad=np.zeros(n_rhs))
 
     zcols = slc.z[:, None] if extra is None else np.column_stack([slc.z, extra])
     v = slc.v_diag(sigma2_row)
@@ -221,9 +236,6 @@ def filter_step(eta_pred: np.ndarray, P_pred: np.ndarray,
     sds = as_dense(slc.S.T @ VS)                      # S' V^{-1} S
     sda = as_dense(VS.T @ alpha)                      # S' V^{-1} alpha
     ada = (alpha * (vinv[:, None] * alpha)).sum(axis=0)
-    psi = np.zeros((m, r))
-    delta = np.zeros((m, n_rhs))
-    R_diag = np.zeros(m) if want_variance else None
     if lowrank_only:
         ln_dinv = float(np.log(v).sum())
     else:
@@ -250,8 +262,11 @@ def filter_step(eta_pred: np.ndarray, P_pred: np.ndarray,
         ada = ada - (bva * fb).sum(axis=0)
         ln_dinv = (ffac.logdet() - structure.precision_logdet(car)
                    + float(np.log(v).sum()))
-        if want_variance and m:
-            R_diag = ffac.solve_selected_diag(pred_nodes)
+        if m:
+            # fb = E[xi | eta_pred, Z] at every node; E[xi | eta, Z] is affine in eta
+            delta0 = fb[pred_nodes] + psi @ eta_pred
+            if want_variance:
+                fine_var = ffac.solve_selected_diag(pred_nodes)
 
     pp_cf = _cho(P_pred, t, "forecast covariance")
     A = sym(_cho_inv(pp_cf) + sds)
@@ -259,65 +274,48 @@ def filter_step(eta_pred: np.ndarray, P_pred: np.ndarray,
     gain = la.cho_solve(a_cf, sda)                  # (r, k)
     eta_f = eta_pred + gain
     P_f = _cho_inv(a_cf)
-    if not lowrank_only and m:
-        delta = fb[pred_nodes] - psi @ gain
-        if want_variance:
-            R_diag = R_diag + _row_quad(psi, P_f)
     return StatePosterior(
         time_index=t, eta=eta_f, P=P_f, eta_pred=eta_pred, P_pred=P_pred,
-        delta=delta, R_diag=R_diag, psi=psi, n_obs=slc.n_obs,
+        delta0=delta0, fine_var=fine_var, psi=psi, n_obs=slc.n_obs,
         logdet_sigma=_cho_logdet(a_cf) + _cho_logdet(pp_cf) + ln_dinv,
         quad=ada - (sda * gain).sum(axis=0))
 
 
 def smoother_pass(filt: FilterResult, params: DFGPParams) -> SmootherResult:
-    """Backward smoothing sweep; reuses only r-dim and m x r filter artifacts."""
+    """Backward smoothing sweep over (eta, P) alone: each smoothed state keeps
+    its filtered state's fine-scale pieces (delta0, psi, fine_var)."""
     u = len(filt.states)
     fs = filt.states
-    out: list[StatePosterior | None] = [None] * u
-    last = fs[-1]
-    out[u - 1] = StatePosterior(
-        time_index=u, eta=last.eta.copy(), P=last.P.copy(),
-        eta_pred=last.eta_pred, P_pred=last.P_pred,
-        delta=last.delta.copy(), R_diag=None if last.R_diag is None else last.R_diag.copy(),
-        psi=last.psi, n_obs=last.n_obs)
+    out = [replace(fs[-1])]
     # lag-1 cross covariances: cov(eta_t, eta_{t-1} | Z) = P_{t|Z} J_{t-1}'
     for t in range(u - 1, 0, -1):
-        f_t, nxt = fs[t - 1], out[t]
-        H_next = params.H_at(t + 1)
+        f_t, nxt = fs[t - 1], out[-1]
         pp_cf = _cho(fs[t].P_pred, t + 1, "forecast covariance")
-        J = f_t.P @ la.cho_solve(pp_cf, H_next).T       # P_f H' P_pred^{-1}
+        J = f_t.P @ la.cho_solve(pp_cf, params.H_at(t + 1)).T   # P_f H' P_pred^{-1}
         nxt.lag1 = nxt.P @ J.T
-        d_eta = nxt.eta - fs[t].eta_pred
-        d_P = nxt.P - fs[t].P_pred
-        M = -f_t.psi @ J                                 # (m, r)
-        out[t - 1] = StatePosterior(
-            time_index=t,
-            eta=f_t.eta + J @ d_eta,
-            P=sym(f_t.P + J @ d_P @ J.T),
-            eta_pred=f_t.eta_pred, P_pred=f_t.P_pred,
-            delta=f_t.delta + M @ d_eta,
-            R_diag=None if f_t.R_diag is None else f_t.R_diag + _row_quad(M, d_P),
-            psi=f_t.psi, n_obs=f_t.n_obs)
+        out.append(replace(f_t, eta=f_t.eta + J @ (nxt.eta - fs[t].eta_pred),
+                           P=sym(f_t.P + J @ (nxt.P - fs[t].P_pred) @ J.T)))
+    out.reverse()
     # smoothed initial state (eta_{0|0} = 0, P_{0|0} = K0)
     pp_cf = _cho(fs[0].P_pred, 1, "forecast covariance")
     J0 = params.K0 @ la.cho_solve(pp_cf, params.H_at(1)).T
     eta0 = J0 @ (out[0].eta - fs[0].eta_pred)
     P0 = sym(params.K0 + J0 @ (out[0].P - fs[0].P_pred) @ J0.T)
     out[0].lag1 = out[0].P @ J0.T
-    return SmootherResult(states=[s for s in out if s is not None],
-                      eta0=eta0, P0=P0, pred_nodes=filt.pred_nodes)
+    return SmootherResult(states=out, eta0=eta0, P0=P0, pred_nodes=filt.pred_nodes)
 
 
 def predict_from_posterior(post: StatePosterior, Xp: np.ndarray, Sp: np.ndarray,
                            beta_t: np.ndarray, bau_indices: np.ndarray) -> PredictionField:
     """Field mean and standard error from one time's posterior moments
-    (column 0, the real data)."""
-    mean = Xp @ beta_t + Sp @ post.eta[:, 0] + post.delta[:, 0]
-    # Sp P Sp' + 2 Sp C with C = -P psi'
-    var = np.einsum("ij,ij->i", Sp @ post.P, Sp - 2.0 * post.psi)
-    if post.R_diag is not None:
-        var = var + post.R_diag
+    (column 0, the real data): Y - X beta - delta0 = (S - psi) eta + e with
+    e ~ N(0, diag fine_var) independent of eta, so var(Y) is a PSD form in P
+    plus a diagonal."""
+    G = Sp - post.psi
+    mean = Xp @ beta_t + G @ post.eta[:, 0] + post.delta0[:, 0]
+    var = _row_quad(G, post.P)
+    if post.fine_var is not None:
+        var = var + post.fine_var
     scale = float(np.max(np.abs(var), initial=0.0))
     bad = var < -1e-10 * max(scale, 1.0)
     if bad.any():
@@ -330,26 +328,23 @@ def predict_from_posterior(post: StatePosterior, Xp: np.ndarray, Sp: np.ndarray,
                            mean=mean, stderr=np.sqrt(var))
 
 
-def _check_pred_alignment(data: ModelData, pred_bau, tracked: np.ndarray) -> None:
+def _predict(result: FilterResult | SmootherResult, data: ModelData, params: DFGPParams,
+             t: int, pred_bau: np.ndarray) -> PredictionField:
     nodes = data.node_index(np.asarray(pred_bau, dtype=np.int64))
-    if nodes.shape != tracked.shape or not np.array_equal(nodes, tracked):
+    if not np.array_equal(nodes, result.pred_nodes):
         raise ValueError("pred_bau differs from the prediction set tracked "
                          "during the filter pass")
+    Xp, Sp = data.design_at(pred_bau)
+    return predict_from_posterior(result.states[t - 1], Xp, Sp, params.beta[t - 1], pred_bau)
 
 
 def predict_filter(filt: FilterResult, data: ModelData, params: DFGPParams,
                    t: int, pred_bau: np.ndarray) -> PredictionField:
     """Filtered field predictor at time t over the tracked prediction BAUs."""
-    _check_pred_alignment(data, pred_bau, filt.pred_nodes)
-    post = filt.states[t - 1]
-    Xp, Sp = data.design_at(pred_bau)
-    return predict_from_posterior(post, Xp, Sp, params.beta[t - 1], pred_bau)
+    return _predict(filt, data, params, t, pred_bau)
 
 
 def predict_smooth(smooth: SmootherResult, data: ModelData, params: DFGPParams,
                    t: int, pred_bau: np.ndarray) -> PredictionField:
     """Smoothed field predictor at time t over the tracked prediction BAUs."""
-    _check_pred_alignment(data, pred_bau, smooth.pred_nodes)
-    post = smooth.states[t - 1]
-    Xp, Sp = data.design_at(pred_bau)
-    return predict_from_posterior(post, Xp, Sp, params.beta[t - 1], pred_bau)
+    return _predict(smooth, data, params, t, pred_bau)

@@ -7,6 +7,9 @@ exactly from a filter/smoother sweep in both; the fine-scale expectations:
 * ``exact``: full EM, exact from the smoothed fine-scale moments and one
   selected inversion of F_t per step; no dense joint, so no cap on N.
 
+The fixed-rank model has no fine-scale field, so both modes run its exact
+E-step.
+
 Each iteration's sweep also yields the marginal -2 log-likelihood at the
 current parameters (``FilterResult.neg2loglik``), which drives the
 convergence monitor and the trace.
@@ -18,7 +21,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.optimize import minimize_scalar
 
 from .car import GAMMA_MAX, CARParams, SparseFactor, sample_car, sparse_factorize
@@ -94,8 +96,8 @@ class EstimationResult:
     """Point estimate plus the iteration record.
 
     params is the reported estimate (tail average for SEM, final iterate for
-    exact EM); params_best is the iterate with the lowest -2 log-likelihood,
-    the fallback of record when converged is False.
+    exact EM, or the iterate with the lowest -2 log-likelihood when exact EM
+    did not converge); message says why the iteration stopped.
     """
 
     params: DFGPParams
@@ -103,7 +105,6 @@ class EstimationResult:
     n_iter: int
     converged: bool
     params_last: DFGPParams | None = None
-    params_best: DFGPParams | None = None
     message: str = ""
 
 
@@ -148,13 +149,12 @@ def conditional_simulate(data: ModelData, params: DFGPParams,
     sm = smoother_pass(filt, params)
     eta_draws = np.empty((ndraws, u + 1, r))
     xi_draws = np.empty((ndraws, u, nv))
-    for j in range(ndraws):
-        eta_draws[j, 0] = eta_star[0, :, j] + sm.eta0[:, 0] - sm.eta0[:, j + 1]
-        for t in range(1, u + 1):
-            st = sm.states[t - 1]
-            eta_draws[j, t] = eta_star[t, :, j] + st.eta[:, 0] - st.eta[:, j + 1]
-            xi_draws[j, t - 1] = (xi_star[t - 1, :, j]
-                                  + st.delta[:, 0] - st.delta[:, j + 1])
+    eta_draws[:, 0] = (eta_star[0] + sm.eta0[:, :1] - sm.eta0[:, 1:]).T
+    for t in range(1, u + 1):
+        st = sm.states[t - 1]
+        delta = st.delta
+        eta_draws[:, t] = (eta_star[t] + st.eta[:, :1] - st.eta[:, 1:]).T
+        xi_draws[:, t - 1] = (xi_star[t - 1] + delta[:, :1] - delta[:, 1:]).T
     return eta_draws, xi_draws, (filt, sm)
 
 
@@ -174,41 +174,40 @@ def e_step(data: ModelData, params: DFGPParams, config: EstimatorConfig,
            rng: np.random.Generator) -> SufficientStats:
     """E-step summaries plus the -2 log-likelihood, from one filter/smoother
     sweep.  Exact mode uses Cov(xi_t | Z) = Z_t + psi_t P_{t|u} psi_t', with
-    Z_t = F_t^{-1} on pattern(F_t) (0 in the fixed-rank model)."""
+    Z_t = F_t^{-1} on pattern(F_t).  The fixed-rank model has no xi to draw,
+    so it takes the exact branch in both modes and tracks no node."""
     u = params.u
     r, nv = params.r, data.structure.n
     deg = data.structure.degrees
     adj = data.structure.adjacency
     xi_mean, xi_qd, xi_qa = np.zeros((u, nv)), np.zeros(u), np.zeros(u)
     meas_trace = np.zeros((u, params.n_instruments))
-    if config.mode == "exact":
-        filt = filter_pass(data, params, pred_bau=data.structure.valid_idx,
-                           lowrank_only=config.lowrank_only)
+    if config.mode == "exact" or config.lowrank_only:
+        filt = filter_pass(data, params, lowrank_only=config.lowrank_only,
+                           pred_bau=None if config.lowrank_only else data.structure.valid_idx)
         sm = smoother_pass(filt, params)
         for t in range(1, u + 1):
             slc, st = data.slices[t - 1], sm.states[t - 1]
-            m, psi, P = st.delta[:, 0], st.psi, st.P
-            Z = sp.csc_matrix((nv, nv))
-            if not config.lowrank_only:
+            if config.lowrank_only:
+                quad_rows = _row_quad(as_dense(slc.S), st.P)
+            else:
                 # E's pattern, which E[xi' E xi] reads, drops out of F_t at gamma = 0
                 if params.car[t - 1].gamma == 0:
                     raise InvalidParameterError("exact EM needs gamma > 0 at every time step")
                 Z = sparse_factorize(fine_precision(
                     data.structure, params.car[t - 1], slc.B,
                     1.0 / slc.v_diag(params.sigma2_eps[t - 1]))).selected_inverse()
-            xi_mean[t - 1] = m
-            xi_qd[t - 1] = m @ (deg * m) + deg @ (Z.diagonal() + _row_quad(psi, P))
-            xi_qa[t - 1] = (m @ (adj @ m) + adj.multiply(Z).sum()
-                            + float((P * (psi.T @ (adj @ psi))).sum()))
-            # rows of Cov(S eta + B xi) = (S - B psi) P (S - B psi)' + B F^{-1} B'
-            quad_rows = (_row_quad(as_dense(slc.S) - slc.B @ psi, P)
-                         + np.asarray((slc.B @ Z).multiply(slc.B).sum(axis=1)).ravel())
+                m, psi, P = st.delta[:, 0], st.psi, st.P
+                xi_mean[t - 1] = m
+                xi_qd[t - 1] = m @ (deg * m) + deg @ (Z.diagonal() + _row_quad(psi, P))
+                xi_qa[t - 1] = (m @ (adj @ m) + adj.multiply(Z).sum()
+                                + float((P * (psi.T @ (adj @ psi))).sum()))
+                # rows of Cov(S eta + B xi) = (S - B psi) P (S - B psi)' + B F^{-1} B'
+                quad_rows = (_row_quad(as_dense(slc.S) - slc.B @ psi, P)
+                             + np.asarray((slc.B @ Z).multiply(slc.B).sum(axis=1)).ravel())
             for k, rows in slc.instrument_rows.items():
                 meas_trace[t - 1, k - 1] = float(
                     (quad_rows[rows] / slc.v_factors[rows]).sum())
-    elif config.lowrank_only:
-        filt = filter_pass(data, params, lowrank_only=True)
-        sm = smoother_pass(filt, params)
     else:
         # SEM: fine-scale expectations from conditional draws
         _eta_draws, xi_draws, (filt, sm) = conditional_simulate(
@@ -454,7 +453,6 @@ def run_estimator(data: ModelData, config: EstimatorConfig, init: DFGPParams | N
     return EstimationResult(params=final, trace=np.asarray(trace),
                             n_iter=len(trace), converged=converged,
                             params_last=history[-1],
-                            params_best=None if best is None else best[1],
                             message=message)
 
 

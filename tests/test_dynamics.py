@@ -204,6 +204,16 @@ class TestSmootherSpecialCases:
         assert np.array_equal(last_s.P, last_f.P)
         assert np.array_equal(last_s.delta, last_f.delta)
 
+    def test_smoother_keeps_filtered_fine_scale_arrays(self):
+        # the fine-scale pieces need no state: the smoother moves (eta, P) only
+        data, params = make_instance(3, T=3, empty_times=(2,))
+        filt = filter_pass(data, params, pred_bau=data.structure.valid_idx,
+                           want_variance=True)
+        sm = smoother_pass(filt, params)
+        for fs, ss in zip(filt.states, sm.states, strict=True):
+            assert ss is not fs
+            assert ss.delta0 is fs.delta0 and ss.psi is fs.psi and ss.fine_var is fs.fine_var
+
     def test_h_zero_smoothed_equals_filtered(self):
         data, params = make_instance(3)
         params = dataclasses.replace(params, H=np.zeros((params.r, params.r)))

@@ -130,6 +130,16 @@ class TestEStep:
         expect = dynamics.filter_pass(data, params).neg2loglik
         assert stats.neg2loglik == expect
 
+    def test_fixed_rank_same_in_both_modes(self):
+        # nothing is drawn in the fixed-rank model, so SEM and exact EM agree,
+        # meas_trace (the rows of S P S' / v) included
+        data, params = make_instance(4, T=3, empty_times=(2,))
+        sem, exact = (e_step(data, params, EstimatorConfig(mode=mode, lowrank_only=True),
+                             np.random.default_rng(0)) for mode in ("sem", "exact"))
+        assert sem.meas_trace.any()
+        for f in dataclasses.fields(SufficientStats):
+            assert np.array_equal(getattr(sem, f.name), getattr(exact, f.name)), f.name
+
     def test_exact_mode_refuses_gamma_zero(self):
         data, params = make_instance(1)
         params = dataclasses.replace(params, car=(CARParams(0.0, 1.0),) + params.car[1:])

@@ -1,6 +1,7 @@
 import csv
 import filecmp
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -304,6 +305,21 @@ class TestConfig:
         with pytest.raises(ValueError):
             parse_config("[run]\nprotocol = nonsense\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("[run]\nprotocl = filtering\n", r"\[run\]: protocl"),
+        ("[scenario]\nfine_drop_rat = 0.3\n", r"\[scenario\]: fine_drop_rat"),
+        ("[estimater]\nmode = exact\n", r"section \[estimater\]"),
+        ("[DEFAULT]\nseed = 3\n[grid]\nnx = 8\n", r"section \[DEFAULT\]"),
+    ])
+    def test_unknown_section_or_key_rejected(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            parse_config(text)
+
+    def test_readme_example_loads(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        example = readme.split("A minimal config:\n\n```ini\n")[1].split("```")[0]
+        assert parse_config(example).estimator.nugget_time_invariant
+
     def test_defaults(self):
         cfg = parse_config("[run]\nseed = 1\n")
         assert cfg.grid.nx == 40 and cfg.estimator.mode == "sem"
@@ -367,6 +383,8 @@ class TestCLI:
                       (out / "fit_report.txt").read_text().splitlines())
         last = (out / "trace.csv").read_text().splitlines()[-1].split(",")[1]
         assert float(report["horizon_3_neg2loglik"]) == float(last)
+        # max_iter = 4 stops SEM before 5 consecutive settled steps can occur
+        assert report["horizon_3_stop"] == "max_iter reached"
         assert main(["filter", "--config", str(cfgp)]) == 0
         assert main(["smooth", "--config", str(cfgp)]) == 0
         pf = (out / "predictions_filter.csv").read_text().splitlines()
