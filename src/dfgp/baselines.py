@@ -16,6 +16,8 @@ import numpy as np
 import scipy.linalg as la
 from scipy.optimize import minimize
 
+_JITTER = 1e-8   # nugget added per unit sill to a degenerate kriging window
+
 
 @dataclass(frozen=True)
 class ExpCovParams:
@@ -53,7 +55,6 @@ class LocalKrigeSettings:
     pilot: ExpCovParams | None = None   # anisotropy for the neighbor metric
     fit: bool = True                # ML-fit the covariance inside the window
     max_fit_evals: int = 200
-    jitter: float = 1e-8
 
 
 def _lags(coords, times) -> tuple[np.ndarray, np.ndarray]:
@@ -140,7 +141,7 @@ def local_krige(target_xy, target_t, coords, times, values,
         cf = _cov_factor(lags, p)
     except la.LinAlgError:
         warnings.warn("degenerate kriging window; regularizing covariance")
-        p = replace(p, nugget=p.nugget + settings.jitter * p.sigma2 + 1e-10)
+        p = replace(p, nugget=p.nugget + _JITTER * p.sigma2 + 1e-10)
         cf = _cov_factor(lags, p)
     c0 = _kernel(np.sqrt(((cw - np.asarray(target_xy, dtype=float)) ** 2).sum(axis=1)),
                  np.abs(tw - float(target_t)), p)

@@ -16,7 +16,7 @@ from typing import get_args, get_type_hints
 
 from . import io as dio
 from .basis import layout_multires
-from .cv import HoldoutPlan
+from .cv import METHODS, HoldoutPlan
 from .estimate import EstimatorConfig
 from .grid import build_grid
 from .model import DEFAULT_COVARIATES
@@ -112,6 +112,14 @@ class RunConfig:
         if self.protocol == "filtering" and self.data.params:
             raise ValueError("[data] params applies to protocol = smoothing only; "
                              "protocol = filtering reads params_u<u>.csv per horizon")
+        unknown = [m for m in self.cv.methods if m not in METHODS]
+        if unknown:
+            raise ValueError(f"[cv] methods: unknown {', '.join(unknown)}; "
+                             f"choose from {', '.join(METHODS)}")
+        try:
+            self.holdout_plan()
+        except ValueError as exc:
+            raise ValueError(f"[holdout] {exc}") from None
 
     # ---- derived objects -------------------------------------------------
     def build_grid(self):

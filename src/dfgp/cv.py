@@ -38,9 +38,10 @@ class HoldoutPlan:
 
     def __post_init__(self):
         if not (0.0 < self.fraction < 1.0):
-            raise ValueError("fraction must lie in (0, 1)")
+            raise ValueError(f"fraction must lie in (0, 1), got {self.fraction}")
         if self.time_first > self.time_last:
-            raise ValueError("empty holdout time range")
+            raise ValueError(f"time_first {self.time_first} > time_last {self.time_last}: "
+                             "empty holdout time range")
 
 
 @dataclass(frozen=True)

@@ -70,6 +70,8 @@ class EstimatorConfig:
             raise ValueError(f"sem_average_frac must lie in (0, 1], got {self.sem_average_frac}")
         if list(self.hu_blocks) != sorted(set(self.hu_blocks)):
             raise ValueError("hu_blocks must be strictly increasing")
+        if min(self.hu_blocks, default=1) < 1:
+            raise ValueError(f"hu_blocks must be >= 1, got {self.hu_blocks}")
 
 
 @dataclass
@@ -410,6 +412,8 @@ def run_estimator(data: ModelData, config: EstimatorConfig, init: DFGPParams | N
     u = len(data.slices) if horizon is None else horizon
     if u < 1:
         raise ValueError("need at least one time step")
+    if config.hu_blocks and config.hu_blocks[-1] != u:
+        raise ValueError(f"hu_blocks must end at the horizon {u}")
     rng = np.random.default_rng(config.seed)
     params = init.truncated(u) if init is not None and init.u >= u else (
         init if init is not None else init_params(data, horizon=u))

@@ -4,15 +4,16 @@ binary state checkpoint.
 
 All CSVs are plain comma-separated text with a header row; floats are
 written with %.17g so that write -> read round-trips exactly and reruns are
-byte-identical.  The state checkpoint layout is documented at
-:data:`STATE_MAGIC` (all fields little-endian).
+byte-identical.  One chunked reader parses every CSV input a column at a
+time and scans rows only to name a bad entry.  The state checkpoint layout
+is documented at :data:`STATE_MAGIC` (all fields little-endian).
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
-import math
+import itertools
 import os
 import struct
 from pathlib import Path
@@ -73,116 +74,129 @@ def write_observations(path_obs, path_fps, obs: Observations) -> None:
                 for b in obs.fp_indices[obs.fp_indptr[f]:obs.fp_indptr[f + 1]].tolist()))
 
 
-_OBS_FIELDS = (("time", int), ("instrument", int), ("footprint_id", int),
-               ("value", float), ("var_factor", float))
-_FP_FIELDS = (("footprint_id", int), ("bau_index", int))
-_INT64_END = 2 ** 63  # parsed ids must satisfy -_INT64_END <= n < _INT64_END
+_OBS_FIELDS = {"time": int, "instrument": int, "footprint_id": int, "value": float,
+               "var_factor": float}
+_FP_FIELDS = {"footprint_id": int, "bau_index": int}
+_PARAM_FIELDS = {"param": str, "time": None, "instrument": None, "row": None, "col": None,
+                 "value": float}   # None: an int, or empty if absent
+_PARAM_BASE = {"time": 1, "instrument": 1, "row": 0, "col": 0}   # first index in the file
+_ABSENT = -2 ** 62   # an index field left empty
+_CHUNK_ROWS = 4096   # data rows per bulk conversion: small chunks keep few row lists alive
 
 
-def _reader(f, path, fields) -> csv.DictReader:
-    """A DictReader over f whose header names every field in ``fields``."""
-    reader = csv.DictReader(f)
-    missing = [name for name, _kind in fields if name not in (reader.fieldnames or ())]
-    if missing:
-        raise ValueError(f"{path}: header row lacks {', '.join(missing)}")
-    return reader
+class _Int64Overflow(ValueError):
+    """An int entry beyond int64; ``where`` names the file and data row."""
+
+    def __init__(self, where: str, field: str, text: str):
+        super().__init__(f"{where}: {field} does not fit in int64: {text!r}")
+        self.where, self.field, self.text = where, field, text
 
 
-def _unparsable(where: str, row: dict, fields) -> ValueError:
-    """The error naming the first field of a data row that does not parse."""
-    for field, kind in fields:
-        try:
-            kind(row[field])
-        except (TypeError, ValueError):  # TypeError: the row is short of fields
-            return ValueError(f"{where}: {field} is not {kind.__name__}: {row[field]!r}")
-    raise AssertionError("every field parses")
+def _column(texts, kind) -> np.ndarray:
+    """Entries as an array of ``kind``: int (int64), float, str, or None (int64,
+    "" read as _ABSENT).  numpy parses each entry with Python's int() or
+    float(), and raises ValueError or, for an int beyond int64, OverflowError."""
+    if kind is None:
+        texts, kind = [t or _ABSENT for t in texts], int
+    return np.array(texts, dtype=np.int64 if kind is int else kind)
+
+
+def _bad_entry(path, n: int, rows: list, fields, cols: list) -> ValueError:
+    """The error naming the first entry of data rows n+1, ... that does not convert."""
+    for i, row in enumerate(rows, start=n + 1):
+        where = f"{path}: data row {i}"
+        for (field, kind), j in zip(fields.items(), cols):
+            if j >= len(row):
+                return ValueError(f"{where}: {field} is missing")
+            try:
+                _column((row[j],), kind)
+            except OverflowError:
+                return _Int64Overflow(where, field, row[j])
+            except ValueError:
+                return ValueError(f"{where}: {field} is not {(kind or int).__name__}: {row[j]!r}")
+    raise AssertionError("every entry converts")
+
+
+def _read_table(path, fields) -> list[np.ndarray]:
+    """One array per {name: kind} of ``fields`` (kinds as in _column): that
+    column of a CSV with a header row, blank lines skipped.  Each chunk of
+    _CHUNK_ROWS rows converts one column per call; only a chunk that fails
+    is scanned row by row.  ValueError names the file and the fields a
+    header row lacks, or the first bad 1-based data row and field."""
+    with open(path, newline="") as f:
+        reader = csv.reader(f)
+        at = {name: j for j, name in enumerate(next(reader, []))}   # last one wins
+        missing = [name for name in fields if name not in at]
+        if missing:
+            raise ValueError(f"{path}: header row lacks {', '.join(missing)}")
+        cols = [at[name] for name in fields]
+        parts = [[_column((), kind)] for kind in fields.values()]
+        data = filter(None, reader)   # blank lines are not data rows
+        n = 0   # data rows read so far
+        while rows := list(itertools.islice(data, _CHUNK_ROWS)):
+            try:
+                by_col = list(zip(*rows))   # as long as the shortest row
+                for part, kind, j in zip(parts, fields.values(), cols):
+                    part.append(_column(by_col[j], kind))
+            except (IndexError, ValueError, OverflowError):
+                raise _bad_entry(path, n, rows, fields, cols) from None
+            n += len(rows)
+    return [np.concatenate(part) for part in parts]
+
+
+def _check_rows(path, checks) -> None:
+    """Raise ValueError naming the first data row that fails one of
+    ``checks`` ((bad-row mask, message for row index i) pairs)."""
+    bad = np.logical_or.reduce([mask for mask, _msg in checks])
+    if bad.any():
+        i = int(bad.argmax())
+        message = next(msg(i) for mask, msg in checks if mask[i])
+        raise ValueError(f"{path}: data row {i + 1}: {message}")
 
 
 def read_observations(path_obs, path_fps, grid: BAUGrid) -> Observations:
     """Read the observation and footprint CSVs of data on ``grid``; footprints
-    that no record uses are dropped, and time steps run 1..max(time).
-
-    Raises ValueError naming the file and the missing fields for a header
-    row that lacks one, and naming the file, the 1-based data row and the
-    field for an unparsable number, a bau_index outside the grid or on a
-    masked cell, a time or instrument below 1, a time, instrument or
-    footprint_id beyond int64, a non-finite value, a var_factor that is not
-    finite and > 0, or a footprint_id absent from the footprint file.
-    """
-    cover: dict[int, list[int]] = {}
-    baus: list[int] = []
-    with open(path_fps, newline="") as ff:
-        for i, row in enumerate(_reader(ff, path_fps, _FP_FIELDS), start=1):
-            try:
-                fid, bau = int(row["footprint_id"]), int(row["bau_index"])
-            except (TypeError, ValueError):
-                raise _unparsable(f"{path_fps}: data row {i}", row, _FP_FIELDS) from None
-            if not -_INT64_END <= fid < _INT64_END:
-                raise ValueError(f"{path_fps}: data row {i}: footprint_id does not fit "
-                                 f"in int64: {row['footprint_id']!r}")
-            cover.setdefault(fid, []).append(bau)
-            baus.append(bau)
-    # clipped to [-1, N] first, so that no parsed int overflows int64
-    clipped = np.array([min(max(b, -1), grid.n_bau) for b in baus], dtype=np.int64)
-    bad = np.flatnonzero(~grid.is_valid(clipped))
-    if bad.size:
-        raise ValueError(f"{path_fps}: data row {bad[0] + 1}: bau_index {baus[bad[0]]} "
-                         f"is outside the {grid.nx}x{grid.ny} grid or masked")
-    cols: tuple[list, ...] = ([], [], [], [], [])
-    with open(path_obs, newline="") as fo:
-        for i, row in enumerate(_reader(fo, path_obs, _OBS_FIELDS), start=1):
-            where = f"{path_obs}: data row {i}"
-            try:
-                rec = (int(row["time"]), int(row["instrument"]), int(row["footprint_id"]),
-                       float(row["value"]), float(row["var_factor"]))
-            except (TypeError, ValueError):
-                raise _unparsable(where, row, _OBS_FIELDS) from None
-            t, k, fid, z, v = rec
-            for field, n in (("time", t), ("instrument", k)):
-                if n < 1:
-                    raise ValueError(f"{where}: {field} must be >= 1, got {row[field]!r}")
-                if n >= _INT64_END:
-                    raise ValueError(f"{where}: {field} does not fit in int64: {row[field]!r}")
-            if fid not in cover:
-                raise ValueError(f"{where}: footprint_id {fid} is not in {path_fps}")
-            if not math.isfinite(z):
-                raise ValueError(f"{where}: value must be finite, got {row['value']!r}")
-            if not (math.isfinite(v) and v > 0):
-                raise ValueError(f"{where}: var_factor must be finite and > 0, "
-                                 f"got {row['var_factor']!r}")
-            for col, x in zip(cols, rec):
-                col.append(x)
-    time, inst, fids, value, var = cols
-    used, fp = np.unique(np.asarray(fids, dtype=np.int64), return_inverse=True)
-    covers = [cover[f] for f in used.tolist()]
-    return Observations(
-        time=time, instrument=inst, footprint=fp, value=value, var_factor=var,
-        fp_indptr=np.cumsum([0] + [len(c) for c in covers]),
-        fp_indices=np.array([b for c in covers for b in c], dtype=np.int64),
-        n_times=max(time, default=0))
-
-
-_CENTER_FIELDS = (("center_x", float), ("center_y", float), ("radius", float))
+    that no record uses are dropped, and time steps run 1..max(time).  Beyond
+    _read_table's errors, raises ValueError naming the file, the 1-based data
+    row and the field for a bau_index outside the grid or on a masked cell, a
+    time or instrument below 1, a non-finite value, a var_factor that is not
+    finite and > 0, or a footprint_id absent from the footprint file."""
+    outside = f"is outside the {grid.nx}x{grid.ny} grid or masked"
+    try:
+        fid, bau = _read_table(path_fps, _FP_FIELDS)
+    except _Int64Overflow as exc:   # an index beyond int64 is outside any grid
+        if exc.field != "bau_index":
+            raise
+        raise ValueError(f"{exc.where}: bau_index {int(exc.text)} {outside}") from None
+    _check_rows(path_fps, [(~grid.is_valid(bau), lambda i: f"bau_index {bau[i]} {outside}")])
+    time, inst, f, value, var = _read_table(path_obs, _OBS_FIELDS)
+    _check_rows(path_obs, [
+        (time < 1, lambda i: f"time must be >= 1, got {time[i]}"),
+        (inst < 1, lambda i: f"instrument must be >= 1, got {inst[i]}"),
+        (~np.isin(f, fid), lambda i: f"footprint_id {f[i]} is not in {path_fps}"),
+        (~np.isfinite(value), lambda i: f"value must be finite, got {value[i]}"),
+        (~(np.isfinite(var) & (var > 0)),
+         lambda i: f"var_factor must be finite and > 0, got {var[i]}")])
+    used, fp = np.unique(f, return_inverse=True)
+    keep = np.isin(fid, used)   # footprint rows of the footprints records use
+    row = np.searchsorted(used, fid[keep])
+    order = np.argsort(row)     # Observations sorts each footprint's BAUs
+    return Observations(time=time, instrument=inst, footprint=fp, value=value, var_factor=var,
+                        fp_indptr=np.searchsorted(row[order], np.arange(used.size + 1)),
+                        fp_indices=bau[keep][order], n_times=int(time.max(initial=0)))
 
 
 def read_basis_centers(path) -> BisquareBasis:
     """One bisquare function per row of a center_x,center_y,radius CSV; a bad
     entry raises ValueError naming the file, the 1-based data row and field."""
-    rows = []
-    with open(path, newline="") as f:
-        for i, row in enumerate(_reader(f, path, _CENTER_FIELDS), start=1):
-            try:
-                x, y, radius = (float(row[k]) for k, _kind in _CENTER_FIELDS)
-            except (TypeError, ValueError):
-                raise _unparsable(f"{path}: data row {i}", row, _CENTER_FIELDS) from None
-            if not (math.isfinite(x + y + radius) and radius > 0):
-                raise ValueError(f"{path}: data row {i}: need finite center_x, center_y "
-                                 f"and radius > 0, got {x!r}, {y!r}, {radius!r}")
-            rows.append((x, y, radius))
-    if not rows:
+    a = np.column_stack(_read_table(path, {"center_x": float, "center_y": float,
+                                           "radius": float}))
+    _check_rows(path, [(~(np.isfinite(a).all(axis=1) & (a[:, 2] > 0)), lambda i:
+                        "need finite center_x, center_y and radius > 0, got "
+                        + ", ".join(map(str, a[i])))])
+    if not a.size:
         raise ValueError(f"{path}: no data rows")
-    a = np.array(rows)
-    return BisquareBasis(a[:, :2], a[:, 2], np.zeros(len(rows), dtype=int))
+    return BisquareBasis(a[:, :2], a[:, 2], np.zeros(len(a), dtype=int))
 
 
 def read_mask(path, n_bau: int) -> np.ndarray:
@@ -211,9 +225,14 @@ def write_truth(path, y: np.ndarray) -> None:
 
 
 def read_truth(path) -> np.ndarray:
-    t, i, y = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2).T
-    out = np.full((int(t.max()), int(i.max()) + 1), np.nan)
-    out[t.astype(int) - 1, i.astype(int)] = y
+    """The (T, N) field of a ``write_truth`` file, NaN where it has no row.
+    Raises ValueError naming the file, the 1-based data row and the field of
+    an entry that does not parse, a time below 1 or a bau_index below 0."""
+    t, b, y = _read_table(path, {"time": int, "bau_index": int, "y_true": float})
+    _check_rows(path, [(t < 1, lambda i: f"time must be >= 1, got {t[i]}"),
+                       (b < 0, lambda i: f"bau_index must be >= 0, got {b[i]}")])
+    out = np.full((t.max(initial=0), b.max(initial=-1) + 1), np.nan)
+    out[t - 1, b] = y
     return out
 
 
@@ -267,59 +286,38 @@ def write_params(path, params: DFGPParams) -> None:
     _write_csv(path, ["param", "time", "instrument", "row", "col", "value"], rows)
 
 
-_PARAM_FIELDS = (("param", str), ("time", int), ("instrument", int), ("row", int),
-                 ("col", int), ("value", float))
-_PARAM_BASE = {"time": 1, "instrument": 1, "row": 0, "col": 0}   # first index in the file
-_ABSENT = -2 ** 62   # an index field left empty
-
-
 def read_params(path) -> DFGPParams:
     """Read a ``write_params`` file.  Raises ValueError naming the file, the
     1-based data row and the field of an entry that does not parse, is not
     finite or lies outside its block, and naming the file and parameter of
     a block that is missing or incomplete."""
-    blocks: dict[str, list] = {}
-    with open(path, newline="") as f:
-        for i, row in enumerate(_reader(f, path, _PARAM_FIELDS), start=1):
-            try:  # indices become 0-based
-                at = [int(v) - b if (v := row[k]) else _ABSENT for k, b in _PARAM_BASE.items()]
-                value = float(row["value"])
-            except (TypeError, ValueError):
-                raise _unparsable(f"{path}: data row {i}", row, [
-                    (k, kind) for k, kind in _PARAM_FIELDS[1:] if row[k] != "" or k == "value"]
-                ) from None
-            if not math.isfinite(value):
-                raise ValueError(f"{path}: data row {i}: value must be finite, got {row['value']!r}")
-            blocks.setdefault(row["param"], []).append((i, at, value))
-    try:
-        blocks = {name: (np.array(line), dict(zip(_PARAM_BASE, np.array(at, dtype=np.int64).T)), np.array(value))
-                  for name, (line, at, value) in ((n, zip(*rows)) for n, rows in blocks.items())}
-    except OverflowError:
-        i, k = next((i, k) for rows in blocks.values() for i, at, _v in rows
-                    for k, a in zip(_PARAM_BASE, at) if abs(a) >= 2 ** 63 - 1)
-        raise ValueError(f"{path}: data row {i}: {k} does not fit in int64") from None
+    param, *raw, value = _read_table(path, _PARAM_FIELDS)
+    _check_rows(path, [(~np.isfinite(value), lambda i: f"value must be finite, got {value[i]}")])
+    index = {k: np.where(a == _ABSENT, _ABSENT, a - b)   # 0-based
+             for (k, b), a in zip(_PARAM_BASE.items(), raw)}
 
-    def entries(name):  # data rows, 0-based index columns by field, values
-        if name not in blocks:
+    def rows(name):  # 0-based data rows of a block
+        i = np.flatnonzero(param == name)
+        if not i.size:
             raise ValueError(f"{path}: no {name} rows")
-        return blocks[name]
+        return i
 
     def fill(name, keys, shape):
-        line, index, value = entries(name)
-        at = np.column_stack([index[k] for k in keys])
+        i = rows(name)
+        at = np.column_stack([index[k][i] for k in keys])
         bad = ((at < 0) | (at >= shape)).any(axis=1)
         if bad.any():
-            raise ValueError(f"{path}: data row {line[bad.argmax()]}: {name} needs "
+            raise ValueError(f"{path}: data row {i[bad.argmax()] + 1}: {name} needs "
                              f"{'/'.join(keys)} inside {shape}")
         out = np.full(shape, np.nan)
-        out[tuple(at.T)] = value
+        out[tuple(at.T)] = value[i]
         if np.isnan(out).any():
             raise ValueError(f"{path}: {name} lacks entries of its {shape} block")
         return out
 
-    u, p, r, k = (max(0, 1 + int(entries(n)[1][key].max())) for n, key in (
+    u, p, r, k = (max(0, 1 + int(index[key][rows(n)].max())) for n, key in (
         ("beta", "time"), ("beta", "col"), ("K0", "row"), ("sigma2_eps", "instrument")))
-    H, U = (fill(n, ("time", "row", "col"), (u, r, r)) if (entries(n)[1]["time"] != _ABSENT).any()
+    H, U = (fill(n, ("time", "row", "col"), (u, r, r)) if (index["time"][rows(n)] != _ABSENT).any()
             else fill(n, ("row", "col"), (r, r)) for n in ("H", "U"))
     try:
         return DFGPParams(beta=fill("beta", ("time", "col"), (u, p)), H=H, U=U,

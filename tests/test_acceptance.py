@@ -3,12 +3,17 @@
 One test per criterion, each printing a PASS/FAIL line with its measured
 statistic and runtime.  Criteria 5, 6 and 8 run multi-minute experiments
 and carry the ``slow`` marker (``pytest -m "not slow"`` leaves them out);
-the whole suite is sized for a plain workstation run.
+the whole suite is sized for a plain workstation run.  Criteria 5 and 6 run
+their seeded replicates on a process pool, and their time gates bound the
+sum of the replicates' own times, the same work as a serial loop.
 """
 
 
+import multiprocessing
+import os
 import time
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -36,6 +41,16 @@ def _report(criterion: str, ok: bool, detail: str, seconds: float) -> None:
     sys.__stdout__.write(line)
     sys.__stdout__.flush()
     assert ok, f"{criterion}: {detail}"
+
+
+def _replicates(rep, seeds):
+    """[(statistics, seconds)] of ``rep(seed)`` per seed, in seed order, from
+    a pool of spawned processes, one per CPU this process may run on and no
+    more than there are seeds.  ``rep`` must be a module-level function; each
+    replicate times itself, so the sum of the seconds is the serial work."""
+    workers = min(len(os.sched_getaffinity(0)), len(seeds))
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+        return list(pool.map(rep, seeds))
 
 
 def _instance_catalog():
@@ -235,23 +250,27 @@ def test_criterion_4_m_step_correctness():
             f"worst block rel err {worst:.2e}; gamma within one 1e-3 grid step", dt)
 
 
+def _recovery_rep(seed):
+    """(|gamma error|, sigma2 relative errors) of one SEM fit, and its seconds."""
+    t0 = time.perf_counter()
+    true_gamma, true_sig = 0.75, np.array([0.25, 0.04])
+    cfg = ScenarioConfig(seed=seed)      # defaults: 40x40=1600, T=8, r=9
+    truth, _obs, data = scenario_data(cfg)
+    est = EstimatorConfig(mode="sem", max_iter=150, seed=seed + 1,
+                          nugget_time_invariant=True)
+    res = run_estimator(data, est)
+    g = float(np.mean([c.gamma for c in res.params.car]))
+    stats = (abs(g - true_gamma), np.abs(res.params.sigma2_eps[0] / true_sig - 1.0))
+    return stats, time.perf_counter() - t0
+
+
 @pytest.mark.slow
 def test_criterion_5_parameter_recovery():
-    t0 = time.time()
-    true_gamma, true_sig = 0.75, np.array([0.25, 0.04])
-    gam_err, sig_rel = [], []
-    for seed in (101, 202, 303, 404, 505):
-        cfg = ScenarioConfig(seed=seed)      # defaults: 40x40=1600, T=8, r=9
-        truth, _obs, data = scenario_data(cfg)
-        est = EstimatorConfig(mode="sem", max_iter=150, seed=seed + 1,
-                              nugget_time_invariant=True)
-        res = run_estimator(data, est)
-        g = float(np.mean([c.gamma for c in res.params.car]))
-        gam_err.append(abs(g - true_gamma))
-        sig_rel.append(np.abs(res.params.sigma2_eps[0] / true_sig - 1.0))
+    reps = _replicates(_recovery_rep, (101, 202, 303, 404, 505))
+    gam_err, sig_rel = zip(*(stats for stats, _s in reps))
     med_g = float(np.median(gam_err))
     med_s = np.median(np.asarray(sig_rel), axis=0)
-    dt = time.time() - t0
+    dt = sum(seconds for _stats, seconds in reps)   # the serial work, not wall time
     ok = med_g <= 0.15 and (med_s <= 0.30).all() and dt < 1800
     _report("5 parameter recovery",
             ok, f"median |gamma err| {med_g:.3f} (<=0.15), "
@@ -259,6 +278,9 @@ def test_criterion_5_parameter_recovery():
 
 
 def _ordering_rep(seed):
+    """Holdout RMSPE and CRPS of DFGP and the fixed-rank model under both
+    protocols, and the replicate's seconds."""
+    t0 = time.perf_counter()
     cfg = ScenarioConfig(
         nx=20, ny=20, T=8, basis_counts=(9,), seed=seed,
         h_diag=0.95, u_scale=1.5, gamma=0.8, tau2=0.4,
@@ -280,15 +302,14 @@ def _ordering_rep(seed):
                 key = ("dfgp" if row.method == "dfgp" else "fr") + tag
                 out[key + "_rmspe"] = row.rmspe
                 out[key + "_crps"] = row.crps
-    return out
+    return out, time.perf_counter() - t0
 
 
 @pytest.mark.slow
 def test_criterion_6_directional_orderings():
-    t0 = time.time()
+    reps = _replicates(_ordering_rep, range(4000, 4020))
     acc = {}
-    for seed in range(4000, 4020):
-        rep = _ordering_rep(seed)
+    for rep, _seconds in reps:
         for k, v in rep.items():
             acc.setdefault(k, []).append(v)
     m = {k: float(np.mean(v)) for k, v in acc.items()}
@@ -300,7 +321,7 @@ def test_criterion_6_directional_orderings():
         m["dfgpS_crps"] < m["frS_crps"],
         m["dfgpS_crps"] <= m["dfgpF_crps"],
     ]
-    dt = time.time() - t0
+    dt = sum(seconds for _rep, seconds in reps)   # the serial work, not wall time
     detail = (f"RMSPE dfgpF {m['dfgpF_rmspe']:.3f} frF {m['frF_rmspe']:.3f} "
               f"dfgpS {m['dfgpS_rmspe']:.3f} frS {m['frS_rmspe']:.3f}; "
               f"CRPS dfgpF {m['dfgpF_crps']:.3f} frF {m['frF_crps']:.3f} "

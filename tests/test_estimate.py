@@ -372,6 +372,22 @@ class TestRunEstimator:
         np.linalg.cholesky(res.params_last.K0)
         np.linalg.cholesky(np.asarray(res.params_last.U))
 
+    @pytest.mark.parametrize("blocks, message", [
+        ((0, 4), r"hu_blocks must be >= 1"),
+        ((-1, 4), r"hu_blocks must be >= 1"),
+        ((2, 3), r"hu_blocks must end at the horizon 4"),
+    ], ids=["zero", "negative", "short-of-horizon"])
+    def test_bad_hu_blocks_fail_before_any_e_step(self, monkeypatch, blocks, message):
+        data, _ = make_instance(6, nx=8, ny=8, T=4)
+        calls = []
+        e_step = estimate_mod.e_step
+        monkeypatch.setattr(estimate_mod, "e_step", lambda *a: calls.append(1) or e_step(*a))
+        with pytest.raises(ValueError, match=message):
+            run_estimator(data, EstimatorConfig(mode="exact", max_iter=1, hu_blocks=blocks))
+        assert calls == []
+        run_estimator(data, EstimatorConfig(mode="exact", max_iter=1, hu_blocks=(2, 4)))
+        assert calls == [1]   # the count sees e_step calls
+
 
 class TestSparseGammaSearch:
     """The gamma search runs on the cached log-det curve."""

@@ -11,7 +11,7 @@ from conftest import make_observations
 from dfgp import io as dio
 from dfgp.car import CARParams
 from dfgp.cli import main
-from dfgp.config import parse_config, serialize_config
+from dfgp.config import load_config, parse_config, serialize_config
 from dfgp.estimate import EstimatorConfig
 from dfgp.grid import build_grid
 from dfgp.model import DFGPParams, assemble
@@ -105,6 +105,7 @@ class TestObservationCSV:
         (("1", "0", "1", "0.5", "1.0"), "instrument"),
         (("99999999999999999999", "1", "1", "0.5", "1.0"), "time"),
         (("1", "9223372036854775808", "1", "0.5", "1.0"), "instrument"),
+        (("1", "1", "1"), "value"),   # a short row names its first missing field
     ])
     def test_bad_number_names_file_row_field(self, tmp_path, bad_row, field):
         obs, fps = self._write_rows(tmp_path, [("1", "1", "0", "0.1", "1.0"), bad_row])
@@ -141,6 +142,33 @@ class TestObservationCSV:
         with pytest.raises(ValueError, match=r"o\.csv: header row lacks var_factor"):
             dio.read_observations(obs, fps, self.GRID)
 
+    def test_blank_lines_are_not_data_rows(self, tmp_path):
+        obs, fps = self._write_rows(tmp_path, [("1", "1", "0", "0.1", "1.0")])
+        obs.write_text(obs.read_text() + "\n\n1,1,1,0.2,1.0\n\n1,1,0,0.3,x\n")
+        with pytest.raises(ValueError, match=r"o\.csv: data row 3: var_factor is not float: 'x'"):
+            dio.read_observations(obs, fps, self.GRID)
+
+    def test_first_bad_row_named_before_earlier_bad_field(self, tmp_path):
+        # row 2 is bad in a later column than row 3
+        obs, fps = self._write_rows(tmp_path, [("1", "1", "0", "0.1", "1.0"),
+                                               ("1", "1", "0", "0.1", "x"),
+                                               ("y", "1", "0", "0.1", "1.0")])
+        with pytest.raises(ValueError, match=r"o\.csv: data row 2: var_factor is not float"):
+            dio.read_observations(obs, fps, self.GRID)
+
+    @pytest.mark.parametrize("bad_row", [1, 2, 3, 5])
+    def test_chunks_keep_row_numbers(self, tmp_path, monkeypatch, bad_row):
+        monkeypatch.setattr(dio, "_CHUNK_ROWS", 2)
+        rows = [("1", "1", "0", f"0.{i}", "1.0") for i in range(5)]
+        obs, fps = self._write_rows(tmp_path, rows)
+        back = dio.read_observations(obs, fps, self.GRID)
+        assert back.value.tolist() == [0.0, 0.1, 0.2, 0.3, 0.4]
+        rows[bad_row - 1] = ("1", "1", "z", "0.1", "1.0")
+        obs, fps = self._write_rows(tmp_path, rows)
+        with pytest.raises(ValueError, match=rf"o\.csv: data row {bad_row}: footprint_id "
+                                             r"is not int: 'z'"):
+            dio.read_observations(obs, fps, self.GRID)
+
     def test_unknown_footprint_names_file_row_field(self, tmp_path):
         obs, fps = self._write_rows(tmp_path, [("1", "1", "7", "0.1", "1.0")])
         with pytest.raises(ValueError, match=r"o\.csv: data row 1: footprint_id 7 .*f\.csv"):
@@ -160,6 +188,29 @@ class TestObservationCSV:
             ids = {int(row["footprint_id"]) for row in csv.DictReader(f)}
         # fine cells + coarse blocks shared across times
         assert len(ids) <= 64 + 4
+
+
+class TestReadTable:
+    """The bulk parse accepts and rejects what Python's int() and float() do."""
+
+    @pytest.mark.parametrize("kind, texts", [
+        (int, [" 3", "+3", "1_000", "-7", "9223372036854775807", "-9223372036854775808"]),
+        (float, ["nan", "inf", "-Infinity", "1e3", " 1.5", "1_0.5", "5e-324", "0.1"]),
+    ], ids=["int", "float"])
+    def test_accepts_what_python_accepts(self, tmp_path, kind, texts):
+        (tmp_path / "t.csv").write_text("a,b\n" + "".join(f"{t},x\n" for t in texts))
+        (col,) = dio._read_table(tmp_path / "t.csv", {"a": kind})
+        expect = np.array([kind(t) for t in texts])
+        assert col.dtype == expect.dtype and np.array_equal(col, expect, equal_nan=True)
+
+    @pytest.mark.parametrize("kind, text", [(int, "3.0"), (int, "1e3"), (int, ""),
+                                            (int, "0x10"), (float, ""), (float, "abc")])
+    def test_rejects_what_python_rejects(self, tmp_path, kind, text):
+        with pytest.raises(ValueError):
+            kind(text)
+        (tmp_path / "t.csv").write_text(f"a,b\n1,x\n{text},x\n")
+        with pytest.raises(ValueError, match=rf"t\.csv: data row 2: a is not {kind.__name__}: "):
+            dio._read_table(tmp_path / "t.csv", {"a": kind})
 
 
 class TestParamsCSV:
@@ -254,6 +305,16 @@ class TestTruthCSV:
         back = dio.read_truth(tmp_path / "t.csv")
         assert np.array_equal(back, truth.y)
 
+    @pytest.mark.parametrize("rows, message", [
+        ("1,0,1.5\n1,-1,2.5\n", r"t\.csv: data row 2: bau_index must be >= 0, got -1"),
+        ("1,0,1.5\n0,1,3.5\n", r"t\.csv: data row 2: time must be >= 1, got 0"),
+        ("1,0,1.5\n1,1,y\n", r"t\.csv: data row 2: y_true is not float: 'y'"),
+    ], ids=["negative-bau", "time-zero", "text"])
+    def test_bad_row_names_file_row_field(self, tmp_path, rows, message):
+        (tmp_path / "t.csv").write_text("time,bau_index,y_true\n" + rows)
+        with pytest.raises(ValueError, match=message):
+            dio.read_truth(tmp_path / "t.csv")
+
 
 BASE_CONFIG = """
 [run]
@@ -341,6 +402,17 @@ class TestConfig:
     def test_bad_estimator_value_fails_to_parse(self, line):
         with pytest.raises(ValueError):
             parse_config(f"[estimator]\n{line}\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("[estimator]\nhu_blocks = 0,8\n", r"hu_blocks must be >= 1"),
+        ("[cv]\nmethods = dfgp,krige\n", r"\[cv\] methods: unknown krige"),
+        ("[holdout]\nfraction = 0\n", r"\[holdout\] fraction must lie in \(0, 1\), got 0"),
+        ("[holdout]\nt_first = 5\nt_last = 2\n", r"\[holdout\] time_first 5 > time_last 2"),
+    ], ids=["hu-blocks-zero", "cv-method", "holdout-fraction", "holdout-times"])
+    def test_bad_value_fails_in_load_config(self, tmp_path, text, message):
+        (tmp_path / "run.ini").write_text(text)
+        with pytest.raises(ValueError, match=message):
+            load_config(tmp_path / "run.ini")
 
 
     @pytest.mark.parametrize("name, text, message", [
