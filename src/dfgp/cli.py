@@ -5,7 +5,8 @@ configuration file.  Relative [data], [grid] mask and [basis] centers_csv
 paths resolve against the config file's directory: simulate writes the
 observation and footprint files there and the other commands read them from
 there.  Flags override only the seed and the output dir.  A fixed-rank fit
-([estimator] lowrank_only = true) has its own ``*_lowrank*`` fit files.
+([estimator] lowrank_only = true) has its own ``*_lowrank*`` fit files, without
+gamma/tau2 rows; a params file of the other model than the config's is refused.
 Each command writes a manifest of the files it read and wrote.
 Exit codes: 0 success, 1 usage/configuration error, 2 numerical failure.
 """
@@ -107,10 +108,14 @@ def _fit(cfg: RunConfig, data, out: Path, files: Files):
     return {u: res.params for u, res in fits.items()}
 
 
-def _read_params(path: Path, data, u: int, files: Files):
-    """Saved parameters checked against the data and truncated to horizon u."""
+def _read_params(path: Path, data, u: int, lowrank_only: bool, files: Files):
+    """Saved parameters checked against the model, the data, and cut to horizon u."""
     params = dio.read_params(path)
     files.read.append(path)
+    if bool(params.car) == lowrank_only:
+        held = "the DFGP model (with" if params.car else "the fixed-rank model (no"
+        raise ValueError(f"{path}: holds {held} gamma/tau2 rows), but [estimator] "
+                         f"lowrank_only = {str(lowrank_only).lower()}")
     bad = [f"{name} {got} where the data need {need}" for name, got, need in (
         ("r", params.r, data.basis.r), ("p", params.p, data.X_bau.shape[1]),
         ("instrument count", params.n_instruments, data.n_instruments),
@@ -121,21 +126,20 @@ def _read_params(path: Path, data, u: int, files: Files):
 
 
 def _load_or_fit_params(cfg: RunConfig, data, out: Path, base: Path, files: Files):
-    model = "_lowrank" if cfg.estimator.lowrank_only else ""
+    """The saved parameters of every horizon when all exist, else a new fit."""
+    lowrank_only = cfg.estimator.lowrank_only
+    model = "_lowrank" if lowrank_only else ""
     if cfg.protocol == "smoothing":
         name = f"params{model}.csv"
         if cfg.data.params and not (base / cfg.data.params).exists():
             raise ValueError(f"[data] params names a missing file: {base / cfg.data.params}")
-        for p in (base / (cfg.data.params or name), out / name):
-            if p.exists():
-                return {data.T: _read_params(p, data, data.T, files)}
-        return _fit(cfg, data, out, files)
-    found = {}
-    for u in range(2, data.T + 1):
-        name = f"params{model}_u{u}.csv"
-        found[u] = next((p for p in (base / name, out / name) if p.exists()), None)
+        paths = {data.T: (base / (cfg.data.params or name), out / name)}
+    else:
+        paths = {u: (base / f"params{model}_u{u}.csv", out / f"params{model}_u{u}.csv")
+                 for u in range(2, data.T + 1)}
+    found = {u: next((p for p in ps if p.exists()), None) for u, ps in paths.items()}
     if found and None not in found.values():
-        return {u: _read_params(p, data, u, files) for u, p in found.items()}
+        return {u: _read_params(p, data, u, lowrank_only, files) for u, p in found.items()}
     return _fit(cfg, data, out, files)
 
 
@@ -152,8 +156,7 @@ def cmd_filter(cfg: RunConfig, out: Path, base: Path, files: Files) -> None:
     fields = []
     if cfg.protocol == "smoothing":
         params = params_by_u[data.T]
-        filt = filter_pass(data, params, pred_bau=pred, want_variance=True,
-                           lowrank_only=cfg.estimator.lowrank_only)
+        filt = filter_pass(data, params, pred_bau=pred, want_variance=True)
         fields = [predict_filter(filt, data, params, t, pred)
                   for t in range(1, data.T + 1)]
         dio.save_state_checkpoint(out / "state_filter.bin",
@@ -163,8 +166,7 @@ def cmd_filter(cfg: RunConfig, out: Path, base: Path, files: Files) -> None:
     else:
         for u in sorted(params_by_u):
             params = params_by_u[u]
-            filt = filter_pass(data, params, pred_bau=pred, want_variance=True,
-                               lowrank_only=cfg.estimator.lowrank_only)
+            filt = filter_pass(data, params, pred_bau=pred, want_variance=True)
             fields.append(predict_filter(filt, data, params, u, pred))
     dio.write_prediction_fields(out / "predictions_filter.csv", fields)
     files.written.append(out / "predictions_filter.csv")
@@ -177,8 +179,7 @@ def cmd_smooth(cfg: RunConfig, out: Path, base: Path, files: Files) -> None:
         raise ValueError("smooth requires protocol = smoothing")
     params = _load_or_fit_params(cfg, data, out, base, files)[data.T]
     pred = data.structure.valid_idx
-    filt = filter_pass(data, params, pred_bau=pred, want_variance=True,
-                       lowrank_only=cfg.estimator.lowrank_only)
+    filt = filter_pass(data, params, pred_bau=pred, want_variance=True)
     sm = smoother_pass(filt, params)
     fields = [predict_smooth(sm, data, params, t, pred)
               for t in range(1, data.T + 1)]

@@ -116,6 +116,9 @@ class RunConfig:
         if unknown:
             raise ValueError(f"[cv] methods: unknown {', '.join(unknown)}; "
                              f"choose from {', '.join(METHODS)}")
+        for key, low in (("lk_k", 2), ("lk_max_fit_evals", 1)):
+            if getattr(self.cv, key) < low:
+                raise ValueError(f"[cv] {key} must be >= {low}, got {getattr(self.cv, key)}")
         try:
             self.holdout_plan()
         except ValueError as exc:

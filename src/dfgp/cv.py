@@ -42,6 +42,8 @@ class HoldoutPlan:
         if self.time_first > self.time_last:
             raise ValueError(f"time_first {self.time_first} > time_last {self.time_last}: "
                              "empty holdout time range")
+        if self.instrument < 1:
+            raise ValueError(f"instrument must be >= 1, got {self.instrument}")
 
 
 @dataclass(frozen=True)
@@ -88,7 +90,7 @@ def split_holdout(obs: Observations, grid: BAUGrid,
     """Partition the fine-instrument records into training and holdout sets.
 
     Holdout footprints must cover exactly one BAU (the fine instrument);
-    coarse instruments always stay in training.
+    coarse instruments always stay in training.  Selecting no record is an error.
     """
     rng = np.random.default_rng(plan.seed)
     cand = np.flatnonzero((obs.instrument == plan.instrument)
@@ -98,6 +100,9 @@ def split_holdout(obs: Observations, grid: BAUGrid,
                 & (plan.block_y[0] <= c[:, 1]) & (c[:, 1] <= plan.block_y[1]))
     held = in_block | (rng.uniform(size=cand.size) < plan.fraction)
     rows = cand[held]
+    if not rows.size:
+        raise ValueError(f"the holdout plan selects no record of instrument {plan.instrument} "
+                         f"at times {plan.time_first}..{plan.time_last}")
     fps = obs.footprint[rows]
     if (np.diff(obs.fp_indptr)[fps] != 1).any():
         raise ValueError("holdout footprints must cover a single BAU")
@@ -132,38 +137,31 @@ def _score_rows(method: str, protocol: str, preds: dict[tuple[int, int], tuple[f
 
 
 def _dfgp_predictions(data: ModelData, holdout: list[HoldoutRecord], protocol: str,
-                      est_config: EstimatorConfig):
-    T = data.T
+                      est_config: EstimatorConfig, times: list[int]):
     preds: dict[tuple[int, int], tuple[float, float]] = {}
     if protocol == "filtering":
         fits = fit_filtering_sequence(data, est_config)
-        for u in range(2, T + 1):
+        for u in times:
             baus = sorted({h.bau_index for h in holdout if h.time_index == u})
             if not baus:
                 continue
             pred_bau = np.asarray(baus)
-            filt = filter_pass(data, fits[u].params, pred_bau=pred_bau, want_variance=True,
-                               lowrank_only=est_config.lowrank_only)
+            filt = filter_pass(data, fits[u].params, pred_bau=pred_bau, want_variance=True)
             fld = predict_filter(filt, data, fits[u].params, u, pred_bau)
             for b, m, s in zip(pred_bau, fld.mean, fld.stderr):
                 preds[(u, int(b))] = (float(m), float(s))
-        times = list(range(2, T + 1))
-    elif protocol == "smoothing":
+    else:
         fit = run_estimator(data, est_config)
-        times = list(range(1, T))
         baus = sorted({h.bau_index for h in holdout if h.time_index in times})
         if baus:
             pred_bau = np.asarray(baus)
-            filt = filter_pass(data, fit.params, pred_bau=pred_bau, want_variance=True,
-                               lowrank_only=est_config.lowrank_only)
+            filt = filter_pass(data, fit.params, pred_bau=pred_bau, want_variance=True)
             sm = smoother_pass(filt, fit.params)
             for t in times:
                 fld = predict_smooth(sm, data, fit.params, t, pred_bau)
                 for b, m, s in zip(pred_bau, fld.mean, fld.stderr):
                     preds[(t, int(b))] = (float(m), float(s))
-    else:
-        raise ValueError(f"unknown protocol {protocol!r}")
-    return preds, times
+    return preds
 
 
 def _localkrige_predictions(train: Observations, grid: BAUGrid,
@@ -195,20 +193,21 @@ def run_cv(obs: Observations, grid: BAUGrid, basis, structure,
     for m in methods:
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}; choose from {METHODS}")
+    if protocol not in ("filtering", "smoothing"):
+        raise ValueError(f"unknown protocol {protocol!r}")
     est_config = est_config or EstimatorConfig(max_iter=30)
     lk_settings = lk_settings or LocalKrigeSettings(k=100)
     train, holdout = split_holdout(obs, grid, plan)
     kwargs = {} if covariates is None else {"covariates": covariates}
     data = assemble(train, grid, basis, structure, **kwargs)
-    T = data.T
-    times = list(range(2, T + 1)) if protocol == "filtering" else list(range(1, T))
+    times = list(range(2, data.T + 1)) if protocol == "filtering" else list(range(1, data.T))
     result = CVResult(holdout=holdout)
     for method in methods:
         if method == "localkrige":
             preds = _localkrige_predictions(train, grid, holdout, lk_settings, times)
         else:
             cfg = replace(est_config, lowrank_only=method == "lowrank")
-            preds, times = _dfgp_predictions(data, holdout, protocol, cfg)
+            preds = _dfgp_predictions(data, holdout, protocol, cfg, times)
         result.predictions[method] = preds
         result.rows.extend(_score_rows(method, protocol, preds, holdout, times))
     return result

@@ -19,7 +19,7 @@ DENSE_N_CAP = 256
 class DenseJoint:
     """Exact joint moments of (eta_{0:u}, xi_{1:u}, Z_{1:u}), u = params.u."""
 
-    def __init__(self, data: ModelData, params: DFGPParams, lowrank_only: bool = False):
+    def __init__(self, data: ModelData, params: DFGPParams):
         u = params.u
         nv = data.structure.n
         if nv > DENSE_N_CAP:
@@ -48,7 +48,7 @@ class DenseJoint:
                 cov_x[self.eta_slice(t), self.eta_slice(s)] = prop.T
         self.q_inv = []
         for t in range(1, u + 1):
-            if lowrank_only:
+            if not params.car:                        # the fixed-rank model: xi = 0
                 qi = np.zeros((nv, nv))
             else:
                 qi = sym(np.linalg.inv(

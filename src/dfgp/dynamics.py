@@ -22,6 +22,8 @@ Means are computed for any number of observation columns at once (the
 conditional-simulation machinery feeds simulated replicates through the same
 sweep); covariances are shared across columns.  Each step also yields its
 term of the marginal -2 log-likelihood (``FilterResult.neg2loglik``).
+Parameters without a CAR block (``DFGPParams.car == ()``) are the fixed-rank
+model: there is no xi, so D = V^{-1}, no F is formed and delta = 0.
 """
 
 from __future__ import annotations
@@ -152,8 +154,7 @@ def forecast_step(eta: np.ndarray, P: np.ndarray, H: np.ndarray,
 def filter_pass(data: ModelData, params: DFGPParams, *,
                 pred_bau: np.ndarray | None = None,
                 extra_obs: list[np.ndarray | None] | None = None,
-                want_variance: bool = False,
-                lowrank_only: bool = False) -> FilterResult:
+                want_variance: bool = False) -> FilterResult:
     """Forward filtering sweep over t = 1..params.u.
 
     pred_bau: flat BAU indices where the fine-scale posterior (delta0, psi,
@@ -164,8 +165,6 @@ def filter_pass(data: ModelData, params: DFGPParams, *,
     want_variance: also compute fine_var (per step, one sparse solve per
         prediction BAU for small sets, else one selected inversion of the
         factor; see ``SparseFactor.solve_selected_diag``).
-    lowrank_only: drop the fine-scale component entirely (fixed-rank
-        filtering comparator): D = V^{-1}, delta = 0.
     """
     u = params.u
     if len(data.slices) < u:
@@ -186,9 +185,9 @@ def filter_pass(data: ModelData, params: DFGPParams, *,
         eta_pred, P_pred = forecast_step(eta, P, params.H_at(t), params.U_at(t))
         extra = None if extra_obs is None else extra_obs[t - 1]
         st = filter_step(
-            eta_pred, P_pred, slc, params.car[t - 1], data.structure,
-            params.sigma2_eps[t - 1], params.beta[t - 1], pred_nodes=pred_nodes,
-            extra=extra, want_variance=want_variance, lowrank_only=lowrank_only)
+            eta_pred, P_pred, slc, params.car[t - 1] if params.car else None,
+            data.structure, params.sigma2_eps[t - 1], params.beta[t - 1],
+            pred_nodes=pred_nodes, extra=extra, want_variance=want_variance)
         states.append(st)
         eta, P = st.eta, st.P
     return FilterResult(states=states, pred_nodes=pred_nodes)
@@ -201,17 +200,17 @@ def fine_precision(structure, car: CARParams, B, vinv: np.ndarray) -> sp.csc_mat
 
 
 def filter_step(eta_pred: np.ndarray, P_pred: np.ndarray,
-                slc: AssembledTimeSlice, car: CARParams, structure,
+                slc: AssembledTimeSlice, car: CARParams | None, structure,
                 sigma2_row: np.ndarray, beta_t: np.ndarray, *,
                 pred_nodes: np.ndarray, extra: np.ndarray | None = None,
-                want_variance: bool = False,
-                lowrank_only: bool = False) -> StatePosterior:
+                want_variance: bool = False) -> StatePosterior:
     """One measurement update from forecast moments to filtered moments.
 
     eta_pred has one column for the data and one per column of ``extra``.
     With no observations the filtered moments equal the forecast and the
     fine-scale posterior reverts to its prior.  All D-applications factor
-    through the sparse SPD matrix F = Q + B' V^{-1} B.
+    through the sparse SPD matrix F = Q + B' V^{-1} B.  ``car`` None means
+    there is no fine-scale component (the fixed-rank model): D = V^{-1}.
     """
     t = slc.time_index
     r, n_rhs = eta_pred.shape
@@ -220,7 +219,7 @@ def filter_step(eta_pred: np.ndarray, P_pred: np.ndarray,
     delta0 = np.zeros((m, n_rhs))
     fine_var = np.zeros(m) if want_variance else None
     if slc.n_obs == 0:
-        if want_variance and m and not lowrank_only:
+        if want_variance and m and car is not None:
             afac = structure.factor(car.gamma)
             fine_var = car.tau2 * afac.solve_selected_diag(pred_nodes)
         return StatePosterior(
@@ -236,7 +235,7 @@ def filter_step(eta_pred: np.ndarray, P_pred: np.ndarray,
     sds = as_dense(slc.S.T @ VS)                      # S' V^{-1} S
     sda = as_dense(VS.T @ alpha)                      # S' V^{-1} alpha
     ada = (alpha * (vinv[:, None] * alpha)).sum(axis=0)
-    if lowrank_only:
+    if car is None:
         ln_dinv = float(np.log(v).sum())
     else:
         try:

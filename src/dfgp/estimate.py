@@ -7,8 +7,8 @@ exactly from a filter/smoother sweep in both; the fine-scale expectations:
 * ``exact``: full EM, exact from the smoothed fine-scale moments and one
   selected inversion of F_t per step; no dense joint, so no cap on N.
 
-The fixed-rank model has no fine-scale field, so both modes run its exact
-E-step.
+Parameters without a CAR block (``car == ()``) are the fixed-rank model, so both
+modes run its exact E-step; only ``run_estimator`` reads ``lowrank_only``.
 
 Each iteration's sweep also yields the marginal -2 log-likelihood at the
 current parameters (``FilterResult.neg2loglik``), which drives the
@@ -43,8 +43,8 @@ class EstimatorConfig:
 
     hu_blocks: increasing 1-based end times of the H/U blocks (empty = one
     time-invariant block; the last entry must equal the fitted horizon).
-    lowrank_only: fit the fixed-rank model, which drops the fine-scale CAR
-    component; its gamma/tau2 stay at their starting values.
+    lowrank_only: fit the fixed-rank model, which has no fine-scale CAR
+    component: run_estimator starts from the start parameters with car = ().
     """
 
     mode: str = "sem"
@@ -184,13 +184,12 @@ def e_step(data: ModelData, params: DFGPParams, config: EstimatorConfig,
     adj = data.structure.adjacency
     xi_mean, xi_qd, xi_qa = np.zeros((u, nv)), np.zeros(u), np.zeros(u)
     meas_trace = np.zeros((u, params.n_instruments))
-    if config.mode == "exact" or config.lowrank_only:
-        filt = filter_pass(data, params, lowrank_only=config.lowrank_only,
-                           pred_bau=None if config.lowrank_only else data.structure.valid_idx)
+    if config.mode == "exact" or not params.car:
+        filt = filter_pass(data, params, pred_bau=data.structure.valid_idx if params.car else None)
         sm = smoother_pass(filt, params)
         for t in range(1, u + 1):
             slc, st = data.slices[t - 1], sm.states[t - 1]
-            if config.lowrank_only:
+            if not params.car:
                 quad_rows = _row_quad(as_dense(slc.S), st.P)
             else:
                 # E's pattern, which E[xi' E xi] reads, drops out of F_t at gamma = 0
@@ -327,18 +326,11 @@ def m_step(stats: SufficientStats, data: ModelData, prev: DFGPParams,
         U_new = np.concatenate([np.repeat(v[None], n, axis=0)
                                 for v, n in zip(u_parts, spans)])
 
-    if config.lowrank_only:
-        car = prev.car
-    else:
-        car = []
-        for t in range(1, u + 1):
-            g_old = prev.car[t - 1].gamma
-            tau2 = max((stats.xi_quad_deg[t - 1] - g_old * stats.xi_quad_adj[t - 1]) / nv,
-                       _VAR_FLOOR)
-            gamma = optimize_gamma(data.structure, stats.xi_quad_adj[t - 1], tau2, g_old)
-            car.append(CARParams(gamma=gamma, tau2=tau2))
-        car = tuple(car)
-    return DFGPParams(beta=beta, H=H_new, U=U_new, K0=K0, car=car,
+    car = []   # none for the fixed-rank model
+    for c, quad_deg, quad_adj in zip(prev.car, stats.xi_quad_deg, stats.xi_quad_adj):
+        tau2 = max((quad_deg - c.gamma * quad_adj) / nv, _VAR_FLOOR)
+        car.append(CARParams(optimize_gamma(data.structure, quad_adj, tau2, c.gamma), tau2))
+    return DFGPParams(beta=beta, H=H_new, U=U_new, K0=K0, car=tuple(car),
                       sigma2_eps=sigma2)
 
 
@@ -389,15 +381,13 @@ def _average_params(history: list[DFGPParams], frac: float) -> DFGPParams:
     keep = max(1, int(np.ceil(frac * len(history))))
     tail = history[-keep:]
     mean = lambda xs: sum(xs) / len(xs)  # noqa: E731
-    u = tail[0].u
     return DFGPParams(
         beta=mean([p.beta for p in tail]),
         H=mean([np.asarray(p.H) for p in tail]),
         U=mean([np.asarray(p.U) for p in tail]),
         K0=mean([p.K0 for p in tail]),
-        car=tuple(CARParams(mean([p.car[t].gamma for p in tail]),
-                            mean([p.car[t].tau2 for p in tail]))
-                  for t in range(u)),
+        car=tuple(CARParams(mean([c.gamma for c in cs]), mean([c.tau2 for c in cs]))
+                  for cs in zip(*(p.car for p in tail))),
         sigma2_eps=mean([p.sigma2_eps for p in tail]))
 
 
@@ -407,7 +397,9 @@ def run_estimator(data: ModelData, config: EstimatorConfig, init: DFGPParams | N
 
     SEM reports the average of the last ``sem_average_frac`` of the iterate
     history as the point estimate; exact mode reports the final iterate.
-    Deterministic for fixed (data, config, seed).
+    ``config.lowrank_only`` drops the start's CAR block (the fixed-rank
+    model); otherwise the start must have one.  Deterministic for fixed
+    (data, config, seed).
     """
     u = len(data.slices) if horizon is None else horizon
     if u < 1:
@@ -419,6 +411,11 @@ def run_estimator(data: ModelData, config: EstimatorConfig, init: DFGPParams | N
         init if init is not None else init_params(data, horizon=u))
     if params.u != u:
         raise ValueError(f"init has horizon {params.u}, need {u}")
+    if config.lowrank_only:
+        params = replace(params, car=())
+    elif not params.car:
+        raise InvalidParameterError("the start parameters have no CAR block (the "
+                                    "fixed-rank model), but lowrank_only is off")
     trace: list[float] = []
     history: list[DFGPParams] = []
     best: tuple[float, DFGPParams] | None = None
@@ -487,15 +484,8 @@ def _extend_params(params: DFGPParams, u: int) -> DFGPParams:
     add = u - params.u
     if add <= 0:
         return params.truncated(u)
-    H = params.H
-    U = params.U
-    if np.asarray(H).ndim == 3:
-        H = np.concatenate([H, np.repeat(H[-1][None], add, axis=0)])
-        U = np.concatenate([U, np.repeat(U[-1][None], add, axis=0)])
-    return replace(
-        params,
-        beta=np.vstack([params.beta, np.repeat(params.beta[-1][None], add, axis=0)]),
-        H=H, U=U,
-        car=params.car + tuple(params.car[-1] for _ in range(add)),
-        sigma2_eps=np.vstack([params.sigma2_eps,
-                              np.repeat(params.sigma2_eps[-1][None], add, axis=0)]))
+    grow = lambda a: np.concatenate([a, np.repeat(a[-1:], add, axis=0)])  # noqa: E731
+    per_time = params.H.ndim == 3
+    return replace(params, beta=grow(params.beta), H=grow(params.H) if per_time else params.H,
+                   U=grow(params.U) if per_time else params.U,
+                   car=params.car + params.car[-1:] * add, sigma2_eps=grow(params.sigma2_eps))

@@ -272,7 +272,8 @@ def write_trace(path, trace: np.ndarray) -> None:
 # parameters
 
 def write_params(path, params: DFGPParams) -> None:
-    """Flat CSV layout: param,time,instrument,row,col,value."""
+    """Flat CSV layout: param,time,instrument,row,col,value.  The fixed-rank
+    model (``params.car == ()``) has no gamma and no tau2 rows."""
     rows = [["beta", t + 1, "", "", j, _fmt(v)]
             for t, row in enumerate(params.beta.tolist()) for j, v in enumerate(row)]
     for name, m in (("H", np.asarray(params.H)), ("U", np.asarray(params.U)), ("K0", params.K0)):
@@ -287,10 +288,11 @@ def write_params(path, params: DFGPParams) -> None:
 
 
 def read_params(path) -> DFGPParams:
-    """Read a ``write_params`` file.  Raises ValueError naming the file, the
-    1-based data row and the field of an entry that does not parse, is not
-    finite or lies outside its block, and naming the file and parameter of
-    a block that is missing or incomplete."""
+    """Read a ``write_params`` file; one with neither gamma nor tau2 rows
+    holds the fixed-rank model (``car == ()``).  Raises ValueError naming the
+    file, the 1-based data row and the field of an entry that does not parse,
+    is not finite or lies outside its block, and naming the file and
+    parameter of a block that is missing or incomplete."""
     param, *raw, value = _read_table(path, _PARAM_FIELDS)
     _check_rows(path, [(~np.isfinite(value), lambda i: f"value must be finite, got {value[i]}")])
     index = {k: np.where(a == _ABSENT, _ABSENT, a - b)   # 0-based
@@ -315,6 +317,10 @@ def read_params(path) -> DFGPParams:
             raise ValueError(f"{path}: {name} lacks entries of its {shape} block")
         return out
 
+    car_rows = [n for n in ("gamma", "tau2") if (param == n).any()]
+    if len(car_rows) == 1:
+        raise ValueError(f"{path}: no {'tau2' if car_rows == ['gamma'] else 'gamma'} rows, "
+                         f"but {car_rows[0]} rows: a CAR block needs both")
     u, p, r, k = (max(0, 1 + int(index[key][rows(n)].max())) for n, key in (
         ("beta", "time"), ("beta", "col"), ("K0", "row"), ("sigma2_eps", "instrument")))
     H, U = (fill(n, ("time", "row", "col"), (u, r, r)) if (index["time"][rows(n)] != _ABSENT).any()
@@ -322,8 +328,8 @@ def read_params(path) -> DFGPParams:
     try:
         return DFGPParams(beta=fill("beta", ("time", "col"), (u, p)), H=H, U=U,
                           K0=fill("K0", ("row", "col"), (r, r)),
-                          car=tuple(map(CARParams, *(fill(n, ("time",), (u,))
-                                                     for n in ("gamma", "tau2")))),
+                          car=tuple(itertools.starmap(CARParams, zip(
+                              *(fill(n, ("time",), (u,)) for n in car_rows)))),
                           sigma2_eps=fill("sigma2_eps", ("time", "instrument"), (u, k)))
     except InvalidParameterError as exc:
         raise ValueError(f"{path}: {exc}") from None

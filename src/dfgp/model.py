@@ -49,7 +49,8 @@ class DFGPParams:
     H, U: (r, r) propagation and innovation covariance, or (u, r, r) when the
         blockwise variant is expanded per time.
     K0: (r, r) initial state covariance.
-    car: length-u tuple of CARParams (gamma_t, tau2_t).
+    car: length-u tuple of CARParams (gamma_t, tau2_t), or () for the
+        fixed-rank model, which has no fine-scale CAR component.
     sigma2_eps: (u, k0) measurement variance scale per time per instrument.
     """
 
@@ -66,8 +67,8 @@ class DFGPParams:
         H = np.asarray(self.H, dtype=float)
         U = np.asarray(self.U, dtype=float)
         u = beta.shape[0]
-        if len(self.car) != u or sig.shape[0] != u:
-            raise InvalidParameterError("beta, car, sigma2_eps must share the horizon u")
+        if len(self.car) not in (0, u) or sig.shape[0] != u:
+            raise InvalidParameterError("beta, car (or ()), sigma2_eps must share the horizon u")
         if not (sig > 0).all():
             raise InvalidParameterError("all sigma2_eps must be > 0")
         K0 = _check_spd(self.K0, "K0")

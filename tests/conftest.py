@@ -14,6 +14,19 @@ from dfgp.model import DFGPParams, assemble
 from dfgp.synth import build_adjacency
 
 
+# One line per acceptance criterion, appended by test_acceptance._report.
+# pytest captures output while a test runs, so the lines are printed in the
+# terminal summary instead.
+ACCEPTANCE_LINES: list[str] = []
+
+
+def pytest_terminal_summary(terminalreporter):
+    if ACCEPTANCE_LINES:
+        terminalreporter.section("acceptance criteria")
+        for line in ACCEPTANCE_LINES:
+            terminalreporter.write_line(line)
+
+
 def rand_spd(rng, r, scale=1.0):
     a = rng.standard_normal((r, r))
     return scale * (a @ a.T / r + np.eye(r))

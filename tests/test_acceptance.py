@@ -17,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
-from conftest import make_instance, relerr
+from conftest import ACCEPTANCE_LINES, make_instance, relerr
 from scipy.optimize import minimize, minimize_scalar
 from scipy.stats import norm
 
@@ -34,12 +34,9 @@ from dfgp.synth import InstrumentSpec, ScenarioConfig, scenario_data
 
 
 def _report(criterion: str, ok: bool, detail: str, seconds: float) -> None:
-    # write past pytest's capture so the line shows up in plain `pytest -v` runs
-    import sys
-    line = (f"\nACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'} "
-            f"({detail}; {seconds:.1f}s)\n")
-    sys.__stdout__.write(line)
-    sys.__stdout__.flush()
+    # conftest prints the collected lines in pytest's terminal summary
+    ACCEPTANCE_LINES.append(f"ACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'} "
+                            f"({detail}; {seconds:.1f}s)")
     assert ok, f"{criterion}: {detail}"
 
 

@@ -50,6 +50,20 @@ class TestSplit:
         kept = int((train.instrument == 1).sum())
         assert kept + len(hold) == total
 
+    @pytest.mark.parametrize("change", [dict(instrument=7), dict(time_first=5, time_last=9)],
+                             ids=["no-such-instrument", "times-beyond-data"])
+    def test_plan_selecting_nothing_rejected(self, scenario, plan, change):
+        truth, obs, _ = scenario
+        empty = dataclasses.replace(plan, **change)
+        with pytest.raises(ValueError, match=(
+                f"selects no record of instrument {empty.instrument} "
+                f"at times {empty.time_first}..{empty.time_last}")):
+            split_holdout(obs, truth.grid, empty)
+
+    def test_instrument_below_one_rejected(self, plan):
+        with pytest.raises(ValueError, match="instrument must be >= 1, got 0"):
+            dataclasses.replace(plan, instrument=0)
+
     def test_coarse_instrument_untouched(self, scenario, plan):
         truth, obs, _ = scenario
         train, _ = split_holdout(obs, truth.grid, plan)

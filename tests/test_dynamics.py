@@ -83,9 +83,11 @@ class TestOracleEquivalence:
         assert _oracle_check(11, T=3, empty_times=(2,)) < 1e-8
 
     def test_lowrank_mode_vs_dense(self):
+        # the fixed-rank model is the parameter set without a CAR block
         data, params = make_instance(5)
-        dj = DenseJoint(data, params, lowrank_only=True)
-        filt = filter_pass(data, params, lowrank_only=True)
+        params = dataclasses.replace(params, car=())
+        dj = DenseJoint(data, params)
+        filt = filter_pass(data, params)
         sm = smoother_pass(filt, params)
         mT, cT = dj.posterior()
         for t in range(1, params.u + 1):

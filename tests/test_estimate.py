@@ -134,8 +134,9 @@ class TestEStep:
         # nothing is drawn in the fixed-rank model, so SEM and exact EM agree,
         # meas_trace (the rows of S P S' / v) included
         data, params = make_instance(4, T=3, empty_times=(2,))
-        sem, exact = (e_step(data, params, EstimatorConfig(mode=mode, lowrank_only=True),
-                             np.random.default_rng(0)) for mode in ("sem", "exact"))
+        params = dataclasses.replace(params, car=())
+        sem, exact = (e_step(data, params, EstimatorConfig(mode=mode), np.random.default_rng(0))
+                      for mode in ("sem", "exact"))
         assert sem.meas_trace.any()
         for f in dataclasses.fields(SufficientStats):
             assert np.array_equal(getattr(sem, f.name), getattr(exact, f.name)), f.name
@@ -147,11 +148,11 @@ class TestEStep:
             e_step(data, params, EstimatorConfig(mode="exact"), np.random.default_rng(0))
 
 
-def _dense_e_step(data, params, lowrank_only):
+def _dense_e_step(data, params):
     """SufficientStats from the dense joint posterior (DenseJoint)."""
     u = params.u
     deg, adj = data.structure.degrees, data.structure.adjacency
-    dj = DenseJoint(data, params, lowrank_only=lowrank_only)
+    dj = DenseJoint(data, params)
     mean, cov = dj.posterior()
     eta = np.vstack([mean[dj.eta_slice(t)] for t in range(u + 1)])
     K = np.stack([cov[dj.eta_slice(t), dj.eta_slice(t)] + np.outer(eta[t], eta[t])
@@ -188,15 +189,16 @@ class TestExactEStepMatchesDense:
     def test_every_field_matches(self, kw, lowrank_only):
         # k0 = 2 (the default) adds multi-BAU footprints of 2-4 cells
         data, params = make_instance(**kw)
-        got = e_step(data, params, EstimatorConfig(mode="exact", lowrank_only=lowrank_only),
-                     np.random.default_rng(0))
-        expect = _dense_e_step(data, params, lowrank_only)
+        if lowrank_only:
+            params = dataclasses.replace(params, car=())
+        got = e_step(data, params, EstimatorConfig(mode="exact"), np.random.default_rng(0))
+        expect = _dense_e_step(data, params)
         for f in dataclasses.fields(SufficientStats):
             a, b = np.asarray(getattr(got, f.name)), np.asarray(getattr(expect, f.name))
             assert np.abs(a - b).max() <= 1e-10 * max(np.abs(b).max(), 1e-12), f.name
 
 
-def _neg2_qsem(data, params, stats, lowrank=False):
+def _neg2_qsem(data, params, stats):
     """Independent direct evaluation of the SEM objective (complete-data
     likelihood at the E-step quantities), up to theta-free constants."""
     u, r = params.u, params.r
@@ -216,10 +218,9 @@ def _neg2_qsem(data, params, stats, lowrank=False):
         total += float(np.trace(np.linalg.solve(
             U, stats.K[t] - H @ stats.L[t - 1].T - stats.L[t - 1] @ H.T
             + H @ stats.K[t - 1] @ H.T)))
-        if not lowrank:
-            car = params.car[t - 1]
-            quad = (stats.xi_quad_deg[t - 1] - car.gamma * stats.xi_quad_adj[t - 1])
-            total += quad / car.tau2 - data.structure.precision_logdet(car)
+        car = params.car[t - 1]
+        quad = (stats.xi_quad_deg[t - 1] - car.gamma * stats.xi_quad_adj[t - 1])
+        total += quad / car.tau2 - data.structure.precision_logdet(car)
     total += float(np.linalg.slogdet(params.K0)[1])
     total += float(np.trace(np.linalg.solve(params.K0, stats.K[0])))
     return total
@@ -358,11 +359,20 @@ class TestRunEstimator:
         assert res.trace[0] == pytest.approx(expect, rel=1e-8)
 
     def test_lowrank_mode_keeps_car_fixed(self):
+        # the fixed-rank fit drops the start's CAR block and never grows one
         data, _ = make_instance(3)
         cfg = EstimatorConfig(mode="sem", max_iter=5, seed=1, lowrank_only=True)
-        res = run_estimator(data, cfg)
-        start = init_params(data)
-        assert all(c == s for c, s in zip(res.params_last.car, start.car))
+        res = run_estimator(data, cfg, init=init_params(data))
+        assert res.params.car == () and res.params_last.car == ()
+
+    def test_start_without_car_block_needs_lowrank_only(self):
+        data, _ = make_instance(3)
+        start = dataclasses.replace(init_params(data), car=())
+        with pytest.raises(ValueError, match="no CAR block .* but lowrank_only is off"):
+            run_estimator(data, EstimatorConfig(mode="sem", max_iter=2), init=start)
+        res = run_estimator(data, EstimatorConfig(mode="sem", max_iter=2, lowrank_only=True),
+                            init=start)
+        assert res.params.car == ()
 
     def test_pd_preserved_every_iteration(self):
         data, _ = make_instance(4)

@@ -245,6 +245,17 @@ class TestParamsCSV:
         assert np.array_equal(np.asarray(q.H), H)
         assert np.array_equal(np.asarray(q.U), U)
 
+    def test_round_trip_fixed_rank(self, tmp_path):
+        # the fixed-rank model has no CAR block: no gamma or tau2 rows
+        p = DFGPParams(beta=np.ones((3, 2)), H=0.5 * np.eye(2), U=np.eye(2), K0=np.eye(2),
+                       car=(), sigma2_eps=np.full((3, 2), 0.3))
+        dio.write_params(tmp_path / "p.csv", p)
+        assert not [l for l in (tmp_path / "p.csv").read_text().splitlines()
+                    if l.startswith(("gamma", "tau2"))]
+        q = dio.read_params(tmp_path / "p.csv")
+        assert q.car == () and q.u == 3
+        assert np.array_equal(q.flat(), p.flat())
+
 
     @staticmethod
     def _written(tmp_path):
@@ -261,7 +272,11 @@ class TestParamsCSV:
          r"p\.csv: data row 27: value must be finite"),
         (lambda ls: [l.replace("beta,1,,,1,", "beta,1,x,,1,") for l in ls],
          r"p\.csv: data row 2: instrument is not int: 'x'"),
-        (lambda ls: [l for l in ls if not l.startswith("gamma")], r"p\.csv: no gamma rows"),
+        # half a CAR block; a file with neither gamma nor tau2 is the fixed-rank model
+        (lambda ls: [l for l in ls if not l.startswith("gamma")],
+         r"p\.csv: no gamma rows, but tau2 rows"),
+        (lambda ls: [l for l in ls if not l.startswith("tau2")],
+         r"p\.csv: no tau2 rows, but gamma rows"),
         (lambda ls: [l for l in ls if not l.startswith("tau2,3")],
          r"p\.csv: tau2 lacks entries of its \(3,\) block"),
         (lambda ls: [l.replace("K0,,,1,0,", "K0,,,-1,0,") for l in ls],
@@ -273,7 +288,7 @@ class TestParamsCSV:
          r"p\.csv: data row 3: time does not fit in int64"),
         (lambda ls: [l.replace("H,,,0,1,", "H,0,,0,1,") for l in ls],
          r"p\.csv: data row 7: H needs time/row/col inside \(3, 2, 2\)"),
-    ], ids=["text", "inf", "bad-index", "no-gamma", "short-tau2", "negative-row",
+    ], ids=["text", "inf", "bad-index", "no-gamma", "no-tau2", "short-tau2", "negative-row",
             "gamma-range", "header", "index-beyond-int64", "time-zero"])
     def test_bad_file_names_file_row_field(self, tmp_path, edit, message):
         lines = edit(self._written(tmp_path))
@@ -408,7 +423,11 @@ class TestConfig:
         ("[cv]\nmethods = dfgp,krige\n", r"\[cv\] methods: unknown krige"),
         ("[holdout]\nfraction = 0\n", r"\[holdout\] fraction must lie in \(0, 1\), got 0"),
         ("[holdout]\nt_first = 5\nt_last = 2\n", r"\[holdout\] time_first 5 > time_last 2"),
-    ], ids=["hu-blocks-zero", "cv-method", "holdout-fraction", "holdout-times"])
+        ("[holdout]\ninstrument = 0\n", r"\[holdout\] instrument must be >= 1, got 0"),
+        ("[cv]\nlk_k = 1\n", r"\[cv\] lk_k must be >= 2, got 1"),
+        ("[cv]\nlk_max_fit_evals = 0\n", r"\[cv\] lk_max_fit_evals must be >= 1, got 0"),
+    ], ids=["hu-blocks-zero", "cv-method", "holdout-fraction", "holdout-times",
+            "holdout-instrument", "cv-lk-k", "cv-lk-max-fit-evals"])
     def test_bad_value_fails_in_load_config(self, tmp_path, text, message):
         (tmp_path / "run.ini").write_text(text)
         with pytest.raises(ValueError, match=message):
@@ -522,6 +541,18 @@ class TestCLI:
         times = {l.split(",")[0] for l in lines[1:]}
         assert times == {"2", "3"}
 
+    def test_cv_empty_holdout_fails_before_any_fit(self, tmp_path, capsys, monkeypatch):
+        from dfgp import cv
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(self._write_config(tmp_path, out))]) == 0
+        cfgp = self._variant(tmp_path, "cv.ini", out, "fraction = 0.15",
+                             "fraction = 0.15\ninstrument = 7")
+        monkeypatch.setattr(cv, "run_estimator", lambda *a, **k: pytest.fail("fitted"))
+        capsys.readouterr()
+        assert main(["cv", "--config", str(cfgp)]) == 1
+        assert "selects no record of instrument 7 at times 2..3" in capsys.readouterr().err
+        assert not (out / "metrics.csv").exists()
+
     def test_cv_assembles_once(self, tmp_path, monkeypatch):
         from dfgp import cli, cv
         cfgp = self._write_config(tmp_path, tmp_path / "out")
@@ -586,6 +617,24 @@ class TestCLI:
         assert main(["filter", "--config", str(dfgp)]) == 0
         assert filecmp.cmp(shared / "predictions_filter.csv",
                            fresh / "run" / "predictions_filter.csv", shallow=False)
+
+    @pytest.mark.parametrize("fitted, reader", [("dfgp", "lowrank"), ("lowrank", "dfgp")])
+    def test_params_of_the_other_model_refused(self, tmp_path, capsys, fitted, reader):
+        out = tmp_path / "out"
+        flag = {"dfgp": "false", "lowrank": "true"}
+        ini = {m: self._variant(tmp_path, f"{m}.ini", out, "max_iter = 4",
+                                f"max_iter = 4\nlowrank_only = {flag[m]}") for m in flag}
+        assert main(["simulate", "--config", str(ini[fitted])]) == 0
+        assert main(["fit", "--config", str(ini[fitted])]) == 0
+        saved = out / ("params_lowrank.csv" if fitted == "lowrank" else "params.csv")
+        cfgp = tmp_path / "read.ini"
+        cfgp.write_text(ini[reader].read_text() + f"\n[data]\nparams = {saved}\n")
+        capsys.readouterr()
+        assert main(["smooth", "--config", str(cfgp)]) == 1
+        err = capsys.readouterr().err
+        assert f"{saved}: holds the " in err
+        assert f"but [estimator] lowrank_only = {flag[reader]}" in err
+        assert not (out / "predictions_smooth.csv").exists()
 
     @pytest.mark.parametrize("protocol, command", [("smoothing", "smooth"),
                                                    ("filtering", "filter")])

@@ -12,7 +12,9 @@ scenarios (``bench/workloads.py`` next to this file, read, not changed):
 * the 64 x 64 scenario of cli-smooth-4k: the same at every BAU, plus the
   ``dfgp filter`` and ``dfgp smooth`` commands on its generated files, whose
   prediction CSVs and state checkpoints are compared too (the checkpoints
-  byte for byte);
+  byte for byte), and ``dfgp fit`` then ``dfgp smooth`` of the fixed-rank
+  model (``[estimator] lowrank_only = true``, FIXED_RANK_ITERS iterations)
+  into a subdirectory, whose predictions and trace are compared;
 * sem-10k: its SEM iterations from ``init_params``.
 
 For every array the tool prints whether the two trees agree bit for bit and
@@ -35,6 +37,7 @@ import numpy as np
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 SEED = 101
 BLAS_CAPS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+FIXED_RANK_ITERS = 3
 
 
 def _sweep(out: dict, prefix: str, dynamics, data, params, pred: np.ndarray) -> None:
@@ -86,6 +89,15 @@ def _worker(src: str, dest: str) -> None:
                 run / f"predictions_{cmd}.csv", delimiter=",", skiprows=1, ndmin=2)[None]
             out[f"{w.name}/state_{cmd}.bin"] = np.fromfile(run / f"state_{cmd}.bin",
                                                            dtype=np.uint8)[None]
+        ini, sub = run / "lowrank.ini", run / "lowrank"
+        ini.write_text((run / "run.ini").read_text() + "\n[estimator]\nlowrank_only = true\n"
+                       f"max_iter = {FIXED_RANK_ITERS}\n")
+        for cmd in ("fit", "smooth"):
+            if cli.main([cmd, "--config", str(ini), "--out", str(sub)]) != 0:
+                sys.exit(f"fixed-rank dfgp {cmd} failed")
+        for name in ("predictions_smooth.csv", "trace_lowrank.csv"):
+            out[f"{w.name}/lowrank/{name}"] = np.loadtxt(
+                sub / name, delimiter=",", skiprows=1, ndmin=2)[None]
 
     w = W["sem-10k"]
     _truth, _obs, data = synth.scenario_data(workloads._scenario(w.nx, w.counts, w.T, SEED))
