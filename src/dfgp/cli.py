@@ -23,8 +23,10 @@ import numpy as np
 
 from . import __version__
 from . import io as dio
+from .baselines import LocalKrigeSettings
 from .car import build_adjacency
 from .config import RunConfig, load_config
+from .cv import run_cv
 from .dynamics import filter_pass, predict_filter, predict_smooth, smoother_pass
 from .estimate import fit_filtering_sequence, run_estimator
 from .exceptions import FactorizationError, NumericalError
@@ -192,8 +194,6 @@ def cmd_smooth(cfg: RunConfig, out: Path, base: Path, files: Files) -> None:
 
 
 def cmd_cv(cfg: RunConfig, out: Path, base: Path, files: Files) -> None:
-    from .baselines import LocalKrigeSettings
-    from .cv import run_cv
     obs, grid, basis, structure = _load_inputs(cfg, base, files)
     result = run_cv(obs, grid, basis, structure, cfg.holdout_plan(),
                     methods=cfg.cv.methods, protocol=cfg.protocol,
@@ -201,8 +201,7 @@ def cmd_cv(cfg: RunConfig, out: Path, base: Path, files: Files) -> None:
                     lk_settings=LocalKrigeSettings(
                         k=cfg.cv.lk_k, max_fit_evals=cfg.cv.lk_max_fit_evals),
                     covariates=cfg.covariates)
-    dio.write_metrics(out / "metrics.csv", result,
-                      by_subset_path=out / "metrics_by_subset.csv")
+    dio.write_metrics(out / "metrics.csv", result, out / "metrics_by_subset.csv")
     dio.write_holdout(out / "holdout.csv", result.holdout)
     files.written += [out / "metrics.csv", out / "metrics_by_subset.csv", out / "holdout.csv"]
     print(f"cross-validation metrics for {len(cfg.cv.methods)} methods written to {out}")

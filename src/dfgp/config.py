@@ -1,9 +1,9 @@
 """Run configuration: one INI-style file drives every CLI command.
 
 Parsing and serialization round-trip exactly and are both derived from the
-dataclass fields below and ``EstimatorConfig``'s, their types and defaults;
-all scientific choices live in the file, the fixed-rank switch
-([estimator] lowrank_only) included, so runs are reproducible from
+dataclass fields below, ``EstimatorConfig``'s and ``HoldoutPlan``'s, their
+types and defaults; all scientific choices live in the file, the fixed-rank
+switch ([estimator] lowrank_only) included, so runs are reproducible from
 (config, seed) alone.
 """
 
@@ -16,13 +16,11 @@ from typing import get_args, get_type_hints
 
 from . import io as dio
 from .basis import layout_multires
-from .cv import METHODS, HoldoutPlan
+from .cv import METHODS, PROTOCOLS, HoldoutPlan
 from .estimate import EstimatorConfig
 from .grid import build_grid
 from .model import DEFAULT_COVARIATES
 from .synth import InstrumentSpec, ScenarioConfig
-
-PROTOCOLS = ("filtering", "smoothing")
 
 
 @dataclass(frozen=True)
@@ -81,18 +79,6 @@ class CVSection:
 
 
 @dataclass(frozen=True)
-class HoldoutSection:
-    x0: float = 0.0
-    x1: float = 0.0
-    y0: float = 0.0
-    y1: float = 0.0
-    t_first: int = 2
-    t_last: int = 8
-    fraction: float = 0.1
-    instrument: int = 1
-
-
-@dataclass(frozen=True)
 class RunConfig:
     seed: int = 0
     out_dir: str = "out"
@@ -103,12 +89,12 @@ class RunConfig:
     data: DataSection = field(default_factory=DataSection)
     estimator: EstimatorConfig = field(default_factory=lambda: EstimatorConfig(max_iter=60))
     scenario: ScenarioSection = field(default_factory=ScenarioSection)
-    holdout: HoldoutSection = field(default_factory=HoldoutSection)
+    holdout: HoldoutPlan = field(default_factory=HoldoutPlan)
     cv: CVSection = field(default_factory=CVSection)
 
     def __post_init__(self):
         if self.protocol not in PROTOCOLS:
-            raise ValueError(f"protocol must be one of {PROTOCOLS}")
+            raise ValueError(f"[run] protocol must be one of {PROTOCOLS}")
         if self.protocol == "filtering" and self.data.params:
             raise ValueError("[data] params applies to protocol = smoothing only; "
                              "protocol = filtering reads params_u<u>.csv per horizon")
@@ -119,10 +105,6 @@ class RunConfig:
         for key, low in (("lk_k", 2), ("lk_max_fit_evals", 1)):
             if getattr(self.cv, key) < low:
                 raise ValueError(f"[cv] {key} must be >= {low}, got {getattr(self.cv, key)}")
-        try:
-            self.holdout_plan()
-        except ValueError as exc:
-            raise ValueError(f"[holdout] {exc}") from None
 
     # ---- derived objects -------------------------------------------------
     def build_grid(self):
@@ -157,11 +139,7 @@ class RunConfig:
                               instruments=(fine, coarse), seed=self.seed)
 
     def holdout_plan(self) -> HoldoutPlan:
-        h = self.holdout
-        return HoldoutPlan(block_x=(h.x0, h.x1), block_y=(h.y0, h.y1),
-                           time_first=h.t_first, time_last=h.t_last,
-                           fraction=h.fraction, instrument=h.instrument,
-                           seed=self.seed)
+        return replace(self.holdout, seed=self.seed)
 
 
 def _codec(hint):
@@ -182,7 +160,7 @@ def _options():
     """(section, key, owner, name, type) for every INI option, in file order.
 
     A RunConfig field holding a dataclass is the section of that name, one key
-    per field (owner = the RunConfig field) bar the estimator's seed, which is
+    per field (owner = the RunConfig field) bar a ``seed`` field, which is
     [run] seed; ``covariates`` is [covariates] names, the rest are [run].
     """
     hints = get_type_hints(RunConfig)
@@ -191,7 +169,7 @@ def _options():
         if is_dataclass(hint):
             sub = get_type_hints(hint)
             for g in fields(hint):
-                if (f.name, g.name) != ("estimator", "seed"):
+                if g.name != "seed":
                     yield f.name, g.name, f.name, g.name, sub[g.name]
         elif f.name == "covariates":
             yield "covariates", "names", None, f.name, hint
@@ -202,9 +180,12 @@ def _options():
 def parse_config(text: str) -> RunConfig:
     """RunConfig from INI text; absent options keep the defaults of
     ``RunConfig()``.  Unknown sections or keys and invalid values raise
-    ValueError here."""
+    ValueError here, naming the section."""
     cp = configparser.ConfigParser()
-    cp.read_string(text)
+    try:
+        cp.read_string(text)
+    except configparser.Error as exc:
+        raise ValueError(f"malformed config: {exc}") from None
     known: dict[str, set[str]] = {}
     for section, key, *_ in _options():
         known.setdefault(section, set()).add(cp.optionxform(key))
@@ -219,13 +200,20 @@ def parse_config(text: str) -> RunConfig:
     top: dict = {}
     for section, key, owner, name, hint in _options():
         if cp.has_option(section, key):
-            value = (cp.getboolean(section, key) if hint is bool
-                     else _codec(hint)[0](cp.get(section, key)))
+            try:
+                value = (cp.getboolean(section, key) if hint is bool
+                         else _codec(hint)[0](cp.get(section, key)))
+            except ValueError as exc:
+                raise ValueError(f"[{section}] {key}: {exc}") from None
             (top.setdefault(owner, {}) if owner else top)[name] = value
     default = RunConfig()
-    return RunConfig(**{name: replace(getattr(default, name), **value)
-                        if isinstance(value, dict) else value
-                        for name, value in top.items()})
+    for name, value in top.items():
+        if isinstance(value, dict):
+            try:
+                top[name] = replace(getattr(default, name), **value)
+            except ValueError as exc:
+                raise ValueError(f"[{name}] {exc}") from None
+    return RunConfig(**top)
 
 
 def load_config(path) -> RunConfig:

@@ -22,16 +22,20 @@ from .model import ModelData, assemble
 from .scoring import crps_gaussian, rmspe
 
 METHODS = ("dfgp", "lowrank", "localkrige")
+PROTOCOLS = ("filtering", "smoothing")
 
 
 @dataclass(frozen=True)
 class HoldoutPlan:
-    """Block region x time range plus a random fraction of the rest."""
+    """Block region [x0, x1] x [y0, y1] over times t_first..t_last, plus a
+    random fraction of the rest; the [holdout] section of a run config."""
 
-    block_x: tuple[float, float]
-    block_y: tuple[float, float]
-    time_first: int
-    time_last: int
+    x0: float = 0.0
+    x1: float = 0.0
+    y0: float = 0.0
+    y1: float = 0.0
+    t_first: int = 2
+    t_last: int = 8
     fraction: float = 0.1
     instrument: int = 1
     seed: int = 0
@@ -39,8 +43,8 @@ class HoldoutPlan:
     def __post_init__(self):
         if not (0.0 < self.fraction < 1.0):
             raise ValueError(f"fraction must lie in (0, 1), got {self.fraction}")
-        if self.time_first > self.time_last:
-            raise ValueError(f"time_first {self.time_first} > time_last {self.time_last}: "
+        if self.t_first > self.t_last:
+            raise ValueError(f"t_first {self.t_first} > t_last {self.t_last}: "
                              "empty holdout time range")
         if self.instrument < 1:
             raise ValueError(f"instrument must be >= 1, got {self.instrument}")
@@ -94,15 +98,15 @@ def split_holdout(obs: Observations, grid: BAUGrid,
     """
     rng = np.random.default_rng(plan.seed)
     cand = np.flatnonzero((obs.instrument == plan.instrument)
-                          & (obs.time >= plan.time_first) & (obs.time <= plan.time_last))
+                          & (obs.time >= plan.t_first) & (obs.time <= plan.t_last))
     c = _footprint_centroids(obs, grid)[obs.footprint[cand]]
-    in_block = ((plan.block_x[0] <= c[:, 0]) & (c[:, 0] <= plan.block_x[1])
-                & (plan.block_y[0] <= c[:, 1]) & (c[:, 1] <= plan.block_y[1]))
+    in_block = ((plan.x0 <= c[:, 0]) & (c[:, 0] <= plan.x1)
+                & (plan.y0 <= c[:, 1]) & (c[:, 1] <= plan.y1))
     held = in_block | (rng.uniform(size=cand.size) < plan.fraction)
     rows = cand[held]
     if not rows.size:
         raise ValueError(f"the holdout plan selects no record of instrument {plan.instrument} "
-                         f"at times {plan.time_first}..{plan.time_last}")
+                         f"at times {plan.t_first}..{plan.t_last}")
     fps = obs.footprint[rows]
     if (np.diff(obs.fp_indptr)[fps] != 1).any():
         raise ValueError("holdout footprints must cover a single BAU")
@@ -183,24 +187,28 @@ def _localkrige_predictions(train: Observations, grid: BAUGrid,
     return preds
 
 
-def run_cv(obs: Observations, grid: BAUGrid, basis, structure,
-           plan: HoldoutPlan, methods=("dfgp", "lowrank", "localkrige"),
-           protocol: str = "filtering",
-           est_config: EstimatorConfig | None = None,
-           lk_settings: LocalKrigeSettings | None = None,
-           covariates=None) -> CVResult:
-    """Fit each method on the training split and score it on the holdouts."""
+def run_cv(obs: Observations, grid: BAUGrid, basis, structure, plan: HoldoutPlan, *,
+           methods, protocol: str, est_config: EstimatorConfig,
+           lk_settings: LocalKrigeSettings, covariates) -> CVResult:
+    """Fit each method on the training split and score it on the holdouts.
+
+    A holdout with no record at a time the protocol scores is an error,
+    raised before any fit."""
     for m in methods:
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}; choose from {METHODS}")
-    if protocol not in ("filtering", "smoothing"):
-        raise ValueError(f"unknown protocol {protocol!r}")
-    est_config = est_config or EstimatorConfig(max_iter=30)
-    lk_settings = lk_settings or LocalKrigeSettings(k=100)
+    if protocol not in PROTOCOLS:
+        raise ValueError(f"unknown protocol {protocol!r}; choose from {PROTOCOLS}")
     train, holdout = split_holdout(obs, grid, plan)
-    kwargs = {} if covariates is None else {"covariates": covariates}
-    data = assemble(train, grid, basis, structure, **kwargs)
-    times = list(range(2, data.T + 1)) if protocol == "filtering" else list(range(1, data.T))
+    T = train.n_times
+    times = list(range(2, T + 1)) if protocol == "filtering" else list(range(1, T))
+    held = sorted({h.time_index for h in holdout})
+    if not set(held).intersection(times):
+        scored = f"times {times[0]}..{times[-1]}" if times else "no time"
+        raise ValueError(f"the holdout plan selects records at times "
+                         f"{','.join(map(str, held))} only, but protocol = {protocol} "
+                         f"scores {scored}")
+    data = assemble(train, grid, basis, structure, covariates=covariates)
     result = CVResult(holdout=holdout)
     for method in methods:
         if method == "localkrige":

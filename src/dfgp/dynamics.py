@@ -202,8 +202,8 @@ def fine_precision(structure, car: CARParams, B, vinv: np.ndarray) -> sp.csc_mat
 def filter_step(eta_pred: np.ndarray, P_pred: np.ndarray,
                 slc: AssembledTimeSlice, car: CARParams | None, structure,
                 sigma2_row: np.ndarray, beta_t: np.ndarray, *,
-                pred_nodes: np.ndarray, extra: np.ndarray | None = None,
-                want_variance: bool = False) -> StatePosterior:
+                pred_nodes: np.ndarray, extra: np.ndarray | None,
+                want_variance: bool) -> StatePosterior:
     """One measurement update from forecast moments to filtered moments.
 
     eta_pred has one column for the data and one per column of ``extra``.

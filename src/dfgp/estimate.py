@@ -334,8 +334,7 @@ def m_step(stats: SufficientStats, data: ModelData, prev: DFGPParams,
                       sigma2_eps=sigma2)
 
 
-def init_params(data: ModelData, *, horizon: int | None = None,
-                r: int | None = None) -> DFGPParams:
+def init_params(data: ModelData, *, horizon: int | None = None) -> DFGPParams:
     """Default starting point: OLS trend, scaled-identity state covariances,
     gamma = 0.5, H = I.
 
@@ -345,7 +344,7 @@ def init_params(data: ModelData, *, horizon: int | None = None,
     signal.
     """
     u = len(data.slices) if horizon is None else horizon
-    r = data.basis.r if r is None else r
+    r = data.basis.r
     p = data.X_bau.shape[1]
     k0n = data.n_instruments
     beta = np.zeros((u, p))
@@ -457,17 +456,17 @@ def run_estimator(data: ModelData, config: EstimatorConfig, init: DFGPParams | N
                             message=message)
 
 
-def fit_filtering_sequence(data: ModelData, config: EstimatorConfig,
-                           init: DFGPParams | None = None) -> dict[int, EstimationResult]:
+def fit_filtering_sequence(data: ModelData,
+                           config: EstimatorConfig) -> dict[int, EstimationResult]:
     """One fit per horizon u = 2..T on Z_{1:u}, each started from the fit
-    at u-1 extended by one time step (u = 2 from ``init`` or init_params)."""
+    at u-1 extended by one time step (u = 2 from init_params)."""
     T = len(data.slices)
     if T < 2:
         raise ValueError("filtering protocol needs T >= 2")
     results: dict[int, EstimationResult] = {}
-    prev: DFGPParams | None = init
+    prev: DFGPParams | None = None
     for u in range(2, T + 1):
-        start = None if prev is None else _extend_params(prev, u)
+        start = None if prev is None else _extend_params(prev)
         cfg_u = config
         if config.hu_blocks:
             # clip block boundaries to the current horizon
@@ -479,13 +478,10 @@ def fit_filtering_sequence(data: ModelData, config: EstimatorConfig,
     return results
 
 
-def _extend_params(params: DFGPParams, u: int) -> DFGPParams:
-    """Extend a horizon-(u-1) parameter set to horizon u by repeating t-1."""
-    add = u - params.u
-    if add <= 0:
-        return params.truncated(u)
-    grow = lambda a: np.concatenate([a, np.repeat(a[-1:], add, axis=0)])  # noqa: E731
+def _extend_params(params: DFGPParams) -> DFGPParams:
+    """Extend a parameter set by one time step, repeating its last."""
+    grow = lambda a: np.concatenate([a, a[-1:]])  # noqa: E731
     per_time = params.H.ndim == 3
     return replace(params, beta=grow(params.beta), H=grow(params.H) if per_time else params.H,
                    U=grow(params.U) if per_time else params.U,
-                   car=params.car + params.car[-1:] * add, sigma2_eps=grow(params.sigma2_eps))
+                   car=params.car + params.car[-1:], sigma2_eps=grow(params.sigma2_eps))

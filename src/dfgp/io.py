@@ -252,16 +252,15 @@ def write_holdout(path, holdout: list[HoldoutRecord]) -> None:
                ([h.time_index, h.bau_index, _fmt(h.value), h.subset] for h in holdout))
 
 
-def write_metrics(path, result: CVResult, by_subset_path=None) -> None:
-    """Main metrics table (subset == all) plus an optional by-subset table."""
+def write_metrics(path, result: CVResult, by_subset_path) -> None:
+    """Main metrics table (subset == all) plus the by-subset table."""
     _write_csv(path, ["method", "protocol", "time", "rmspe", "crps", "n_holdout"],
                ([row.method, row.protocol, row.time_index, _fmt(row.rmspe), _fmt(row.crps),
                  row.n] for row in result.rows if row.subset == "all"))
-    if by_subset_path is not None:
-        _write_csv(by_subset_path,
-                   ["method", "protocol", "subset", "time", "rmspe", "crps", "n_holdout"],
-                   ([row.method, row.protocol, row.subset, row.time_index, _fmt(row.rmspe),
-                     _fmt(row.crps), row.n] for row in result.rows))
+    _write_csv(by_subset_path,
+               ["method", "protocol", "subset", "time", "rmspe", "crps", "n_holdout"],
+               ([row.method, row.protocol, row.subset, row.time_index, _fmt(row.rmspe),
+                 _fmt(row.crps), row.n] for row in result.rows))
 
 
 def write_trace(path, trace: np.ndarray) -> None:
@@ -362,7 +361,7 @@ def load_state_checkpoint(path) -> tuple[np.ndarray, np.ndarray]:
 # manifest
 
 def write_manifest(path, command: str, config_path, seed: int, version: str,
-                   inputs=(), outputs=()) -> None:
+                   inputs, outputs) -> None:
     """Header lines ``key = value``, then one ``input|output <sha256>  <file>``
     line per file the command read or wrote, in that order; files are named
     relative to the manifest's directory."""

@@ -23,12 +23,14 @@ from scipy.stats import norm
 
 
 
+from dfgp.baselines import LocalKrigeSettings
 from dfgp.cv import HoldoutPlan, run_cv
 from dfgp.dense import DenseJoint
 from dfgp.dynamics import (filter_pass, predict_filter, predict_smooth,
                            smoother_pass)
 from dfgp.estimate import (EstimatorConfig, _gamma_objective, e_step,
                            init_params, m_step, run_estimator)
+from dfgp.model import DEFAULT_COVARIATES
 from dfgp.scoring import crps_gaussian, rmspe
 from dfgp.synth import InstrumentSpec, ScenarioConfig, scenario_data
 
@@ -286,14 +288,15 @@ def _ordering_rep(seed):
                      InstrumentSpec(4, 0.04, swath_width=2, swath_period=5,
                                     swath_shift=2, drop_rate=0.2)))
     truth, obs, _ = scenario_data(cfg)
-    plan = HoldoutPlan(block_x=(5.0, 10.0), block_y=(5.0, 15.0),
-                       time_first=2, time_last=7, fraction=0.1, seed=seed)
+    plan = HoldoutPlan(x0=5.0, x1=10.0, y0=5.0, y1=15.0,
+                       t_first=2, t_last=7, fraction=0.1, seed=seed)
     out = {}
     for proto, tag, iters in (("filtering", "F", 25), ("smoothing", "S", 150)):
         est = EstimatorConfig(mode="sem", max_iter=iters, seed=seed,
                               nugget_time_invariant=True)
         res = run_cv(obs, truth.grid, truth.basis, truth.structure, plan,
-                     methods=("dfgp", "lowrank"), protocol=proto, est_config=est)
+                     methods=("dfgp", "lowrank"), protocol=proto, est_config=est,
+                     lk_settings=LocalKrigeSettings(k=100), covariates=DEFAULT_COVARIATES)
         for row in res.rows:
             if row.time_index == "all" and row.subset == "all":
                 key = ("dfgp" if row.method == "dfgp" else "fr") + tag

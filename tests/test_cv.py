@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from dfgp.baselines import LocalKrigeSettings
-from dfgp.cv import HoldoutPlan, _score_rows, run_cv, split_holdout
+from dfgp.cv import METHODS, HoldoutPlan, _score_rows, run_cv, split_holdout
 from dfgp.estimate import EstimatorConfig
+from dfgp.model import DEFAULT_COVARIATES
 from dfgp.synth import InstrumentSpec, ScenarioConfig, scenario_data
 
 
@@ -19,8 +20,8 @@ def scenario():
 
 @pytest.fixture(scope="module")
 def plan():
-    return HoldoutPlan(block_x=(2.0, 4.0), block_y=(2.0, 6.0),
-                       time_first=2, time_last=4, fraction=0.15, seed=1)
+    return HoldoutPlan(x0=2.0, x1=4.0, y0=2.0, y1=6.0,
+                       t_first=2, t_last=4, fraction=0.15, seed=1)
 
 
 class TestSplit:
@@ -33,7 +34,7 @@ class TestSplit:
             c = cents[h.bau_index]
             if h.subset == "block":
                 assert 2.0 <= c[0] <= 4.0 and 2.0 <= c[1] <= 6.0
-            assert plan.time_first <= h.time_index <= plan.time_last
+            assert plan.t_first <= h.time_index <= plan.t_last
 
     def test_training_does_not_contain_holdouts(self, scenario, plan):
         truth, obs, _ = scenario
@@ -50,14 +51,14 @@ class TestSplit:
         kept = int((train.instrument == 1).sum())
         assert kept + len(hold) == total
 
-    @pytest.mark.parametrize("change", [dict(instrument=7), dict(time_first=5, time_last=9)],
+    @pytest.mark.parametrize("change", [dict(instrument=7), dict(t_first=5, t_last=9)],
                              ids=["no-such-instrument", "times-beyond-data"])
     def test_plan_selecting_nothing_rejected(self, scenario, plan, change):
         truth, obs, _ = scenario
         empty = dataclasses.replace(plan, **change)
         with pytest.raises(ValueError, match=(
                 f"selects no record of instrument {empty.instrument} "
-                f"at times {empty.time_first}..{empty.time_last}")):
+                f"at times {empty.t_first}..{empty.t_last}")):
             split_holdout(obs, truth.grid, empty)
 
     def test_instrument_below_one_rejected(self, plan):
@@ -96,7 +97,8 @@ class TestRunCV:
         lk = LocalKrigeSettings(k=40, fit=False)
         res = run_cv(obs, truth.grid, truth.basis, truth.structure, plan,
                      methods=("dfgp", "lowrank", "localkrige"),
-                     protocol="smoothing", est_config=est, lk_settings=lk)
+                     protocol="smoothing", est_config=est, lk_settings=lk,
+                     covariates=DEFAULT_COVARIATES)
         agg = [r for r in res.rows if r.time_index == "all" and r.subset == "all"]
         assert {r.method for r in agg} == {"dfgp", "lowrank", "localkrige"}
         for r in res.rows:
@@ -104,11 +106,12 @@ class TestRunCV:
 
     def test_filtering_protocol_skips_time_one(self, scenario):
         truth, obs, _ = scenario
-        plan = HoldoutPlan(block_x=(2.0, 4.0), block_y=(2.0, 6.0),
-                           time_first=1, time_last=4, fraction=0.15, seed=1)
+        plan = HoldoutPlan(x0=2.0, x1=4.0, y0=2.0, y1=6.0,
+                           t_first=1, t_last=4, fraction=0.15, seed=1)
         est = EstimatorConfig(mode="sem", max_iter=3, seed=0)
         res = run_cv(obs, truth.grid, truth.basis, truth.structure, plan,
-                     methods=("dfgp",), protocol="filtering", est_config=est)
+                     methods=("dfgp",), protocol="filtering", est_config=est,
+                     lk_settings=LocalKrigeSettings(k=100), covariates=DEFAULT_COVARIATES)
         times = {r.time_index for r in res.rows if r.method == "dfgp"}
         assert 1 not in times
         assert {2, 3, 4} <= times
@@ -117,7 +120,8 @@ class TestRunCV:
         truth, obs, _ = scenario
         est = EstimatorConfig(mode="sem", max_iter=3, seed=0)
         res = run_cv(obs, truth.grid, truth.basis, truth.structure, plan,
-                     methods=("dfgp",), protocol="smoothing", est_config=est)
+                     methods=("dfgp",), protocol="smoothing", est_config=est,
+                     lk_settings=LocalKrigeSettings(k=100), covariates=DEFAULT_COVARIATES)
         times = {r.time_index for r in res.rows if r.time_index != "all"}
         assert times <= {1, 2, 3}
         assert 4 not in times   # t = T is not scored under smoothing
@@ -126,7 +130,8 @@ class TestRunCV:
         truth, obs, _ = scenario
         est = EstimatorConfig(mode="sem", max_iter=3, seed=0)
         res1 = run_cv(obs, truth.grid, truth.basis, truth.structure, plan,
-                      methods=("dfgp",), protocol="smoothing", est_config=est)
+                      methods=("dfgp",), protocol="smoothing", est_config=est,
+                      lk_settings=LocalKrigeSettings(k=100), covariates=DEFAULT_COVARIATES)
         # poison every held-out record's value; training must not change
         _, hold = split_holdout(obs, truth.grid, plan)
         held = {(h.time_index, h.bau_index) for h in hold}
@@ -136,7 +141,8 @@ class TestRunCV:
         assert hit.sum() == len(hold)
         poisoned = dataclasses.replace(obs, value=np.where(hit, 1e12, obs.value))
         res2 = run_cv(poisoned, truth.grid, truth.basis, truth.structure, plan,
-                      methods=("dfgp",), protocol="smoothing", est_config=est)
+                      methods=("dfgp",), protocol="smoothing", est_config=est,
+                      lk_settings=LocalKrigeSettings(k=100), covariates=DEFAULT_COVARIATES)
         # sentinel never reached any training path: predictions are identical
         p1, p2 = res1.predictions["dfgp"], res2.predictions["dfgp"]
         assert p1.keys() == p2.keys()
@@ -149,4 +155,24 @@ class TestRunCV:
         truth, obs, _ = scenario
         with pytest.raises(ValueError):
             run_cv(obs, truth.grid, truth.basis, truth.structure, plan,
-                   methods=("nope",))
+                   methods=("nope",), protocol="filtering",
+                   est_config=EstimatorConfig(max_iter=30),
+                   lk_settings=LocalKrigeSettings(k=100), covariates=DEFAULT_COVARIATES)
+
+    @pytest.mark.parametrize("protocol, t", [("smoothing", 4), ("filtering", 1)])
+    def test_holdout_at_unscored_times_fails_before_any_fit(self, scenario, plan,
+                                                            monkeypatch, protocol, t):
+        from dfgp import cv
+        truth, obs, _ = scenario
+        for name in ("assemble", "run_estimator", "fit_filtering_sequence", "local_krige"):
+            monkeypatch.setattr(cv, name, lambda *a, **k: pytest.fail("assembled or fitted"))
+        scored = "1..3" if protocol == "smoothing" else "2..4"
+        with pytest.raises(ValueError, match=(
+                f"selects records at times {t} only, but protocol = {protocol} "
+                f"scores times {scored}")):
+            run_cv(obs, truth.grid, truth.basis, truth.structure,
+                   dataclasses.replace(plan, t_first=t, t_last=t),
+                   methods=METHODS, protocol=protocol,
+                   est_config=EstimatorConfig(mode="sem", max_iter=3, seed=0),
+                   lk_settings=LocalKrigeSettings(k=40, fit=False),
+                   covariates=DEFAULT_COVARIATES)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import filecmp
 import hashlib
 from pathlib import Path
@@ -12,6 +13,7 @@ from dfgp import io as dio
 from dfgp.car import CARParams
 from dfgp.cli import main
 from dfgp.config import load_config, parse_config, serialize_config
+from dfgp.cv import HoldoutPlan
 from dfgp.estimate import EstimatorConfig
 from dfgp.grid import build_grid
 from dfgp.model import DFGPParams, assemble
@@ -386,6 +388,8 @@ class TestConfig:
         ("[scenario]\nfine_drop_rat = 0.3\n", r"\[scenario\]: fine_drop_rat"),
         ("[estimater]\nmode = exact\n", r"section \[estimater\]"),
         ("[DEFAULT]\nseed = 3\n[grid]\nnx = 8\n", r"section \[DEFAULT\]"),
+        ("nx = 8\n", r"malformed config: File contains no section headers"),
+        ("[grid]\nnx = 8\n[grid]\nny = 8\n", r"malformed config: .*section 'grid' already"),
     ])
     def test_unknown_section_or_key_rejected(self, text, message):
         with pytest.raises(ValueError, match=message):
@@ -410,6 +414,16 @@ class TestConfig:
             "nugget_time_invariant", "hu_blocks", "draws", "sem_average_frac",
             "lowrank_only"]
 
+    def test_holdout_section_is_holdout_plan(self):
+        cfg = parse_config(BASE_CONFIG.format(out="x"))
+        assert cfg.holdout == HoldoutPlan(x0=2.0, x1=5.0, y0=2.0, y1=6.0, t_first=2,
+                                          t_last=3, fraction=0.15)
+        assert cfg.holdout_plan() == dataclasses.replace(cfg.holdout, seed=3)
+        assert parse_config("").holdout == HoldoutPlan()
+        section = serialize_config(cfg).split("[holdout]\n")[1].split("\n\n")[0]
+        assert [line.split(" = ")[0] for line in section.splitlines()] == [
+            "x0", "x1", "y0", "y1", "t_first", "t_last", "fraction", "instrument"]
+
     @pytest.mark.parametrize("line", ["mode = exactt", "tol_loglik = 0",
                                       "hu_blocks = 3,2", "max_iter = 0", "draws = 0",
                                       "consecutive = 0", "sem_average_frac = 0",
@@ -422,12 +436,15 @@ class TestConfig:
         ("[estimator]\nhu_blocks = 0,8\n", r"hu_blocks must be >= 1"),
         ("[cv]\nmethods = dfgp,krige\n", r"\[cv\] methods: unknown krige"),
         ("[holdout]\nfraction = 0\n", r"\[holdout\] fraction must lie in \(0, 1\), got 0"),
-        ("[holdout]\nt_first = 5\nt_last = 2\n", r"\[holdout\] time_first 5 > time_last 2"),
+        ("[holdout]\nt_first = 5\nt_last = 2\n", r"\[holdout\] t_first 5 > t_last 2"),
         ("[holdout]\ninstrument = 0\n", r"\[holdout\] instrument must be >= 1, got 0"),
         ("[cv]\nlk_k = 1\n", r"\[cv\] lk_k must be >= 2, got 1"),
         ("[cv]\nlk_max_fit_evals = 0\n", r"\[cv\] lk_max_fit_evals must be >= 1, got 0"),
+        ("[estimator]\nmode = exactt\n", r"\[estimator\] mode must be 'sem' or 'exact'"),
+        ("[grid]\nnx = eight\n", r"\[grid\] nx: invalid literal for int"),
     ], ids=["hu-blocks-zero", "cv-method", "holdout-fraction", "holdout-times",
-            "holdout-instrument", "cv-lk-k", "cv-lk-max-fit-evals"])
+            "holdout-instrument", "cv-lk-k", "cv-lk-max-fit-evals", "estimator-mode",
+            "grid-nx-text"])
     def test_bad_value_fails_in_load_config(self, tmp_path, text, message):
         (tmp_path / "run.ini").write_text(text)
         with pytest.raises(ValueError, match=message):
@@ -551,6 +568,19 @@ class TestCLI:
         capsys.readouterr()
         assert main(["cv", "--config", str(cfgp)]) == 1
         assert "selects no record of instrument 7 at times 2..3" in capsys.readouterr().err
+        assert not (out / "metrics.csv").exists()
+
+    def test_cv_holdout_at_unscored_times_fails_before_any_fit(self, tmp_path, capsys,
+                                                               monkeypatch):
+        from dfgp import cv
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(self._write_config(tmp_path, out))]) == 0
+        cfgp = self._variant(tmp_path, "cv.ini", out, "t_first = 2", "t_first = 3")
+        monkeypatch.setattr(cv, "run_estimator", lambda *a, **k: pytest.fail("fitted"))
+        capsys.readouterr()
+        assert main(["cv", "--config", str(cfgp)]) == 1
+        assert ("selects records at times 3 only, but protocol = smoothing scores times 1..2"
+                in capsys.readouterr().err)
         assert not (out / "metrics.csv").exists()
 
     def test_cv_assembles_once(self, tmp_path, monkeypatch):

@@ -14,7 +14,9 @@ scenarios (``bench/workloads.py`` next to this file, read, not changed):
   prediction CSVs and state checkpoints are compared too (the checkpoints
   byte for byte), and ``dfgp fit`` then ``dfgp smooth`` of the fixed-rank
   model (``[estimator] lowrank_only = true``, FIXED_RANK_ITERS iterations)
-  into a subdirectory, whose predictions and trace are compared;
+  into a subdirectory, whose predictions and trace are compared, and
+  ``dfgp cv`` of dfgp and lowrank (CV_ITERS iterations) under each protocol,
+  whose metrics and holdout CSVs are compared on their numeric columns;
 * sem-10k: its SEM iterations from ``init_params``.
 
 For every array the tool prints whether the two trees agree bit for bit and
@@ -26,6 +28,7 @@ trace) and maximised.
 from __future__ import annotations
 
 import argparse
+import csv
 import os
 import subprocess
 import sys
@@ -38,6 +41,7 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 SEED = 101
 BLAS_CAPS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 FIXED_RANK_ITERS = 3
+CV_ITERS = 2
 
 
 def _sweep(out: dict, prefix: str, dynamics, data, params, pred: np.ndarray) -> None:
@@ -58,6 +62,19 @@ def _sweep(out: dict, prefix: str, dynamics, data, params, pred: np.ndarray) -> 
             ("smooth", [dynamics.predict_smooth(sm, data, params, t, pred) for t in ts])):
         out[f"{prefix}/predict_{name}/mean"] = np.stack([f.mean for f in fields])
         out[f"{prefix}/predict_{name}/stderr"] = np.stack([f.stderr for f in fields])
+
+
+def _csv_numbers(path: Path) -> np.ndarray:
+    """The columns of a CSV whose every entry is a number, as (1, rows, cols)."""
+    with open(path, newline="") as f:
+        rows = list(csv.reader(f))[1:]
+    cols = []
+    for col in zip(*rows):
+        try:
+            cols.append([float(x) for x in col])
+        except ValueError:
+            pass
+    return np.array(cols).T[None]
 
 
 def _worker(src: str, dest: str) -> None:
@@ -98,6 +115,15 @@ def _worker(src: str, dest: str) -> None:
         for name in ("predictions_smooth.csv", "trace_lowrank.csv"):
             out[f"{w.name}/lowrank/{name}"] = np.loadtxt(
                 sub / name, delimiter=",", skiprows=1, ndmin=2)[None]
+        for protocol in ("filtering", "smoothing"):
+            ini, sub = run / f"cv_{protocol}.ini", run / f"cv_{protocol}"
+            ini.write_text((run / "run.ini").read_text().replace(
+                "protocol = smoothing", f"protocol = {protocol}")
+                + f"\n[cv]\nmethods = dfgp,lowrank\n\n[estimator]\nmax_iter = {CV_ITERS}\n")
+            if cli.main(["cv", "--config", str(ini), "--out", str(sub)]) != 0:
+                sys.exit(f"dfgp cv ({protocol}) failed")
+            for name in ("metrics.csv", "metrics_by_subset.csv", "holdout.csv"):
+                out[f"{w.name}/cv_{protocol}/{name}"] = _csv_numbers(sub / name)
 
     w = W["sem-10k"]
     _truth, _obs, data = synth.scenario_data(workloads._scenario(w.nx, w.counts, w.T, SEED))
