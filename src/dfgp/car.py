@@ -20,13 +20,16 @@ N = 10^4.
 Exact EM needs M^{-1} on the pattern of M (``SparseFactor.selected_inverse``),
 prediction variances its diagonal (``solve_selected_diag``); both come from
 one Takahashi selected inversion over the pattern of L, which makes no
-solve.  For the diagonal, below SELECTED_INVERSION_MIN requested indices one
-unit solve each is cheaper.  The crossover measured on one
-BLAS thread lies at 230-450 indices for rook and queen grids from N = 1,024
-to 65,536 (about 450 at N = 4,096, 230 at N = 65,536): both costs grow with
-the fill of L at about the same rate, so the crossover barely moves with N.
-At N = 4,096 the full diagonal takes ~0.15 s against ~2 s of unit solves,
-at N = 65,536 ~4 s against ~18 min.
+solve.  It walks the elimination tree of L's supernodes one depth at a
+time and runs the supernodes of one depth and shape as one stack of numpy
+calls, so its cost is a few calls per depth and shape rather than a Python
+loop over ~N/2 supernodes.  For the diagonal, below SELECTED_INVERSION_MIN
+requested indices one unit solve each (on the solve pool) is cheaper.
+Measured on the bench scenario's F_t, one BLAS thread of a 2-vCPU host:
+the full diagonal takes ~0.025 s at N = 4,096 (factorization 0.01 s, a unit
+solve 0.17-0.23 ms) and ~0.5 s at N = 65,536 (factorization 0.45 s, a unit
+solve ~6 ms); the crossover lies at about 130 indices at N = 4,096, 100 at
+16,384 and 75-85 at 65,536.
 
 Independent SuperLU calls (the blocks of one factor's multi-column solves,
 the curve's node factorizations) run on one thread pool with a thread per
@@ -66,7 +69,7 @@ LOGDET_CURVE_NODES = 64
 # Fewest requested indices for which SparseFactor.solve_selected_diag inverts
 # the whole factor by selected inversion instead of solving one unit vector
 # per index (measured crossover: see the module docstring).
-SELECTED_INVERSION_MIN = 256
+SELECTED_INVERSION_MIN = 96
 
 # Right-hand sides per SuperLU solve when many columns are solved against one
 # factor (the r columns of the filter step, the unit vectors of the
@@ -282,10 +285,10 @@ class SparseFactor:
                                  options=dict(SymmetricMode=True))
         except RuntimeError as exc:  # singular
             raise FactorizationError(f"sparse factorization failed: {exc}") from exc
-        du = self._lu.U.diagonal()
-        if not (du > 0).all():
+        self._d = self._lu.U.diagonal()       # the pivots: U = diag(d) L'
+        if not (self._d > 0).all():
             raise FactorizationError("matrix is not positive definite")
-        self._logdet = float(np.log(du).sum())
+        self._logdet = float(np.log(self._d).sum())
         self.shape = m.shape
 
     def solve(self, b: np.ndarray) -> np.ndarray:
@@ -327,7 +330,7 @@ class SparseFactor:
         if not np.array_equal(lu.perm_r, lu.perm_c):
             raise FactorizationError("selected inversion needs equal row and column "
                                      "permutations")
-        return _selected_inverse(lu.L, lu.U.diagonal())
+        return _selected_inverse(lu.L, self._d)
 
     def logdet(self) -> float:
         return self._logdet
@@ -337,63 +340,160 @@ def _selected_inverse(L: sp.spmatrix, d: np.ndarray) -> sp.csc_matrix:
     """Z = (L diag(d) L')^{-1} on the pattern of L (its lower triangle), with
     L unit lower triangular; the result shares L's sorted index arrays.
 
-    Takahashi recursion (Takahashi, Fagan & Chen 1973; Rue & Martino 2007),
-    run backwards over the supernodes of L.  A supernode S is a run of
-    columns where each column's rows below the diagonal are the rows of the
-    next, so its block of L is dense, [L_SS; L_KS] with K the rows below S.
-    With Lh = L_KS L_SS^{-1}:
+    Takahashi recursion (Takahashi, Fagan & Chen 1973; Rue & Martino 2007)
+    over the supernodes of L.  A supernode S is a run of columns where each
+    column's rows below the diagonal are the rows of the next, so its block
+    of L is dense, [L_SS; L_KS] with K the rows below S.  With
+    Lh = L_KS L_SS^{-1}:
 
         Z_KS = -Z_KK Lh,        Z_SS = (L_SS D_S L_SS')^{-1} - Lh' Z_KS.
 
-    Z is kept only on the pattern of L; Z_KK lies inside it when the pattern
-    is closed under elimination, as a symbolic factorization's is.  A missing
-    entry raises FactorizationError.
+    Z_KK lies in the supernode's ancestors in the elimination tree.  Its
+    parent p holds min K, and K lies in the rows S_p + K_p of p when the
+    pattern of L is closed under elimination, as a symbolic factorization's
+    is; a row of K missing there raises FactorizationError.  So the tree is
+    walked one depth at a time, root first, as SelInv does (Lin et al.
+    2011): each supernode with children keeps its dense Z over S_p + K_p for
+    one depth, and a child reads its Z_KK there at the positions of K.  The
+    supernodes of one depth and one shape (width, rows below) run as one
+    stack of numpy calls (_takahashi_stack).  Z itself is kept only on the
+    pattern of L.
     """
     L = sp.csc_matrix(L)
     L.sort_indices()
     n = L.shape[0]
     ip = L.indptr.astype(np.int64)
     rows = L.indices  # per-entry arrays keep L's index dtype: int32 unless nnz(L) >= 2^31
-    it = rows.dtype
     cnt = np.diff(ip)
     if (cnt < 1).any() or not np.array_equal(rows[ip[:-1]], np.arange(n)):
         raise FactorizationError("factor lacks a stored diagonal entry")
-    col = np.repeat(np.arange(n, dtype=it), cnt)
-    keys = col.astype(np.int64)  # int64: col * n overflows int32 beyond n = 46,340
-    keys *= n
-    keys += rows
+    col = np.repeat(np.arange(n, dtype=rows.dtype), cnt)
     # column j + 1 continues the supernode of column j when the rows of j
     # below its diagonal are exactly the rows of j + 1
     joins = np.zeros(n, dtype=bool)
     joins[:-1] = cnt[:-1] == cnt[1:] + 1
     p = np.flatnonzero(joins[col] & (rows != col))
     joins[col[p[rows[p] != rows[p + cnt[col[p]] - 1]]]] = False
-    del p
+    del p, col
     starts = np.flatnonzero(np.concatenate([[True], ~joins[:-1]]))
-    ends = np.append(starts[1:], n)
-    lcol = col - np.repeat(starts, ends - starts).astype(it)[col]    # column within the block
-    lrow = np.arange(col.size, dtype=it)                           # row within the block
-    lrow -= ip[:-1].astype(it)[col]
-    lrow += lcol
-    del col
-    Z = np.empty(keys.size)
-    for s, e in zip(starts[::-1], ends[::-1]):
-        w, a, b = e - s, ip[s], ip[e]
-        K = rows[ip[e - 1] + 1:b].astype(np.int64)
-        r, c = lrow[a:b], lcol[a:b]
-        blk = np.zeros((w + K.size, w))
-        blk[r, c] = L.data[a:b]
-        linv = dtrtri(blk[:w], lower=1, unitdiag=1)[0]
-        lh = blk[w:] @ linv
-        q = (np.minimum.outer(K, K) * n + np.maximum.outer(K, K)).ravel()
-        pos = np.minimum(np.searchsorted(keys, q), keys.size - 1)
-        if not np.array_equal(keys[pos], q):
-            raise FactorizationError("selected inversion: the pattern of the factor "
-                                     "is not closed under elimination")
-        blk[w:] = -(Z[pos].reshape(K.size, K.size) @ lh)
-        blk[:w] = linv.T @ (linv / d[s:e, None]) - lh.T @ blk[w:]
-        Z[a:b] = blk[r, c]
+    w = np.diff(np.append(starts, n))
+    side = cnt[starts]                         # rows of the supernode: S, then K
+    k = side - w
+    below = ip[starts + w - 1] + 1             # where K begins in the last column
+    parent = np.full(starts.size, -1)
+    has_k = k > 0
+    parent[has_k] = np.searchsorted(starts, rows[below[has_k]], side="right") - 1
+    depth = _tree_depths(parent)
+    # one table per supernode with children, numbered in supernode order
+    hc = np.unique(parent[has_k])
+    tab_id = np.full(starts.size, -1)
+    tab_id[hc] = np.arange(hc.size)
+    has_child = tab_id >= 0
+    # supernodes by depth, then shape, those with children first in each shape
+    order = np.lexsort((~has_child, k, w, depth))
+    kl = k[order]
+    kbase = np.cumsum(kl) - kl
+    # each row of each K: the table of its parent, and its position among the
+    # parent's rows, by one search over all the parents' rows
+    pt = np.repeat(tab_id[parent[order]], kl)
+    pkey = np.repeat(np.arange(hc.size, dtype=np.int64), side[hc]) * n
+    pkey += rows[_ragged(ip[starts[hc]], side[hc])]
+    qkey = pt * n + rows[_ragged(below[order], kl)]
+    at = np.minimum(np.searchsorted(pkey, qkey), pkey.size - 1)
+    if not np.array_equal(pkey[at], qkey):
+        raise FactorizationError("selected inversion: the pattern of the factor "
+                                 "is not closed under elimination")
+    del pkey, qkey
+    loc = at - (np.cumsum(side[hc]) - side[hc])[pt]
+    del at
+    loc_row = side[hc][pt]                     # its row's offset within the table
+    loc_row *= loc
+    tab_off = np.zeros(hc.size, dtype=np.int64)
+    tab = nxt = np.empty(0)
+    Z = np.empty(rows.size)
+    chunk = max(rows.size // 8, 1)             # table entries per stacked call
+    kept = np.cumsum(np.append(0, has_child[order]))
+    dep, wo = depth[order], w[order]
+    cuts = np.flatnonzero((np.diff(dep) != 0) | (np.diff(wo) != 0) | (np.diff(kl) != 0)) + 1
+    for a, b in zip([0, *cuts], [*cuts, order.size]):
+        if a == 0 or dep[a] != dep[a - 1]:      # a new depth: its parents' tables are done
+            lev = order[a:np.searchsorted(dep, dep[a], side="right")]
+            e0 = kbase[a]
+            e1 = e0 + k[lev].sum()
+            row_off = tab_off[pt[e0:e1]] + loc_row[e0:e1]
+            tab, nxt, used = nxt, np.empty(int((side[lev[has_child[lev]]] ** 2).sum())), 0
+        sw, R = int(wo[a]), int(side[order[a]])
+        # the (row, column) of each entry of the block, column by column
+        span = R - np.arange(sw)
+        c = np.repeat(np.arange(sw), span)
+        r = np.arange(c.size) - np.repeat(np.cumsum(span) - span - np.arange(sw), span)
+        size = max(chunk // R ** 2, 1)
+        for a0 in range(a, b, size):
+            b0 = min(a0 + size, b)
+            s = order[a0:b0]
+            vals, zkk = _takahashi_stack(ip, L.data, d, Z, starts[s], r, c, tab,
+                                         row_off, loc[e0:e1], kbase[a0:b0] - e0)
+            nk = kept[b0] - kept[a0]
+            if nk:
+                t = nxt[used:used + nk * R * R].reshape(nk, R, R)
+                t[:, r, c] = t[:, c, r] = vals[:nk]
+                t[:, sw:, sw:] = zkk[:nk]
+                tab_off[tab_id[s[:nk]]] = used + R * R * np.arange(nk)
+                used += t.size
     return sp.csc_matrix((Z, L.indices, L.indptr), shape=L.shape)
+
+
+def _takahashi_stack(ip, data, d, Z, s0, r, c, tab, row_off, loc, kbase):
+    """One Takahashi step for a stack of supernodes of one shape, w columns
+    from s0 and the same number of rows below each, whose dense block holds
+    the entries of L at (r, c).  Writes Z_SS (lower) and Z_KS into Z on the
+    pattern of L and returns them as an (m, r.size) array, with Z_KK.
+
+    Z_KK is read from the parents' tables: entry (a, b) of stack entry i is
+    tab[row_off[e + a] + loc[e + b]] with e = kbase[i].  Each supernode
+    makes the calls the one-supernode recursion makes, on arrays of the same
+    layout, so the result does not depend on how supernodes are stacked.
+    """
+    m, w, R = s0.size, c[-1] + 1, r[-1] + 1
+    pos = ip[s0][:, None] + np.arange(r.size)  # the block is contiguous in L
+    e = kbase[:, None] + np.arange(R - w)
+    zkk = tab[row_off[e][:, :, None] + loc[e][:, None, :]]
+    if w == 1:                                  # L_SS^{-1} = 1: its products are exact
+        lh = data[pos[:, 1:, None]]
+        zss = 1.0 / d[s0][:, None, None]
+    else:
+        blk = np.zeros((m, R, w))
+        blk[:, r, c] = data[pos]
+        # each inverse as LAPACK returns it (Fortran order), one call per supernode
+        linv = np.empty((m, w, w)).transpose(0, 2, 1)
+        for i in range(m):
+            linv[i] = dtrtri(blk[i, :w], lower=1, unitdiag=1)[0]
+        lh = blk[:, w:] @ linv
+        zss = linv.transpose(0, 2, 1) @ (linv / d[s0[:, None] + np.arange(w)][:, :, None])
+    zks = -(zkk @ lh)
+    vals = np.concatenate([zss - lh.transpose(0, 2, 1) @ zks, zks], axis=1)[:, r, c]
+    Z[pos] = vals
+    return vals, zkk
+
+
+def _ragged(first: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """The ranges first[i] .. first[i] + length[i] - 1, concatenated."""
+    total = np.cumsum(length)
+    return (np.arange(total[-1] if total.size else 0, dtype=np.int64)
+            + np.repeat(first - (total - length), length))
+
+
+def _tree_depths(parent: np.ndarray) -> np.ndarray:
+    """The depth of each node of a forest given by parent indices (-1 at a
+    root), by pointer jumping."""
+    depth = (parent >= 0).astype(np.int64)   # edges from the node up to `up`
+    up = parent.copy()
+    live = np.flatnonzero(up >= 0)
+    while live.size:
+        depth[live] += depth[up[live]]
+        up[live] = up[up[live]]
+        live = live[up[live] >= 0]
+    return depth
 
 
 def sparse_factorize(matrix: sp.spmatrix) -> SparseFactor:

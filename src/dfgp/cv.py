@@ -43,6 +43,10 @@ class HoldoutPlan:
     def __post_init__(self):
         if not (0.0 < self.fraction < 1.0):
             raise ValueError(f"fraction must lie in (0, 1), got {self.fraction}")
+        for lo, hi in (("x0", "x1"), ("y0", "y1")):
+            if getattr(self, lo) > getattr(self, hi):
+                raise ValueError(f"{lo} {getattr(self, lo)} > {hi} {getattr(self, hi)}: "
+                                 "inverted holdout block")
         if self.t_first > self.t_last:
             raise ValueError(f"t_first {self.t_first} > t_last {self.t_last}: "
                              "empty holdout time range")

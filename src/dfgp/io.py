@@ -243,8 +243,9 @@ def write_latents(path_eta, path_xi, eta: np.ndarray, xi: np.ndarray) -> None:
 
 def write_prediction_fields(path, fields: list[PredictionField]) -> None:
     _write_csv(path, ["time", "bau_index", "mean", "stderr"],
-               ([fld.time_index, int(b), _fmt(m), _fmt(s)] for fld in fields
-                for b, m, s in zip(fld.bau_indices, fld.mean, fld.stderr)))
+               ([fld.time_index, b, _fmt(m), _fmt(s)] for fld in fields
+                for b, m, s in zip(fld.bau_indices.tolist(), fld.mean.tolist(),
+                                   fld.stderr.tolist())))
 
 
 def write_holdout(path, holdout: list[HoldoutRecord]) -> None:

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg.lapack import dtrtri
 from conftest import stand_in_pool
 
 from dfgp.car import (CARParams, GAMMA_MAX, SELECTED_INVERSION_MIN,
@@ -271,6 +272,41 @@ _SELINV_CASES = pytest.mark.parametrize("make", [
 ], ids=["rook-0.999", "two-components", "scenario-F", "diagonal"])
 
 
+def _takahashi_by_supernode(L, d):
+    """The Takahashi recursion one supernode at a time, last first, with a
+    binary search for every entry of Z_KK: the reference that the walk over
+    the elimination tree in stacks must reproduce bit for bit."""
+    L = sp.csc_matrix(L)
+    L.sort_indices()
+    n = L.shape[0]
+    ip, rows, cnt = L.indptr.astype(np.int64), L.indices, np.diff(L.indptr)
+    col = np.repeat(np.arange(n), cnt)
+    keys = col * n + rows
+    joins = np.zeros(n, dtype=bool)
+    joins[:-1] = cnt[:-1] == cnt[1:] + 1
+    p = np.flatnonzero(joins[col] & (rows != col))
+    joins[col[p[rows[p] != rows[p + cnt[col[p]] - 1]]]] = False
+    starts = np.flatnonzero(np.concatenate([[True], ~joins[:-1]]))
+    ends = np.append(starts[1:], n)
+    lcol = col - np.repeat(starts, ends - starts)[col]
+    lrow = np.arange(col.size) - ip[:-1][col] + lcol
+    Z = np.empty(keys.size)
+    for s, e in zip(starts[::-1], ends[::-1]):
+        w, a, b = e - s, ip[s], ip[e]
+        K = rows[ip[e - 1] + 1:b].astype(np.int64)
+        r, c = lrow[a:b], lcol[a:b]
+        blk = np.zeros((w + K.size, w))
+        blk[r, c] = L.data[a:b]
+        linv = dtrtri(blk[:w], lower=1, unitdiag=1)[0]
+        lh = blk[w:] @ linv
+        pos = np.searchsorted(keys, (np.minimum.outer(K, K) * n
+                                     + np.maximum.outer(K, K)).ravel())
+        blk[w:] = -(Z[pos].reshape(K.size, K.size) @ lh)
+        blk[:w] = linv.T @ (linv / d[s:e, None]) - lh.T @ blk[w:]
+        Z[a:b] = blk[r, c]
+    return Z
+
+
 class TestSelectedInversion:
     """The Takahashi path of solve_selected_diag and selected_inverse against
     dense inverses."""
@@ -292,6 +328,42 @@ class TestSelectedInversion:
         rows, cols = m.nonzero()
         dense = np.linalg.inv(m.toarray())[rows, cols]
         assert np.abs(np.asarray(z[rows, cols]).ravel() / dense - 1.0).max() <= 1e-12
+
+    @pytest.mark.parametrize("make", [
+        lambda: build_precision(build_adjacency(build_grid(20, 16, 1.0)), CARParams(0.999, 1.0)),
+        lambda: build_precision(_two_component_grid(), CARParams(0.9, 0.5)),
+        lambda: _scenario_f(64, 64),
+        lambda: build_precision(build_adjacency(build_grid(3000, 2, 1.0)), CARParams(0.99, 1.0)),
+    ], ids=["rook-0.999", "two-components", "scenario-F-64x64", "strip"])
+    def test_bit_identical_to_one_supernode_at_a_time(self, make):
+        # each stacked supernode makes the one-supernode calls on arrays of
+        # the same layout, however many share its depth and shape
+        lu = sparse_factorize(make())._lu
+        d = lu.U.diagonal()
+        assert np.array_equal(_selected_inverse(lu.L, d).data, _takahashi_by_supernode(lu.L, d))
+
+    def test_scenario_64x64_diagonal_against_unit_solves(self):
+        # cli-smooth-4k's F_t: an elimination tree of many depths whose
+        # supernodes have mixed widths and numbers of rows below
+        f = sparse_factorize(_scenario_f(64, 64))
+        idx = np.random.default_rng(1).choice(f.shape[0], 256, replace=False)
+        rhs = np.zeros((f.shape[0], idx.size))
+        rhs[idx, np.arange(idx.size)] = 1.0
+        unit = f.solve(rhs)[idx, np.arange(idx.size)]
+        assert np.abs(f._inverse_diagonal()[idx] / unit - 1.0).max() <= 1e-12
+
+    def test_scenario_64x64_pattern_against_unit_solves(self):
+        f = sparse_factorize(_scenario_f(64, 64))
+        z = f.selected_inverse()
+        cols = np.random.default_rng(1).choice(f.shape[0], 8, replace=False)
+        rhs = np.zeros((f.shape[0], cols.size))
+        rhs[cols, np.arange(cols.size)] = 1.0
+        x = f.solve(rhs)
+        for i, j in enumerate(cols):
+            rows = z.indices[z.indptr[j]:z.indptr[j + 1]]
+            got = z.data[z.indptr[j]:z.indptr[j + 1]]
+            assert rows.size > 1
+            assert np.abs(got / x[rows, i] - 1.0).max() <= 1e-12
 
     def test_strip_beyond_int32_keys(self):
         # n = 48,000 > 46,340, where col * n + row no longer fits in int32

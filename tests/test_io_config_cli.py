@@ -438,13 +438,15 @@ class TestConfig:
         ("[holdout]\nfraction = 0\n", r"\[holdout\] fraction must lie in \(0, 1\), got 0"),
         ("[holdout]\nt_first = 5\nt_last = 2\n", r"\[holdout\] t_first 5 > t_last 2"),
         ("[holdout]\ninstrument = 0\n", r"\[holdout\] instrument must be >= 1, got 0"),
+        ("[holdout]\nx0 = 5\nx1 = 2\n", r"\[holdout\] x0 5.0 > x1 2.0: inverted holdout block"),
+        ("[holdout]\ny0 = 30\ny1 = 10\n", r"\[holdout\] y0 30.0 > y1 10.0: inverted"),
         ("[cv]\nlk_k = 1\n", r"\[cv\] lk_k must be >= 2, got 1"),
         ("[cv]\nlk_max_fit_evals = 0\n", r"\[cv\] lk_max_fit_evals must be >= 1, got 0"),
         ("[estimator]\nmode = exactt\n", r"\[estimator\] mode must be 'sem' or 'exact'"),
         ("[grid]\nnx = eight\n", r"\[grid\] nx: invalid literal for int"),
     ], ids=["hu-blocks-zero", "cv-method", "holdout-fraction", "holdout-times",
-            "holdout-instrument", "cv-lk-k", "cv-lk-max-fit-evals", "estimator-mode",
-            "grid-nx-text"])
+            "holdout-instrument", "holdout-x-inverted", "holdout-y-inverted", "cv-lk-k",
+            "cv-lk-max-fit-evals", "estimator-mode", "grid-nx-text"])
     def test_bad_value_fails_in_load_config(self, tmp_path, text, message):
         (tmp_path / "run.ini").write_text(text)
         with pytest.raises(ValueError, match=message):

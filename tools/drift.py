@@ -9,7 +9,9 @@ scenarios (``bench/workloads.py`` next to this file, read, not changed):
 
 * smooth-65k: filter, smoother and predictions at its 32 BAUs, under the
   true parameters;
-* the 64 x 64 scenario of cli-smooth-4k: the same at every BAU, plus the
+* the 64 x 64 scenario of cli-smooth-4k: the same at every BAU, and one
+  exact-mode EM iteration from ``init_params`` (every ``SufficientStats``
+  field of its E-step and the parameters its M-step returns), plus the
   ``dfgp filter`` and ``dfgp smooth`` commands on its generated files, whose
   prediction CSVs and state checkpoints are compared too (the checkpoints
   byte for byte), and ``dfgp fit`` then ``dfgp smooth`` of the fixed-rank
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import os
 import subprocess
 import sys
@@ -95,6 +98,12 @@ def _worker(src: str, dest: str) -> None:
     w = W["cli-smooth-4k"]
     truth, _obs, data = synth.scenario_data(workloads._scenario(w.nx, w.counts, w.T, SEED))
     _sweep(out, f"{w.nx}x{w.nx}", dynamics, data, truth.params, data.structure.valid_idx)
+    start = estimate.init_params(data)
+    exact = estimate.EstimatorConfig(mode="exact", seed=SEED)
+    stats = estimate.e_step(data, start, exact, np.random.default_rng(SEED))
+    for f in dataclasses.fields(stats):
+        out[f"{w.nx}x{w.nx}/exact_em/{f.name}"] = np.asarray(getattr(stats, f.name))[None]
+    out[f"{w.nx}x{w.nx}/exact_em/params"] = estimate.m_step(stats, data, start, exact).flat()[None]
     del truth, data
     with tempfile.TemporaryDirectory() as tmp:
         run = Path(tmp) / "run"
