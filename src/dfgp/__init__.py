@@ -9,8 +9,7 @@ component, estimated by (stochastic) EM.
 __version__ = "0.1.0"
 
 from .basis import BisquareBasis, bisquare_eval, layout_multires
-from .car import (CARParams, CARStructure, build_adjacency, build_precision,
-                  sample_car, sparse_factorize)
+from .car import CARParams, CARStructure, build_adjacency, sample_car, sparse_factorize
 from .cv import HoldoutPlan, run_cv, split_holdout
 from .dynamics import (FilterResult, PredictionField, SmootherResult,
                        StatePosterior, filter_pass, filter_step, forecast_step,

@@ -150,11 +150,6 @@ class CARStructure:
         return self.degrees.size
 
     @cached_property
-    def proximity(self) -> sp.csr_matrix:
-        """Row-normalized W = D^{-1} E."""
-        return sp.diags(1.0 / self.degrees) @ self.adjacency
-
-    @cached_property
     def n_components(self) -> int:
         """Number of connected components of the adjacency graph."""
         return int(connected_components(self.adjacency, directed=False)[0])
@@ -260,11 +255,6 @@ def build_adjacency(grid: BAUGrid) -> CARStructure:
     if valid.size == 1:
         raise StructureError(f"isolated BAU(s) at grid index {valid.tolist()}")
     return CARStructure(adj, valid)
-
-
-def build_precision(structure: CARStructure, params: CARParams) -> sp.csc_matrix:
-    """Sparse SPD precision Q = (D - gamma E) / tau2."""
-    return (structure.base_precision(params.gamma) / params.tau2).tocsc()
 
 
 class SparseFactor:

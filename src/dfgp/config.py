@@ -16,10 +16,10 @@ from typing import get_args, get_type_hints
 
 from . import io as dio
 from .basis import layout_multires
-from .cv import METHODS, PROTOCOLS, HoldoutPlan
+from .cv import PROTOCOLS, HoldoutPlan, check_methods
 from .estimate import EstimatorConfig
 from .grid import build_grid
-from .model import DEFAULT_COVARIATES
+from .model import DEFAULT_COVARIATES, covariate_functions
 from .synth import InstrumentSpec, ScenarioConfig
 
 
@@ -93,15 +93,20 @@ class RunConfig:
     cv: CVSection = field(default_factory=CVSection)
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"[run] seed must be >= 0, got {self.seed}")
         if self.protocol not in PROTOCOLS:
             raise ValueError(f"[run] protocol must be one of {PROTOCOLS}")
         if self.protocol == "filtering" and self.data.params:
             raise ValueError("[data] params applies to protocol = smoothing only; "
                              "protocol = filtering reads params_u<u>.csv per horizon")
-        unknown = [m for m in self.cv.methods if m not in METHODS]
-        if unknown:
-            raise ValueError(f"[cv] methods: unknown {', '.join(unknown)}; "
-                             f"choose from {', '.join(METHODS)}")
+        for prefix, check, value in (("[covariates] names: ", covariate_functions,
+                                      self.covariates),
+                                     ("[cv] ", check_methods, self.cv.methods)):
+            try:
+                check(value)
+            except ValueError as exc:
+                raise ValueError(f"{prefix}{exc}") from None
         for key, low in (("lk_k", 2), ("lk_max_fit_evals", 1)):
             if getattr(self.cv, key) < low:
                 raise ValueError(f"[cv] {key} must be >= {low}, got {getattr(self.cv, key)}")

@@ -25,6 +25,19 @@ METHODS = ("dfgp", "lowrank", "localkrige")
 PROTOCOLS = ("filtering", "smoothing")
 
 
+def check_methods(methods) -> None:
+    """Reject an empty method list, an unknown method and one named twice."""
+    choose = f"choose from {', '.join(METHODS)}"
+    if not methods:
+        raise ValueError(f"methods: none given; {choose}")
+    unknown = [m for m in methods if m not in METHODS]
+    if unknown:
+        raise ValueError(f"methods: unknown {', '.join(unknown)}; {choose}")
+    twice = sorted({m for m in methods if methods.count(m) > 1})
+    if twice:
+        raise ValueError(f"methods: {', '.join(twice)} named twice")
+
+
 @dataclass(frozen=True)
 class HoldoutPlan:
     """Block region [x0, x1] x [y0, y1] over times t_first..t_last, plus a
@@ -198,9 +211,7 @@ def run_cv(obs: Observations, grid: BAUGrid, basis, structure, plan: HoldoutPlan
 
     A holdout with no record at a time the protocol scores is an error,
     raised before any fit."""
-    for m in methods:
-        if m not in METHODS:
-            raise ValueError(f"unknown method {m!r}; choose from {METHODS}")
+    check_methods(methods)
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}; choose from {PROTOCOLS}")
     train, holdout = split_holdout(obs, grid, plan)

@@ -75,10 +75,10 @@ class StatePosterior:
     At the m tracked nodes xi_t | eta_t, Z ~ N(delta0 - psi eta_t, F_t^{-1}),
     which needs no state: ``fine_var`` = diag F_t^{-1} (None without
     want_variance).  Filtered and smoothed states share delta0, psi and
-    fine_var and differ only in (eta, P, lag1); ``delta``, ``R_diag`` and
-    ``C`` follow.  ``eta``, ``delta0`` and ``quad`` = alpha' Sigma^{-1} alpha
-    carry one column per observation set fed through the sweep (column 0 is
-    the real data); ``logdet_sigma`` is ln|Sigma|; ``lag1`` is
+    fine_var and differ only in (eta, P, lag1); ``delta`` and ``R_diag``
+    follow.  ``eta``, ``delta0`` and ``quad`` = alpha' Sigma^{-1} alpha carry
+    one column per observation set fed through the sweep (column 0 is the
+    real data); ``logdet_sigma`` is ln|Sigma|; ``lag1`` is
     cov(eta_t, eta_{t-1} | Z), on smoothed states only.
     """
 
@@ -106,11 +106,6 @@ class StatePosterior:
         if self.fine_var is None:
             return None
         return self.fine_var + _row_quad(self.psi, self.P)
-
-    @property
-    def C(self) -> np.ndarray:
-        """cov(eta_t, delta_t^P) = -P psi' (r, m)."""
-        return -self.P @ self.psi.T
 
 
 @dataclass

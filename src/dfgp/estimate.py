@@ -5,7 +5,8 @@ exactly from a filter/smoother sweep in both; the fine-scale expectations:
 
 * ``sem``: stochastic EM, from conditional-simulation draws.
 * ``exact``: full EM, exact from the smoothed fine-scale moments and one
-  selected inversion of F_t per step; no dense joint, so no cap on N.
+  selected inversion of F_t per step; no dense joint, so no cap on N.  The
+  dense joint is only the test oracle, in ``tests/oracle.py``.
 
 Parameters without a CAR block (``car == ()``) are the fixed-rank model, so both
 modes run its exact E-step; only ``run_estimator`` reads ``lowrank_only``.

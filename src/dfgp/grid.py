@@ -93,20 +93,6 @@ class BAUGrid:
             ok = ok & np.where(ok, self.mask[np.clip(idx, 0, self.n_bau - 1)], False)
         return ok
 
-    def bau_index_at(self, coord) -> int:
-        """Flat index of the BAU whose centroid equals ``coord`` exactly."""
-        x, y = coord
-        fx = (x - self.origin[0]) / self.cell_size - 0.5
-        fy = (y - self.origin[1]) / self.cell_size - 0.5
-        j, i = round(fx), round(fy)
-        if not (0 <= j < self.nx and 0 <= i < self.ny):
-            raise ValueError(f"{coord} is not a BAU centroid of this grid")
-        idx = i * self.nx + j
-        c = self.centroids[idx]
-        if not (np.isclose(c[0], x) and np.isclose(c[1], y)):
-            raise ValueError(f"{coord} is not a BAU centroid of this grid")
-        return idx
-
 
 def build_grid(nx: int, ny: int, cell_size: float, origin=(0.0, 0.0),
                mask: np.ndarray | None = None) -> BAUGrid:

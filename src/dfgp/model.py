@@ -210,6 +210,8 @@ DEFAULT_COVARIATES = ("1", "y", "y2")
 
 
 def covariate_functions(names) -> list:
+    if not names:
+        raise ValueError(f"need at least one covariate; choose from {sorted(COVARIATE_FNS)}")
     try:
         return [COVARIATE_FNS[n] for n in names]
     except KeyError as exc:

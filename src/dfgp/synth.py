@@ -67,6 +67,8 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.T < 1:
+            raise ValueError(f"T must be >= 1, got {self.T}")
         if len(self.beta) != len(self.covariates):
             raise ValueError("beta length must match covariates")
         for spec in self.instruments:

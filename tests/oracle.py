@@ -9,11 +9,17 @@ path is capped at small N; it is the test oracle for every recursion in
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
-from .car import build_precision
-from .model import DFGPParams, ModelData, as_dense, sym
+from dfgp.car import CARParams, CARStructure
+from dfgp.model import DFGPParams, ModelData, as_dense, sym
 
 DENSE_N_CAP = 256
+
+
+def build_precision(structure: CARStructure, params: CARParams) -> sp.csc_matrix:
+    """Sparse SPD precision Q = (D - gamma E) / tau2."""
+    return (structure.base_precision(params.gamma) / params.tau2).tocsc()
 
 
 class DenseJoint:

@@ -18,6 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 from conftest import ACCEPTANCE_LINES, make_instance, relerr
+from oracle import DenseJoint
 from scipy.optimize import minimize, minimize_scalar
 from scipy.stats import norm
 
@@ -25,7 +26,6 @@ from scipy.stats import norm
 
 from dfgp.baselines import LocalKrigeSettings
 from dfgp.cv import HoldoutPlan, run_cv
-from dfgp.dense import DenseJoint
 from dfgp.dynamics import (filter_pass, predict_filter, predict_smooth,
                            smoother_pass)
 from dfgp.estimate import (EstimatorConfig, _gamma_objective, e_step,

@@ -5,11 +5,11 @@ import pytest
 import scipy.sparse as sp
 from scipy.linalg.lapack import dtrtri
 from conftest import stand_in_pool
+from oracle import build_precision
 
 from dfgp.car import (CARParams, GAMMA_MAX, SELECTED_INVERSION_MIN,
                       SOLVE_BLOCK, SparseFactor, _selected_inverse,
-                      build_adjacency, build_precision, run_parallel, sample_car,
-                      sparse_factorize)
+                      build_adjacency, run_parallel, sample_car, sparse_factorize)
 from dfgp.exceptions import (FactorizationError, InvalidParameterError,
                              StructureError)
 from dfgp.grid import build_grid
@@ -33,10 +33,6 @@ class TestAdjacency:
         mask = np.array([True, False, False, True])   # two diagonal cells, no link
         with pytest.raises(StructureError, match=r"0|3"):
             build_adjacency(build_grid(2, 2, 1.0, mask=mask))
-
-    def test_proximity_rows_sum_to_one(self):
-        s = build_adjacency(build_grid(4, 3, 1.0))
-        assert np.allclose(np.asarray(s.proximity.sum(axis=1)).ravel(), 1.0)
 
 
 class TestPrecision:
@@ -71,7 +67,7 @@ class TestPrecision:
         p = CARParams(0.8, 1.7)
         dense = np.linalg.slogdet(build_precision(s, p).toarray())[1]
         assert s.precision_logdet(p) == pytest.approx(dense, rel=1e-10)
-        w = s.proximity.toarray()
+        w = (sp.diags(1.0 / s.degrees) @ s.adjacency).toarray()   # W = D^{-1} E
         direct = (-16 * np.log(p.tau2) + np.log(s.degrees).sum()
                   + np.linalg.slogdet(np.eye(16) - p.gamma * w)[1])
         assert s.precision_logdet(p) == pytest.approx(direct, rel=1e-10)

@@ -159,6 +159,20 @@ class TestRunCV:
                    est_config=EstimatorConfig(max_iter=30),
                    lk_settings=LocalKrigeSettings(k=100), covariates=DEFAULT_COVARIATES)
 
+    @pytest.mark.parametrize("methods, message", [
+        ((), "methods: none given"), (("lowrank", "lowrank"), "methods: lowrank named twice")])
+    def test_no_or_repeated_method_rejected_before_any_fit(self, scenario, plan, monkeypatch,
+                                                          methods, message):
+        from dfgp import cv
+        truth, obs, _ = scenario
+        for name in ("assemble", "run_estimator", "fit_filtering_sequence", "local_krige"):
+            monkeypatch.setattr(cv, name, lambda *a, **k: pytest.fail("assembled or fitted"))
+        with pytest.raises(ValueError, match=message):
+            run_cv(obs, truth.grid, truth.basis, truth.structure, plan,
+                   methods=methods, protocol="smoothing",
+                   est_config=EstimatorConfig(max_iter=30),
+                   lk_settings=LocalKrigeSettings(k=100), covariates=DEFAULT_COVARIATES)
+
     @pytest.mark.parametrize("protocol, t", [("smoothing", 4), ("filtering", 1)])
     def test_holdout_at_unscored_times_fails_before_any_fit(self, scenario, plan,
                                                             monkeypatch, protocol, t):

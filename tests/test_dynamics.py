@@ -4,9 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 from conftest import make_instance, make_observations, relerr, stand_in_pool
+from oracle import DenseJoint, build_precision
 
-from dfgp.car import SELECTED_INVERSION_MIN, SOLVE_BLOCK, SparseFactor, build_precision
-from dfgp.dense import DenseJoint
+from dfgp.car import SELECTED_INVERSION_MIN, SOLVE_BLOCK, SparseFactor
 from dfgp.dynamics import (filter_pass, forecast_step, predict_filter,
                            predict_smooth, smoother_pass)
 from dfgp.exceptions import NumericalError
@@ -44,7 +44,7 @@ def _oracle_check(seed, **kw):
         worst = max(worst, relerr(st.P, c[dj.eta_slice(t), dj.eta_slice(t)]))
         worst = max(worst, relerr(st.delta[:, 0], m[dj.xi_slice(t)]))
         worst = max(worst, relerr(st.R_diag, np.diag(c[dj.xi_slice(t), dj.xi_slice(t)])))
-        worst = max(worst, relerr(st.C, c[dj.eta_slice(t), dj.xi_slice(t)]))
+        worst = max(worst, relerr(-st.P @ st.psi.T, c[dj.eta_slice(t), dj.xi_slice(t)]))
         fld = predict_filter(filt, data, params, t, pred)
         mu, se = dj.predict_field(t, nodes, upto=t)
         worst = max(worst, relerr(fld.mean, mu), relerr(fld.stderr, se))
@@ -57,7 +57,7 @@ def _oracle_check(seed, **kw):
         worst = max(worst, relerr(st.delta[:, 0], mT[dj.xi_slice(t)]))
         worst = max(worst, relerr(st.R_diag, np.diag(cT[dj.xi_slice(t), dj.xi_slice(t)])))
         worst = max(worst, relerr(st.lag1, cT[dj.eta_slice(t), dj.eta_slice(t - 1)]))
-        worst = max(worst, relerr(st.C, cT[dj.eta_slice(t), dj.xi_slice(t)]))
+        worst = max(worst, relerr(-st.P @ st.psi.T, cT[dj.eta_slice(t), dj.xi_slice(t)]))
         fld = predict_smooth(sm, data, params, t, pred)
         mu, se = dj.predict_field(t, nodes, upto=T)
         worst = max(worst, relerr(fld.mean, mu), relerr(fld.stderr, se))

@@ -3,12 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 from conftest import make_instance, make_observations
+from oracle import DenseJoint
 
 from dfgp import car as car_mod
 from dfgp import dynamics
 from dfgp import estimate as estimate_mod
 from dfgp.car import GAMMA_MAX, LOGDET_CURVE_NODES, CARParams, sample_car
-from dfgp.dense import DenseJoint
 from dfgp.estimate import (EstimatorConfig, SufficientStats, _gamma_objective,
                            conditional_simulate, e_step, fit_filtering_sequence,
                            init_params, m_step, optimize_gamma, run_estimator)

@@ -50,13 +50,6 @@ class TestBuildGrid:
         with pytest.raises(ValueError):
             build_grid(nx, ny, cell)
 
-    def test_bau_index_at(self):
-        g = build_grid(3, 2, 9.0)
-        assert g.bau_index_at((4.5, 4.5)) == 0
-        assert g.bau_index_at((22.5, 13.5)) == 5
-        with pytest.raises(ValueError):
-            g.bau_index_at((5.0, 4.5))
-
 
 class TestFootprintRow:
     def test_single_bau_identity(self):

@@ -2,6 +2,9 @@ import csv
 import dataclasses
 import filecmp
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -372,6 +375,18 @@ methods = dfgp,lowrank
 """
 
 
+def test_a_command_imports_every_package_module():
+    """Every module the package ships is one that ``dfgp.cli`` imports."""
+    import dfgp
+    pkg = Path(dfgp.__file__).parent
+    code = "import sys, dfgp.cli; print(*sorted(sys.modules))"
+    env = dict(os.environ, PYTHONPATH=str(pkg.parent))
+    loaded = set(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                capture_output=True, text=True).stdout.split())
+    shipped = {f"dfgp.{p.stem}" for p in pkg.glob("*.py") if p.stem != "__init__"}
+    assert sorted(shipped - loaded) == []
+
+
 class TestConfig:
     def test_round_trip(self):
         cfg = parse_config(BASE_CONFIG.format(out="x"))
@@ -444,9 +459,15 @@ class TestConfig:
         ("[cv]\nlk_max_fit_evals = 0\n", r"\[cv\] lk_max_fit_evals must be >= 1, got 0"),
         ("[estimator]\nmode = exactt\n", r"\[estimator\] mode must be 'sem' or 'exact'"),
         ("[grid]\nnx = eight\n", r"\[grid\] nx: invalid literal for int"),
+        ("[cv]\nmethods =\n", r"\[cv\] methods: none given; choose from dfgp"),
+        ("[cv]\nmethods = lowrank,dfgp,lowrank\n", r"\[cv\] methods: lowrank named twice"),
+        ("[covariates]\nnames =\n", r"\[covariates\] names: need at least one covariate"),
+        ("[covariates]\nnames = 1,zz\n", r"\[covariates\] names: unknown covariate 'zz'"),
+        ("[run]\nseed = -1\n", r"\[run\] seed must be >= 0, got -1"),
     ], ids=["hu-blocks-zero", "cv-method", "holdout-fraction", "holdout-times",
             "holdout-instrument", "holdout-x-inverted", "holdout-y-inverted", "cv-lk-k",
-            "cv-lk-max-fit-evals", "estimator-mode", "grid-nx-text"])
+            "cv-lk-max-fit-evals", "estimator-mode", "grid-nx-text", "cv-methods-empty",
+            "cv-methods-twice", "covariates-empty", "covariates-unknown", "run-seed-negative"])
     def test_bad_value_fails_in_load_config(self, tmp_path, text, message):
         (tmp_path / "run.ini").write_text(text)
         with pytest.raises(ValueError, match=message):
@@ -544,6 +565,18 @@ class TestCLI:
 
     def test_bad_arguments_exit_one(self):
         assert main(["frobnicate", "--config", "x"]) == 1
+
+    def test_negative_seed_flag_fails_as_config_error(self, tmp_path, capsys):
+        cfgp = self._write_config(tmp_path, tmp_path / "out")
+        assert main(["simulate", "--config", str(cfgp), "--seed", "-1"]) == 1
+        assert "error: [run] seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "observations.csv").exists()
+
+    def test_simulate_without_time_steps_fails_naming_T(self, tmp_path, capsys):
+        cfgp = self._variant(tmp_path, "run.ini", tmp_path / "out", "T = 3", "T = 0")
+        assert main(["simulate", "--config", str(cfgp)]) == 1
+        assert "error: T must be >= 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "observations.csv").exists()
 
     def test_filtering_protocol_per_horizon_params(self, tmp_path):
         out = tmp_path / "out"

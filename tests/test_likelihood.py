@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from conftest import make_instance, make_observations
+from oracle import DenseJoint
 
 from dfgp.car import CARParams
-from dfgp.dense import DenseJoint
 from dfgp.dynamics import filter_pass
 from dfgp.grid import build_grid
 from dfgp.model import DFGPParams, assemble

