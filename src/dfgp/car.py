@@ -3,14 +3,25 @@
 The fine-scale component has sparse precision
     Q = Delta^{-1} (I - gamma W) / tau^2 = (D - gamma E) / tau^2,
 where E is the 0/1 adjacency, D = diag(degrees) and W = D^{-1} E is the
-row-normalized proximity matrix.  Everything heavy goes through one sparse
-symmetric factorization (SuperLU in symmetric mode with a fill-reducing
-ordering), which provides solves and the log-determinant.
+row-normalized proximity matrix.  Solves and the log-determinant of a
+sparse SPD matrix go through one sparse symmetric factorization (SuperLU in
+symmetric mode with a fill-reducing ordering).
 
-ln|I - gamma W| has one path.  ``CARStructure.factor`` is the only code that
-factorizes D - gamma E; each factor it builds records the exact
-ln|I - gamma W| in a per-gamma memo, so the likelihood
-(``precision_logdet``) and CAR sampling share one factorization per gamma.
+D - gamma E has two kinds of factor, built by ``CARStructure.factor`` alone
+and used through the same four names (``solve``, ``logdet``,
+``solve_selected_diag``, ``shape``).  On a grid with no masked cell the rook
+matrix is a Kronecker sum, D - gamma E = A_y (x) I + I (x) A_x with
+A = diag(1, 2, ..., 2, 1) - gamma (path adjacency) tridiagonal, so one
+tridiagonal eigendecomposition per axis gives it in closed form
+(``KroneckerSumFactor``).  On one BLAS thread of a 2-vCPU host it takes
+~1 ms per gamma at N = 10^4, where SuperLU takes ~20 ms, and ~5 ms at
+N = 65,536, where SuperLU takes ~0.25 s.  A masked grid, or a
+structure built from an explicit adjacency, takes the sparse factorization
+(``SparseFactor``).
+
+ln|I - gamma W| has one path.  Each factor ``CARStructure.factor`` builds
+records the exact ln|I - gamma W| in a per-gamma memo, so the likelihood
+(``precision_logdet``) and CAR sampling share one factor per gamma.
 The M-step gamma search uses ``logdet_curve``: a Chebyshev interpolant in
 s = ln(1 - gamma) through LOGDET_CURVE_NODES exact values, built once per
 structure on first use (Pace & Barry 1997).  Its error against the exact
@@ -32,7 +43,7 @@ solve ~6 ms); the crossover lies at about 130 indices at N = 4,096, 100 at
 16,384 and 75-85 at 65,536.
 
 Independent SuperLU calls (the blocks of one factor's multi-column solves,
-the curve's node factorizations) run on one thread pool with a thread per
+the curve's nodes) run on one thread pool with a thread per
 CPU the process may run on (``run_parallel``).  Each block makes the same
 call on the same data whatever thread runs it, so results do not depend on
 the thread count.
@@ -50,6 +61,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from numpy.polynomial import Chebyshev
+from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dtrtri
 from scipy.sparse.csgraph import connected_components
 
@@ -61,7 +73,7 @@ from .grid import BAUGrid
 GAMMA_MAX = 1.0 - 1e-6
 GAMMA_MIN = 0.0
 
-# Chebyshev-Lobatto nodes (one exact sparse log-determinant each) behind the
+# Chebyshev-Lobatto nodes (one exact log-determinant each) behind the
 # cached ln|I - gamma W| curve used by the gamma search.
 # On a 100x100 grid 48 nodes leave ~1e-8 relative error and 64 leave ~1e-11.
 LOGDET_CURVE_NODES = 64
@@ -125,10 +137,14 @@ class CARStructure:
     """Adjacency graph over the valid BAUs with degree and edge bookkeeping.
 
     ``valid_idx`` maps internal node order (0..n-1) to flat grid indices; all
-    matrices built here use the internal order.
+    matrices built here use the internal order.  ``grid_shape`` (ny, nx)
+    states that the adjacency is the rook graph of a full ny x nx grid in
+    row-major order, so that D - gamma E factors in closed form; None (any
+    other graph) keeps the sparse factorization.
     """
 
-    def __init__(self, adjacency: sp.csr_matrix, valid_idx: np.ndarray):
+    def __init__(self, adjacency: sp.csr_matrix, valid_idx: np.ndarray,
+                 grid_shape: tuple[int, int] | None):
         adjacency = adjacency.tocsr()
         if (adjacency != adjacency.T).nnz:
             raise StructureError("adjacency must be symmetric")
@@ -138,8 +154,11 @@ class CARStructure:
         if (deg < 1).any():
             bad = valid_idx[np.flatnonzero(deg < 1)]
             raise StructureError(f"isolated BAU(s) at grid index {bad.tolist()}")
+        if grid_shape is not None and grid_shape[0] * grid_shape[1] != deg.size:
+            raise StructureError(f"grid shape {grid_shape} does not hold {deg.size} nodes")
         self.adjacency = adjacency
         self.degrees = deg
+        self.grid_shape = grid_shape
         self.valid_idx = np.asarray(valid_idx, dtype=np.int64)
         upper = sp.triu(adjacency, k=1).tocoo()
         self.edges = np.column_stack([upper.row, upper.col])
@@ -190,15 +209,18 @@ class CARStructure:
     def _log_degree_sum(self) -> float:
         return float(np.log(self.degrees).sum())
 
-    def factor(self, gamma: float) -> SparseFactor:
-        """Factorize D - gamma E and memoize ln|I - gamma W| from the factor."""
-        factor = sparse_factorize(self.base_precision(gamma))
+    def factor(self, gamma: float) -> SparseFactor | KroneckerSumFactor:
+        """Factorize D - gamma E, in closed form on a full grid, and memoize
+        ln|I - gamma W| from the factor."""
+        if self.grid_shape is None:
+            factor = sparse_factorize(self.base_precision(gamma))
+        else:
+            factor = KroneckerSumFactor(self.grid_shape, gamma)
         self._logdet_memo.setdefault(float(gamma), factor.logdet() - self._log_degree_sum)
         return factor
 
     def logdet_i_minus_gamma_w(self, gamma: float) -> float:
-        """Exact ln|I - gamma W|, memoized per gamma (one factorization on a
-        miss)."""
+        """Exact ln|I - gamma W|, memoized per gamma (one factor on a miss)."""
         if gamma not in self._logdet_memo:
             self.factor(gamma)
         return self._logdet_memo[gamma]
@@ -234,6 +256,7 @@ class CARStructure:
 def build_adjacency(grid: BAUGrid) -> CARStructure:
     """First-order (rook, 4-neighbor) adjacency over the grid's valid BAUs.
 
+    A grid with no masked cell gives the structure its (ny, nx) shape.
     Raises StructureError naming any valid BAU left without a valid neighbor.
     """
     idx = np.arange(grid.n_bau).reshape(grid.ny, grid.nx)
@@ -254,7 +277,7 @@ def build_adjacency(grid: BAUGrid) -> CARStructure:
     adj.data[:] = 1.0  # collapse duplicates to 0/1
     if valid.size == 1:
         raise StructureError(f"isolated BAU(s) at grid index {valid.tolist()}")
-    return CARStructure(adj, valid)
+    return CARStructure(adj, valid, (grid.ny, grid.nx) if grid.mask is None else None)
 
 
 class SparseFactor:
@@ -324,6 +347,63 @@ class SparseFactor:
 
     def logdet(self) -> float:
         return self._logdet
+
+
+class KroneckerSumFactor:
+    """D - gamma E of the rook graph on a full ny x nx grid, diagonalized.
+
+    In row-major node order D - gamma E = A_y (x) I + I (x) A_x, each A the
+    tridiagonal D - gamma E of a path (``_path_eigh``).  With
+    A_y = U_y diag(alpha) U_y' and A_x = U_x diag(beta) U_x' its eigenvalues
+    are alpha_i + beta_j, so the log-determinant is sum ln(alpha_i + beta_j),
+    a solve maps the (ny, nx) node array X to U_y (U_y' X U_x / lambda) U_x',
+    and the diagonal of the inverse is (U_y o U_y) lambda^{-1} (U_x o U_x)'.
+    The matrix is positive definite exactly when |gamma| < 1; any other gamma
+    raises FactorizationError, as SparseFactor's pivots do.
+    """
+
+    def __init__(self, grid_shape: tuple[int, int], gamma: float):
+        if not abs(gamma) < 1.0:   # W = D^{-1} E has eigenvalues 1 and -1 here
+            raise FactorizationError(f"D - gamma E is not positive definite at gamma = {gamma}")
+        (alpha, self._uy), (beta, self._ux) = (_path_eigh(n, gamma) for n in grid_shape)
+        lam = alpha[:, None] + beta[None, :]
+        self._inv = 1.0 / lam
+        self._logdet = float(np.log(lam).sum())
+        self.shape = (lam.size, lam.size)
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """Solve M x = b for one vector or a dense block of right-hand sides."""
+        b = np.asarray(b, dtype=float)
+        (ny, nx), uy, ux = self._inv.shape, self._uy, self._ux
+        c = (uy.T @ b.reshape(ny, -1)).reshape(ny, nx, -1)
+        c = (ux.T @ c) * self._inv[:, :, None]
+        return (uy @ (ux @ c).reshape(ny, -1)).reshape(b.shape)
+
+    def solve_selected_diag(self, indices: np.ndarray) -> np.ndarray:
+        """(M^{-1})_{jj} for the requested indices."""
+        diag = (self._uy ** 2) @ self._inv @ (self._ux ** 2).T
+        return diag.ravel()[np.asarray(indices, dtype=np.int64)]
+
+    def logdet(self) -> float:
+        return self._logdet
+
+
+def _path_eigh(n: int, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of D - gamma E on a path of n nodes,
+    whose degrees are 1, 2, ..., 2, 1 (0 for one node).
+
+    The eigenvalues are the Rayleigh quotients of the eigenvectors in the
+    split D - gamma E = (1 - gamma) D + gamma (D - E), two sums of squares.
+    So the smallest, about (1 - gamma) times the mean degree, keeps its
+    relative accuracy as gamma nears 1, where the tridiagonal solver's own
+    value, accurate to ~1e-16 absolute, does not (at gamma = 1 - 1e-6 its
+    log-determinant on a 1 x 50 grid was off by 1e-11 relative).
+    """
+    d = np.full(n, 2.0)
+    d[0] -= 1.0
+    d[-1] -= 1.0
+    _, u = eigh_tridiagonal(d, np.full(n - 1, -float(gamma)))
+    return (1.0 - gamma) * (d @ u ** 2) + gamma * (np.diff(u, axis=0) ** 2).sum(axis=0), u
 
 
 def _selected_inverse(L: sp.spmatrix, d: np.ndarray) -> sp.csc_matrix:
@@ -493,7 +573,7 @@ def sparse_factorize(matrix: sp.spmatrix) -> SparseFactor:
 
 def sample_car(structure: CARStructure, params: CARParams,
                rng: np.random.Generator, size: int = 1,
-               factor: SparseFactor | None = None) -> np.ndarray:
+               factor: SparseFactor | KroneckerSumFactor | None = None) -> np.ndarray:
     """Draw size samples of xi ~ N(0, Q^{-1}) for the CAR precision Q.
 
     Uses the split D - gamma*E = (1-gamma)*D + gamma*L with L = M'M the graph

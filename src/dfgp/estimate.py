@@ -24,7 +24,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .car import GAMMA_MAX, CARParams, SparseFactor, sample_car, sparse_factorize
+from .car import (GAMMA_MAX, CARParams, KroneckerSumFactor, SparseFactor, sample_car,
+                  sparse_factorize)
 from .dynamics import _row_quad, filter_pass, fine_precision, smoother_pass
 from .exceptions import InvalidParameterError
 from .model import DFGPParams, ModelData, as_dense, sym
@@ -129,7 +130,8 @@ def conditional_simulate(data: ModelData, params: DFGPParams,
     xi_star = np.zeros((u, nv, ndraws))
     z_star: list[np.ndarray | None] = []
     gammas = [c.gamma for c in params.car[:u]]
-    factors: dict[float, SparseFactor] = {}   # D - gamma E, kept while a later step shares gamma
+    # D - gamma E, kept while a later step shares gamma
+    factors: dict[float, SparseFactor | KroneckerSumFactor] = {}
     for t in range(1, u + 1):
         cu = np.linalg.cholesky(params.U_at(t))
         eta_star[t] = params.H_at(t) @ eta_star[t - 1] + cu @ rng.standard_normal((r, ndraws))

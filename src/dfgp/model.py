@@ -210,8 +210,13 @@ DEFAULT_COVARIATES = ("1", "y", "y2")
 
 
 def covariate_functions(names) -> list:
+    """The point functions of the named covariates; rejects an empty list, an
+    unknown name and a name given twice (its columns would repeat in X)."""
     if not names:
         raise ValueError(f"need at least one covariate; choose from {sorted(COVARIATE_FNS)}")
+    twice = sorted({n for n in names if list(names).count(n) > 1})
+    if twice:
+        raise ValueError(f"{', '.join(map(repr, twice))} named twice")
     try:
         return [COVARIATE_FNS[n] for n in names]
     except KeyError as exc:

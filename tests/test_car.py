@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.linalg.lapack import dtrtri
-from conftest import stand_in_pool
+from conftest import relerr, stand_in_pool
 from oracle import build_precision
 
-from dfgp.car import (CARParams, GAMMA_MAX, SELECTED_INVERSION_MIN,
-                      SOLVE_BLOCK, SparseFactor, _selected_inverse,
+from dfgp.car import (CARParams, CARStructure, GAMMA_MAX, SELECTED_INVERSION_MIN,
+                      SOLVE_BLOCK, KroneckerSumFactor, SparseFactor, _selected_inverse,
                       build_adjacency, run_parallel, sample_car, sparse_factorize)
 from dfgp.exceptions import (FactorizationError, InvalidParameterError,
                              StructureError)
@@ -33,6 +33,20 @@ class TestAdjacency:
         mask = np.array([True, False, False, True])   # two diagonal cells, no link
         with pytest.raises(StructureError, match=r"0|3"):
             build_adjacency(build_grid(2, 2, 1.0, mask=mask))
+
+    def test_full_grid_factors_in_closed_form(self):
+        full = build_adjacency(build_grid(5, 3, 1.0))
+        assert full.grid_shape == (3, 5)
+        assert isinstance(full.factor(0.5), KroneckerSumFactor)
+        mask = np.ones(15, dtype=bool)
+        mask[7] = False
+        masked = build_adjacency(build_grid(5, 3, 1.0, mask=mask))
+        assert masked.grid_shape is None
+        assert isinstance(masked.factor(0.5), SparseFactor)
+        explicit = CARStructure(full.adjacency, full.valid_idx, None)
+        assert isinstance(explicit.factor(0.5), SparseFactor)
+        with pytest.raises(StructureError, match="does not hold 15 nodes"):
+            CARStructure(full.adjacency, full.valid_idx, (5, 5))
 
 
 class TestPrecision:
@@ -201,6 +215,37 @@ def _gamma_sweep():
                            np.random.default_rng(5).uniform(0.0, GAMMA_MAX, 30)])
 
 
+@pytest.mark.parametrize("nx, ny", [(20, 20), (37, 23), (1, 50), (50, 1)])
+class TestKroneckerSumFactor:
+    """The closed-form factor of a full grid against SuperLU on D - gamma E."""
+
+    def test_matches_sparse_factor(self, nx, ny):
+        s = build_adjacency(build_grid(nx, ny, 1.0))
+        rng = np.random.default_rng(8)
+        b = rng.standard_normal((s.n, 3))
+        idx = rng.choice(s.n, size=min(200, s.n), replace=False)
+        for gamma in _gamma_sweep():
+            want, got = sparse_factorize(s.base_precision(gamma)), s.factor(gamma)
+            assert isinstance(got, KroneckerSumFactor)
+            assert got.shape == want.shape
+            assert abs(got.logdet() - want.logdet()) <= 1e-12 * abs(want.logdet()), gamma
+            # near gamma = 1 the condition number is ~1e6, and both solves
+            # carry its rounding
+            tol = 1e-12 if gamma <= 0.999 else 1e-9
+            assert relerr(got.solve(b), want.solve(b)) <= tol, gamma
+            assert relerr(got.solve_selected_diag(idx), want.solve_selected_diag(idx)) <= tol
+
+    def test_vector_solve_and_gamma_one(self, nx, ny):
+        s = build_adjacency(build_grid(nx, ny, 1.0))
+        f = s.factor(0.9)
+        x = np.random.default_rng(2).standard_normal(s.n)
+        got = f.solve(s.base_precision(0.9) @ x)
+        assert got.shape == (s.n,) and relerr(got, x) <= 1e-12
+        for gamma in (1.0, 1.5):
+            with pytest.raises(FactorizationError):
+                s.factor(gamma)
+
+
 def _two_component_grid():
     """60x40 grid cut in two by a masked column (N = 2360)."""
     mask = np.ones((40, 60), dtype=bool)
@@ -216,7 +261,8 @@ class TestLogdetCurve:
     def test_matches_exact_sparse_path(self, make):
         s = make()
         gammas = _gamma_sweep()
-        exact = np.array([s.logdet_i_minus_gamma_w(g) for g in gammas])
+        exact = np.array([sparse_factorize(s.base_precision(g)).logdet()
+                          for g in gammas]) - np.log(s.degrees).sum()
         curve = np.array([s.logdet_curve(g) for g in gammas])
         # relative to max(|value|, 1): near gamma = 0 the value tends to 0 and
         # the exact path's own rounding (~1e-11 absolute at N = 10^4) dominates
@@ -236,7 +282,26 @@ class TestLogdetCurve:
         assert build_adjacency(build_grid(5, 4, 1.0)).n_components == 1
 
     def test_sampling_fills_exact_memo(self, monkeypatch):
+        # a full grid: count the factors CARStructure.factor builds
         s = build_adjacency(build_grid(50, 50, 1.0))
+        p = CARParams(0.7, 1.0)
+        a = sample_car(s, p, np.random.default_rng(3))
+        calls = []
+        real = CARStructure.factor
+        monkeypatch.setattr(CARStructure, "factor",
+                            lambda self, gamma: calls.append(gamma) or real(self, gamma))
+        memo = s.precision_logdet(p)
+        assert not calls
+        fresh = build_adjacency(build_grid(50, 50, 1.0)).precision_logdet(p)
+        assert calls == [0.7]   # the count sees the fresh structure's factor
+        assert memo == fresh
+        b = sample_car(s, p, np.random.default_rng(3))
+        assert np.array_equal(a, b)
+
+    def test_sampling_fills_exact_memo_on_masked_grid(self, monkeypatch):
+        mask = np.ones(2500, dtype=bool)
+        mask[[0, 1234]] = False
+        s = build_adjacency(build_grid(50, 50, 1.0, mask=mask))
         p = CARParams(0.7, 1.0)
         a = sample_car(s, p, np.random.default_rng(3))
         calls = []
@@ -244,7 +309,8 @@ class TestLogdetCurve:
                             lambda m: calls.append(1) or sparse_factorize(m))
         memo = s.precision_logdet(p)
         assert not calls
-        fresh = build_adjacency(build_grid(50, 50, 1.0)).precision_logdet(p)
+        fresh = build_adjacency(build_grid(50, 50, 1.0, mask=mask)).precision_logdet(p)
+        assert calls == [1]
         assert memo == fresh
         b = sample_car(s, p, np.random.default_rng(3))
         assert np.array_equal(a, b)

@@ -6,7 +6,7 @@ import pytest
 from conftest import make_instance, make_observations, relerr, stand_in_pool
 from oracle import DenseJoint, build_precision
 
-from dfgp.car import SELECTED_INVERSION_MIN, SOLVE_BLOCK, SparseFactor
+from dfgp.car import SELECTED_INVERSION_MIN, SOLVE_BLOCK, SparseFactor, sparse_factorize
 from dfgp.dynamics import (filter_pass, forecast_step, predict_filter,
                            predict_smooth, smoother_pass)
 from dfgp.exceptions import NumericalError
@@ -137,6 +137,16 @@ class TestFilterSpecialCases:
         assert np.all(st.delta == 0.0)
         qinv = np.linalg.inv(build_precision(data.structure, params.car[1]).toarray())
         assert np.allclose(st.R_diag, np.diag(qinv))
+
+    def test_no_data_fine_var_is_prior_variance_from_sparse_path(self):
+        data, params = make_instance(13, nx=6, ny=5, T=3, empty_times=(2,))
+        assert data.structure.grid_shape == (5, 6)   # the closed-form CAR factor
+        nodes = np.arange(data.structure.n)
+        st = filter_pass(data, params, pred_bau=data.structure.valid_idx,
+                         want_variance=True).states[1]
+        car = params.car[1]
+        sparse = sparse_factorize(data.structure.base_precision(car.gamma))
+        assert relerr(st.fine_var, car.tau2 * sparse.solve_selected_diag(nodes)) <= 1e-12
 
     def test_huge_noise_gain_vanishes(self):
         data, params = make_instance(2, v_range=(1e9, 2e9))

@@ -8,7 +8,7 @@ from oracle import DenseJoint
 from dfgp import car as car_mod
 from dfgp import dynamics
 from dfgp import estimate as estimate_mod
-from dfgp.car import GAMMA_MAX, LOGDET_CURVE_NODES, CARParams, sample_car
+from dfgp.car import GAMMA_MAX, CARParams, sample_car
 from dfgp.estimate import (EstimatorConfig, SufficientStats, _gamma_objective,
                            conditional_simulate, e_step, fit_filtering_sequence,
                            init_params, m_step, optimize_gamma, run_estimator)
@@ -23,14 +23,33 @@ class TestConditionalSimulate:
         b = conditional_simulate(data, params, np.random.default_rng(3))
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
-    def test_one_factor_per_gamma_keeps_draws(self, monkeypatch):
-        data, params = make_instance(2, nx=4, ny=4, T=4)
+    @staticmethod
+    def _shared_gammas(mask=None):
+        data, params = make_instance(2, nx=4, ny=4, T=4, mask=mask)
         car = params.car
-        params = dataclasses.replace(params, car=(car[0], car[1], car[0], car[0]))
+        return data, dataclasses.replace(params, car=(car[0], car[1], car[0], car[0]))
+
+    def test_one_factor_per_gamma_keeps_draws(self, monkeypatch):
+        # a full grid: count the factors CARStructure.factor builds
+        data, params = self._shared_gammas()
+        made = []
+        real = car_mod.CARStructure.factor
+        monkeypatch.setattr(car_mod.CARStructure, "factor",
+                            lambda self, gamma: made.append(gamma) or real(self, gamma))
+        self._check_one_factor_per_gamma(monkeypatch, data, params, made)
+
+    def test_one_factor_per_gamma_on_masked_grid(self, monkeypatch):
+        mask = np.ones(16, dtype=bool)
+        mask[5] = False
+        data, params = self._shared_gammas(mask)
         made = []
         real = car_mod.sparse_factorize
         monkeypatch.setattr(car_mod, "sparse_factorize",
                             lambda m: made.append(1) or real(m))
+        self._check_one_factor_per_gamma(monkeypatch, data, params, made)
+
+    @staticmethod
+    def _check_one_factor_per_gamma(monkeypatch, data, params, made):
         a = conditional_simulate(data, params, np.random.default_rng(5), ndraws=2)
         assert len(made) == 2
         # a factorization per draw, as sample_car makes without a prebuilt factor
@@ -409,20 +428,24 @@ class TestSparseGammaSearch:
 
     def test_factorization_budget(self, monkeypatch):
         data = self._data()
+        assert data.structure.grid_shape == (48, 48)
         calls = []
         real = car_mod.sparse_factorize
 
-        def counting(matrix):
-            calls.append(matrix.shape)
-            return real(matrix)
+        def counting(where):
+            def factorize(matrix):
+                calls.append(where)
+                return real(matrix)
+            return factorize
 
-        monkeypatch.setattr(car_mod, "sparse_factorize", counting)
-        monkeypatch.setattr(dynamics, "sparse_factorize", counting)
+        monkeypatch.setattr(car_mod, "sparse_factorize", counting("D - gamma E"))
+        monkeypatch.setattr(dynamics, "sparse_factorize", counting("F_t"))
         res = run_estimator(data, EstimatorConfig(mode="sem", max_iter=3, seed=0))
         u = len(data.slices)
         assert res.n_iter == 3
-        # the first E-step samples at the u equal gammas of init_params from one factor
-        assert len(calls) <= LOGDET_CURVE_NODES + 2 * u * res.n_iter + 1 - (u - 1)
+        # the CAR prior of a full grid (gamma curve, draws, likelihood) is in
+        # closed form: the only sparse factorizations are one F_t per step
+        assert calls == ["F_t"] * (u * res.n_iter)
 
     @pytest.mark.parametrize("gamma_true", [0.3, 0.9, 0.999])
     def test_curve_search_matches_exact_search(self, gamma_true):

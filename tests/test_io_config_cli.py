@@ -464,10 +464,12 @@ class TestConfig:
         ("[covariates]\nnames =\n", r"\[covariates\] names: need at least one covariate"),
         ("[covariates]\nnames = 1,zz\n", r"\[covariates\] names: unknown covariate 'zz'"),
         ("[run]\nseed = -1\n", r"\[run\] seed must be >= 0, got -1"),
+        ("[covariates]\nnames = 1,1,y\n", r"\[covariates\] names: '1' named twice"),
     ], ids=["hu-blocks-zero", "cv-method", "holdout-fraction", "holdout-times",
             "holdout-instrument", "holdout-x-inverted", "holdout-y-inverted", "cv-lk-k",
             "cv-lk-max-fit-evals", "estimator-mode", "grid-nx-text", "cv-methods-empty",
-            "cv-methods-twice", "covariates-empty", "covariates-unknown", "run-seed-negative"])
+            "cv-methods-twice", "covariates-empty", "covariates-unknown", "run-seed-negative",
+            "covariates-twice"])
     def test_bad_value_fails_in_load_config(self, tmp_path, text, message):
         (tmp_path / "run.ini").write_text(text)
         with pytest.raises(ValueError, match=message):
@@ -575,7 +577,24 @@ class TestCLI:
     def test_simulate_without_time_steps_fails_naming_T(self, tmp_path, capsys):
         cfgp = self._variant(tmp_path, "run.ini", tmp_path / "out", "T = 3", "T = 0")
         assert main(["simulate", "--config", str(cfgp)]) == 1
-        assert "error: T must be >= 1, got 0" in capsys.readouterr().err
+        assert "error: [scenario] T must be >= 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "observations.csv").exists()
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("[basis]", "[covariates]\nnames = 1,y\n\n[basis]",
+         "[scenario] beta has 3 entries but [covariates] names has 2"),
+        ("fine_swath_width = 0", "fine_swath_width = 25\nfine_swath_period = 20",
+         "[scenario] fine_swath_period 20 must exceed fine_swath_width 25"),
+        ("coarse_block = 4", "coarse_block = 3",
+         "[scenario] coarse_block 3 must tile the 8x8 grid"),
+        ("fine_drop_rate = 0.1", "fine_drop_rate = 1.5",
+         "[scenario] fine_drop_rate 1.5 must lie in [0, 1)"),
+    ], ids=["beta-vs-covariates", "swath", "coarse-block", "drop-rate"])
+    def test_simulate_names_scenario_keys(self, tmp_path, capsys, old, new, message):
+        cfgp = self._variant(tmp_path, "run.ini", tmp_path / "out", old, new)
+        load_config(cfgp)   # the scenario is checked by simulate, not at load
+        assert main(["simulate", "--config", str(cfgp)]) == 1
+        assert f"error: {message}\n" in capsys.readouterr().err
         assert not (tmp_path / "observations.csv").exists()
 
     def test_filtering_protocol_per_horizon_params(self, tmp_path):
