@@ -15,8 +15,10 @@ A = diag(1, 2, ..., 2, 1) - gamma (path adjacency) tridiagonal, so one
 tridiagonal eigendecomposition per axis gives it in closed form
 (``KroneckerSumFactor``).  On one BLAS thread of a 2-vCPU host it takes
 ~1 ms per gamma at N = 10^4, where SuperLU takes ~20 ms, and ~5 ms at
-N = 65,536, where SuperLU takes ~0.25 s.  A masked grid, or a
-structure built from an explicit adjacency, takes the sparse factorization
+N = 65,536, where SuperLU takes ~0.25 s.  Its eigenvector matrices hold
+ny^2 + nx^2 numbers, so it is built only while that stays within
+KRONECKER_MAX_RATIO times N; a long strip, a masked grid, or a structure
+built from an explicit adjacency takes the sparse factorization
 (``SparseFactor``).
 
 ln|I - gamma W| has one path.  Each factor ``CARStructure.factor`` builds
@@ -83,6 +85,15 @@ LOGDET_CURVE_NODES = 64
 # per index (measured crossover: see the module docstring).
 SELECTED_INVERSION_MIN = 96
 
+# The closed-form factor of an unmasked ny x nx grid is used while
+# ny^2 + nx^2 <= KRONECKER_MAX_RATIO * N; a longer strip takes SuperLU.
+# Measured at gamma = 0.9, one BLAS thread of a 2-vCPU host, closed form
+# against SuperLU for one factor and one 2-column solve: at ratio 16
+# (16x256, 32x512, 64x1024) 2.3 / 12 / 56 ms against 5.2 / 40 / 194 ms, at
+# ratio 64 (8x512, 16x1024, 32x2048) 12 / 44 / 283 ms against 6 / 20 / 158 ms.
+# Its two eigenvector matrices then hold at most 16 N numbers.
+KRONECKER_MAX_RATIO = 16
+
 # Right-hand sides per SuperLU solve when many columns are solved against one
 # factor (the r columns of the filter step, the unit vectors of the
 # selected-diagonal solves); the blocks run on the solve pool.  Measured for
@@ -137,14 +148,14 @@ class CARStructure:
     """Adjacency graph over the valid BAUs with degree and edge bookkeeping.
 
     ``valid_idx`` maps internal node order (0..n-1) to flat grid indices; all
-    matrices built here use the internal order.  ``grid_shape`` (ny, nx)
-    states that the adjacency is the rook graph of a full ny x nx grid in
-    row-major order, so that D - gamma E factors in closed form; None (any
-    other graph) keeps the sparse factorization.
+    matrices built here use the internal order.  ``grid_shape`` is None
+    except on a structure from ``build_adjacency`` of a grid with no masked
+    cell, where it is that grid's (ny, nx): the adjacency is then the rook
+    graph of the full grid in row-major order, and D - gamma E may factor
+    in closed form.
     """
 
-    def __init__(self, adjacency: sp.csr_matrix, valid_idx: np.ndarray,
-                 grid_shape: tuple[int, int] | None):
+    def __init__(self, adjacency: sp.csr_matrix, valid_idx: np.ndarray):
         adjacency = adjacency.tocsr()
         if (adjacency != adjacency.T).nnz:
             raise StructureError("adjacency must be symmetric")
@@ -154,11 +165,9 @@ class CARStructure:
         if (deg < 1).any():
             bad = valid_idx[np.flatnonzero(deg < 1)]
             raise StructureError(f"isolated BAU(s) at grid index {bad.tolist()}")
-        if grid_shape is not None and grid_shape[0] * grid_shape[1] != deg.size:
-            raise StructureError(f"grid shape {grid_shape} does not hold {deg.size} nodes")
         self.adjacency = adjacency
         self.degrees = deg
-        self.grid_shape = grid_shape
+        self.grid_shape: tuple[int, int] | None = None
         self.valid_idx = np.asarray(valid_idx, dtype=np.int64)
         upper = sp.triu(adjacency, k=1).tocoo()
         self.edges = np.column_stack([upper.row, upper.col])
@@ -209,13 +218,20 @@ class CARStructure:
     def _log_degree_sum(self) -> float:
         return float(np.log(self.degrees).sum())
 
+    @property
+    def closed_form(self) -> bool:
+        """Whether ``factor`` builds the closed-form factor: a full grid no
+        longer than KRONECKER_MAX_RATIO allows."""
+        return (self.grid_shape is not None
+                and sum(m * m for m in self.grid_shape) <= KRONECKER_MAX_RATIO * self.n)
+
     def factor(self, gamma: float) -> SparseFactor | KroneckerSumFactor:
-        """Factorize D - gamma E, in closed form on a full grid, and memoize
-        ln|I - gamma W| from the factor."""
-        if self.grid_shape is None:
-            factor = sparse_factorize(self.base_precision(gamma))
-        else:
+        """Factorize D - gamma E, in closed form where ``closed_form`` says
+        so, and memoize ln|I - gamma W| from the factor."""
+        if self.closed_form:
             factor = KroneckerSumFactor(self.grid_shape, gamma)
+        else:
+            factor = sparse_factorize(self.base_precision(gamma))
         self._logdet_memo.setdefault(float(gamma), factor.logdet() - self._log_degree_sum)
         return factor
 
@@ -256,7 +272,8 @@ class CARStructure:
 def build_adjacency(grid: BAUGrid) -> CARStructure:
     """First-order (rook, 4-neighbor) adjacency over the grid's valid BAUs.
 
-    A grid with no masked cell gives the structure its (ny, nx) shape.
+    A grid with no masked cell gives the structure its (ny, nx) shape
+    (``CARStructure.grid_shape``).
     Raises StructureError naming any valid BAU left without a valid neighbor.
     """
     idx = np.arange(grid.n_bau).reshape(grid.ny, grid.nx)
@@ -277,7 +294,10 @@ def build_adjacency(grid: BAUGrid) -> CARStructure:
     adj.data[:] = 1.0  # collapse duplicates to 0/1
     if valid.size == 1:
         raise StructureError(f"isolated BAU(s) at grid index {valid.tolist()}")
-    return CARStructure(adj, valid, (grid.ny, grid.nx) if grid.mask is None else None)
+    structure = CARStructure(adj, valid)
+    if grid.mask is None:
+        structure.grid_shape = (grid.ny, grid.nx)
+    return structure
 
 
 class SparseFactor:
@@ -374,10 +394,10 @@ class KroneckerSumFactor:
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve M x = b for one vector or a dense block of right-hand sides."""
         b = np.asarray(b, dtype=float)
-        (ny, nx), uy, ux = self._inv.shape, self._uy, self._ux
-        c = (uy.T @ b.reshape(ny, -1)).reshape(ny, nx, -1)
-        c = (ux.T @ c) * self._inv[:, :, None]
-        return (uy @ (ux @ c).reshape(ny, -1)).reshape(b.shape)
+        uy, ux = self._uy, self._ux
+        x = np.ascontiguousarray(np.moveaxis(b.reshape(*self._inv.shape, -1), 2, 0))
+        x = uy @ (((uy.T @ x @ ux) * self._inv) @ ux.T)   # one (ny, nx) array per column
+        return np.moveaxis(x, 0, 2).reshape(b.shape)
 
     def solve_selected_diag(self, indices: np.ndarray) -> np.ndarray:
         """(M^{-1})_{jj} for the requested indices."""

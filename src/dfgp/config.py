@@ -129,28 +129,16 @@ class RunConfig:
         """The [scenario] section as a ScenarioConfig.  It is checked here,
         when ``dfgp simulate`` asks for it, not when the config loads: a fit
         or smooth config need not describe a scenario its grid admits.  The
-        errors name the [scenario] keys at fault."""
-        s, g, n_cov = self.scenario, self.grid, len(self.covariates)
-        if len(s.beta) != n_cov:
-            raise ValueError(f"[scenario] beta has {len(s.beta)} entries but "
-                             f"[covariates] names has {n_cov}")
-        if s.fine_swath_width and s.fine_swath_period <= s.fine_swath_width:
-            raise ValueError(f"[scenario] fine_swath_period {s.fine_swath_period} must "
-                             f"exceed fine_swath_width {s.fine_swath_width}")
-        if s.coarse_block < 1 or g.nx % s.coarse_block or g.ny % s.coarse_block:
-            raise ValueError(f"[scenario] coarse_block {s.coarse_block} must tile the "
-                             f"{g.nx}x{g.ny} grid")
-        for key in ("fine_drop_rate", "coarse_drop_rate"):
-            if not 0.0 <= getattr(s, key) < 1.0:
-                raise ValueError(f"[scenario] {key} {getattr(s, key)} must lie in [0, 1)")
+        errors are synth's, which name the fields at fault, under the
+        section and instrument."""
+        s, g = self.scenario, self.grid
+        fine = _instrument("fine", block=1, sigma2_eps=s.fine_sigma2, v_factor=s.fine_v,
+                           swath_width=s.fine_swath_width,
+                           swath_period=s.fine_swath_period,
+                           swath_shift=s.fine_swath_shift, drop_rate=s.fine_drop_rate)
+        coarse = _instrument("coarse", block=s.coarse_block, sigma2_eps=s.coarse_sigma2,
+                             v_factor=s.coarse_v, drop_rate=s.coarse_drop_rate)
         try:
-            fine = InstrumentSpec(block=1, sigma2_eps=s.fine_sigma2, v_factor=s.fine_v,
-                                  swath_width=s.fine_swath_width,
-                                  swath_period=s.fine_swath_period,
-                                  swath_shift=s.fine_swath_shift,
-                                  drop_rate=s.fine_drop_rate)
-            coarse = InstrumentSpec(block=s.coarse_block, sigma2_eps=s.coarse_sigma2,
-                                    v_factor=s.coarse_v, drop_rate=s.coarse_drop_rate)
             return ScenarioConfig(nx=g.nx, ny=g.ny, cell_size=g.cell_size, T=s.T,
                                   basis_counts=self.basis.counts,
                                   radius_mult=self.basis.radius_mult,
@@ -158,7 +146,7 @@ class RunConfig:
                                   h_diag=s.h_diag, u_scale=s.u_scale, k0_scale=s.k0_scale,
                                   gamma=s.gamma, tau2=s.tau2,
                                   instruments=(fine, coarse), seed=self.seed)
-        except ValueError as exc:   # T < 1
+        except ValueError as exc:
             raise ValueError(f"[scenario] {exc}") from None
 
     def holdout_plan(self) -> HoldoutPlan:
@@ -254,3 +242,11 @@ def serialize_config(cfg: RunConfig) -> str:
     buf = _io.StringIO()
     cp.write(buf)
     return buf.getvalue()
+
+
+def _instrument(which: str, **fields) -> InstrumentSpec:
+    """The [scenario] section's fine or coarse instrument; an error names it."""
+    try:
+        return InstrumentSpec(**fields)
+    except ValueError as exc:
+        raise ValueError(f"[scenario] {which} instrument: {exc}") from None

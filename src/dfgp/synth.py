@@ -35,11 +35,12 @@ class InstrumentSpec:
 
     def __post_init__(self):
         if self.block < 1:
-            raise ValueError("block size must be >= 1")
+            raise ValueError(f"block size {self.block} must be >= 1")
         if not (0.0 <= self.drop_rate < 1.0):
-            raise ValueError("drop_rate must lie in [0, 1)")
+            raise ValueError(f"drop_rate {self.drop_rate} must lie in [0, 1)")
         if self.swath_width and self.swath_period <= self.swath_width:
-            raise ValueError("swath_period must exceed swath_width")
+            raise ValueError(f"swath_period {self.swath_period} must exceed "
+                             f"swath_width {self.swath_width}")
 
 
 @dataclass(frozen=True)
@@ -70,7 +71,8 @@ class ScenarioConfig:
         if self.T < 1:
             raise ValueError(f"T must be >= 1, got {self.T}")
         if len(self.beta) != len(self.covariates):
-            raise ValueError("beta length must match covariates")
+            raise ValueError(f"beta has {len(self.beta)} entries but "
+                             f"{len(self.covariates)} covariates are named")
         for spec in self.instruments:
             if self.nx % spec.block or self.ny % spec.block:
                 raise ValueError(f"block size {spec.block} must tile the "

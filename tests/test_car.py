@@ -43,10 +43,22 @@ class TestAdjacency:
         masked = build_adjacency(build_grid(5, 3, 1.0, mask=mask))
         assert masked.grid_shape is None
         assert isinstance(masked.factor(0.5), SparseFactor)
-        explicit = CARStructure(full.adjacency, full.valid_idx, None)
+        explicit = CARStructure(full.adjacency, full.valid_idx)
+        assert explicit.grid_shape is None
         assert isinstance(explicit.factor(0.5), SparseFactor)
-        with pytest.raises(StructureError, match="does not hold 15 nodes"):
-            CARStructure(full.adjacency, full.valid_idx, (5, 5))
+
+    def test_long_strip_keeps_sparse_factor(self):
+        # the closed form would hold a 24,000 x 24,000 eigenvector matrix
+        s = build_adjacency(build_grid(24000, 2, 1.0))
+        assert s.grid_shape == (2, 24000) and not s.closed_form
+        tracemalloc.start()
+        try:
+            f = s.factor(0.9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(f, SparseFactor)
+        assert peak < 64 * 2**20
 
 
 class TestPrecision:
@@ -217,7 +229,8 @@ def _gamma_sweep():
 
 @pytest.mark.parametrize("nx, ny", [(20, 20), (37, 23), (1, 50), (50, 1)])
 class TestKroneckerSumFactor:
-    """The closed-form factor of a full grid against SuperLU on D - gamma E."""
+    """The closed-form factor of a full grid against SuperLU on D - gamma E
+    (built directly: ``CARStructure.factor`` leaves the strips to SuperLU)."""
 
     def test_matches_sparse_factor(self, nx, ny):
         s = build_adjacency(build_grid(nx, ny, 1.0))
@@ -225,8 +238,8 @@ class TestKroneckerSumFactor:
         b = rng.standard_normal((s.n, 3))
         idx = rng.choice(s.n, size=min(200, s.n), replace=False)
         for gamma in _gamma_sweep():
-            want, got = sparse_factorize(s.base_precision(gamma)), s.factor(gamma)
-            assert isinstance(got, KroneckerSumFactor)
+            want = sparse_factorize(s.base_precision(gamma))
+            got = KroneckerSumFactor((ny, nx), gamma)
             assert got.shape == want.shape
             assert abs(got.logdet() - want.logdet()) <= 1e-12 * abs(want.logdet()), gamma
             # near gamma = 1 the condition number is ~1e6, and both solves
@@ -237,13 +250,13 @@ class TestKroneckerSumFactor:
 
     def test_vector_solve_and_gamma_one(self, nx, ny):
         s = build_adjacency(build_grid(nx, ny, 1.0))
-        f = s.factor(0.9)
+        f = KroneckerSumFactor((ny, nx), 0.9)
         x = np.random.default_rng(2).standard_normal(s.n)
         got = f.solve(s.base_precision(0.9) @ x)
         assert got.shape == (s.n,) and relerr(got, x) <= 1e-12
         for gamma in (1.0, 1.5):
             with pytest.raises(FactorizationError):
-                s.factor(gamma)
+                KroneckerSumFactor((ny, nx), gamma)
 
 
 def _two_component_grid():

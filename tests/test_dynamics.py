@@ -140,7 +140,7 @@ class TestFilterSpecialCases:
 
     def test_no_data_fine_var_is_prior_variance_from_sparse_path(self):
         data, params = make_instance(13, nx=6, ny=5, T=3, empty_times=(2,))
-        assert data.structure.grid_shape == (5, 6)   # the closed-form CAR factor
+        assert data.structure.closed_form
         nodes = np.arange(data.structure.n)
         st = filter_pass(data, params, pred_bau=data.structure.valid_idx,
                          want_variance=True).states[1]

@@ -428,7 +428,7 @@ class TestSparseGammaSearch:
 
     def test_factorization_budget(self, monkeypatch):
         data = self._data()
-        assert data.structure.grid_shape == (48, 48)
+        assert data.structure.closed_form
         calls = []
         real = car_mod.sparse_factorize
 

@@ -582,13 +582,13 @@ class TestCLI:
 
     @pytest.mark.parametrize("old, new, message", [
         ("[basis]", "[covariates]\nnames = 1,y\n\n[basis]",
-         "[scenario] beta has 3 entries but [covariates] names has 2"),
+         "[scenario] beta has 3 entries but 2 covariates are named"),
         ("fine_swath_width = 0", "fine_swath_width = 25\nfine_swath_period = 20",
-         "[scenario] fine_swath_period 20 must exceed fine_swath_width 25"),
+         "[scenario] fine instrument: swath_period 20 must exceed swath_width 25"),
         ("coarse_block = 4", "coarse_block = 3",
-         "[scenario] coarse_block 3 must tile the 8x8 grid"),
+         "[scenario] block size 3 must tile the 8x8 grid"),
         ("fine_drop_rate = 0.1", "fine_drop_rate = 1.5",
-         "[scenario] fine_drop_rate 1.5 must lie in [0, 1)"),
+         "[scenario] fine instrument: drop_rate 1.5 must lie in [0, 1)"),
     ], ids=["beta-vs-covariates", "swath", "coarse-block", "drop-rate"])
     def test_simulate_names_scenario_keys(self, tmp_path, capsys, old, new, message):
         cfgp = self._variant(tmp_path, "run.ini", tmp_path / "out", old, new)
