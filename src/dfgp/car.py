@@ -45,17 +45,18 @@ solve ~6 ms); the crossover lies at about 130 indices at N = 4,096, 100 at
 16,384 and 75-85 at 65,536.
 
 Independent SuperLU calls (the blocks of one factor's multi-column solves,
-the curve's nodes) run on one thread pool with a thread per
-CPU the process may run on (``run_parallel``).  Each block makes the same
-call on the same data whatever thread runs it, so results do not depend on
-the thread count.
+the curve's nodes) run on one thread pool with a thread per CPU the process
+may run on (``run_parallel``).  The filter starts a step's solves there
+without waiting (``run_ahead``) and factors the next step's F meanwhile.
+Each task makes the same calls on the same data whatever thread runs it, so
+results do not depend on the thread count.
 """
 
 from __future__ import annotations
 
 import os
 from collections.abc import Callable, Sequence
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
 
@@ -127,6 +128,15 @@ def run_parallel(tasks: Sequence[Callable[[], object]]) -> list:
     inside it can deadlock).
     """
     return list(_pool().map(lambda task: task(), tasks))
+
+
+def run_ahead(task: Callable[[], object]) -> Future:
+    """Start one zero-argument task on the solve pool and return its future.
+
+    The task must keep run_parallel's rules, and the caller must not wait on
+    the future from inside a pool task.
+    """
+    return _pool().submit(task)
 
 
 @dataclass(frozen=True)
@@ -323,6 +333,7 @@ class SparseFactor:
             raise FactorizationError("matrix is not positive definite")
         self._logdet = float(np.log(self._d).sum())
         self.shape = m.shape
+        self.nnz = int(self._lu.nnz)          # entries SuperLU stores for L and U
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve M x = b for one vector or a dense block of right-hand sides."""

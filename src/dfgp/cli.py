@@ -69,6 +69,15 @@ def _load_data(cfg: RunConfig, base: Path, files: Files):
 
 
 def cmd_simulate(cfg: RunConfig, out: Path, base: Path, files: Files) -> None:
+    if cfg.grid.mask:
+        g = cfg.grid
+        masked = int((~dio.read_mask(base / g.mask, g.nx * g.ny)).sum())
+        if masked:
+            # simulate_truth draws on the full grid, so its footprints would
+            # cover masked cells, which fit and smooth then reject
+            raise ValueError(f"[grid] mask masks {masked} of the {g.nx * g.ny} cells, "
+                             "but simulate draws on the full grid; simulate with no "
+                             "mask, or one that masks no cell")
     truth = simulate_truth(cfg.scenario_config())
     obs = observe(truth)
     paths = _data_paths(cfg, base)

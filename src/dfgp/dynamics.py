@@ -18,6 +18,30 @@ which depend on no state.  Each step stores them at the tracked nodes, so
 the smoother moves (eta, P) alone and the predictors read E[xi] and var(xi)
 from (eta, P).  No dense N x N or n x n matrix is ever formed.
 
+So each step splits into a sparse stage that reads no state and an r x r
+recursion.  With y0 = z - X beta, the stage maps (theta_t, the slice, the
+tracked nodes) to
+
+    ln|D^{-1}| = ln|F| - ln|Q| + ln|V|,   S'DS,   S'D y0,   y0'D y0,
+    delta0 and psi at the tracked nodes,  fine_var = diag F^{-1} there,
+
+where S'V^{-1}S = sum_k S_k' W_k S_k / sigma2_k comes from per-instrument
+pieces cached on the slice (``AssembledTimeSlice.basis_gram``), and the
+Woodbury terms are S'V^{-1}(B G) with G = F^{-1} B'V^{-1}S solved in column
+blocks.  The recursion forms the innovation terms from eta_p:
+
+    S'D alpha     = S'D y0 - S'DS eta_p,
+    alpha'D alpha = y0'D y0 - 2 eta_p'S'D y0 + eta_p'S'DS eta_p,
+
+then A, eta_f and P_f as above, and ln|Sigma| = ln|A| + ln|P_p| + ln|D^{-1}|.
+
+Because the stage reads no state, ``filter_pass`` factors the next step's F
+on the calling thread while this step's solves run on the solve pool.  That
+holds two factors at once, so it does so only while the last factor was
+small (LOOKAHEAD_MAX_NNZ).  The factors are always built, and psi always
+allocated, on the calling thread: 24 factorizations at N = 10^4 peaked at
+223 MB RSS there and at 319 MB on pool threads, through heap fragmentation.
+
 Means are computed for any number of observation columns at once (the
 conditional-simulation machinery feeds simulated replicates through the same
 sweep); covariances are shared across columns.  Each step also yields its
@@ -30,6 +54,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -37,9 +62,25 @@ import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
 
-from .car import SOLVE_BLOCK, CARParams, run_parallel, sparse_factorize
+from .car import SOLVE_BLOCK, CARParams, SparseFactor, run_ahead, sparse_factorize
 from .exceptions import FactorizationError, NumericalError
-from .model import AssembledTimeSlice, DFGPParams, ModelData, as_dense, sym
+from .model import AssembledTimeSlice, DFGPParams, ModelData, sym
+
+# filter_pass factors the next step's F ahead, during this step's solves,
+# while the last step's factor held at most LOOKAHEAD_MAX_NNZ entries
+# (SparseFactor.nnz, about 21 bytes an entry), so the second factor it holds
+# stays under ~40 MB.  Measured on the bench scenario, one BLAS thread of a
+# 2-CPU host: the SEM filter pass (T = 8, every node tracked, two columns)
+# with the look-ahead against without, time and process peak RSS:
+#   N = 10,000, nnz 0.64M: -10%, 221 -> 256 MB
+#   N = 16,384, nnz 1.15M: -13%, 295 -> 358 MB
+#   N = 32,400, nnz 2.49M:  -7%, 486 -> 533 MB
+#   N = 65,536, nnz 5.83M: -25%, 897 -> 1004 MB
+# The time gain holds at every size, while the extra memory grows with the
+# factor, so the rule bounds the memory.  The smoothing pass (T = 4, 32
+# nodes with variances) moved by -6%, -5%, +3% and -1% at the same sizes,
+# and by -3% at N = 4,096.
+LOOKAHEAD_MAX_NNZ = 2_000_000
 
 __all__ = [
     "StatePosterior", "FilterResult", "SmootherResult", "PredictionField",
@@ -160,6 +201,10 @@ def filter_pass(data: ModelData, params: DFGPParams, *,
     want_variance: also compute fine_var (per step, one sparse solve per
         prediction BAU for small sets, else one selected inversion of the
         factor; see ``SparseFactor.solve_selected_diag``).
+
+    A step's sparse stage reads no state.  While the last step's factor of
+    F held at most LOOKAHEAD_MAX_NNZ entries, the next step's F is factored
+    on this thread while this step's solves run on the solve pool.
     """
     u = params.u
     if len(data.slices) < u:
@@ -171,107 +216,185 @@ def filter_pass(data: ModelData, params: DFGPParams, *,
         pred_nodes = data.node_index(np.asarray(pred_bau, dtype=np.int64))
     n_rhs = 1 + (0 if extra_obs is None else
                  next((e.shape[1] for e in extra_obs if e is not None), 0))
+    # every step's psi and delta0 in one block each: the states keep them
+    # all, and one allocation keeps them out of the heap that the per-step
+    # factors reuse
+    psi = np.zeros((u, pred_nodes.size, r))
+    delta0 = np.zeros((u, pred_nodes.size, n_rhs))
+
+    def stage(t: int) -> _SparseStage:
+        return _SparseStage(data.slices[t - 1], params.car[t - 1] if params.car else None,
+                            data.structure, params.sigma2_eps[t - 1], params.beta[t - 1],
+                            None if extra_obs is None else extra_obs[t - 1],
+                            pred_nodes, psi[t - 1], delta0[t - 1], want_variance)
 
     eta = np.zeros((r, n_rhs))
     P = params.K0.copy()
     states: list[StatePosterior] = []
+    ahead = None
+    last_nnz = 0         # entries of the last step's factor; 0 when it made none
     for t in range(1, u + 1):
-        slc = data.slices[t - 1]
         eta_pred, P_pred = forecast_step(eta, P, params.H_at(t), params.U_at(t))
-        extra = None if extra_obs is None else extra_obs[t - 1]
-        st = filter_step(
-            eta_pred, P_pred, slc, params.car[t - 1] if params.car else None,
-            data.structure, params.sigma2_eps[t - 1], params.beta[t - 1],
-            pred_nodes=pred_nodes, extra=extra, want_variance=want_variance)
+        this = stage(t) if ahead is None else ahead
+        ahead = None
+        if t < u and 0 < last_nnz <= LOOKAHEAD_MAX_NNZ:
+            this.start()
+            ahead = stage(t + 1)
+            ahead.prepare()
+        st = filter_step(eta_pred, P_pred, this.slc, this.car, data.structure,
+                         this.sigma2_row, this.beta_t, pred_nodes=pred_nodes,
+                         extra=this.extra, want_variance=want_variance, stage=this)
+        last_nnz = this.factor_nnz
         states.append(st)
         eta, P = st.eta, st.P
     return FilterResult(states=states, pred_nodes=pred_nodes)
 
 
-def fine_precision(structure, car: CARParams, B, vinv: np.ndarray) -> sp.csc_matrix:
-    """F = (D - gamma E)/tau2 + B' diag(vinv) B, the precision of xi_t | eta_t, Z_t."""
+def fine_precision(structure, car: CARParams, slc: AssembledTimeSlice,
+                   sigma2_row: np.ndarray) -> sp.csc_matrix:
+    """F_t = (D - gamma E)/tau2 + B' V_t^{-1} B, the precision of xi_t | eta_t, Z_t."""
+    vinv = 1.0 / slc.v_diag(sigma2_row)
     return (structure.base_precision(car.gamma) / car.tau2
-            + B.T @ sp.diags(vinv) @ B).tocsc()
+            + slc.B.T @ sp.diags(vinv) @ slc.B).tocsc()
+
+
+class _SparseStage:
+    """The state-free part of one filter step (see the module docstring).
+
+    It runs in three parts, so that filter_pass can factor the next step's F
+    while this step's solves run: ``prepare`` (the products with V^{-1} and
+    the factor of F), ``start`` (the solves against F on the solve pool,
+    which fill ``psi``, and meanwhile ``fine_var`` on the calling thread) and
+    ``finish`` (the Woodbury corrections).  Each part runs the parts before
+    it that have not run.  After ``finish``: ``ln_dinv`` = ln|D^{-1}|,
+    ``sds`` = S'DS, ``sdy`` = S'D y0 and ``ydy`` = y0'D y0 for
+    y0 = z - X beta (k columns), ``delta0`` and ``psi`` at the tracked
+    nodes (filled in place), ``fine_var`` and ``factor_nnz``.
+    """
+
+    def __init__(self, slc: AssembledTimeSlice, car: CARParams | None, structure,
+                 sigma2_row: np.ndarray, beta_t: np.ndarray, extra: np.ndarray | None,
+                 pred_nodes: np.ndarray, psi: np.ndarray, delta0: np.ndarray,
+                 want_variance: bool):
+        self.slc, self.car, self.structure = slc, car, structure
+        self.sigma2_row, self.beta_t, self.extra = sigma2_row, beta_t, extra
+        self.pred_nodes, self.psi, self.delta0 = pred_nodes, psi, delta0
+        self.want_variance = want_variance
+        self.fine_var = np.zeros(pred_nodes.size) if want_variance else None
+        self.factor: SparseFactor | None = None
+        self.factor_nnz = 0
+        self._prepared = False
+        self._solves: list[Future] | None = None
+
+    def prepare(self) -> None:
+        if self._prepared or self.slc.n_obs == 0:
+            return
+        self._prepared = True
+        slc, car, sigma2_row = self.slc, self.car, self.sigma2_row
+        zcols = slc.z[:, None] if self.extra is None else np.column_stack([slc.z, self.extra])
+        y0 = zcols - (slc.X @ self.beta_t)[:, None]
+        v = slc.v_diag(sigma2_row)
+        vy = y0 / v[:, None]
+        # S' V^{-1} by rows, so that a block of its rows is a cheap slice
+        self.svt = svt = sp.csr_matrix(sp.csr_matrix(slc.S).T.multiply(1.0 / v))
+        self.sds = sum(g / sigma2_row[k - 1] for k, g in slc.basis_gram.items())
+        self.sdy = svt @ y0
+        self.ydy = (y0 * vy).sum(axis=0)
+        self.ln_dinv = float(np.log(v).sum())
+        if car is not None:
+            try:
+                self.factor = sparse_factorize(
+                    fine_precision(self.structure, car, slc, sigma2_row))
+            except FactorizationError as exc:
+                raise NumericalError(str(exc), time_index=slc.time_index) from exc
+            self.bvy = slc.B.T @ vy                                    # B' V^{-1} y0
+            self.ln_dinv += self.factor.logdet() - self.structure.precision_logdet(car)
+            self.factor_nnz = self.factor.nnz
+
+    def start(self) -> None:
+        """F^{-1} B' V^{-1} y0, and F^{-1} B' V^{-1} S in column blocks that
+        fill psi and gcorr = S' V^{-1} B F^{-1} B' V^{-1} S."""
+        if self._solves is not None:
+            return
+        self.prepare()
+        self._solves = []
+        car, factor, nodes = self.car, self.factor, self.pred_nodes
+        want_var = self.want_variance and nodes.size and car is not None
+        if self.slc.n_obs == 0:
+            if want_var:        # the prior variance
+                afac = self.structure.factor(car.gamma)
+                self.fine_var = car.tau2 * afac.solve_selected_diag(nodes)
+            return
+        if factor is None:
+            return
+        B, svt, psi = self.slc.B, self.svt, self.psi
+        r = psi.shape[1]
+        self.gcorr = gcorr = np.zeros((r, r))
+
+        def solve_cols(cols: slice) -> None:
+            # the blocks write disjoint columns of gcorr and psi
+            gf = factor.solve(B.T @ svt[cols].toarray().T)
+            gcorr[:, cols] = svt @ (B @ gf)
+            psi[:, cols] = gf[nodes]
+
+        self._solves = [run_ahead(task) for task in
+                        [partial(factor.solve, self.bvy)]
+                        + [partial(solve_cols, slice(c0, min(c0 + SOLVE_BLOCK, r)))
+                           for c0 in range(0, r, SOLVE_BLOCK)]]
+        if want_var:
+            self.fine_var = factor.solve_selected_diag(nodes)
+
+    def finish(self) -> None:
+        self.start()
+        if not self._solves:        # no observation, or no fine-scale component
+            return
+        # fb = F^{-1} B' V^{-1} y0 = E[xi | eta = 0, Z] at every node
+        fb = [f.result() for f in self._solves][0]
+        self.sds = self.sds - self.gcorr
+        self.sdy = self.sdy - self.svt @ (self.slc.B @ fb)
+        self.ydy = self.ydy - (self.bvy * fb).sum(axis=0)
+        np.take(fb, self.pred_nodes, axis=0, out=self.delta0)
 
 
 def filter_step(eta_pred: np.ndarray, P_pred: np.ndarray,
                 slc: AssembledTimeSlice, car: CARParams | None, structure,
                 sigma2_row: np.ndarray, beta_t: np.ndarray, *,
                 pred_nodes: np.ndarray, extra: np.ndarray | None,
-                want_variance: bool) -> StatePosterior:
-    """One measurement update from forecast moments to filtered moments.
+                want_variance: bool, stage: _SparseStage | None = None) -> StatePosterior:
+    """One measurement update from forecast moments to filtered moments: the
+    step's sparse stage, then the r x r recursion.
 
     eta_pred has one column for the data and one per column of ``extra``.
     With no observations the filtered moments equal the forecast and the
     fine-scale posterior reverts to its prior.  All D-applications factor
     through the sparse SPD matrix F = Q + B' V^{-1} B.  ``car`` None means
     there is no fine-scale component (the fixed-rank model): D = V^{-1}.
+    ``stage`` is this step's sparse stage when filter_pass has begun it.
     """
     t = slc.time_index
     r, n_rhs = eta_pred.shape
-    m = pred_nodes.size
-    psi = np.zeros((m, r))
-    delta0 = np.zeros((m, n_rhs))
-    fine_var = np.zeros(m) if want_variance else None
+    if stage is None:
+        m = pred_nodes.size
+        stage = _SparseStage(slc, car, structure, sigma2_row, beta_t, extra, pred_nodes,
+                             np.zeros((m, r)), np.zeros((m, n_rhs)), want_variance)
+    stage.finish()
     if slc.n_obs == 0:
-        if want_variance and m and car is not None:
-            afac = structure.factor(car.gamma)
-            fine_var = car.tau2 * afac.solve_selected_diag(pred_nodes)
         return StatePosterior(
             time_index=t, eta=eta_pred.copy(), P=P_pred.copy(),
-            eta_pred=eta_pred, P_pred=P_pred, delta0=delta0,
-            fine_var=fine_var, psi=psi, n_obs=0, quad=np.zeros(n_rhs))
-
-    zcols = slc.z[:, None] if extra is None else np.column_stack([slc.z, extra])
-    v = slc.v_diag(sigma2_row)
-    vinv = 1.0 / v
-    alpha = zcols - (slc.X @ beta_t)[:, None] - as_dense(slc.S @ eta_pred)
-    VS = sp.diags(vinv) @ slc.S
-    sds = as_dense(slc.S.T @ VS)                      # S' V^{-1} S
-    sda = as_dense(VS.T @ alpha)                      # S' V^{-1} alpha
-    ada = (alpha * (vinv[:, None] * alpha)).sum(axis=0)
-    if car is None:
-        ln_dinv = float(np.log(v).sum())
-    else:
-        try:
-            ffac = sparse_factorize(fine_precision(structure, car, slc.B, vinv))
-        except FactorizationError as exc:
-            raise NumericalError(str(exc), time_index=t) from exc
-        nmat = slc.B.T @ VS                          # (n_valid, r) sparse
-        bva = as_dense(slc.B.T @ (vinv[:, None] * alpha))
-        gcorr = np.zeros((r, r))
-
-        def solve_cols(cols: slice) -> None:
-            # the blocks write disjoint columns of gcorr and psi
-            gf = ffac.solve(as_dense(nmat[:, cols]))
-            gcorr[:, cols] = as_dense(nmat.T @ gf)
-            if m:
-                psi[:, cols] = gf[pred_nodes]
-
-        fb = run_parallel([partial(ffac.solve, bva)]
-                          + [partial(solve_cols, slice(c0, min(c0 + SOLVE_BLOCK, r)))
-                             for c0 in range(0, r, SOLVE_BLOCK)])[0]
-        sds = sds - gcorr
-        sda = sda - as_dense(nmat.T @ fb)
-        ada = ada - (bva * fb).sum(axis=0)
-        ln_dinv = (ffac.logdet() - structure.precision_logdet(car)
-                   + float(np.log(v).sum()))
-        if m:
-            # fb = E[xi | eta_pred, Z] at every node; E[xi | eta, Z] is affine in eta
-            delta0 = fb[pred_nodes] + psi @ eta_pred
-            if want_variance:
-                fine_var = ffac.solve_selected_diag(pred_nodes)
-
+            eta_pred=eta_pred, P_pred=P_pred, delta0=stage.delta0,
+            fine_var=stage.fine_var, psi=stage.psi, n_obs=0, quad=np.zeros(n_rhs))
+    sda = stage.sdy - stage.sds @ eta_pred                          # S' D alpha
+    ada = stage.ydy - (eta_pred * (stage.sdy + sda)).sum(axis=0)   # alpha' D alpha
     pp_cf = _cho(P_pred, t, "forecast covariance")
-    A = sym(_cho_inv(pp_cf) + sds)
+    A = sym(_cho_inv(pp_cf) + stage.sds)
     a_cf = _cho(A, t, "information matrix")
     gain = la.cho_solve(a_cf, sda)                  # (r, k)
     eta_f = eta_pred + gain
     P_f = _cho_inv(a_cf)
     return StatePosterior(
         time_index=t, eta=eta_f, P=P_f, eta_pred=eta_pred, P_pred=P_pred,
-        delta0=delta0, fine_var=fine_var, psi=psi, n_obs=slc.n_obs,
-        logdet_sigma=_cho_logdet(a_cf) + _cho_logdet(pp_cf) + ln_dinv,
+        delta0=stage.delta0, fine_var=stage.fine_var, psi=stage.psi, n_obs=slc.n_obs,
+        logdet_sigma=_cho_logdet(a_cf) + _cho_logdet(pp_cf) + stage.ln_dinv,
         quad=ada - (sda * gain).sum(axis=0))
 
 

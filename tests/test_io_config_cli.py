@@ -580,6 +580,17 @@ class TestCLI:
         assert "error: [scenario] T must be >= 1, got 0" in capsys.readouterr().err
         assert not (tmp_path / "observations.csv").exists()
 
+    def test_simulate_refuses_a_mask_that_masks_cells(self, tmp_path, capsys):
+        mask = np.ones((8, 8), dtype=int)
+        mask[2, [1, 2]] = mask[5, [4, 6]] = 0
+        np.savetxt(tmp_path / "mask.txt", mask, fmt="%d")
+        cfgp = self._variant(tmp_path, "run.ini", tmp_path / "out", "cell_size = 1.0",
+                             "cell_size = 1.0\nmask = mask.txt")
+        assert main(["simulate", "--config", str(cfgp)]) == 1
+        assert ("error: [grid] mask masks 4 of the 64 cells, but simulate draws on the "
+                "full grid") in capsys.readouterr().err
+        assert not (tmp_path / "observations.csv").exists()
+
     @pytest.mark.parametrize("old, new, message", [
         ("[basis]", "[covariates]\nnames = 1,y\n\n[basis]",
          "[scenario] beta has 3 entries but 2 covariates are named"),
