@@ -46,14 +46,19 @@ def _data_paths(cfg: RunConfig, base: Path) -> list[Path]:
     return [base / cfg.data.observations, base / cfg.data.footprints]
 
 
-def _load_inputs(cfg: RunConfig, base: Path, files: Files):
-    """Observations, grid, basis and CAR structure named by the config."""
+def _geometry(cfg: RunConfig, base: Path, files: Files):
+    """The grid and basis named by the config."""
     mask, centers = (str(base / p) if p else "" for p in (cfg.grid.mask, cfg.basis.centers_csv))
     cfg = dataclasses.replace(cfg, grid=dataclasses.replace(cfg.grid, mask=mask),
                               basis=dataclasses.replace(cfg.basis, centers_csv=centers))
     files.read += [Path(p) for p in (mask, centers) if p]
     grid = cfg.build_grid()
-    basis = cfg.build_basis(grid)
+    return grid, cfg.build_basis(grid)
+
+
+def _load_inputs(cfg: RunConfig, base: Path, files: Files):
+    """Observations, grid, basis and CAR structure named by the config."""
+    grid, basis = _geometry(cfg, base, files)
     structure = build_adjacency(grid)
     paths = _data_paths(cfg, base)
     obs = dio.read_observations(*paths, grid)
@@ -69,16 +74,7 @@ def _load_data(cfg: RunConfig, base: Path, files: Files):
 
 
 def cmd_simulate(cfg: RunConfig, out: Path, base: Path, files: Files) -> None:
-    if cfg.grid.mask:
-        g = cfg.grid
-        masked = int((~dio.read_mask(base / g.mask, g.nx * g.ny)).sum())
-        if masked:
-            # simulate_truth draws on the full grid, so its footprints would
-            # cover masked cells, which fit and smooth then reject
-            raise ValueError(f"[grid] mask masks {masked} of the {g.nx * g.ny} cells, "
-                             "but simulate draws on the full grid; simulate with no "
-                             "mask, or one that masks no cell")
-    truth = simulate_truth(cfg.scenario_config())
+    truth = simulate_truth(cfg.scenario_config(), *_geometry(cfg, base, files))
     obs = observe(truth)
     paths = _data_paths(cfg, base)
     for p in paths:

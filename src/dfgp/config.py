@@ -1,10 +1,10 @@
 """Run configuration: one INI-style file drives every CLI command.
 
 Parsing and serialization round-trip exactly and are both derived from the
-dataclass fields below, ``EstimatorConfig``'s and ``HoldoutPlan``'s, their
-types and defaults; all scientific choices live in the file, the fixed-rank
-switch ([estimator] lowrank_only) included, so runs are reproducible from
-(config, seed) alone.
+dataclass fields below, ``EstimatorConfig``'s, ``HoldoutPlan``'s and
+``ScenarioConfig``'s, their types and defaults; all scientific choices live
+in the file, the fixed-rank switch ([estimator] lowrank_only) included, so
+runs are reproducible from (config, seed) alone.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .cv import PROTOCOLS, HoldoutPlan, check_methods
 from .estimate import EstimatorConfig
 from .grid import build_grid
 from .model import DEFAULT_COVARIATES, covariate_functions
-from .synth import InstrumentSpec, ScenarioConfig
+from .synth import INSTRUMENT_NAMES, InstrumentSpec, ScenarioConfig
 
 
 @dataclass(frozen=True)
@@ -51,27 +51,6 @@ class DataSection:
 
 
 @dataclass(frozen=True)
-class ScenarioSection:
-    T: int = 8
-    beta: tuple[float, ...] = (1.0, 0.5, -0.2)
-    h_diag: float = 0.8
-    u_scale: float = 0.25
-    k0_scale: float = 1.0
-    gamma: float = 0.75
-    tau2: float = 1.0
-    fine_sigma2: float = 0.25
-    fine_v: float = 1.0
-    fine_swath_width: int = 8
-    fine_swath_period: int = 20
-    fine_swath_shift: int = 7
-    fine_drop_rate: float = 0.1
-    coarse_block: int = 4
-    coarse_sigma2: float = 0.04
-    coarse_v: float = 1.0
-    coarse_drop_rate: float = 0.05
-
-
-@dataclass(frozen=True)
 class CVSection:
     methods: tuple[str, ...] = ("dfgp", "lowrank", "localkrige")
     lk_k: int = 100
@@ -88,7 +67,7 @@ class RunConfig:
     basis: BasisSection = field(default_factory=BasisSection)
     data: DataSection = field(default_factory=DataSection)
     estimator: EstimatorConfig = field(default_factory=lambda: EstimatorConfig(max_iter=60))
-    scenario: ScenarioSection = field(default_factory=ScenarioSection)
+    scenario: ScenarioConfig = field(default_factory=ScenarioConfig)
     holdout: HoldoutPlan = field(default_factory=HoldoutPlan)
     cv: CVSection = field(default_factory=CVSection)
 
@@ -126,28 +105,18 @@ class RunConfig:
         return replace(self.estimator, seed=self.seed)
 
     def scenario_config(self) -> ScenarioConfig:
-        """The [scenario] section as a ScenarioConfig.  It is checked here,
-        when ``dfgp simulate`` asks for it, not when the config loads: a fit
-        or smooth config need not describe a scenario its grid admits.  The
-        errors are synth's, which name the fields at fault, under the
-        section and instrument."""
-        s, g = self.scenario, self.grid
-        fine = _instrument("fine", block=1, sigma2_eps=s.fine_sigma2, v_factor=s.fine_v,
-                           swath_width=s.fine_swath_width,
-                           swath_period=s.fine_swath_period,
-                           swath_shift=s.fine_swath_shift, drop_rate=s.fine_drop_rate)
-        coarse = _instrument("coarse", block=s.coarse_block, sigma2_eps=s.coarse_sigma2,
-                             v_factor=s.coarse_v, drop_rate=s.coarse_drop_rate)
+        """The [scenario] section on this config's grid, basis, covariates and
+        seed.  It is checked here, when ``dfgp simulate`` asks for it, not when
+        the config loads: a fit or smooth config need not describe a scenario
+        its grid admits.  An error names the section and the key."""
+        g, b = self.grid, self.basis
+        scenario = replace(self.scenario, seed=self.seed, **dict(zip(_SCENARIO_SHARED, (
+            g.nx, g.ny, g.cell_size, b.counts, b.radius_mult, self.covariates))))
         try:
-            return ScenarioConfig(nx=g.nx, ny=g.ny, cell_size=g.cell_size, T=s.T,
-                                  basis_counts=self.basis.counts,
-                                  radius_mult=self.basis.radius_mult,
-                                  covariates=self.covariates, beta=s.beta,
-                                  h_diag=s.h_diag, u_scale=s.u_scale, k0_scale=s.k0_scale,
-                                  gamma=s.gamma, tau2=s.tau2,
-                                  instruments=(fine, coarse), seed=self.seed)
+            scenario.check()
         except ValueError as exc:
             raise ValueError(f"[scenario] {exc}") from None
+        return scenario
 
     def holdout_plan(self) -> HoldoutPlan:
         return replace(self.holdout, seed=self.seed)
@@ -167,20 +136,33 @@ def _codec(hint):
             lambda v: ",".join(map(repr if item is float else str, v)))
 
 
+# ScenarioConfig fields that other sections set, in scenario_config's order
+_SCENARIO_SHARED = ("nx", "ny", "cell_size", "basis_counts", "radius_mult", "covariates")
+
+
 def _options():
     """(section, key, owner, name, type) for every INI option, in file order.
 
     A RunConfig field holding a dataclass is the section of that name, one key
     per field (owner = the RunConfig field) bar a ``seed`` field, which is
-    [run] seed; ``covariates`` is [covariates] names, the rest are [run].
+    [run] seed, and the ScenarioConfig fields of _SCENARIO_SHARED.  Field f of
+    ``ScenarioConfig.instruments[i]`` is the [scenario] key
+    ``<INSTRUMENT_NAMES[i]>_<f>``, owned by ("scenario", i).  ``covariates`` is
+    [covariates] names, the rest are [run].
     """
     hints = get_type_hints(RunConfig)
     for f in fields(RunConfig):
         hint = hints[f.name]
         if is_dataclass(hint):
             sub = get_type_hints(hint)
+            shared = _SCENARIO_SHARED if hint is ScenarioConfig else ()
             for g in fields(hint):
-                if g.name != "seed":
+                if g.name == "instruments":
+                    spec = get_type_hints(InstrumentSpec)
+                    for i, prefix in enumerate(INSTRUMENT_NAMES):
+                        for h in fields(InstrumentSpec):
+                            yield f.name, f"{prefix}_{h.name}", (f.name, i), h.name, spec[h.name]
+                elif g.name != "seed" and g.name not in shared:
                     yield f.name, g.name, f.name, g.name, sub[g.name]
         elif f.name == "covariates":
             yield "covariates", "names", None, f.name, hint
@@ -218,6 +200,9 @@ def parse_config(text: str) -> RunConfig:
                 raise ValueError(f"[{section}] {key}: {exc}") from None
             (top.setdefault(owner, {}) if owner else top)[name] = value
     default = RunConfig()
+    top.setdefault("scenario", {})["instruments"] = tuple(
+        replace(spec, **top.pop(("scenario", i), {}))
+        for i, spec in enumerate(default.scenario.instruments))
     for name, value in top.items():
         if isinstance(value, dict):
             try:
@@ -237,16 +222,10 @@ def serialize_config(cfg: RunConfig) -> str:
     for section, key, owner, name, hint in _options():
         if not cp.has_section(section):
             cp.add_section(section)
-        value = getattr(getattr(cfg, owner) if owner else cfg, name)
-        cp.set(section, key, _codec(hint)[1](value))
+        obj = (getattr(cfg, owner[0]).instruments[owner[1]] if isinstance(owner, tuple)
+               else getattr(cfg, owner) if owner else cfg)
+        cp.set(section, key, _codec(hint)[1](getattr(obj, name)))
     buf = _io.StringIO()
     cp.write(buf)
     return buf.getvalue()
 
-
-def _instrument(which: str, **fields) -> InstrumentSpec:
-    """The [scenario] section's fine or coarse instrument; an error names it."""
-    try:
-        return InstrumentSpec(**fields)
-    except ValueError as exc:
-        raise ValueError(f"[scenario] {which} instrument: {exc}") from None

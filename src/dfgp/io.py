@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import itertools
+import math
 import os
 import struct
 from pathlib import Path
@@ -215,9 +216,9 @@ def read_mask(path, n_bau: int) -> np.ndarray:
 # truth / latents / predictions / holdouts / metrics / trace
 
 def _write_table(path, header, a: np.ndarray, t0: int) -> None:
-    """One row (t + t0, j, a[t, j]) per entry of a 2-d array."""
+    """One row (t + t0, j, a[t, j]) per entry of a 2-d array, NaN (masked) ones aside."""
     _write_csv(path, header, ([t + t0, j, _fmt(v)] for t, row in enumerate(a.tolist())
-                              for j, v in enumerate(row)))
+                              for j, v in enumerate(row) if not math.isnan(v)))
 
 
 def write_truth(path, y: np.ndarray) -> None:

@@ -429,6 +429,25 @@ class TestConfig:
             "nugget_time_invariant", "hu_blocks", "draws", "sem_average_frac",
             "lowrank_only"]
 
+    def test_scenario_section_is_scenario_config(self):
+        """[scenario] holds the ScenarioConfig fields no other section sets,
+        and fine_<f> / coarse_<f> for each InstrumentSpec field f."""
+        cfg = parse_config(BASE_CONFIG.format(out="x").replace(
+            "coarse_block = 4", "coarse_block = 4\nfine_sigma2_eps = 0.5\n"
+            "coarse_swath_width = 2\ncoarse_swath_period = 8"))
+        scenario = cfg.scenario_config()
+        assert scenario == ScenarioConfig(
+            nx=8, ny=8, T=3, basis_counts=(4,), seed=3, instruments=(
+                InstrumentSpec(1, 0.5, swath_width=0, swath_period=20, swath_shift=7,
+                               drop_rate=0.1),
+                InstrumentSpec(4, 0.04, swath_width=2, swath_period=8, drop_rate=0.05)))
+        assert parse_config("").scenario == ScenarioConfig()
+        spec = [f.name for f in dataclasses.fields(InstrumentSpec)]
+        section = serialize_config(cfg).split("[scenario]\n")[1].split("\n\n")[0]
+        assert [line.split(" = ")[0] for line in section.splitlines()] == [
+            "t", "beta", "h_diag", "u_scale", "k0_scale", "gamma", "tau2",
+            *(f"fine_{f}" for f in spec), *(f"coarse_{f}" for f in spec)]
+
     def test_holdout_section_is_holdout_plan(self):
         cfg = parse_config(BASE_CONFIG.format(out="x"))
         assert cfg.holdout == HoldoutPlan(x0=2.0, x1=5.0, y0=2.0, y1=6.0, t_first=2,
@@ -580,27 +599,69 @@ class TestCLI:
         assert "error: [scenario] T must be >= 1, got 0" in capsys.readouterr().err
         assert not (tmp_path / "observations.csv").exists()
 
-    def test_simulate_refuses_a_mask_that_masks_cells(self, tmp_path, capsys):
+    def test_simulate_fit_smooth_on_a_masked_grid(self, tmp_path):
+        """One masked config drives simulate, fit and smooth: the truth and
+        the predictions cover the valid BAUs only."""
         mask = np.ones((8, 8), dtype=int)
         mask[2, [1, 2]] = mask[5, [4, 6]] = 0
         np.savetxt(tmp_path / "mask.txt", mask, fmt="%d")
-        cfgp = self._variant(tmp_path, "run.ini", tmp_path / "out", "cell_size = 1.0",
+        out = tmp_path / "out"
+        cfgp = self._variant(tmp_path, "run.ini", out, "cell_size = 1.0",
                              "cell_size = 1.0\nmask = mask.txt")
-        assert main(["simulate", "--config", str(cfgp)]) == 1
-        assert ("error: [grid] mask masks 4 of the 64 cells, but simulate draws on the "
-                "full grid") in capsys.readouterr().err
-        assert not (tmp_path / "observations.csv").exists()
+        for cmd in ("simulate", "fit", "smooth"):
+            assert main([cmd, "--config", str(cfgp)]) == 0, cmd
+        valid = np.flatnonzero(mask.ravel()).tolist()
+        for name in ("predictions_smooth.csv", "truth.csv", "latent_xi.csv"):
+            rows = np.loadtxt(out / name, delimiter=",", skiprows=1)
+            assert rows[:, :2].astype(int).tolist() == [[t, b] for t in (1, 2, 3)
+                                                        for b in valid], name
+        listed = [line.split()[2] for line in
+                  (out / "manifest_simulate.txt").read_text().splitlines()[4:]]
+        assert listed[0] == "../mask.txt"
+
+    def test_simulate_draws_on_the_configs_basis_and_origin(self, tmp_path):
+        (tmp_path / "centers.csv").write_text(
+            "center_x,center_y,radius\n2,1002,3\n2,1006,3\n6,1002,3\n6,1006,3\n")
+        out = tmp_path / "out"
+        cfgp = self._variant(tmp_path, "run.ini", out, "cell_size = 1.0",
+                             "cell_size = 1.0\norigin_y = 1000")
+        cfgp.write_text(cfgp.read_text().replace(
+            "counts = 4", "counts = 9\ncenters_csv = centers.csv"))
+        assert main(["simulate", "--config", str(cfgp)]) == 0
+        eta = np.loadtxt(out / "latent_eta.csv", delimiter=",", skiprows=1)
+        assert sorted(set(eta[:, 1].astype(int))) == [0, 1, 2, 3]
+        # the trend 1 + 0.5 y - 0.2 y^2 at y near 1000
+        y = np.loadtxt(out / "truth.csv", delimiter=",", skiprows=1)[:, 2]
+        assert np.abs(y / (-0.2 * 1004.0 ** 2) - 1).max() < 0.01
 
     @pytest.mark.parametrize("old, new, message", [
         ("[basis]", "[covariates]\nnames = 1,y\n\n[basis]",
-         "[scenario] beta has 3 entries but 2 covariates are named"),
+         "[scenario] beta must have one entry per covariate ('1', 'y'), got (1.0, 0.5, -0.2)"),
         ("fine_swath_width = 0", "fine_swath_width = 25\nfine_swath_period = 20",
-         "[scenario] fine instrument: swath_period 20 must exceed swath_width 25"),
+         "[scenario] fine_swath_period must exceed fine_swath_width 25, got 20"),
         ("coarse_block = 4", "coarse_block = 3",
-         "[scenario] block size 3 must tile the 8x8 grid"),
+         "[scenario] coarse_block must be >= 1 and tile the 8x8 grid, got 3"),
         ("fine_drop_rate = 0.1", "fine_drop_rate = 1.5",
-         "[scenario] fine instrument: drop_rate 1.5 must lie in [0, 1)"),
-    ], ids=["beta-vs-covariates", "swath", "coarse-block", "drop-rate"])
+         "[scenario] fine_drop_rate must lie in [0, 1), got 1.5"),
+        ("T = 3", "T = 3\nh_diag = nan", "[scenario] h_diag must be finite, got nan"),
+        ("beta = 1.0,0.5,-0.2", "beta = 1,nan,0",
+         "[scenario] beta must be finite, got (1.0, nan, 0.0)"),
+        ("T = 3", "T = 3\nfine_sigma2_eps = -1",
+         "[scenario] fine_sigma2_eps must be finite and > 0, got -1.0"),
+        ("T = 3", "T = 3\ncoarse_sigma2_eps = 0",
+         "[scenario] coarse_sigma2_eps must be finite and > 0, got 0.0"),
+        ("T = 3", "T = 3\ncoarse_v_factor = 0",
+         "[scenario] coarse_v_factor must be finite and > 0, got 0.0"),
+        ("T = 3", "T = 3\ngamma = 1.5",
+         "[scenario] gamma must lie in [0.0, 0.999999], got 1.5"),
+        ("T = 3", "T = 3\ntau2 = 0", "[scenario] tau2 must be finite and > 0, got 0.0"),
+        ("T = 3", "T = 3\nu_scale = -1",
+         "[scenario] u_scale must be finite and > 0, got -1.0"),
+        ("T = 3", "T = 3\nk0_scale = 0",
+         "[scenario] k0_scale must be finite and > 0, got 0.0"),
+    ], ids=["beta-vs-covariates", "swath", "coarse-block", "drop-rate", "h-diag-nan",
+            "beta-nan", "fine-sigma2-negative", "coarse-sigma2-zero", "coarse-v-zero",
+            "gamma", "tau2", "u-scale", "k0-scale"])
     def test_simulate_names_scenario_keys(self, tmp_path, capsys, old, new, message):
         cfgp = self._variant(tmp_path, "run.ini", tmp_path / "out", old, new)
         load_config(cfgp)   # the scenario is checked by simulate, not at load

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from oracle import build_precision
 
+from dfgp.basis import layout_multires
 from dfgp.dynamics import filter_pass
+from dfgp.grid import build_grid
 from dfgp.synth import (InstrumentSpec, ScenarioConfig, _in_swath, observe,
                         scenario_data, simulate_truth)
 
@@ -17,6 +19,13 @@ def first_bau(obs, rows):
     return obs.fp_indices[obs.fp_indptr[obs.footprint[rows]]]
 
 
+def simulate(cfg, mask=None):
+    """The truth of a scenario on its grid, with the given mask, and its basis."""
+    grid = build_grid(cfg.nx, cfg.ny, cfg.cell_size, mask=mask)
+    basis = layout_multires(grid.bbox, list(cfg.basis_counts), cfg.radius_mult)
+    return simulate_truth(cfg, grid, basis)
+
+
 def small_config(**kw):
     base = dict(nx=8, ny=8, T=3, basis_counts=(4,), seed=0,
                 instruments=(InstrumentSpec(1, 0.25, drop_rate=0.1),
@@ -28,20 +37,20 @@ def small_config(**kw):
 class TestSimulateTruth:
     def test_degenerate_noise_gives_pure_trend(self):
         cfg = small_config(u_scale=1e-18, k0_scale=1e-18, tau2=1e-18, gamma=0.0)
-        truth = simulate_truth(cfg)
+        truth = simulate(cfg)
         trend = truth.X_bau @ np.asarray(cfg.beta)
         for t in range(cfg.T):
             assert np.abs(truth.y[t] - trend).max() < 1e-6
 
     def test_identity_propagation_freezes_state(self):
         cfg = small_config(h_diag=1.0, u_scale=1e-18)
-        truth = simulate_truth(cfg)
+        truth = simulate(cfg)
         for t in range(1, cfg.T + 1):
             assert np.allclose(truth.eta[t], truth.eta[0], atol=1e-6)
 
     def test_deterministic(self):
         cfg = small_config()
-        a, b = simulate_truth(cfg), simulate_truth(cfg)
+        a, b = simulate(cfg), simulate(cfg)
         assert np.array_equal(a.y, b.y)
         assert np.array_equal(a.xi, b.xi)
 
@@ -53,9 +62,9 @@ class TestSimulateTruth:
                                           InstrumentSpec(4, 0.1)))
         reps = 1000
         draws = np.stack([
-            simulate_truth(ScenarioConfig(**{**cfg.__dict__, "seed": s})).xi[0]
+            simulate(ScenarioConfig(**{**cfg.__dict__, "seed": s})).xi[0]
             for s in range(reps)])
-        truth = simulate_truth(cfg)
+        truth = simulate(cfg)
         q = build_precision(truth.structure, truth.params.car[0]).toarray()
         target = np.diag(np.linalg.inv(q))
         emp = draws.var(axis=0)
@@ -69,7 +78,7 @@ class TestObserve:
                            beta=(3.0, 0.0, 0.0),
                            instruments=(InstrumentSpec(1, 1e-18),
                                         InstrumentSpec(4, 1e-18)))
-        truth = simulate_truth(cfg)
+        truth = simulate(cfg)
         obs = observe(truth)
         z = obs.value[records(obs, 1, 2)]
         assert z.size and np.abs(z - 3.0).max() <= 1e-6
@@ -90,7 +99,7 @@ class TestObserve:
                                           InstrumentSpec(2, 0.05)))
         zs = []
         for s in range(120):
-            truth = simulate_truth(ScenarioConfig(**{**cfg.__dict__, "seed": s}))
+            truth = simulate(ScenarioConfig(**{**cfg.__dict__, "seed": s}))
             obs = observe(truth)
             zs.extend(obs.value[records(obs, 1, 1)])
         assert len(zs) >= 10000
@@ -100,7 +109,7 @@ class TestObserve:
         cfg = ScenarioConfig(nx=20, ny=20, T=8, basis_counts=(1,), seed=5,
                              instruments=(InstrumentSpec(1, 0.2, drop_rate=0.3),
                                           InstrumentSpec(4, 0.04)))
-        truth = simulate_truth(cfg)
+        truth = simulate(cfg)
         obs = observe(truth)
         n_total = 400 * 8
         kept = int((obs.instrument == 1).sum())
@@ -114,7 +123,7 @@ class TestObserve:
                                                          swath_period=12,
                                                          swath_shift=3),
                                           InstrumentSpec(2, 0.1)))
-        truth = simulate_truth(cfg)
+        truth = simulate(cfg)
         obs = observe(truth)
         # at t=1 the band covers columns 0..3
         cols_t1 = set((first_bau(obs, records(obs, 1, 1)) % 12).tolist())
@@ -126,10 +135,51 @@ class TestObserve:
     def test_no_missingness_fine_emits_all_cells(self):
         cfg = small_config(instruments=(InstrumentSpec(1, 0.2),
                                         InstrumentSpec(4, 0.04)))
-        truth = simulate_truth(cfg)
+        truth = simulate(cfg)
         obs = observe(truth)
         for t in range(1, cfg.T + 1):
             assert records(obs, t, 1).size == 64
+
+
+class TestMaskedGrid:
+    def test_truth_and_footprints_cover_valid_baus_only(self):
+        """A coarse tile keeps its valid cells, and one without any is never
+        observed; the fine instrument observes valid cells only."""
+        cfg = small_config(instruments=(InstrumentSpec(1, 1e-18), InstrumentSpec(4, 1e-18)))
+        mask = np.ones((8, 8), dtype=bool)
+        mask[:4, :4] = False
+        mask[5, 6] = False
+        truth = simulate(cfg, mask.ravel())
+        grid, valid = truth.grid, mask.ravel()
+        for field in (truth.y, truth.xi):
+            assert np.isnan(field[:, ~valid]).all() and np.isfinite(field[:, valid]).all()
+        obs = observe(truth)
+        assert grid.is_valid(obs.fp_indices).all()
+        for t in range(1, cfg.T + 1):
+            assert sorted(first_bau(obs, records(obs, t, 1)).tolist()) == \
+                np.flatnonzero(valid).tolist()
+            rows = records(obs, t, 2)
+            assert sorted(first_bau(obs, rows).tolist()) == [4, 32, 36]
+            for i in rows:
+                f = obs.footprint[i]
+                cover = obs.fp_indices[obs.fp_indptr[f]:obs.fp_indptr[f + 1]]
+                assert cover.size == (15 if cover[0] == 36 else 16)   # 36's tile lost 46
+                assert obs.value[i] == pytest.approx(truth.y[t - 1, cover].mean(), abs=1e-6)
+
+    def test_bad_instrument_value_names_its_key(self):
+        cfg = small_config(instruments=(InstrumentSpec(1, 0.2), InstrumentSpec(3, 0.04)))
+        with pytest.raises(ValueError, match=r"^coarse_block must be >= 1 and tile "
+                                             r"the 8x8 grid, got 3$"):
+            simulate(cfg)
+        cfg = small_config(instruments=(InstrumentSpec(1, 0.2), InstrumentSpec(4, 0.04),
+                                        InstrumentSpec(1, 0.1, drop_rate=1)))
+        with pytest.raises(ValueError, match=r"^instrument3_drop_rate must lie in \[0, 1\)"):
+            simulate(cfg)
+
+    def test_grid_of_another_shape_refused(self):
+        cfg = small_config()
+        with pytest.raises(ValueError, match="the grid is 8x4, the scenario 8x8"):
+            simulate_truth(cfg, build_grid(8, 4, 1.0), simulate(cfg).basis)
 
 
 class TestObserveReference:
@@ -141,7 +191,7 @@ class TestObserveReference:
             InstrumentSpec(1, 0.25, swath_width=3, swath_period=7, swath_shift=2,
                            drop_rate=0.2),
             InstrumentSpec(4, 0.04, v_factor=2.0, drop_rate=0.3)))
-        truth = simulate_truth(cfg)
+        truth = simulate(cfg)
         obs = observe(truth)
         rng = np.random.default_rng([cfg.seed, 1])
         flat = np.arange(cfg.nx * cfg.ny).reshape(cfg.ny, cfg.nx)
@@ -151,7 +201,7 @@ class TestObserveReference:
                 b = spec.block
                 corners = [(i0, j0) for i0 in range(0, cfg.ny, b) for j0 in range(0, cfg.nx, b)]
                 cols = np.array([j0 + (b - 1) / 2.0 for _i0, j0 in corners])
-                keep = ~_in_swath(cols, spec, t, cfg.nx)
+                keep = ~_in_swath(cols, spec, t)
                 keep &= rng.uniform(size=len(corners)) >= spec.drop_rate
                 noise = rng.standard_normal(int(keep.sum()))
                 expect = []

@@ -19,8 +19,8 @@ scenarios (``bench/workloads.py`` next to this file, read, not changed):
   into a subdirectory, whose predictions and trace are compared, and
   ``dfgp cv`` of dfgp and lowrank (CV_ITERS iterations) under each protocol,
   whose metrics and holdout CSVs are compared on their numeric columns;
-* that scenario with a 16 x 16 block of cells masked (``_masked_data``), so
-  that D - gamma E takes the sparse factorization rather than the closed
+* that scenario simulated on its grid with a 16 x 16 block of cells masked,
+  so that D - gamma E takes the sparse factorization rather than the closed
   form of a full grid: filter, smoother and predictions at every valid BAU,
   and one SEM iteration from ``init_params``;
 * sem-10k: its SEM iterations from ``init_params``.
@@ -71,29 +71,6 @@ def _sweep(out: dict, prefix: str, dynamics, data, params, pred: np.ndarray) -> 
         out[f"{prefix}/predict_{name}/stderr"] = np.stack([f.stderr for f in fields])
 
 
-def _masked_data(truth, obs, car, grid, model):
-    """A scenario's data on its grid with a 16 x 16 block of cells masked.
-    The CAR draw is made on the masked graph, and the records whose
-    footprints miss the block observe the new truth; the trend, the basis
-    draw and the footprints are the scenario's own."""
-    p, nx, T = truth.params, truth.grid.nx, truth.config.T
-    mask = np.ones((nx, nx), dtype=bool)
-    mask[24:40, 24:40] = False
-    masked = grid.build_grid(nx, nx, 1.0, mask=mask.ravel())
-    structure = car.build_adjacency(masked)
-    rng = np.random.default_rng(SEED)
-    y = np.stack([truth.X_bau @ p.beta[t] + truth.S_bau @ truth.eta[t + 1] for t in range(T)])
-    y[:, structure.valid_idx] += car.sample_car(structure, p.car[0], rng, size=T)
-    fp = obs.footprint_matrix(truth.grid)
-    hits_mask = np.asarray(fp[:, ~mask.ravel()].sum(axis=1)).ravel() > 0
-    t, k = obs.time - 1, obs.instrument - 1
-    value = (np.asarray(fp[obs.footprint].multiply(y[t]).sum(axis=1)).ravel()
-             + np.sqrt(p.sigma2_eps[t, k] * obs.var_factor) * rng.standard_normal(obs.n_obs))
-    obs = dataclasses.replace(obs, value=value).subset(~hits_mask[obs.footprint])
-    return model.assemble(obs, masked, truth.basis, structure, covariates=truth.config.covariates,
-                          design=(truth.X_bau, truth.S_bau)), p
-
-
 def _csv_numbers(path: Path) -> np.ndarray:
     """The columns of a CSV whose every entry is a number, as (1, rows, cols)."""
     with open(path, newline="") as f:
@@ -110,7 +87,7 @@ def _csv_numbers(path: Path) -> np.ndarray:
 def _worker(src: str, dest: str) -> None:
     sys.path[:0] = [src, str(BENCH)]
     import workloads
-    from dfgp import car, cli, dynamics, estimate, grid, model, synth
+    from dfgp import cli, dynamics, estimate, grid, model, synth
 
     if not Path(dynamics.__file__).resolve().is_relative_to(Path(src).resolve()):
         sys.exit(f"dfgp imported from {dynamics.__file__}, not from {src}")
@@ -123,7 +100,7 @@ def _worker(src: str, dest: str) -> None:
     del truth, data
 
     w = W["cli-smooth-4k"]
-    truth, obs, data = synth.scenario_data(workloads._scenario(w.nx, w.counts, w.T, SEED))
+    truth, _obs, data = synth.scenario_data(workloads._scenario(w.nx, w.counts, w.T, SEED))
     _sweep(out, f"{w.nx}x{w.nx}", dynamics, data, truth.params, data.structure.valid_idx)
     start = estimate.init_params(data)
     exact = estimate.EstimatorConfig(mode="exact", seed=SEED)
@@ -131,13 +108,18 @@ def _worker(src: str, dest: str) -> None:
     for f in dataclasses.fields(stats):
         out[f"{w.nx}x{w.nx}/exact_em/{f.name}"] = np.asarray(getattr(stats, f.name))[None]
     out[f"{w.nx}x{w.nx}/exact_em/params"] = estimate.m_step(stats, data, start, exact).flat()[None]
-    data, params = _masked_data(truth, obs, car, grid, model)
-    _sweep(out, "masked", dynamics, data, params, data.structure.valid_idx)
+    mask = np.ones((w.nx, w.nx), dtype=bool)
+    mask[24:40, 24:40] = False
+    truth = synth.simulate_truth(truth.config, grid.build_grid(w.nx, w.nx, 1.0, mask=mask.ravel()),
+                                 truth.basis)
+    data = model.assemble(synth.observe(truth), truth.grid, truth.basis, truth.structure,
+                          covariates=truth.config.covariates, design=(truth.X_bau, truth.S_bau))
+    _sweep(out, "masked", dynamics, data, truth.params, data.structure.valid_idx)
     fit = estimate.run_estimator(
         data, estimate.EstimatorConfig(mode="sem", max_iter=1, seed=SEED))
     out["masked/sem/trace"] = fit.trace[:, None]
     out["masked/sem/params"] = fit.params.flat()[None]
-    del truth, obs, data
+    del truth, data
     with tempfile.TemporaryDirectory() as tmp:
         run = Path(tmp) / "run"
         w.setup(SEED, run)
