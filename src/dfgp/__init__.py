@@ -13,8 +13,7 @@ from .car import CARParams, CARStructure, build_adjacency, sample_car, sparse_fa
 from .cv import HoldoutPlan, run_cv, split_holdout
 from .dynamics import (FilterResult, PredictionField, SmootherResult,
                        StatePosterior, filter_pass, filter_step, forecast_step,
-                       predict_filter, predict_from_posterior, predict_smooth,
-                       smoother_pass)
+                       predict_filter, predict_smooth, smoother_pass)
 from .estimate import (EstimationResult, EstimatorConfig, SufficientStats,
                        conditional_simulate, e_step, fit_filtering_sequence,
                        init_params, m_step, run_estimator)

@@ -181,9 +181,9 @@ def cmd_filter(cfg: RunConfig, out: Path, base: Path, files: Files) -> None:
 
 
 def cmd_smooth(cfg: RunConfig, out: Path, base: Path, files: Files) -> None:
-    data = _load_data(cfg, base, files)
     if cfg.protocol != "smoothing":
         raise ValueError("smooth requires protocol = smoothing")
+    data = _load_data(cfg, base, files)
     params = _load_or_fit_params(cfg, data, out, base, files)[data.T]
     pred = data.structure.valid_idx
     filt = filter_pass(data, params, pred_bau=pred, want_variance=True)

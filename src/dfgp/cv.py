@@ -223,7 +223,8 @@ def run_cv(obs: Observations, grid: BAUGrid, basis, structure, plan: HoldoutPlan
         raise ValueError(f"the holdout plan selects records at times "
                          f"{','.join(map(str, held))} only, but protocol = {protocol} "
                          f"scores {scored}")
-    data = assemble(train, grid, basis, structure, covariates=covariates)
+    data = (assemble(train, grid, basis, structure, covariates=covariates)
+            if set(methods) != {"localkrige"} else None)
     result = CVResult(holdout=holdout)
     for method in methods:
         if method == "localkrige":

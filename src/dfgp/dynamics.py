@@ -10,17 +10,20 @@ and every application of D uses the Woodbury identity
 
     D = V^{-1} - V^{-1} B F^{-1} B' V^{-1},      F = Q + B' V^{-1} B,
 
-so the only large factorization per step is the sparse SPD matrix F.  The
-same factor gives the fine-scale posterior at no extra factorization cost:
-given eta_t and Z_t, xi_t ~ N(delta0 - psi eta_t, F^{-1}) with
+so the only large factorization per step is that of the sparse SPD matrix
+F, built by ``fine_factor`` (which exact EM's E-step calls too).  The same
+factor gives the fine-scale posterior at no extra factorization cost: given
+eta_t and Z_t, xi_t ~ N(delta0 - psi eta_t, F^{-1}) with
     delta0 = F^{-1} B' V^{-1} (z - X beta),      psi = F^{-1} B' V^{-1} S,
 which depend on no state.  Each step stores them at the tracked nodes, so
 the smoother moves (eta, P) alone and the predictors read E[xi] and var(xi)
 from (eta, P).  No dense N x N or n x n matrix is ever formed.
 
 So each step splits into a sparse stage that reads no state and an r x r
-recursion.  With y0 = z - X beta, the stage maps (theta_t, the slice, the
-tracked nodes) to
+recursion.  The stage (``_SparseStage``, built only by ``filter_pass``) is
+the single carrier of a step, and ``filter_step(eta_pred, P_pred, stage)``
+finishes it and runs the recursion.  With y0 = z - X beta, the stage maps
+(theta_t, the slice, the tracked nodes) to
 
     ln|D^{-1}| = ln|F| - ln|Q| + ln|V|,   S'DS,   S'D y0,   y0'D y0,
     delta0 and psi at the tracked nodes,  fine_var = diag F^{-1} there,
@@ -84,8 +87,8 @@ LOOKAHEAD_MAX_NNZ = 2_000_000
 
 __all__ = [
     "StatePosterior", "FilterResult", "SmootherResult", "PredictionField",
-    "forecast_step", "fine_precision", "filter_step", "filter_pass", "smoother_pass",
-    "predict_filter", "predict_smooth", "predict_from_posterior",
+    "forecast_step", "fine_factor", "filter_step", "filter_pass", "smoother_pass",
+    "predict_filter", "predict_smooth",
 ]
 
 
@@ -189,7 +192,7 @@ def forecast_step(eta: np.ndarray, P: np.ndarray, H: np.ndarray,
 
 def filter_pass(data: ModelData, params: DFGPParams, *,
                 pred_bau: np.ndarray | None = None,
-                extra_obs: list[np.ndarray | None] | None = None,
+                extra_obs: list[np.ndarray] | None = None,
                 want_variance: bool = False) -> FilterResult:
     """Forward filtering sweep over t = 1..params.u.
 
@@ -197,12 +200,15 @@ def filter_pass(data: ModelData, params: DFGPParams, *,
         fine_var) is tracked; None disables tracking,
         data.structure.valid_idx tracks every BAU.
     extra_obs: optional per-time arrays (n_t, k-1) of additional observation
-        columns sharing the design of the real data.
+        columns sharing the design of the real data, (0, k-1) at a step
+        without records.
     want_variance: also compute fine_var (per step, one sparse solve per
         prediction BAU for small sets, else one selected inversion of the
         factor; see ``SparseFactor.solve_selected_diag``).
 
-    A step's sparse stage reads no state.  While the last step's factor of
+    Each step is a ``_SparseStage`` built here, the single carrier of its
+    theta_t, slice and outputs, run as ``filter_step(eta_pred, P_pred,
+    stage)``.  The stage reads no state, so while the last step's factor of
     F held at most LOOKAHEAD_MAX_NNZ entries, the next step's F is factored
     on this thread while this step's solves run on the solve pool.
     """
@@ -214,8 +220,7 @@ def filter_pass(data: ModelData, params: DFGPParams, *,
         pred_nodes = np.zeros(0, dtype=np.int64)
     else:
         pred_nodes = data.node_index(np.asarray(pred_bau, dtype=np.int64))
-    n_rhs = 1 + (0 if extra_obs is None else
-                 next((e.shape[1] for e in extra_obs if e is not None), 0))
+    n_rhs = 1 + (0 if extra_obs is None else extra_obs[0].shape[1])
     # every step's psi and delta0 in one block each: the states keep them
     # all, and one allocation keeps them out of the heap that the per-step
     # factors reuse
@@ -223,9 +228,7 @@ def filter_pass(data: ModelData, params: DFGPParams, *,
     delta0 = np.zeros((u, pred_nodes.size, n_rhs))
 
     def stage(t: int) -> _SparseStage:
-        return _SparseStage(data.slices[t - 1], params.car[t - 1] if params.car else None,
-                            data.structure, params.sigma2_eps[t - 1], params.beta[t - 1],
-                            None if extra_obs is None else extra_obs[t - 1],
+        return _SparseStage(data, params, t, None if extra_obs is None else extra_obs[t - 1],
                             pred_nodes, psi[t - 1], delta0[t - 1], want_variance)
 
     eta = np.zeros((r, n_rhs))
@@ -241,25 +244,27 @@ def filter_pass(data: ModelData, params: DFGPParams, *,
             this.start()
             ahead = stage(t + 1)
             ahead.prepare()
-        st = filter_step(eta_pred, P_pred, this.slc, this.car, data.structure,
-                         this.sigma2_row, this.beta_t, pred_nodes=pred_nodes,
-                         extra=this.extra, want_variance=want_variance, stage=this)
+        st = filter_step(eta_pred, P_pred, this)
         last_nnz = this.factor_nnz
         states.append(st)
         eta, P = st.eta, st.P
     return FilterResult(states=states, pred_nodes=pred_nodes)
 
 
-def fine_precision(structure, car: CARParams, slc: AssembledTimeSlice,
-                   sigma2_row: np.ndarray) -> sp.csc_matrix:
-    """F_t = (D - gamma E)/tau2 + B' V_t^{-1} B, the precision of xi_t | eta_t, Z_t."""
+def fine_factor(structure, car: CARParams, slc: AssembledTimeSlice,
+                sigma2_row: np.ndarray) -> SparseFactor:
+    """The factor of F_t = (D - gamma E)/tau2 + B' V_t^{-1} B, the precision
+    of xi_t | eta_t, Z_t; a non-SPD F_t is a NumericalError at this step."""
     vinv = 1.0 / slc.v_diag(sigma2_row)
-    return (structure.base_precision(car.gamma) / car.tau2
-            + slc.B.T @ sp.diags(vinv) @ slc.B).tocsc()
+    try:
+        return sparse_factorize((structure.base_precision(car.gamma) / car.tau2
+                                 + slc.B.T @ sp.diags(vinv) @ slc.B).tocsc())
+    except FactorizationError as exc:
+        raise NumericalError(str(exc), time_index=slc.time_index) from exc
 
 
 class _SparseStage:
-    """The state-free part of one filter step (see the module docstring).
+    """The state-free part of step t of a filter pass (see the module docstring).
 
     It runs in three parts, so that filter_pass can factor the next step's F
     while this step's solves run: ``prepare`` (the products with V^{-1} and
@@ -272,12 +277,13 @@ class _SparseStage:
     nodes (filled in place), ``fine_var`` and ``factor_nnz``.
     """
 
-    def __init__(self, slc: AssembledTimeSlice, car: CARParams | None, structure,
-                 sigma2_row: np.ndarray, beta_t: np.ndarray, extra: np.ndarray | None,
+    def __init__(self, data: ModelData, params: DFGPParams, t: int, extra: np.ndarray | None,
                  pred_nodes: np.ndarray, psi: np.ndarray, delta0: np.ndarray,
                  want_variance: bool):
-        self.slc, self.car, self.structure = slc, car, structure
-        self.sigma2_row, self.beta_t, self.extra = sigma2_row, beta_t, extra
+        self.slc, self.structure = data.slices[t - 1], data.structure
+        self.car = params.car[t - 1] if params.car else None
+        self.sigma2_row, self.beta_t = params.sigma2_eps[t - 1], params.beta[t - 1]
+        self.extra = extra
         self.pred_nodes, self.psi, self.delta0 = pred_nodes, psi, delta0
         self.want_variance = want_variance
         self.fine_var = np.zeros(pred_nodes.size) if want_variance else None
@@ -302,11 +308,7 @@ class _SparseStage:
         self.ydy = (y0 * vy).sum(axis=0)
         self.ln_dinv = float(np.log(v).sum())
         if car is not None:
-            try:
-                self.factor = sparse_factorize(
-                    fine_precision(self.structure, car, slc, sigma2_row))
-            except FactorizationError as exc:
-                raise NumericalError(str(exc), time_index=slc.time_index) from exc
+            self.factor = fine_factor(self.structure, car, slc, sigma2_row)
             self.bvy = slc.B.T @ vy                                    # B' V^{-1} y0
             self.ln_dinv += self.factor.logdet() - self.structure.precision_logdet(car)
             self.factor_nnz = self.factor.nnz
@@ -357,26 +359,18 @@ class _SparseStage:
 
 
 def filter_step(eta_pred: np.ndarray, P_pred: np.ndarray,
-                slc: AssembledTimeSlice, car: CARParams | None, structure,
-                sigma2_row: np.ndarray, beta_t: np.ndarray, *,
-                pred_nodes: np.ndarray, extra: np.ndarray | None,
-                want_variance: bool, stage: _SparseStage | None = None) -> StatePosterior:
-    """One measurement update from forecast moments to filtered moments: the
-    step's sparse stage, then the r x r recursion.
+                stage: _SparseStage) -> StatePosterior:
+    """One measurement update from forecast moments to filtered moments:
+    finish the step's sparse stage, then run the r x r recursion.
 
-    eta_pred has one column for the data and one per column of ``extra``.
-    With no observations the filtered moments equal the forecast and the
-    fine-scale posterior reverts to its prior.  All D-applications factor
-    through the sparse SPD matrix F = Q + B' V^{-1} B.  ``car`` None means
-    there is no fine-scale component (the fixed-rank model): D = V^{-1}.
-    ``stage`` is this step's sparse stage when filter_pass has begun it.
+    eta_pred has one column for the data and one per column of the stage's
+    ``extra``.  With no observations the filtered moments equal the forecast
+    and the fine-scale posterior reverts to its prior.  All D-applications
+    factor through the sparse SPD matrix F = Q + B' V^{-1} B; without a CAR
+    block (the fixed-rank model) D = V^{-1}.
     """
-    t = slc.time_index
-    r, n_rhs = eta_pred.shape
-    if stage is None:
-        m = pred_nodes.size
-        stage = _SparseStage(slc, car, structure, sigma2_row, beta_t, extra, pred_nodes,
-                             np.zeros((m, r)), np.zeros((m, n_rhs)), want_variance)
+    slc = stage.slc
+    t, n_rhs = slc.time_index, eta_pred.shape[1]
     stage.finish()
     if slc.n_obs == 0:
         return StatePosterior(
@@ -422,14 +416,20 @@ def smoother_pass(filt: FilterResult, params: DFGPParams) -> SmootherResult:
     return SmootherResult(states=out, eta0=eta0, P0=P0, pred_nodes=filt.pred_nodes)
 
 
-def predict_from_posterior(post: StatePosterior, Xp: np.ndarray, Sp: np.ndarray,
-                           beta_t: np.ndarray, bau_indices: np.ndarray) -> PredictionField:
-    """Field mean and standard error from one time's posterior moments
-    (column 0, the real data): Y - X beta - delta0 = (S - psi) eta + e with
+def _predict(result: FilterResult | SmootherResult, data: ModelData, params: DFGPParams,
+             t: int, pred_bau: np.ndarray) -> PredictionField:
+    """Field mean and standard error from time t's posterior moments (column
+    0, the real data): Y - X beta - delta0 = (S - psi) eta + e with
     e ~ N(0, diag fine_var) independent of eta, so var(Y) is a PSD form in P
     plus a diagonal."""
+    nodes = data.node_index(np.asarray(pred_bau, dtype=np.int64))
+    if not np.array_equal(nodes, result.pred_nodes):
+        raise ValueError("pred_bau differs from the prediction set tracked "
+                         "during the filter pass")
+    Xp, Sp = data.design_at(pred_bau)
+    post = result.states[t - 1]
     G = Sp - post.psi
-    mean = Xp @ beta_t + G @ post.eta[:, 0] + post.delta0[:, 0]
+    mean = Xp @ params.beta[t - 1] + G @ post.eta[:, 0] + post.delta0[:, 0]
     var = _row_quad(G, post.P)
     if post.fine_var is not None:
         var = var + post.fine_var
@@ -441,18 +441,8 @@ def predict_from_posterior(post: StatePosterior, Xp: np.ndarray, Sp: np.ndarray,
     if (var < 0).any():
         warnings.warn("clamping tiny negative prediction variances to zero")
         var = np.maximum(var, 0.0)
-    return PredictionField(time_index=post.time_index, bau_indices=bau_indices,
+    return PredictionField(time_index=post.time_index, bau_indices=pred_bau,
                            mean=mean, stderr=np.sqrt(var))
-
-
-def _predict(result: FilterResult | SmootherResult, data: ModelData, params: DFGPParams,
-             t: int, pred_bau: np.ndarray) -> PredictionField:
-    nodes = data.node_index(np.asarray(pred_bau, dtype=np.int64))
-    if not np.array_equal(nodes, result.pred_nodes):
-        raise ValueError("pred_bau differs from the prediction set tracked "
-                         "during the filter pass")
-    Xp, Sp = data.design_at(pred_bau)
-    return predict_from_posterior(result.states[t - 1], Xp, Sp, params.beta[t - 1], pred_bau)
 
 
 def predict_filter(filt: FilterResult, data: ModelData, params: DFGPParams,

@@ -24,9 +24,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .car import (GAMMA_MAX, CARParams, KroneckerSumFactor, SparseFactor, sample_car,
-                  sparse_factorize)
-from .dynamics import _row_quad, filter_pass, fine_precision, smoother_pass
+from .car import GAMMA_MAX, CARParams, KroneckerSumFactor, SparseFactor, sample_car
+from .dynamics import _row_quad, filter_pass, fine_factor, smoother_pass
 from .exceptions import InvalidParameterError
 from .model import DFGPParams, ModelData, as_dense, sym
 
@@ -128,7 +127,7 @@ def conditional_simulate(data: ModelData, params: DFGPParams,
     eta_star = np.zeros((u + 1, r, ndraws))
     eta_star[0] = np.linalg.cholesky(params.K0) @ rng.standard_normal((r, ndraws))
     xi_star = np.zeros((u, nv, ndraws))
-    z_star: list[np.ndarray | None] = []
+    z_star: list[np.ndarray] = []
     gammas = [c.gamma for c in params.car[:u]]
     # D - gamma E, kept while a later step shares gamma
     factors: dict[float, SparseFactor | KroneckerSumFactor] = {}
@@ -141,10 +140,7 @@ def conditional_simulate(data: ModelData, params: DFGPParams,
         factor = factors[g] if g in gammas[t:] else factors.pop(g)
         xi_star[t - 1] = sample_car(data.structure, params.car[t - 1], rng, size=ndraws,
                                     factor=factor).reshape(ndraws, nv).T
-        slc = data.slices[t - 1]
-        if slc.n_obs == 0:
-            z_star.append(None)
-            continue
+        slc = data.slices[t - 1]         # a step without records gives (0, ndraws)
         eps = (np.sqrt(slc.v_diag(params.sigma2_eps[t - 1]))[:, None]
                * rng.standard_normal((slc.n_obs, ndraws)))
         z_star.append((slc.X @ params.beta[t - 1])[:, None]
@@ -178,58 +174,50 @@ def _eta_stats_from_smoother(sm, u: int, r: int) -> tuple[np.ndarray, np.ndarray
 def e_step(data: ModelData, params: DFGPParams, config: EstimatorConfig,
            rng: np.random.Generator) -> SufficientStats:
     """E-step summaries plus the -2 log-likelihood, from one filter/smoother
-    sweep.  Exact mode uses Cov(xi_t | Z) = Z_t + psi_t P_{t|u} psi_t', with
-    Z_t = F_t^{-1} on pattern(F_t).  The fixed-rank model has no xi to draw,
-    so it takes the exact branch in both modes and tracks no node."""
+    sweep.  SEM averages over conditional draws of xi; exact mode uses
+    Cov(xi_t | Z) = Z_t + psi_t P_{t|u} psi_t', with Z_t = F_t^{-1} on
+    pattern(F_t).  The fixed-rank model has no xi to draw, so it takes the
+    exact branch in both modes and tracks no node."""
     u = params.u
     r, nv = params.r, data.structure.n
     deg = data.structure.degrees
     adj = data.structure.adjacency
     xi_mean, xi_qd, xi_qa = np.zeros((u, nv)), np.zeros(u), np.zeros(u)
     meas_trace = np.zeros((u, params.n_instruments))
-    if config.mode == "exact" or not params.car:
-        filt = filter_pass(data, params, pred_bau=data.structure.valid_idx if params.car else None)
-        sm = smoother_pass(filt, params)
-        for t in range(1, u + 1):
-            slc, st = data.slices[t - 1], sm.states[t - 1]
-            if not params.car:
-                quad_rows = _row_quad(as_dense(slc.S), st.P)
-            else:
-                # E's pattern, which E[xi' E xi] reads, drops out of F_t at gamma = 0
-                if params.car[t - 1].gamma == 0:
-                    raise InvalidParameterError("exact EM needs gamma > 0 at every time step")
-                Z = sparse_factorize(fine_precision(
-                    data.structure, params.car[t - 1], slc,
-                    params.sigma2_eps[t - 1])).selected_inverse()
-                m, psi, P = st.delta[:, 0], st.psi, st.P
-                xi_mean[t - 1] = m
-                xi_qd[t - 1] = m @ (deg * m) + deg @ (Z.diagonal() + _row_quad(psi, P))
-                xi_qa[t - 1] = (m @ (adj @ m) + adj.multiply(Z).sum()
-                                + float((P * (psi.T @ (adj @ psi))).sum()))
-                # rows of Cov(S eta + B xi) = (S - B psi) P (S - B psi)' + B F^{-1} B'
-                quad_rows = (_row_quad(as_dense(slc.S) - slc.B @ psi, P)
-                             + np.asarray((slc.B @ Z).multiply(slc.B).sum(axis=1)).ravel())
-            for k, rows in slc.instrument_rows.items():
-                meas_trace[t - 1, k - 1] = float(
-                    (quad_rows[rows] / slc.v_factors[rows]).sum())
-    else:
-        # SEM: fine-scale expectations from conditional draws
+    sem = config.mode == "sem" and bool(params.car)
+    if sem:
         _eta_draws, xi_draws, (filt, sm) = conditional_simulate(
             data, params, rng, ndraws=config.draws)
-        xi_mean = xi_draws.mean(axis=0)
-        xi_qd = np.array([np.mean([x @ (deg * x) for x in xi_draws[:, t]])
-                          for t in range(u)])
-        xi_qa = np.array([np.mean([x @ (adj @ x) for x in xi_draws[:, t]])
-                          for t in range(u)])
-        if config.draws > 1:
-            for t in range(1, u + 1):
-                slc = data.slices[t - 1]
-                if slc.n_obs == 0:
-                    continue
-                spread = slc.B @ (xi_draws[:, t - 1] - xi_mean[t - 1]).T  # (n, ndraws)
-                for k, rows in slc.instrument_rows.items():
-                    meas_trace[t - 1, k - 1] = float(
-                        (spread[rows] ** 2 / slc.v_factors[rows, None]).sum()) / config.draws
+    else:
+        filt = filter_pass(data, params, pred_bau=data.structure.valid_idx if params.car else None)
+        sm = smoother_pass(filt, params)
+    for t in range(1, u + 1):
+        slc, st = data.slices[t - 1], sm.states[t - 1]
+        if sem:
+            draws = xi_draws[:, t - 1]
+            xi_mean[t - 1] = m = draws.mean(axis=0)
+            xi_qd[t - 1] = np.mean([x @ (deg * x) for x in draws])
+            xi_qa[t - 1] = np.mean([x @ (adj @ x) for x in draws])
+            # rows of the draws' spread of B xi about their mean (0 for one draw)
+            quad_rows = ((slc.B @ (draws - m).T) ** 2).mean(axis=1)
+        elif not params.car:
+            quad_rows = _row_quad(as_dense(slc.S), st.P)
+        else:
+            # E's pattern, which E[xi' E xi] reads, drops out of F_t at gamma = 0
+            if params.car[t - 1].gamma == 0:
+                raise InvalidParameterError("exact EM needs gamma > 0 at every time step")
+            Z = fine_factor(data.structure, params.car[t - 1], slc,
+                            params.sigma2_eps[t - 1]).selected_inverse()
+            m, psi, P = st.delta[:, 0], st.psi, st.P
+            xi_mean[t - 1] = m
+            xi_qd[t - 1] = m @ (deg * m) + deg @ (Z.diagonal() + _row_quad(psi, P))
+            xi_qa[t - 1] = (m @ (adj @ m) + adj.multiply(Z).sum()
+                            + float((P * (psi.T @ (adj @ psi))).sum()))
+            # rows of Cov(S eta + B xi) = (S - B psi) P (S - B psi)' + B F^{-1} B'
+            quad_rows = (_row_quad(as_dense(slc.S) - slc.B @ psi, P)
+                         + np.asarray((slc.B @ Z).multiply(slc.B).sum(axis=1)).ravel())
+        for k, rows in slc.instrument_rows.items():
+            meas_trace[t - 1, k - 1] = float((quad_rows[rows] / slc.v_factors[rows]).sum())
     eta_mean, K, L = _eta_stats_from_smoother(sm, u, r)
     return SufficientStats(eta_mean, K, L, xi_mean, xi_qd, xi_qa, meas_trace,
                            neg2loglik=filt.neg2loglik)

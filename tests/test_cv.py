@@ -104,6 +104,17 @@ class TestRunCV:
         for r in res.rows:
             assert np.isfinite(r.rmspe) and np.isfinite(r.crps)
 
+    def test_localkrige_alone_assembles_no_model(self, scenario, plan, monkeypatch):
+        from dfgp import cv
+        truth, obs, _ = scenario
+        monkeypatch.setattr(cv, "assemble", lambda *a, **k: pytest.fail("assembled"))
+        res = run_cv(obs, truth.grid, truth.basis, truth.structure, plan,
+                     methods=("localkrige",), protocol="smoothing",
+                     est_config=EstimatorConfig(max_iter=3),
+                     lk_settings=LocalKrigeSettings(k=40, fit=False),
+                     covariates=DEFAULT_COVARIATES)
+        assert {r.method for r in res.rows} == {"localkrige"}
+
     def test_filtering_protocol_skips_time_one(self, scenario):
         truth, obs, _ = scenario
         plan = HoldoutPlan(x0=2.0, x1=4.0, y0=2.0, y1=6.0,

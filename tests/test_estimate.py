@@ -139,6 +139,35 @@ class TestEStep:
         # quadratic statistics agree within a loose MC band
         assert np.allclose(sem.xi_quad_deg, exact.xi_quad_deg, rtol=0.25)
 
+    def test_sem_spread_term_matches_dense(self):
+        # with draws > 1, SEM's meas_trace is the draws' spread of B xi per
+        # record: sum over rows of diag(B Cov(xi_t | Z) B') / v
+        data, params = make_instance(4, T=2)
+        ndraws = 800
+        sem = e_step(data, params, EstimatorConfig(mode="sem", draws=ndraws),
+                     np.random.default_rng(2))
+        dj = DenseJoint(data, params)
+        _, cov = dj.posterior()
+        for t in range(1, params.u + 1):
+            slc, C = data.slices[t - 1], cov[dj.xi_slice(t), dj.xi_slice(t)]
+            for k, rr in slc.instrument_rows.items():
+                Bk = slc.B[rr].toarray()
+                M = Bk.T @ (Bk / slc.v_factors[rr, None])
+                want = np.trace(M @ C)
+                # the draw average of a Gaussian quadratic form: sd sqrt(2 tr((MC)^2) / n)
+                sd = np.sqrt(2 * np.trace(M @ C @ M @ C) / ndraws)
+                assert abs(sem.meas_trace[t - 1, k - 1] - want) <= 5 * sd, (t, k)
+
+    def test_sem_on_steps_without_records(self):
+        data, params = make_instance(0, T=4, empty_times=(1, 2))
+        res = fit_filtering_sequence(data, EstimatorConfig(mode="sem", max_iter=2))
+        assert sorted(res) == [2, 3, 4]
+        assert np.array_equal(res[2].trace, [0.0, 0.0])    # no record up to u = 2
+        for draws in (1, 2):
+            stats = e_step(data, params.truncated(2), EstimatorConfig(mode="sem", draws=draws),
+                           np.random.default_rng(0))
+            assert not stats.meas_trace.any() and np.isfinite(stats.xi_quad_deg).all()
+
     def test_exact_mode_above_dense_cap(self):
         data, params = make_instance(0, nx=17, ny=16)     # N = 272 > DENSE_N_CAP
         stats = e_step(data, params, EstimatorConfig(mode="exact"), np.random.default_rng(0))

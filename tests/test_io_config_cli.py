@@ -684,6 +684,25 @@ class TestCLI:
         times = {l.split(",")[0] for l in lines[1:]}
         assert times == {"2", "3"}
 
+    def test_filtering_fit_with_no_record_before_day_3(self, tmp_path):
+        # the u = 2 fit sees no record at all, so SEM draws on empty steps only
+        out = tmp_path / "out"
+        cfgp = self._variant(tmp_path, "run.ini", out, "protocol = smoothing",
+                             "protocol = filtering")
+        assert main(["simulate", "--config", str(cfgp)]) == 0
+        obs = tmp_path / "observations.csv"
+        head, *rows = obs.read_text().splitlines()
+        obs.write_text("\n".join([head] + [r for r in rows if r.split(",")[0] == "3"]) + "\n")
+        assert main(["fit", "--config", str(cfgp)]) == 0
+        assert (out / "params_u2.csv").exists() and (out / "params_u3.csv").exists()
+
+    def test_smooth_under_filtering_refuses_before_reading_data(self, tmp_path, capsys):
+        # no data file exists: the protocol mismatch is reported, not the missing file
+        cfgp = self._variant(tmp_path, "run.ini", tmp_path / "out", "protocol = smoothing",
+                             "protocol = filtering")
+        assert main(["smooth", "--config", str(cfgp)]) == 1
+        assert capsys.readouterr().err == "error: smooth requires protocol = smoothing\n"
+
     def test_cv_empty_holdout_fails_before_any_fit(self, tmp_path, capsys, monkeypatch):
         from dfgp import cv
         out = tmp_path / "out"

@@ -11,7 +11,9 @@ scenarios (``bench/workloads.py`` next to this file, read, not changed):
   true parameters;
 * the 64 x 64 scenario of cli-smooth-4k: the same at every BAU, and one
   exact-mode EM iteration from ``init_params`` (every ``SufficientStats``
-  field of its E-step and the parameters its M-step returns), plus the
+  field of its E-step and the parameters its M-step returns) and one SEM
+  E-step with ``draws = 2`` from there (every ``SufficientStats`` field,
+  the draws' spread term in ``meas_trace`` included), plus the
   ``dfgp filter`` and ``dfgp smooth`` commands on its generated files, whose
   prediction CSVs and state checkpoints are compared too (the checkpoints
   byte for byte), and ``dfgp fit`` then ``dfgp smooth`` of the fixed-rank
@@ -108,6 +110,10 @@ def _worker(src: str, dest: str) -> None:
     for f in dataclasses.fields(stats):
         out[f"{w.nx}x{w.nx}/exact_em/{f.name}"] = np.asarray(getattr(stats, f.name))[None]
     out[f"{w.nx}x{w.nx}/exact_em/params"] = estimate.m_step(stats, data, start, exact).flat()[None]
+    sem2 = estimate.EstimatorConfig(mode="sem", draws=2, seed=SEED)
+    stats = estimate.e_step(data, start, sem2, np.random.default_rng(SEED))
+    for f in dataclasses.fields(stats):
+        out[f"{w.nx}x{w.nx}/sem_draws2/{f.name}"] = np.asarray(getattr(stats, f.name))[None]
     mask = np.ones((w.nx, w.nx), dtype=bool)
     mask[24:40, 24:40] = False
     truth = synth.simulate_truth(truth.config, grid.build_grid(w.nx, w.nx, 1.0, mask=mask.ravel()),
