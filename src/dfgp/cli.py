@@ -26,9 +26,8 @@ from . import io as dio
 from .baselines import LocalKrigeSettings
 from .car import build_adjacency
 from .config import RunConfig, load_config
-from .cv import run_cv
+from .cv import fit_protocol, run_cv
 from .dynamics import filter_pass, predict_filter, predict_smooth, smoother_pass
-from .estimate import fit_filtering_sequence, run_estimator
 from .exceptions import FactorizationError, NumericalError
 from .model import assemble
 from .synth import observe, simulate_truth
@@ -89,17 +88,17 @@ def cmd_simulate(cfg: RunConfig, out: Path, base: Path, files: Files) -> None:
           f"N={truth.grid.n_bau}, r={truth.basis.r}")
 
 
-def _fit(cfg: RunConfig, data, out: Path, files: Files):
-    est = cfg.estimator_config()
-    if cfg.protocol == "smoothing":
-        fits = {data.T: run_estimator(data, est)}
-    else:
-        fits = fit_filtering_sequence(data, est)
+def _fit_file(cfg: RunConfig, kind: str, u: int) -> str:
+    """The name of horizon u's ``params`` or ``trace`` file."""
     model = "_lowrank" if cfg.estimator.lowrank_only else ""
+    return f"{kind}{model}{'' if cfg.protocol == 'smoothing' else f'_u{u}'}.csv"
+
+
+def _fit(cfg: RunConfig, data, out: Path, files: Files):
+    fits = fit_protocol(data, cfg.estimator_config(), cfg.protocol)
     report = [f"protocol = {cfg.protocol}", f"seed = {cfg.seed}"]
     for u, res in sorted(fits.items()):
-        tag = model + ("" if cfg.protocol == "smoothing" else f"_u{u}")
-        params, trace = out / f"params{tag}.csv", out / f"trace{tag}.csv"
+        params, trace = (out / _fit_file(cfg, kind, u) for kind in ("params", "trace"))
         dio.write_params(params, res.params)
         dio.write_trace(trace, res.trace)
         files.written += [params, trace]
@@ -109,7 +108,7 @@ def _fit(cfg: RunConfig, data, out: Path, files: Files):
                    f"horizon_{u}_neg2loglik = {dio._fmt(res.trace[-1])}",
                    f"horizon_{u}_params_file = {params.name}",
                    f"horizon_{u}_trace_file = {trace.name}"]
-    report_path = out / f"fit_report{model}.txt"
+    report_path = out / f"fit_report{'_lowrank' if cfg.estimator.lowrank_only else ''}.txt"
     report_path.write_text("\n".join(report) + "\n")
     files.written.append(report_path)
     return {u: res.params for u, res in fits.items()}
@@ -135,15 +134,13 @@ def _read_params(path: Path, data, u: int, lowrank_only: bool, files: Files):
 def _load_or_fit_params(cfg: RunConfig, data, out: Path, base: Path, files: Files):
     """The saved parameters of every horizon when all exist, else a new fit."""
     lowrank_only = cfg.estimator.lowrank_only
-    model = "_lowrank" if lowrank_only else ""
-    if cfg.protocol == "smoothing":
-        name = f"params{model}.csv"
-        if cfg.data.params and not (base / cfg.data.params).exists():
-            raise ValueError(f"[data] params names a missing file: {base / cfg.data.params}")
-        paths = {data.T: (base / (cfg.data.params or name), out / name)}
-    else:
-        paths = {u: (base / f"params{model}_u{u}.csv", out / f"params{model}_u{u}.csv")
-                 for u in range(2, data.T + 1)}
+    horizons = [data.T] if cfg.protocol == "smoothing" else range(2, data.T + 1)
+    paths = {u: [base / _fit_file(cfg, "params", u), out / _fit_file(cfg, "params", u)]
+             for u in horizons}
+    if cfg.protocol == "smoothing" and cfg.data.params:
+        paths[data.T][0] = base / cfg.data.params
+        if not paths[data.T][0].exists():
+            raise ValueError(f"[data] params names a missing file: {paths[data.T][0]}")
     found = {u: next((p for p in ps if p.exists()), None) for u, ps in paths.items()}
     if found and None not in found.values():
         return {u: _read_params(p, data, u, lowrank_only, files) for u, p in found.items()}
@@ -207,7 +204,7 @@ def cmd_cv(cfg: RunConfig, out: Path, base: Path, files: Files) -> None:
                         k=cfg.cv.lk_k, max_fit_evals=cfg.cv.lk_max_fit_evals),
                     covariates=cfg.covariates)
     dio.write_metrics(out / "metrics.csv", result, out / "metrics_by_subset.csv")
-    dio.write_holdout(out / "holdout.csv", result.holdout)
+    dio.write_holdout(out / "holdout.csv", result)
     files.written += [out / "metrics.csv", out / "metrics_by_subset.csv", out / "holdout.csv"]
     print(f"cross-validation metrics for {len(cfg.cv.methods)} methods written to {out}")
 

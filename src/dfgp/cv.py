@@ -3,9 +3,9 @@
 Replicates the block + random hold-out design: a contiguous block region
 (long-range skill) over a time range, plus a random fraction of the
 remaining fine-instrument observations (short-range skill).  The filtering
-protocol fits on Z_{1:u} and scores only the time-u holdouts, per horizon;
-the smoothing protocol fits once on Z_{1:T} and scores all holdouts at
-t = 1..T-1.
+protocol fits on Z_{1:u} and scores only the time-u holdouts, per horizon u
+up to the last held-out time; the smoothing protocol fits once on Z_{1:T}
+and scores all holdouts at t = 1..T-1.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from .baselines import LocalKrigeSettings, local_krige
 from .dynamics import filter_pass, predict_filter, predict_smooth, smoother_pass
-from .estimate import EstimatorConfig, fit_filtering_sequence, run_estimator
+from .estimate import EstimationResult, EstimatorConfig, fit_filtering_sequence, run_estimator
 from .grid import BAUGrid, Observations
 from .model import ModelData, assemble
 from .scoring import crps_gaussian, rmspe
@@ -67,14 +67,6 @@ class HoldoutPlan:
             raise ValueError(f"instrument must be >= 1, got {self.instrument}")
 
 
-@dataclass(frozen=True)
-class HoldoutRecord:
-    time_index: int
-    bau_index: int
-    value: float
-    subset: str                      # "block" or "random"
-
-
 @dataclass
 class CVRow:
     method: str
@@ -88,9 +80,24 @@ class CVRow:
 
 @dataclass
 class CVResult:
+    held: Observations               # the held-out records
+    block: np.ndarray                # (n_held,) True for a block hold-out, False for random
     rows: list[CVRow] = field(default_factory=list)
-    holdout: list[HoldoutRecord] = field(default_factory=list)
-    predictions: dict = field(default_factory=dict)   # method -> {(t, bau): (mean, se)}
+    predictions: dict = field(default_factory=dict)   # method -> (mean, se) aligned with held
+
+
+def holdout_bau(held: Observations) -> np.ndarray:
+    """The BAU of each held-out record: the single one its footprint covers."""
+    return held.fp_indices[held.fp_indptr[held.footprint]]
+
+
+def fit_protocol(data: ModelData, config: EstimatorConfig,
+                 protocol: str) -> dict[int, EstimationResult]:
+    """The fits a protocol predicts from, by horizon: one on Z_{1:u} for each
+    u = 2..T under filtering, one on Z_{1:T} under smoothing."""
+    if protocol == "smoothing":
+        return {data.T: run_estimator(data, config)}
+    return fit_filtering_sequence(data, config)
 
 
 def _footprint_centroids(obs: Observations, grid: BAUGrid) -> np.ndarray:
@@ -107,8 +114,10 @@ def _footprint_centroids(obs: Observations, grid: BAUGrid) -> np.ndarray:
 
 
 def split_holdout(obs: Observations, grid: BAUGrid,
-                  plan: HoldoutPlan) -> tuple[Observations, list[HoldoutRecord]]:
-    """Partition the fine-instrument records into training and holdout sets.
+                  plan: HoldoutPlan) -> tuple[Observations, Observations, np.ndarray]:
+    """Partition the fine-instrument records into (train, held, block): two
+    record sets over obs's footprint table, in record order, and whether each
+    held-out record is a block (else a random) hold-out.
 
     Holdout footprints must cover exactly one BAU (the fine instrument);
     coarse instruments always stay in training.  Selecting no record is an error.
@@ -119,89 +128,74 @@ def split_holdout(obs: Observations, grid: BAUGrid,
     c = _footprint_centroids(obs, grid)[obs.footprint[cand]]
     in_block = ((plan.x0 <= c[:, 0]) & (c[:, 0] <= plan.x1)
                 & (plan.y0 <= c[:, 1]) & (c[:, 1] <= plan.y1))
-    held = in_block | (rng.uniform(size=cand.size) < plan.fraction)
-    rows = cand[held]
+    chosen = in_block | (rng.uniform(size=cand.size) < plan.fraction)
+    rows = cand[chosen]
     if not rows.size:
         raise ValueError(f"the holdout plan selects no record of instrument {plan.instrument} "
                          f"at times {plan.t_first}..{plan.t_last}")
-    fps = obs.footprint[rows]
-    if (np.diff(obs.fp_indptr)[fps] != 1).any():
+    if (np.diff(obs.fp_indptr)[obs.footprint[rows]] != 1).any():
         raise ValueError("holdout footprints must cover a single BAU")
-    holdout = [HoldoutRecord(t, b, z, "block" if blk else "random")
-               for t, b, z, blk in zip(obs.time[rows].tolist(),
-                                       obs.fp_indices[obs.fp_indptr[fps]].tolist(),
-                                       obs.value[rows].tolist(), in_block[held].tolist())]
-    keep = np.ones(obs.n_obs, dtype=bool)
-    keep[rows] = False
-    return obs.subset(keep), holdout
+    held = np.zeros(obs.n_obs, dtype=bool)
+    held[rows] = True
+    return obs.subset(~held), obs.subset(held), in_block[chosen]
 
 
-def _score_rows(method: str, protocol: str, preds: dict[tuple[int, int], tuple[float, float]],
-                holdout: list[HoldoutRecord], times: list[int]) -> list[CVRow]:
-    """Aggregate per-time and overall RMSPE/CRPS rows from point predictions."""
+def _score_rows(method: str, protocol: str, held: Observations, block: np.ndarray,
+                mean: np.ndarray, se: np.ndarray, times: list[int]) -> list[CVRow]:
+    """Per-time and overall RMSPE/CRPS rows of the held-out records at the
+    scored times, overall and per subset."""
     rows = []
-    for subset in ("all", "block", "random"):
-        sub = [h for h in holdout
-               if (subset == "all" or h.subset == subset) and (h.time_index, h.bau_index) in preds]
+    scored = np.isin(held.time, times)
+    for subset, member in (("all", True), ("block", block), ("random", ~block)):
+        sub = scored & member
         for t in [*times, "all"]:
-            recs = sub if t == "all" else [h for h in sub if h.time_index == t]
-            if not recs:
+            recs = sub if t == "all" else sub & (held.time == t)
+            if not recs.any():
                 continue
-            mu = np.array([preds[(h.time_index, h.bau_index)][0] for h in recs])
-            se = np.array([preds[(h.time_index, h.bau_index)][1] for h in recs])
-            y = np.array([h.value for h in recs])
-            se = np.maximum(se, 1e-12)
-            rows.append(CVRow(method, protocol, t, subset,
-                              rmspe(mu, y), float(np.mean(crps_gaussian(mu, se, y))),
-                              len(recs)))
+            mu, y = mean[recs], held.value[recs]
+            rows.append(CVRow(method, protocol, t, subset, rmspe(mu, y),
+                              float(np.mean(crps_gaussian(mu, np.maximum(se[recs], 1e-12), y))),
+                              int(recs.sum())))
     return rows
 
 
-def _dfgp_predictions(data: ModelData, holdout: list[HoldoutRecord], protocol: str,
-                      est_config: EstimatorConfig, times: list[int]):
-    preds: dict[tuple[int, int], tuple[float, float]] = {}
-    if protocol == "filtering":
-        fits = fit_filtering_sequence(data, est_config)
-        for u in times:
-            baus = sorted({h.bau_index for h in holdout if h.time_index == u})
-            if not baus:
-                continue
-            pred_bau = np.asarray(baus)
-            filt = filter_pass(data, fits[u].params, pred_bau=pred_bau, want_variance=True)
-            fld = predict_filter(filt, data, fits[u].params, u, pred_bau)
-            for b, m, s in zip(pred_bau, fld.mean, fld.stderr):
-                preds[(u, int(b))] = (float(m), float(s))
-    else:
-        fit = run_estimator(data, est_config)
-        baus = sorted({h.bau_index for h in holdout if h.time_index in times})
-        if baus:
-            pred_bau = np.asarray(baus)
-            filt = filter_pass(data, fit.params, pred_bau=pred_bau, want_variance=True)
-            sm = smoother_pass(filt, fit.params)
-            for t in times:
-                fld = predict_smooth(sm, data, fit.params, t, pred_bau)
-                for b, m, s in zip(pred_bau, fld.mean, fld.stderr):
-                    preds[(t, int(b))] = (float(m), float(s))
-    return preds
+def _dfgp_predictions(data: ModelData, held: Observations, bau: np.ndarray,
+                      scored: np.ndarray, protocol: str, est_config: EstimatorConfig):
+    """(mean, se) at the scored held-out records, NaN elsewhere.  The
+    filtering protocol fits up to the last scored held-out time only."""
+    mean, se = np.full((2, held.n_obs), np.nan)
+    filtering = protocol == "filtering"
+    fits = fit_protocol(replace(data, slices=data.slices[:held.time[scored].max()])
+                        if filtering else data, est_config, protocol)
+    predict = predict_filter if filtering else predict_smooth
+    for u, fit in fits.items():
+        rows = held.time == u if filtering else scored   # the records this fit predicts
+        if not rows.any():
+            continue
+        pred_bau = np.unique(bau[rows])
+        post = filter_pass(data, fit.params, pred_bau=pred_bau, want_variance=True)
+        if not filtering:
+            post = smoother_pass(post, fit.params)
+        for t in np.unique(held.time[rows]):
+            at = rows & (held.time == t)
+            fld = predict(post, data, fit.params, t, pred_bau)
+            pos = np.searchsorted(pred_bau, bau[at])
+            mean[at], se[at] = fld.mean[pos], fld.stderr[pos]
+    return mean, se
 
 
-def _localkrige_predictions(train: Observations, grid: BAUGrid,
-                            holdout: list[HoldoutRecord],
-                            settings: LocalKrigeSettings, times: list[int]):
-    cents = grid.centroids
+def _localkrige_predictions(train: Observations, grid: BAUGrid, held: Observations,
+                            bau: np.ndarray, scored: np.ndarray, settings: LocalKrigeSettings):
+    """(mean, se) at the scored held-out records, NaN elsewhere: one kriging
+    per distinct (time, BAU) key."""
     coords = _footprint_centroids(train, grid)[train.footprint]
     tv = train.time.astype(float)
-    zv = train.value
-    preds = {}
-    for h in holdout:
-        if h.time_index not in times:
-            continue
-        key = (h.time_index, h.bau_index)
-        if key in preds:
-            continue
-        mean, var = local_krige(cents[h.bau_index], h.time_index, coords, tv, zv, settings)
-        preds[key] = (mean, float(np.sqrt(max(var, 0.0))))
-    return preds
+    mean, se = np.full((2, held.n_obs), np.nan)
+    keys, inverse = np.unique(held.time[scored] * grid.n_bau + bau[scored], return_inverse=True)
+    fits = np.array([local_krige(grid.centroids[b], t, coords, tv, train.value, settings)
+                     for t, b in zip(*np.divmod(keys, grid.n_bau))])
+    mean[scored], se[scored] = fits[inverse, 0], np.sqrt(fits[inverse, 1])
+    return mean, se
 
 
 def run_cv(obs: Observations, grid: BAUGrid, basis, structure, plan: HoldoutPlan, *,
@@ -214,24 +208,25 @@ def run_cv(obs: Observations, grid: BAUGrid, basis, structure, plan: HoldoutPlan
     check_methods(methods)
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}; choose from {PROTOCOLS}")
-    train, holdout = split_holdout(obs, grid, plan)
+    train, held, block = split_holdout(obs, grid, plan)
     T = train.n_times
     times = list(range(2, T + 1)) if protocol == "filtering" else list(range(1, T))
-    held = sorted({h.time_index for h in holdout})
-    if not set(held).intersection(times):
-        scored = f"times {times[0]}..{times[-1]}" if times else "no time"
+    scored = np.isin(held.time, times)
+    if not scored.any():
+        scores = f"times {times[0]}..{times[-1]}" if times else "no time"
         raise ValueError(f"the holdout plan selects records at times "
-                         f"{','.join(map(str, held))} only, but protocol = {protocol} "
-                         f"scores {scored}")
+                         f"{','.join(map(str, np.unique(held.time)))} only, but "
+                         f"protocol = {protocol} scores {scores}")
     data = (assemble(train, grid, basis, structure, covariates=covariates)
             if set(methods) != {"localkrige"} else None)
-    result = CVResult(holdout=holdout)
+    bau = holdout_bau(held)
+    result = CVResult(held, block)
     for method in methods:
         if method == "localkrige":
-            preds = _localkrige_predictions(train, grid, holdout, lk_settings, times)
+            preds = _localkrige_predictions(train, grid, held, bau, scored, lk_settings)
         else:
             cfg = replace(est_config, lowrank_only=method == "lowrank")
-            preds = _dfgp_predictions(data, holdout, protocol, cfg, times)
+            preds = _dfgp_predictions(data, held, bau, scored, protocol, cfg)
         result.predictions[method] = preds
-        result.rows.extend(_score_rows(method, protocol, preds, holdout, times))
+        result.rows.extend(_score_rows(method, protocol, held, block, *preds, times))
     return result

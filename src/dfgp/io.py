@@ -23,7 +23,7 @@ import numpy as np
 
 from .basis import BisquareBasis
 from .car import CARParams
-from .cv import CVResult, HoldoutRecord
+from .cv import CVResult, holdout_bau
 from .dynamics import PredictionField
 from .exceptions import InvalidParameterError
 from .grid import BAUGrid, Observations
@@ -249,9 +249,11 @@ def write_prediction_fields(path, fields: list[PredictionField]) -> None:
                                    fld.stderr.tolist())))
 
 
-def write_holdout(path, holdout: list[HoldoutRecord]) -> None:
+def write_holdout(path, result: CVResult) -> None:
+    held = result.held
     _write_csv(path, ["time", "bau_index", "value", "subset"],
-               ([h.time_index, h.bau_index, _fmt(h.value), h.subset] for h in holdout))
+               zip(held.time.tolist(), holdout_bau(held).tolist(), map(_fmt, held.value),
+                   np.where(result.block, "block", "random").tolist()))
 
 
 def write_metrics(path, result: CVResult, by_subset_path) -> None:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from dfgp.baselines import LocalKrigeSettings
-from dfgp.cv import METHODS, HoldoutPlan, _score_rows, run_cv, split_holdout
-from dfgp.estimate import EstimatorConfig
+from dfgp.cv import METHODS, HoldoutPlan, _score_rows, holdout_bau, run_cv, split_holdout
+from dfgp.estimate import EstimatorConfig, run_estimator
 from dfgp.model import DEFAULT_COVARIATES
 from dfgp.synth import InstrumentSpec, ScenarioConfig, scenario_data
 
@@ -27,29 +27,42 @@ def plan():
 class TestSplit:
     def test_block_and_random_tags(self, scenario, plan):
         truth, obs, _ = scenario
-        train, hold = split_holdout(obs, truth.grid, plan)
-        assert {h.subset for h in hold} == {"block", "random"}
-        cents = truth.grid.centroids
-        for h in hold:
-            c = cents[h.bau_index]
-            if h.subset == "block":
-                assert 2.0 <= c[0] <= 4.0 and 2.0 <= c[1] <= 6.0
-            assert plan.t_first <= h.time_index <= plan.t_last
+        train, held, block = split_holdout(obs, truth.grid, plan)
+        assert set(block.tolist()) == {True, False}
+        c = truth.grid.centroids[holdout_bau(held)[block]]
+        assert ((2.0 <= c[:, 0]) & (c[:, 0] <= 4.0) & (2.0 <= c[:, 1]) & (c[:, 1] <= 6.0)).all()
+        assert ((plan.t_first <= held.time) & (held.time <= plan.t_last)).all()
+
+    def test_held_records_are_obs_records_in_order(self, scenario, plan):
+        truth, obs, _ = scenario
+        train, held, block = split_holdout(obs, truth.grid, plan)
+        assert block.shape == (held.n_obs,) and block.dtype == bool
+        for name in ("fp_indptr", "fp_indices"):
+            assert np.array_equal(getattr(held, name), getattr(obs, name))
+        row = {key: i for i, key in enumerate(zip(
+            obs.time.tolist(), obs.instrument.tolist(), obs.footprint.tolist()))}
+        assert len(row) == obs.n_obs
+        at = np.array([row[key] for key in zip(
+            held.time.tolist(), held.instrument.tolist(), held.footprint.tolist())])
+        assert (np.diff(at) > 0).all()
+        assert np.array_equal(held.value, obs.value[at])
+        assert np.array_equal(held.var_factor, obs.var_factor[at])
+        assert train.n_obs + held.n_obs == obs.n_obs
 
     def test_training_does_not_contain_holdouts(self, scenario, plan):
         truth, obs, _ = scenario
-        train, hold = split_holdout(obs, truth.grid, plan)
-        held = {(h.time_index, h.bau_index) for h in hold}
+        train, held, _ = split_holdout(obs, truth.grid, plan)
+        keys = set(zip(held.time.tolist(), holdout_bau(held).tolist()))
         fine = train.instrument == 1
         first = train.fp_indices[train.fp_indptr[train.footprint[fine]]]
-        assert not held & set(zip(train.time[fine].tolist(), first.tolist()))
+        assert not keys & set(zip(train.time[fine].tolist(), first.tolist()))
 
     def test_counts_preserved(self, scenario, plan):
         truth, obs, _ = scenario
-        train, hold = split_holdout(obs, truth.grid, plan)
+        train, held, _ = split_holdout(obs, truth.grid, plan)
         total = int((obs.instrument == 1).sum())
         kept = int((train.instrument == 1).sum())
-        assert kept + len(hold) == total
+        assert kept + held.n_obs == total
 
     @pytest.mark.parametrize("change", [dict(instrument=7), dict(t_first=5, t_last=9)],
                              ids=["no-such-instrument", "times-beyond-data"])
@@ -67,7 +80,7 @@ class TestSplit:
 
     def test_coarse_instrument_untouched(self, scenario, plan):
         truth, obs, _ = scenario
-        train, _ = split_holdout(obs, truth.grid, plan)
+        train, _, _ = split_holdout(obs, truth.grid, plan)
         for name in ("time", "footprint", "value"):
             col0, col1 = getattr(obs, name), getattr(train, name)
             assert np.array_equal(col0[obs.instrument == 2], col1[train.instrument == 2])
@@ -76,18 +89,27 @@ class TestSplit:
 class TestScoring:
     def test_oracle_passthrough_scores_zero(self, scenario, plan):
         truth, obs, _ = scenario
-        _, hold = split_holdout(obs, truth.grid, plan)
-        preds = {(h.time_index, h.bau_index): (h.value, 1.0) for h in hold}
-        rows = _score_rows("oracle", "filtering", preds, hold, [2, 3, 4])
+        _, held, block = split_holdout(obs, truth.grid, plan)
+        rows = _score_rows("oracle", "filtering", held, block, held.value,
+                           np.ones(held.n_obs), [2, 3, 4])
         for row in rows:
             assert row.rmspe == 0.0
 
     def test_absent_cells_skipped(self, scenario, plan):
         truth, obs, _ = scenario
-        _, hold = split_holdout(obs, truth.grid, plan)
-        preds = {(h.time_index, h.bau_index): (h.value, 1.0) for h in hold}
-        rows = _score_rows("m", "filtering", preds, hold, [2, 3, 4, 9])
+        _, held, block = split_holdout(obs, truth.grid, plan)
+        rows = _score_rows("m", "filtering", held, block, held.value,
+                           np.ones(held.n_obs), [2, 3, 4, 9])
         assert not any(r.time_index == 9 for r in rows)
+
+    def test_unscored_times_left_out(self, scenario, plan):
+        truth, obs, _ = scenario
+        _, held, block = split_holdout(obs, truth.grid, plan)
+        mean = np.where(held.time == 2, np.nan, held.value)
+        rows = _score_rows("m", "filtering", held, block, mean, np.ones(held.n_obs), [3, 4])
+        agg = [r for r in rows if r.time_index == "all" and r.subset == "all"]
+        assert agg[0].rmspe == 0.0 and agg[0].n == int((held.time >= 3).sum())
+        assert {r.subset for r in rows} == {"all", "block", "random"}
 
 
 class TestRunCV:
@@ -127,6 +149,22 @@ class TestRunCV:
         assert 1 not in times
         assert {2, 3, 4} <= times
 
+    def test_filtering_fits_horizons_up_to_last_scored_holdout(self, scenario, plan,
+                                                              monkeypatch):
+        from dfgp import estimate
+        truth, obs, _ = scenario
+        horizons = []
+
+        def recorded(data, config, init=None, *, horizon=None):
+            horizons.append(horizon)
+            return run_estimator(data, config, init, horizon=horizon)
+        monkeypatch.setattr(estimate, "run_estimator", recorded)
+        run_cv(obs, truth.grid, truth.basis, truth.structure,
+               dataclasses.replace(plan, t_last=3), methods=("dfgp", "lowrank"),
+               protocol="filtering", est_config=EstimatorConfig(mode="sem", max_iter=2, seed=0),
+               lk_settings=LocalKrigeSettings(k=40, fit=False), covariates=DEFAULT_COVARIATES)
+        assert horizons == [2, 3, 2, 3]   # T = 4 has no held-out record: no u = 4 fit
+
     def test_smoothing_protocol_reports_1_to_Tminus1(self, scenario, plan):
         truth, obs, _ = scenario
         est = EstimatorConfig(mode="sem", max_iter=3, seed=0)
@@ -144,23 +182,23 @@ class TestRunCV:
                       methods=("dfgp",), protocol="smoothing", est_config=est,
                       lk_settings=LocalKrigeSettings(k=100), covariates=DEFAULT_COVARIATES)
         # poison every held-out record's value; training must not change
-        _, hold = split_holdout(obs, truth.grid, plan)
-        held = {(h.time_index, h.bau_index) for h in hold}
+        _, held, _ = split_holdout(obs, truth.grid, plan)
+        keys = set(zip(held.time.tolist(), holdout_bau(held).tolist()))
         first = obs.fp_indices[obs.fp_indptr[obs.footprint]]
-        hit = np.array([k == 1 and key in held for k, key in zip(
+        hit = np.array([k == 1 and key in keys for k, key in zip(
             obs.instrument.tolist(), zip(obs.time.tolist(), first.tolist()))])
-        assert hit.sum() == len(hold)
+        assert hit.sum() == held.n_obs
         poisoned = dataclasses.replace(obs, value=np.where(hit, 1e12, obs.value))
         res2 = run_cv(poisoned, truth.grid, truth.basis, truth.structure, plan,
                       methods=("dfgp",), protocol="smoothing", est_config=est,
                       lk_settings=LocalKrigeSettings(k=100), covariates=DEFAULT_COVARIATES)
         # sentinel never reached any training path: predictions are identical
-        p1, p2 = res1.predictions["dfgp"], res2.predictions["dfgp"]
-        assert p1.keys() == p2.keys()
-        for key in p1:
-            assert p1[key] == p2[key]
-            assert abs(p1[key][0]) < 1e11   # sentinel-free
-        assert len(res1.holdout) == len(res2.holdout)
+        (m1, s1), (m2, s2) = res1.predictions["dfgp"], res2.predictions["dfgp"]
+        assert np.array_equal(m1, m2, equal_nan=True) and np.array_equal(s1, s2, equal_nan=True)
+        scored = res1.held.time <= 3
+        assert np.isfinite(m1[scored]).all() and np.isnan(m1[~scored]).all()
+        assert (np.abs(m1[scored]) < 1e11).all()   # sentinel-free
+        assert res1.held.n_obs == res2.held.n_obs
 
     def test_unknown_method_rejected(self, scenario, plan):
         truth, obs, _ = scenario

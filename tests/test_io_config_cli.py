@@ -728,6 +728,34 @@ class TestCLI:
                 in capsys.readouterr().err)
         assert not (out / "metrics.csv").exists()
 
+    @pytest.mark.parametrize("protocol, scored", [("smoothing", (1, 2)), ("filtering", (2, 3))])
+    def test_cv_holdout_csv_is_the_split(self, tmp_path, protocol, scored):
+        from dfgp.cv import holdout_bau, split_holdout
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(self._write_config(tmp_path, out))]) == 0
+        cfgp = self._variant(tmp_path, "cv.ini", out, "methods = dfgp,lowrank",
+                             "methods = dfgp,lowrank,localkrige\nlk_k = 10\n"
+                             "lk_max_fit_evals = 5")
+        cfgp.write_text(cfgp.read_text().replace("protocol = smoothing",
+                                                 f"protocol = {protocol}"))
+        assert main(["cv", "--config", str(cfgp)]) == 0
+        cfg = load_config(cfgp)
+        grid = cfg.build_grid()
+        obs = dio.read_observations(tmp_path / "observations.csv",
+                                    tmp_path / "footprints.csv", grid)
+        _, held, block = split_holdout(obs, grid, cfg.holdout_plan())
+        with open(out / "holdout.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert len(rows) == held.n_obs
+        for row, t, b, z, blk in zip(rows, held.time, holdout_bau(held), held.value, block):
+            assert (int(row["time"]), int(row["bau_index"]), float(row["value"]),
+                    row["subset"]) == (t, b, z, "block" if blk else "random")
+        with open(out / "metrics.csv", newline="") as f:
+            overall = {r["method"]: int(r["n_holdout"])
+                       for r in csv.DictReader(f) if r["time"] == "all"}
+        n_scored = int(np.isin(held.time, scored).sum())
+        assert overall == dict.fromkeys(("dfgp", "lowrank", "localkrige"), n_scored)
+
     def test_cv_assembles_once(self, tmp_path, monkeypatch):
         from dfgp import cli, cv
         cfgp = self._write_config(tmp_path, tmp_path / "out")

@@ -19,8 +19,11 @@ scenarios (``bench/workloads.py`` next to this file, read, not changed):
   byte for byte), and ``dfgp fit`` then ``dfgp smooth`` of the fixed-rank
   model (``[estimator] lowrank_only = true``, FIXED_RANK_ITERS iterations)
   into a subdirectory, whose predictions and trace are compared, and
-  ``dfgp cv`` of dfgp and lowrank (CV_ITERS iterations) under each protocol,
-  whose metrics and holdout CSVs are compared on their numeric columns;
+  ``dfgp cv`` of dfgp and lowrank (CV_ITERS iterations) and of localkrige
+  (windows of LK_K records, LK_FIT_EVALS covariance evaluations) under each
+  protocol, holding out through t = T - 1 only (so filtering's last fit
+  horizon precedes T), whose metrics and holdout CSVs are compared byte for
+  byte;
 * that scenario simulated on its grid with a 16 x 16 block of cells masked,
   so that D - gamma E takes the sparse factorization rather than the closed
   form of a full grid: filter, smoother and predictions at every valid BAU,
@@ -36,7 +39,6 @@ trace) and maximised.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import os
 import subprocess
@@ -51,6 +53,8 @@ SEED = 101
 BLAS_CAPS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 FIXED_RANK_ITERS = 3
 CV_ITERS = 2
+LK_K = 12
+LK_FIT_EVALS = 8
 
 
 def _sweep(out: dict, prefix: str, dynamics, data, params, pred: np.ndarray) -> None:
@@ -71,19 +75,6 @@ def _sweep(out: dict, prefix: str, dynamics, data, params, pred: np.ndarray) -> 
             ("smooth", [dynamics.predict_smooth(sm, data, params, t, pred) for t in ts])):
         out[f"{prefix}/predict_{name}/mean"] = np.stack([f.mean for f in fields])
         out[f"{prefix}/predict_{name}/stderr"] = np.stack([f.stderr for f in fields])
-
-
-def _csv_numbers(path: Path) -> np.ndarray:
-    """The columns of a CSV whose every entry is a number, as (1, rows, cols)."""
-    with open(path, newline="") as f:
-        rows = list(csv.reader(f))[1:]
-    cols = []
-    for col in zip(*rows):
-        try:
-            cols.append([float(x) for x in col])
-        except ValueError:
-            pass
-    return np.array(cols).T[None]
 
 
 def _worker(src: str, dest: str) -> None:
@@ -149,11 +140,14 @@ def _worker(src: str, dest: str) -> None:
             ini, sub = run / f"cv_{protocol}.ini", run / f"cv_{protocol}"
             ini.write_text((run / "run.ini").read_text().replace(
                 "protocol = smoothing", f"protocol = {protocol}")
-                + f"\n[cv]\nmethods = dfgp,lowrank\n\n[estimator]\nmax_iter = {CV_ITERS}\n")
+                + f"\n[cv]\nmethods = dfgp,lowrank,localkrige\nlk_k = {LK_K}\n"
+                f"lk_max_fit_evals = {LK_FIT_EVALS}\n\n[holdout]\nt_last = {w.T - 1}\n\n"
+                f"[estimator]\nmax_iter = {CV_ITERS}\n")
             if cli.main(["cv", "--config", str(ini), "--out", str(sub)]) != 0:
                 sys.exit(f"dfgp cv ({protocol}) failed")
             for name in ("metrics.csv", "metrics_by_subset.csv", "holdout.csv"):
-                out[f"{w.name}/cv_{protocol}/{name}"] = _csv_numbers(sub / name)
+                out[f"{w.name}/cv_{protocol}/{name}"] = np.fromfile(sub / name,
+                                                                   dtype=np.uint8)[None]
 
     w = W["sem-10k"]
     _truth, _obs, data = synth.scenario_data(workloads._scenario(w.nx, w.counts, w.T, SEED))
