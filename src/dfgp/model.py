@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .basis import BisquareBasis, bau_basis_values
-from .car import CARParams, CARStructure
+from .car import CARParams, CARStructure, OrderedPrecision, nested_dissection
 from .exceptions import InvalidParameterError
 from .grid import BAUGrid, BAUPointSample, Observations
 
@@ -186,6 +186,21 @@ class ModelData:
     def n_instruments(self) -> int:
         return max((max(s.instrument_rows) for s in self.slices if s.instrument_rows),
                    default=1)
+
+    @cached_property
+    def fine_order(self) -> OrderedPrecision:
+        """The order every F_t = Q_t + B_t' V_t^{-1} B_t is factored in, with
+        D - gamma E in it: nested dissection of the union of the patterns of
+        D + E and of every slice's B_t' B_t, over the BAUs' grid (row,
+        column).  Computed on first use, so only a run that factors F_t pays
+        for it, and once for all of them."""
+        # a one-BAU row adds no edge; the pattern's values are never read
+        footprints = sp.vstack([s.B[np.diff(s.B.indptr) > 1] for s in self.slices],
+                               format="csr", dtype=np.float32)
+        pattern = footprints.T @ footprints + self.structure.adjacency.astype(np.float32)
+        del footprints
+        coords = np.column_stack(np.divmod(self.structure.valid_idx, self.grid.nx))
+        return OrderedPrecision(self.structure, nested_dissection(coords, pattern))
 
     def node_index(self, bau_idx: np.ndarray) -> np.ndarray:
         """Map flat grid BAU indices to CAR node order; rejects masked cells."""

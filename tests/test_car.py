@@ -8,8 +8,9 @@ from conftest import relerr, stand_in_pool
 from oracle import build_precision
 
 from dfgp.car import (CARParams, CARStructure, GAMMA_MAX, SELECTED_INVERSION_MIN,
-                      SOLVE_BLOCK, KroneckerSumFactor, SparseFactor, _selected_inverse,
-                      build_adjacency, run_parallel, sample_car, sparse_factorize)
+                      SOLVE_BLOCK, KroneckerSumFactor, OrderedPrecision, SparseFactor,
+                      _selected_inverse, build_adjacency, nested_dissection, run_parallel,
+                      sample_car, sparse_factorize)
 from dfgp.exceptions import (FactorizationError, InvalidParameterError,
                              StructureError)
 from dfgp.grid import build_grid
@@ -490,3 +491,111 @@ class TestSelectedInversion:
         pruned = sp.csc_matrix((L.data[keep], (rows[keep], col[keep])), shape=L.shape)
         with pytest.raises(FactorizationError, match="not closed"):
             _selected_inverse(pruned, lu.U.diagonal())
+
+
+def _tiled_f(structure, nx, block, offset, gamma=0.75):
+    """F = D - gamma E + 4 B'B for the block x block tiles of the valid cells
+    whose tiling starts offset = (rows, columns) cells before the origin, and
+    F's ordering inputs: the nodes' (row, column) and the pattern of
+    B'B + E."""
+    cell = structure.valid_idx
+    row, col = np.divmod(cell, nx)
+    tile = (row + offset[0]) // block * (nx // block + 2) + (col + offset[1]) // block
+    B = sp.csr_matrix((np.ones(cell.size), (np.unique(tile, return_inverse=True)[1],
+                                            np.arange(cell.size))))
+    B = sp.diags(1.0 / np.asarray(B.sum(axis=1)).ravel()) @ B
+    F = (structure.base_precision(gamma) + 4.0 * (B.T @ B)).tocsc()
+    return F, np.column_stack([row, col]), B.T @ B + structure.adjacency
+
+
+def _explicit_structure():
+    """A 40 x 30 rook grid with diagonal links, built from its adjacency."""
+    full = build_adjacency(build_grid(40, 30, 1.0))
+    idx = np.arange(1200).reshape(30, 40)
+    diag = np.column_stack([idx[:-1, :-1].ravel(), idx[1:, 1:].ravel()])
+    extra = sp.csr_matrix((np.ones(diag.shape[0]), (diag[:, 0], diag[:, 1])), shape=(1200, 1200))
+    return CARStructure((full.adjacency + extra + extra.T).tocsr(), full.valid_idx)
+
+
+def _straddling_mask():
+    """A 60 x 50 grid with a lake and a bay cut out."""
+    mask = np.ones((50, 60), dtype=bool)
+    mask[20:28, 25:40] = False
+    mask[:12, 50:] = False
+    return build_adjacency(build_grid(60, 50, 1.0, mask=mask.ravel()))
+
+
+_ORDER_CASES = pytest.mark.parametrize("make", [
+    # 5 x 5 tiles offset by (2, 3) straddle both midlines of the masked grid
+    lambda: (_straddling_mask(), 60, 5, (2, 3)),
+    lambda: (build_adjacency(build_grid(24000, 2, 1.0)), 24000, 2, (1, 1)),
+    lambda: (_explicit_structure(), 40, 4, (1, 2)),
+], ids=["masked-offset-tiles", "strip-24000x2", "explicit-adjacency"])
+
+
+class TestNestedDissection:
+    """A factor in the nested-dissection order answers as the minimum-degree
+    factor of the same matrix does."""
+
+    @staticmethod
+    def _factors(make):
+        structure, nx, block, offset = make()
+        F, coords, pattern = _tiled_f(structure, nx, block, offset)
+        order = nested_dissection(coords, pattern)
+        assert np.array_equal(np.sort(order), np.arange(structure.n))
+        ordered = OrderedPrecision(structure, order)
+        fp = (ordered.base_precision(0.75)
+              + F[order][:, order] - structure.base_precision(0.75)[order][:, order])
+        return F, sparse_factorize(F), SparseFactor(fp.tocsc(), order)
+
+    @_ORDER_CASES
+    def test_logdet_and_solve_match_minimum_degree(self, make):
+        _, mmd, nd = self._factors(make)
+        assert abs(nd.logdet() / mmd.logdet() - 1.0) <= 1e-12
+        b = np.random.default_rng(3).standard_normal((mmd.shape[0], 3))
+        assert relerr(nd.solve(b), mmd.solve(b)) <= 1e-10
+        assert relerr(nd.solve(b[:, 0]), mmd.solve(b[:, 0])) <= 1e-10
+
+    @_ORDER_CASES
+    def test_selected_diagonal_both_routes(self, make):
+        # on the strip, SuperLU leaves out fill of the nested-dissection
+        # factor that underflowed to zero, which selected inversion restores
+        _, mmd, nd = self._factors(make)
+        idx = np.random.default_rng(4).choice(mmd.shape[0], SELECTED_INVERSION_MIN + 9,
+                                              replace=False)
+        for some in (idx[:SOLVE_BLOCK + 3], idx):     # unit solves, selected inversion
+            got, want = nd.solve_selected_diag(some), mmd.solve_selected_diag(some)
+            assert np.abs(got / want - 1.0).max() <= 1e-12
+
+    @_ORDER_CASES
+    def test_selected_inverse_in_original_order(self, make):
+        F, mmd, nd = self._factors(make)
+        rows, cols = F.nonzero()        # the part of pattern(L + L') both orders share
+        got, want = (np.asarray(f.selected_inverse()[rows, cols]).ravel() for f in (nd, mmd))
+        assert relerr(got, want) <= 1e-12
+
+    def test_less_fill_than_minimum_degree_on_offset_tiles(self):
+        # a 128 x 128 F_t with 5 x 5 coarse tiles offset by (2, 3): a median
+        # cut through the tiles would make separators of whole tile columns
+        structure = build_adjacency(build_grid(128, 128, 1.0))
+        F, coords, pattern = _tiled_f(structure, 128, 5, (2, 3))
+        order = nested_dissection(coords, pattern)
+        nd = SparseFactor(F[order][:, order].tocsc(), order)
+        assert nd.nnz <= sparse_factorize(F).nnz
+
+    def test_separators_follow_their_halves(self):
+        # a 9 x 9 rook grid: the middle column is the top separator, last
+        s = build_adjacency(build_grid(9, 9, 1.0))
+        order = nested_dissection(np.column_stack(np.divmod(s.valid_idx, 9)), s.adjacency)
+        assert sorted(order[-9:] % 9) == [4] * 9
+        assert order.size == 81 and np.array_equal(np.sort(order), np.arange(81))
+
+    def test_ordered_precision_is_the_permuted_matrix(self):
+        s = _straddling_mask()
+        order = np.random.default_rng(5).permutation(s.n)
+        ordered = OrderedPrecision(s, order)
+        for gamma in (0.3, GAMMA_MAX):
+            want = s.base_precision(gamma)[order][:, order]
+            assert (ordered.base_precision(gamma) != want).nnz == 0
+        B = sp.random(7, s.n, density=0.01, format="csr", random_state=6)
+        assert (ordered.relabel(B) != B[:, order]).nnz == 0

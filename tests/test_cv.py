@@ -27,7 +27,7 @@ def plan():
 class TestSplit:
     def test_block_and_random_tags(self, scenario, plan):
         truth, obs, _ = scenario
-        train, held, block = split_holdout(obs, truth.grid, plan)
+        train, held, block = split_holdout(obs, truth.grid, plan, "filtering")
         assert set(block.tolist()) == {True, False}
         c = truth.grid.centroids[holdout_bau(held)[block]]
         assert ((2.0 <= c[:, 0]) & (c[:, 0] <= 4.0) & (2.0 <= c[:, 1]) & (c[:, 1] <= 6.0)).all()
@@ -35,7 +35,7 @@ class TestSplit:
 
     def test_held_records_are_obs_records_in_order(self, scenario, plan):
         truth, obs, _ = scenario
-        train, held, block = split_holdout(obs, truth.grid, plan)
+        train, held, block = split_holdout(obs, truth.grid, plan, "filtering")
         assert block.shape == (held.n_obs,) and block.dtype == bool
         for name in ("fp_indptr", "fp_indices"):
             assert np.array_equal(getattr(held, name), getattr(obs, name))
@@ -51,7 +51,7 @@ class TestSplit:
 
     def test_training_does_not_contain_holdouts(self, scenario, plan):
         truth, obs, _ = scenario
-        train, held, _ = split_holdout(obs, truth.grid, plan)
+        train, held, _ = split_holdout(obs, truth.grid, plan, "filtering")
         keys = set(zip(held.time.tolist(), holdout_bau(held).tolist()))
         fine = train.instrument == 1
         first = train.fp_indices[train.fp_indptr[train.footprint[fine]]]
@@ -59,7 +59,7 @@ class TestSplit:
 
     def test_counts_preserved(self, scenario, plan):
         truth, obs, _ = scenario
-        train, held, _ = split_holdout(obs, truth.grid, plan)
+        train, held, _ = split_holdout(obs, truth.grid, plan, "filtering")
         total = int((obs.instrument == 1).sum())
         kept = int((train.instrument == 1).sum())
         assert kept + held.n_obs == total
@@ -72,7 +72,7 @@ class TestSplit:
         with pytest.raises(ValueError, match=(
                 f"selects no record of instrument {empty.instrument} "
                 f"at times {empty.t_first}..{empty.t_last}")):
-            split_holdout(obs, truth.grid, empty)
+            split_holdout(obs, truth.grid, empty, "filtering")
 
     def test_instrument_below_one_rejected(self, plan):
         with pytest.raises(ValueError, match="instrument must be >= 1, got 0"):
@@ -80,7 +80,7 @@ class TestSplit:
 
     def test_coarse_instrument_untouched(self, scenario, plan):
         truth, obs, _ = scenario
-        train, _, _ = split_holdout(obs, truth.grid, plan)
+        train, _, _ = split_holdout(obs, truth.grid, plan, "filtering")
         for name in ("time", "footprint", "value"):
             col0, col1 = getattr(obs, name), getattr(train, name)
             assert np.array_equal(col0[obs.instrument == 2], col1[train.instrument == 2])
@@ -89,7 +89,7 @@ class TestSplit:
 class TestScoring:
     def test_oracle_passthrough_scores_zero(self, scenario, plan):
         truth, obs, _ = scenario
-        _, held, block = split_holdout(obs, truth.grid, plan)
+        _, held, block = split_holdout(obs, truth.grid, plan, "filtering")
         rows = _score_rows("oracle", "filtering", held, block, held.value,
                            np.ones(held.n_obs), [2, 3, 4])
         for row in rows:
@@ -97,14 +97,14 @@ class TestScoring:
 
     def test_absent_cells_skipped(self, scenario, plan):
         truth, obs, _ = scenario
-        _, held, block = split_holdout(obs, truth.grid, plan)
+        _, held, block = split_holdout(obs, truth.grid, plan, "filtering")
         rows = _score_rows("m", "filtering", held, block, held.value,
                            np.ones(held.n_obs), [2, 3, 4, 9])
         assert not any(r.time_index == 9 for r in rows)
 
     def test_unscored_times_left_out(self, scenario, plan):
         truth, obs, _ = scenario
-        _, held, block = split_holdout(obs, truth.grid, plan)
+        _, held, block = split_holdout(obs, truth.grid, plan, "filtering")
         mean = np.where(held.time == 2, np.nan, held.value)
         rows = _score_rows("m", "filtering", held, block, mean, np.ones(held.n_obs), [3, 4])
         agg = [r for r in rows if r.time_index == "all" and r.subset == "all"]
@@ -182,7 +182,7 @@ class TestRunCV:
                       methods=("dfgp",), protocol="smoothing", est_config=est,
                       lk_settings=LocalKrigeSettings(k=100), covariates=DEFAULT_COVARIATES)
         # poison every held-out record's value; training must not change
-        _, held, _ = split_holdout(obs, truth.grid, plan)
+        _, held, _ = split_holdout(obs, truth.grid, plan, "smoothing")
         keys = set(zip(held.time.tolist(), holdout_bau(held).tolist()))
         first = obs.fp_indices[obs.fp_indptr[obs.footprint]]
         hit = np.array([k == 1 and key in keys for k, key in zip(

@@ -141,9 +141,9 @@ class TestLookAhead:
         builds = []
         real = SparseFactor.__init__
 
-        def counting(self, matrix):
+        def counting(self, matrix, order):
             builds.append(matrix.shape[0])
-            real(self, matrix)
+            real(self, matrix, order)
 
         monkeypatch.setattr(SparseFactor, "__init__", counting)
         monkeypatch.setattr(dynamics, "LOOKAHEAD_MAX_NNZ", 10**12)
@@ -161,6 +161,26 @@ class TestLookAhead:
         assert data.structure.closed_form and all(s.n_obs for s in data.slices)
         run_estimator(data, EstimatorConfig(mode="sem", max_iter=1), init=params)
         assert counted == [data.structure.n] * params.u
+
+
+class TestFineOrder:
+    """Every F_t of a data set is factored in one nested-dissection order,
+    computed on the first factorization and kept on the data."""
+
+    def test_ordered_once_on_first_factorization(self, monkeypatch):
+        from dfgp import model
+        from dfgp.estimate import EstimatorConfig, run_estimator
+        calls = []
+        real = model.nested_dissection
+        monkeypatch.setattr(model, "nested_dissection",
+                            lambda *args: calls.append(1) or real(*args))
+        data, params = make_instance(2, nx=8, ny=7, T=4, r_counts=(4,))
+        assert calls == []              # assembling does not order
+        run_estimator(data, EstimatorConfig(mode="sem", max_iter=2), init=params)
+        filter_pass(data, params, pred_bau=data.structure.valid_idx, want_variance=True)
+        assert calls == [1]
+        order = data.fine_order.order
+        assert np.array_equal(np.sort(order), np.arange(data.structure.n))
 
 
 class TestFilterSpecialCases:

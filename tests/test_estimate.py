@@ -459,16 +459,16 @@ class TestSparseGammaSearch:
         data = self._data()
         assert data.structure.closed_form
         calls = []
-        real = car_mod.sparse_factorize
 
-        def counting(where):
-            def factorize(matrix):
+        def counting(where, real):
+            def factorize(*args):
                 calls.append(where)
-                return real(matrix)
+                return real(*args)
             return factorize
 
-        monkeypatch.setattr(car_mod, "sparse_factorize", counting("D - gamma E"))
-        monkeypatch.setattr(dynamics, "sparse_factorize", counting("F_t"))
+        monkeypatch.setattr(car_mod, "sparse_factorize",
+                            counting("D - gamma E", car_mod.sparse_factorize))
+        monkeypatch.setattr(dynamics, "SparseFactor", counting("F_t", car_mod.SparseFactor))
         res = run_estimator(data, EstimatorConfig(mode="sem", max_iter=3, seed=0))
         u = len(data.slices)
         assert res.n_iter == 3

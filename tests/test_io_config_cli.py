@@ -743,18 +743,20 @@ class TestCLI:
         grid = cfg.build_grid()
         obs = dio.read_observations(tmp_path / "observations.csv",
                                     tmp_path / "footprints.csv", grid)
-        _, held, block = split_holdout(obs, grid, cfg.holdout_plan())
+        _, held, block = split_holdout(obs, grid, cfg.holdout_plan(), protocol)
         with open(out / "holdout.csv", newline="") as f:
             rows = list(csv.DictReader(f))
         assert len(rows) == held.n_obs
         for row, t, b, z, blk in zip(rows, held.time, holdout_bau(held), held.value, block):
             assert (int(row["time"]), int(row["bau_index"]), float(row["value"]),
                     row["subset"]) == (t, b, z, "block" if blk else "random")
+        # every held-out record is scored: none at t = T under smoothing,
+        # none at t = 1 under filtering
+        assert {int(row["time"]) for row in rows} <= set(scored)
         with open(out / "metrics.csv", newline="") as f:
             overall = {r["method"]: int(r["n_holdout"])
                        for r in csv.DictReader(f) if r["time"] == "all"}
-        n_scored = int(np.isin(held.time, scored).sum())
-        assert overall == dict.fromkeys(("dfgp", "lowrank", "localkrige"), n_scored)
+        assert overall == dict.fromkeys(("dfgp", "lowrank", "localkrige"), len(rows))
 
     def test_cv_assembles_once(self, tmp_path, monkeypatch):
         from dfgp import cli, cv

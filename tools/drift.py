@@ -28,6 +28,10 @@ scenarios (``bench/workloads.py`` next to this file, read, not changed):
   so that D - gamma E takes the sparse factorization rather than the closed
   form of a full grid: filter, smoother and predictions at every valid BAU,
   and one SEM iteration from ``init_params``;
+* that scenario on a 65 x 65 grid with 5 x 5 coarse tiles, which straddle
+  both midlines, and an off-centre 12 x 16 lake: filter, smoother and
+  predictions at every valid BAU, and one exact-mode E-step under the true
+  parameters;
 * sem-10k: its SEM iterations from ``init_params``.
 
 For every array the tool prints whether the two trees agree bit for bit and
@@ -116,6 +120,25 @@ def _worker(src: str, dest: str) -> None:
         data, estimate.EstimatorConfig(mode="sem", max_iter=1, seed=SEED))
     out["masked/sem/trace"] = fit.trace[:, None]
     out["masked/sem/params"] = fit.params.flat()[None]
+    config = truth.config
+    del truth, data
+
+    # 5 x 5 coarse tiles on a 65 x 65 grid with an off-centre lake: tiles
+    # straddle both midlines, so F_t's order must cut between tiles off them
+    fine, coarse = config.instruments
+    config = dataclasses.replace(config, nx=65, ny=65,
+                                 instruments=(fine, dataclasses.replace(coarse, block=5)))
+    mask = np.ones((65, 65), dtype=bool)
+    mask[20:32, 37:53] = False
+    g = grid.build_grid(65, 65, 1.0, mask=mask.ravel())
+    truth = synth.simulate_truth(config, g, synth.layout_multires(
+        g.bbox, list(config.basis_counts), config.radius_mult))
+    data = model.assemble(synth.observe(truth), truth.grid, truth.basis, truth.structure,
+                          covariates=config.covariates, design=(truth.X_bau, truth.S_bau))
+    _sweep(out, "masked-5x5", dynamics, data, truth.params, data.structure.valid_idx)
+    stats = estimate.e_step(data, truth.params, exact, np.random.default_rng(SEED))
+    for f in dataclasses.fields(stats):
+        out[f"masked-5x5/exact_em/{f.name}"] = np.asarray(getattr(stats, f.name))[None]
     del truth, data
     with tempfile.TemporaryDirectory() as tmp:
         run = Path(tmp) / "run"
