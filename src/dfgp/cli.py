@@ -19,8 +19,6 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from . import io as dio
 from .baselines import LocalKrigeSettings
@@ -28,6 +26,7 @@ from .car import build_adjacency
 from .config import RunConfig, load_config
 from .cv import fit_protocol, run_cv
 from .dynamics import filter_pass, predict_filter, predict_smooth, smoother_pass
+from .estimate import protocol_horizons
 from .exceptions import FactorizationError, NumericalError
 from .model import assemble
 from .synth import observe, simulate_truth
@@ -134,9 +133,8 @@ def _read_params(path: Path, data, u: int, lowrank_only: bool, files: Files):
 def _load_or_fit_params(cfg: RunConfig, data, out: Path, base: Path, files: Files):
     """The saved parameters of every horizon when all exist, else a new fit."""
     lowrank_only = cfg.estimator.lowrank_only
-    horizons = [data.T] if cfg.protocol == "smoothing" else range(2, data.T + 1)
     paths = {u: [base / _fit_file(cfg, "params", u), out / _fit_file(cfg, "params", u)]
-             for u in horizons}
+             for u in protocol_horizons(cfg.protocol, data.T)}
     if cfg.protocol == "smoothing" and cfg.data.params:
         paths[data.T][0] = base / cfg.data.params
         if not paths[data.T][0].exists():
@@ -155,23 +153,14 @@ def cmd_fit(cfg: RunConfig, out: Path, base: Path, files: Files) -> None:
 
 def cmd_filter(cfg: RunConfig, out: Path, base: Path, files: Files) -> None:
     data = _load_data(cfg, base, files)
-    params_by_u = _load_or_fit_params(cfg, data, out, base, files)
     pred = data.structure.valid_idx
     fields = []
-    if cfg.protocol == "smoothing":
-        params = params_by_u[data.T]
-        filt = filter_pass(data, params, pred_bau=pred, want_variance=True)
-        fields = [predict_filter(filt, data, params, t, pred)
-                  for t in range(1, data.T + 1)]
-        dio.save_state_checkpoint(out / "state_filter.bin",
-                                  np.stack([s.eta[:, 0] for s in filt.states]),
-                                  np.stack([s.P for s in filt.states]))
-        files.written.append(out / "state_filter.bin")
-    else:
-        for u in sorted(params_by_u):
-            params = params_by_u[u]
-            filt = filter_pass(data, params, pred_bau=pred, want_variance=True)
-            fields.append(predict_filter(filt, data, params, u, pred))
+    # smoothing predicts t = 1..T from its one fit, filtering t = u from each
+    for u, params in sorted(_load_or_fit_params(cfg, data, out, base, files).items()):
+        at_u = data.horizon(u)
+        filt = filter_pass(at_u, params, pred_bau=pred, want_variance=True)
+        fields += [predict_filter(filt, at_u, params, t, pred)
+                   for t in (range(1, u + 1) if cfg.protocol == "smoothing" else [u])]
     dio.write_prediction_fields(out / "predictions_filter.csv", fields)
     files.written.append(out / "predictions_filter.csv")
     print(f"filter predictions for {len(fields)} time steps written to {out}")
@@ -188,10 +177,7 @@ def cmd_smooth(cfg: RunConfig, out: Path, base: Path, files: Files) -> None:
     fields = [predict_smooth(sm, data, params, t, pred)
               for t in range(1, data.T + 1)]
     dio.write_prediction_fields(out / "predictions_smooth.csv", fields)
-    dio.save_state_checkpoint(out / "state_smooth.bin",
-                              np.stack([s.eta[:, 0] for s in sm.states]),
-                              np.stack([s.P for s in sm.states]))
-    files.written += [out / "predictions_smooth.csv", out / "state_smooth.bin"]
+    files.written.append(out / "predictions_smooth.csv")
     print(f"smoother predictions for {len(fields)} time steps written to {out}")
 
 

@@ -181,20 +181,21 @@ def _dfgp_predictions(data: ModelData, held: Observations, bau: np.ndarray,
     to the last held-out time only."""
     mean, se = np.full((2, held.n_obs), np.nan)
     filtering = protocol == "filtering"
-    fits = fit_protocol(replace(data, slices=data.slices[:held.time.max()])
-                        if filtering else data, est_config, protocol)
+    fits = fit_protocol(data.horizon(held.time.max()) if filtering else data,
+                        est_config, protocol)
     predict = predict_filter if filtering else predict_smooth
     for u, fit in fits.items():
         rows = held.time == u if filtering else np.ones(held.n_obs, dtype=bool)
         if not rows.any():
             continue
         pred_bau = np.unique(bau[rows])
-        post = filter_pass(data, fit.params, pred_bau=pred_bau, want_variance=True)
+        at_u = data.horizon(u)
+        post = filter_pass(at_u, fit.params, pred_bau=pred_bau, want_variance=True)
         if not filtering:
             post = smoother_pass(post, fit.params)
         for t in np.unique(held.time[rows]):
             at = rows & (held.time == t)
-            fld = predict(post, data, fit.params, t, pred_bau)
+            fld = predict(post, at_u, fit.params, t, pred_bau)
             pos = np.searchsorted(pred_bau, bau[at])
             mean[at], se[at] = fld.mean[pos], fld.stderr[pos]
     return mean, se

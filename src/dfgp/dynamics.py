@@ -196,11 +196,19 @@ def forecast_step(eta: np.ndarray, P: np.ndarray, H: np.ndarray,
     return H @ eta, sym(H @ P @ H.T + U)
 
 
+def check_horizon(data: ModelData, params: DFGPParams) -> int:
+    """data.T, after refusing parameters that span another number of steps."""
+    if params.u != data.T:
+        raise ValueError(f"parameters span {params.u} time steps, the data {data.T}")
+    return data.T
+
+
 def filter_pass(data: ModelData, params: DFGPParams, *,
                 pred_bau: np.ndarray | None = None,
                 extra_obs: list[np.ndarray] | None = None,
                 want_variance: bool = False) -> FilterResult:
-    """Forward filtering sweep over t = 1..params.u.
+    """Forward filtering sweep over t = 1..data.T; params must span data.T
+    steps (``ModelData.horizon`` cuts the data to a shorter horizon).
 
     pred_bau: flat BAU indices where the fine-scale posterior (delta0, psi,
         fine_var) is tracked; None disables tracking,
@@ -218,9 +226,7 @@ def filter_pass(data: ModelData, params: DFGPParams, *,
     F held at most LOOKAHEAD_MAX_NNZ entries, the next step's F is factored
     on this thread while this step's solves run on the solve pool.
     """
-    u = params.u
-    if len(data.slices) < u:
-        raise ValueError(f"data has {len(data.slices)} time steps, need {u}")
+    u = check_horizon(data, params)
     r = params.r
     if pred_bau is None:
         pred_nodes = np.zeros(0, dtype=np.int64)

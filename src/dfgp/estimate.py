@@ -25,7 +25,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .car import GAMMA_MAX, CARParams, KroneckerSumFactor, SparseFactor, sample_car
-from .dynamics import _row_quad, filter_pass, fine_factor, smoother_pass
+from .dynamics import _row_quad, check_horizon, filter_pass, fine_factor, smoother_pass
 from .exceptions import InvalidParameterError
 from .model import DFGPParams, ModelData, as_dense, sym
 
@@ -113,7 +113,8 @@ class EstimationResult:
 
 def conditional_simulate(data: ModelData, params: DFGPParams,
                          rng: np.random.Generator, *, ndraws: int = 1):
-    """Draws from [eta_{0:u}, xi_{1:u} | Z_{1:u}] by conditional simulation.
+    """Draws from [eta_{0:u}, xi_{1:u} | Z_{1:u}], u = data.T, by conditional
+    simulation.
 
     A prior trajectory (eta*, xi*) and synthetic data Z* are drawn from the
     generative model; the conditional draw is
@@ -122,13 +123,13 @@ def conditional_simulate(data: ModelData, params: DFGPParams,
     Returns (eta_draws (ndraws, u+1, r), xi_draws (ndraws, u, n_valid), sweep)
     where sweep = (filter result, smoother result) at the real data.
     """
-    u = params.u
+    u = check_horizon(data, params)
     r, nv = params.r, data.structure.n
     eta_star = np.zeros((u + 1, r, ndraws))
     eta_star[0] = np.linalg.cholesky(params.K0) @ rng.standard_normal((r, ndraws))
     xi_star = np.zeros((u, nv, ndraws))
     z_star: list[np.ndarray] = []
-    gammas = [c.gamma for c in params.car[:u]]
+    gammas = [c.gamma for c in params.car]
     # D - gamma E, kept while a later step shares gamma
     factors: dict[float, SparseFactor | KroneckerSumFactor] = {}
     for t in range(1, u + 1):
@@ -178,7 +179,7 @@ def e_step(data: ModelData, params: DFGPParams, config: EstimatorConfig,
     Cov(xi_t | Z) = Z_t + psi_t P_{t|u} psi_t', with Z_t = F_t^{-1} on
     pattern(F_t).  The fixed-rank model has no xi to draw, so it takes the
     exact branch in both modes and tracks no node."""
-    u = params.u
+    u = data.T
     r, nv = params.r, data.structure.n
     deg = data.structure.degrees
     adj = data.structure.adjacency
@@ -249,7 +250,7 @@ def optimize_gamma(structure, quad_adj: float, tau2: float,
 def m_step(stats: SufficientStats, data: ModelData, prev: DFGPParams,
            config: EstimatorConfig) -> DFGPParams:
     """Closed-form conditional-maximization updates for every parameter block."""
-    u = prev.u
+    u = data.T
     r = prev.r
     nv = data.structure.n
     beta = prev.beta.copy()
@@ -325,7 +326,7 @@ def m_step(stats: SufficientStats, data: ModelData, prev: DFGPParams,
                       sigma2_eps=sigma2)
 
 
-def init_params(data: ModelData, *, horizon: int | None = None) -> DFGPParams:
+def init_params(data: ModelData) -> DFGPParams:
     """Default starting point: OLS trend, scaled-identity state covariances,
     gamma = 0.5, H = I.
 
@@ -334,7 +335,7 @@ def init_params(data: ModelData, *, horizon: int | None = None) -> DFGPParams:
     update near zero for hundreds of iterations while the nugget absorbs the
     signal.
     """
-    u = len(data.slices) if horizon is None else horizon
+    u = data.T
     r = data.basis.r
     p = data.X_bau.shape[1]
     k0n = data.n_instruments
@@ -381,26 +382,25 @@ def _average_params(history: list[DFGPParams], frac: float) -> DFGPParams:
         sigma2_eps=mean([p.sigma2_eps for p in tail]))
 
 
-def run_estimator(data: ModelData, config: EstimatorConfig, init: DFGPParams | None = None,
-                  *, horizon: int | None = None) -> EstimationResult:
+def run_estimator(data: ModelData, config: EstimatorConfig,
+                  init: DFGPParams | None = None) -> EstimationResult:
     """Iterate E/M steps until the likelihood trace or parameters settle.
 
     SEM reports the average of the last ``sem_average_frac`` of the iterate
     history as the point estimate; exact mode reports the final iterate.
     ``config.lowrank_only`` drops the start's CAR block (the fixed-rank
-    model); otherwise the start must have one.  Deterministic for fixed
-    (data, config, seed).
+    model); otherwise the start must have one.  A longer start is cut to
+    the data's T steps.  Deterministic for fixed (data, config, seed).
     """
-    u = len(data.slices) if horizon is None else horizon
+    u = data.T
     if u < 1:
         raise ValueError("need at least one time step")
     if config.hu_blocks and config.hu_blocks[-1] != u:
         raise ValueError(f"hu_blocks must end at the horizon {u}")
     rng = np.random.default_rng(config.seed)
-    params = init.truncated(u) if init is not None and init.u >= u else (
-        init if init is not None else init_params(data, horizon=u))
+    params = init_params(data) if init is None else init.truncated(u)
     if params.u != u:
-        raise ValueError(f"init has horizon {params.u}, need {u}")
+        raise ValueError(f"init spans {params.u} time steps, the data {u}")
     if config.lowrank_only:
         params = replace(params, car=())
     elif not params.car:
@@ -447,23 +447,30 @@ def run_estimator(data: ModelData, config: EstimatorConfig, init: DFGPParams | N
                             message=message)
 
 
+def protocol_horizons(protocol: str, T: int) -> list[int]:
+    """The horizons u a protocol fits on Z_{1:u}: T under smoothing, 2..T
+    under filtering."""
+    if protocol == "smoothing":
+        return [T]
+    if T < 2:
+        raise ValueError("filtering protocol needs T >= 2")
+    return list(range(2, T + 1))
+
+
 def fit_filtering_sequence(data: ModelData,
                            config: EstimatorConfig) -> dict[int, EstimationResult]:
     """One fit per horizon u = 2..T on Z_{1:u}, each started from the fit
     at u-1 extended by one time step (u = 2 from init_params)."""
-    T = len(data.slices)
-    if T < 2:
-        raise ValueError("filtering protocol needs T >= 2")
     results: dict[int, EstimationResult] = {}
     prev: DFGPParams | None = None
-    for u in range(2, T + 1):
+    for u in protocol_horizons("filtering", data.T):
         start = None if prev is None else _extend_params(prev)
         cfg_u = config
         if config.hu_blocks:
             # clip block boundaries to the current horizon
             blocks = tuple(b for b in config.hu_blocks if b < u) + (u,)
             cfg_u = replace(config, hu_blocks=blocks)
-        res = run_estimator(data, cfg_u, init=start, horizon=u)
+        res = run_estimator(data.horizon(u), cfg_u, init=start)
         results[u] = res
         prev = res.params
     return results

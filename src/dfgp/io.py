@@ -1,12 +1,10 @@
 """File formats: observation/footprint CSVs, prediction fields, metrics,
-parameter flat files, likelihood traces, holdout masks, manifests, and the
-binary state checkpoint.
+parameter flat files, likelihood traces, holdout masks and manifests.
 
 All CSVs are plain comma-separated text with a header row; floats are
 written with %.17g so that write -> read round-trips exactly and reruns are
 byte-identical.  One chunked reader parses every CSV input a column at a
-time and scans rows only to name a bad entry.  The state checkpoint layout
-is documented at :data:`STATE_MAGIC` (all fields little-endian).
+time and scans rows only to name a bad entry.
 """
 
 from __future__ import annotations
@@ -16,7 +14,6 @@ import hashlib
 import itertools
 import math
 import os
-import struct
 from pathlib import Path
 
 import numpy as np
@@ -30,16 +27,6 @@ from .grid import BAUGrid, Observations
 from .model import DFGPParams
 
 _F = "%.17g"
-
-# Checkpoint layout (version 1, little-endian):
-#   bytes 0..7   magic b"DFGPSTAT"
-#   u32          version (= 1)
-#   u32          r   (state dimension)
-#   u32          T   (number of time steps)
-#   then per t = 1..T:
-#     f64[r]     eta_t (posterior mean)
-#     f64[r*r]   P_t row-major (posterior covariance)
-STATE_MAGIC = b"DFGPSTAT"
 
 
 def _fmt(x: float) -> str:
@@ -225,18 +212,6 @@ def write_truth(path, y: np.ndarray) -> None:
     _write_table(path, ["time", "bau_index", "y_true"], y, 1)
 
 
-def read_truth(path) -> np.ndarray:
-    """The (T, N) field of a ``write_truth`` file, NaN where it has no row.
-    Raises ValueError naming the file, the 1-based data row and the field of
-    an entry that does not parse, a time below 1 or a bau_index below 0."""
-    t, b, y = _read_table(path, {"time": int, "bau_index": int, "y_true": float})
-    _check_rows(path, [(t < 1, lambda i: f"time must be >= 1, got {t[i]}"),
-                       (b < 0, lambda i: f"bau_index must be >= 0, got {b[i]}")])
-    out = np.full((t.max(initial=0), b.max(initial=-1) + 1), np.nan)
-    out[t - 1, b] = y
-    return out
-
-
 def write_latents(path_eta, path_xi, eta: np.ndarray, xi: np.ndarray) -> None:
     _write_table(path_eta, ["time", "component", "value"], eta, 0)
     _write_table(path_xi, ["time", "bau_index", "xi"], xi, 1)
@@ -336,29 +311,6 @@ def read_params(path) -> DFGPParams:
                           sigma2_eps=fill("sigma2_eps", ("time", "instrument"), (u, k)))
     except InvalidParameterError as exc:
         raise ValueError(f"{path}: {exc}") from None
-
-
-# ---------------------------------------------------------------------------
-# state checkpoint (binary)
-
-def save_state_checkpoint(path, eta: np.ndarray, P: np.ndarray) -> None:
-    """eta: (T, r) means; P: (T, r, r) covariances."""
-    T, r = np.shape(eta)
-    with open(path, "wb") as f:
-        f.write(STATE_MAGIC + struct.pack("<III", 1, r, T))
-        f.write(np.column_stack([np.reshape(eta, (T, r)), np.reshape(P, (T, r * r))])
-                .astype("<f8").tobytes())
-
-
-def load_state_checkpoint(path) -> tuple[np.ndarray, np.ndarray]:
-    with open(path, "rb") as f:
-        if f.read(8) != STATE_MAGIC:
-            raise ValueError("not a state checkpoint file")
-        version, r, T = struct.unpack("<III", f.read(12))
-        if version != 1:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        data = np.frombuffer(f.read(8 * T * (r + r * r)), dtype="<f8").reshape(T, r + r * r)
-    return data[:, :r].astype(float), data[:, r:].reshape(T, r, r).astype(float)
 
 
 # ---------------------------------------------------------------------------

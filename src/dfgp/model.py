@@ -169,7 +169,12 @@ class AssembledTimeSlice:
 
 @dataclass
 class ModelData:
-    """Everything the engine and estimator need about one dataset."""
+    """Everything the engine and estimator need about one dataset.
+
+    Every computation runs over steps 1..T; ``horizon(u)`` is the data of
+    steps 1..u.  ``whole`` is the data set a horizon was cut from (None for
+    the data set itself), whose instrument count and F_t order it shares.
+    """
 
     grid: BAUGrid
     basis: BisquareBasis
@@ -177,13 +182,28 @@ class ModelData:
     slices: list[AssembledTimeSlice]
     X_bau: np.ndarray                  # (N, p) covariates at BAU level
     S_bau: np.ndarray                  # (N, r) basis at BAU level
+    whole: ModelData | None = field(default=None, init=False, repr=False)
 
     @property
     def T(self) -> int:
         return len(self.slices)
 
+    def horizon(self, u: int) -> ModelData:
+        """The data of steps 1..u: the same grid, basis, structure, BAU
+        design and slice objects, with the data set's instrument count and
+        F_t order; ``horizon(T)`` is the data itself."""
+        if not 1 <= u <= self.T:
+            raise ValueError(f"horizon {u} outside the data's 1..{self.T} time steps")
+        if u == self.T:
+            return self
+        cut = replace(self, slices=self.slices[:u])
+        cut.whole = self.whole or self
+        return cut
+
     @property
     def n_instruments(self) -> int:
+        if self.whole is not None:
+            return self.whole.n_instruments
         return max((max(s.instrument_rows) for s in self.slices if s.instrument_rows),
                    default=1)
 
@@ -193,7 +213,9 @@ class ModelData:
         D - gamma E in it: nested dissection of the union of the patterns of
         D + E and of every slice's B_t' B_t, over the BAUs' grid (row,
         column).  Computed on first use, so only a run that factors F_t pays
-        for it, and once for all of them."""
+        for it, and once for all of them; a horizon takes its data set's."""
+        if self.whole is not None:
+            return self.whole.fine_order
         # a one-BAU row adds no edge; the pattern's values are never read
         footprints = sp.vstack([s.B[np.diff(s.B.indptr) > 1] for s in self.slices],
                                format="csr", dtype=np.float32)

@@ -155,15 +155,30 @@ class TestRunCV:
         truth, obs, _ = scenario
         horizons = []
 
-        def recorded(data, config, init=None, *, horizon=None):
-            horizons.append(horizon)
-            return run_estimator(data, config, init, horizon=horizon)
+        def recorded(data, config, init=None):
+            horizons.append(data.T)
+            return run_estimator(data, config, init)
         monkeypatch.setattr(estimate, "run_estimator", recorded)
         run_cv(obs, truth.grid, truth.basis, truth.structure,
                dataclasses.replace(plan, t_last=3), methods=("dfgp", "lowrank"),
                protocol="filtering", est_config=EstimatorConfig(mode="sem", max_iter=2, seed=0),
                lk_settings=LocalKrigeSettings(k=40, fit=False), covariates=DEFAULT_COVARIATES)
         assert horizons == [2, 3, 2, 3]   # T = 4 has no held-out record: no u = 4 fit
+
+    def test_filtering_orders_the_training_data_once(self, scenario, plan, monkeypatch):
+        # the fits on the cut to the last held-out time and the filter passes
+        # of every horizon share the training set's one order
+        from dfgp import model
+        truth, obs, _ = scenario
+        calls = []
+        real = model.nested_dissection
+        monkeypatch.setattr(model, "nested_dissection",
+                            lambda *args: calls.append(1) or real(*args))
+        run_cv(obs, truth.grid, truth.basis, truth.structure,
+               dataclasses.replace(plan, t_last=3), methods=("dfgp",),
+               protocol="filtering", est_config=EstimatorConfig(mode="sem", max_iter=2, seed=0),
+               lk_settings=LocalKrigeSettings(k=40, fit=False), covariates=DEFAULT_COVARIATES)
+        assert calls == [1]
 
     def test_smoothing_protocol_reports_1_to_Tminus1(self, scenario, plan):
         truth, obs, _ = scenario

@@ -183,6 +183,74 @@ class TestFineOrder:
         assert np.array_equal(np.sort(order), np.arange(data.structure.n))
 
 
+class TestHorizon:
+    """``ModelData.horizon(u)`` is the data of steps 1..u, and every
+    computation runs over its data's T steps."""
+
+    @pytest.mark.parametrize("cut_first", [True, False], ids=["cut-first", "whole-first"])
+    def test_shares_the_order_of_every_slice(self, monkeypatch, cut_first):
+        from dfgp import model
+        calls = []
+        real = model.nested_dissection
+        monkeypatch.setattr(model, "nested_dissection",
+                            lambda *args: calls.append(1) or real(*args))
+        data, _ = make_instance(2, nx=8, ny=7, T=4, r_counts=(4,))
+        cut = data.horizon(2)
+        first = (cut if cut_first else data).fine_order
+        assert cut.fine_order is data.fine_order is first
+        assert data.horizon(3).horizon(2).fine_order is first
+        assert calls == [1]
+        other, _ = make_instance(2, nx=8, ny=7, T=4, r_counts=(4,))
+        assert np.array_equal(first.order, other.fine_order.order)
+
+    def test_cut_holds_the_first_slices(self):
+        data, _ = make_instance(5, T=4)
+        cut = data.horizon(2)
+        assert cut.T == 2 and all(a is b for a, b in zip(cut.slices, data.slices[:2]))
+        for name in ("grid", "basis", "structure", "X_bau", "S_bau"):
+            assert getattr(cut, name) is getattr(data, name)
+        assert data.horizon(data.T) is data
+        for u in (0, 5):
+            with pytest.raises(ValueError, match=f"horizon {u} outside the data's 1..4"):
+                data.horizon(u)
+
+    def test_keeps_the_instrument_count(self):
+        from dfgp.estimate import init_params
+        from dfgp.grid import build_grid
+        from dfgp.model import assemble
+        data, _ = make_instance(0)
+        # instrument 2 has no record before t = 3
+        recs = [(t, 1, [b], 0.1 * t + b, 1.0) for t in (1, 2, 3) for b in (0, 4, 8)]
+        recs.append((3, 2, [0, 1, 3, 4], 0.5, 1.0))
+        data = assemble(make_observations(recs, 3), build_grid(3, 3, 1.0), data.basis,
+                        data.structure, covariates=("1", "y"))
+        assert data.horizon(2).n_instruments == data.n_instruments == 2
+        assert init_params(data.horizon(2)).sigma2_eps.shape == (2, 2)
+
+    def test_filter_on_a_cut_is_the_prefix_of_the_whole(self):
+        data, params = make_instance(7, nx=5, ny=4, T=4, r_counts=(4,))
+        pred = data.structure.valid_idx
+        whole = filter_pass(data, params, pred_bau=pred, want_variance=True)
+        cut = filter_pass(data.horizon(2), params.truncated(2), pred_bau=pred,
+                          want_variance=True)
+        for a, b in zip(cut.states, whole.states[:2], strict=True):
+            for f in ("eta", "P", "psi", "delta0", "fine_var", "logdet_sigma", "quad"):
+                assert np.array_equal(getattr(a, f), getattr(b, f)), f
+
+    def test_params_of_another_horizon_are_rejected(self):
+        from dfgp.estimate import EstimatorConfig, e_step, run_estimator
+        data, params = make_instance(1, T=3)
+        for p, d in ((params.truncated(2), data), (params, data.horizon(2))):
+            message = f"parameters span {p.u} time steps, the data {d.T}"
+            with pytest.raises(ValueError, match=message):
+                filter_pass(d, p)
+            for mode in ("sem", "exact"):
+                with pytest.raises(ValueError, match=message):
+                    e_step(d, p, EstimatorConfig(mode=mode), np.random.default_rng(0))
+        with pytest.raises(ValueError, match="init spans 2 time steps, the data 3"):
+            run_estimator(data, EstimatorConfig(max_iter=1), init=params.truncated(2))
+
+
 class TestFilterSpecialCases:
     def test_no_data_filtered_equals_forecast(self):
         data, params = make_instance(11, T=3, empty_times=(2,))

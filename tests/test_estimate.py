@@ -164,8 +164,8 @@ class TestEStep:
         assert sorted(res) == [2, 3, 4]
         assert np.array_equal(res[2].trace, [0.0, 0.0])    # no record up to u = 2
         for draws in (1, 2):
-            stats = e_step(data, params.truncated(2), EstimatorConfig(mode="sem", draws=draws),
-                           np.random.default_rng(0))
+            stats = e_step(data.horizon(2), params.truncated(2),
+                           EstimatorConfig(mode="sem", draws=draws), np.random.default_rng(0))
             assert not stats.meas_trace.any() and np.isfinite(stats.xi_quad_deg).all()
 
     def test_exact_mode_above_dense_cap(self):
@@ -529,8 +529,8 @@ class TestFilteringSequence:
         _, _, data = scenario_data(cfg)
         warm = fit_filtering_sequence(
             data, EstimatorConfig(mode="exact", max_iter=300, seed=0))
-        cold = {u: run_estimator(data, EstimatorConfig(mode="exact", max_iter=300, seed=0),
-                                 horizon=u) for u in (2, 3)}
+        cold = {u: run_estimator(data.horizon(u), EstimatorConfig(mode="exact", max_iter=300,
+                                                                   seed=0)) for u in (2, 3)}
         for u in (2, 3):
             a, b = warm[u].trace[-1], cold[u].trace[-1]
             assert abs(a - b) / max(abs(b), 1.0) < 0.01

@@ -302,38 +302,15 @@ class TestParamsCSV:
             dio.read_params(tmp_path / "p.csv")
 
 
-class TestStateCheckpoint:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(2)
-        eta = rng.standard_normal((4, 3))
-        P = np.stack([np.eye(3) * (t + 1) for t in range(4)])
-        dio.save_state_checkpoint(tmp_path / "s.bin", eta, P)
-        e2, p2 = dio.load_state_checkpoint(tmp_path / "s.bin")
-        assert np.array_equal(e2, eta)
-        assert np.array_equal(p2, P)
-
-    def test_magic_check(self, tmp_path):
-        (tmp_path / "bad.bin").write_bytes(b"NOTMAGIC" + b"\0" * 16)
-        with pytest.raises(ValueError):
-            dio.load_state_checkpoint(tmp_path / "bad.bin")
-
-
 class TestTruthCSV:
     def test_round_trip(self, scenario, tmp_path):
+        # the file loads as the benchmark reads it: (time, bau_index, y_true)
+        # rows at every unmasked entry of the field, in time-major order
         truth, _, _ = scenario
         dio.write_truth(tmp_path / "t.csv", truth.y)
-        back = dio.read_truth(tmp_path / "t.csv")
-        assert np.array_equal(back, truth.y)
-
-    @pytest.mark.parametrize("rows, message", [
-        ("1,0,1.5\n1,-1,2.5\n", r"t\.csv: data row 2: bau_index must be >= 0, got -1"),
-        ("1,0,1.5\n0,1,3.5\n", r"t\.csv: data row 2: time must be >= 1, got 0"),
-        ("1,0,1.5\n1,1,y\n", r"t\.csv: data row 2: y_true is not float: 'y'"),
-    ], ids=["negative-bau", "time-zero", "text"])
-    def test_bad_row_names_file_row_field(self, tmp_path, rows, message):
-        (tmp_path / "t.csv").write_text("time,bau_index,y_true\n" + rows)
-        with pytest.raises(ValueError, match=message):
-            dio.read_truth(tmp_path / "t.csv")
+        back = np.loadtxt(tmp_path / "t.csv", delimiter=",", skiprows=1, ndmin=2)
+        t, b = np.nonzero(~np.isnan(truth.y))
+        assert np.array_equal(back, np.column_stack([t + 1, b, truth.y[t, b]]))
 
 
 BASE_CONFIG = """
@@ -561,8 +538,7 @@ class TestCLI:
         assert [(role, name) for role, _h, name in listed] == [
             ("input", "../observations.csv"), ("input", "../footprints.csv"),
             ("output", "params.csv"), ("output", "trace.csv"),
-            ("output", "fit_report.txt"), ("output", "predictions_smooth.csv"),
-            ("output", "state_smooth.bin")]
+            ("output", "fit_report.txt"), ("output", "predictions_smooth.csv")]
         for _role, digest, name in listed:
             assert digest == hashlib.sha256((out / name).read_bytes()).hexdigest()
         # a second run reads the fitted parameters instead of refitting
@@ -683,6 +659,21 @@ class TestCLI:
         lines = (out / "predictions_filter.csv").read_text().splitlines()
         times = {l.split(",")[0] for l in lines[1:]}
         assert times == {"2", "3"}
+
+    def test_filtering_commands_order_the_data_once(self, tmp_path, monkeypatch):
+        # every horizon's fit and filter pass factors in the data set's one order
+        from dfgp import model
+        out = tmp_path / "out"
+        cfgp = self._variant(tmp_path, "run.ini", out, "protocol = smoothing",
+                             "protocol = filtering")
+        assert main(["simulate", "--config", str(cfgp)]) == 0
+        real = model.nested_dissection
+        for command in ("fit", "filter", "cv"):
+            calls = []
+            monkeypatch.setattr(model, "nested_dissection",
+                                lambda *args: calls.append(1) or real(*args))
+            assert main([command, "--config", str(cfgp)]) == 0
+            assert calls == [1], command
 
     def test_filtering_fit_with_no_record_before_day_3(self, tmp_path):
         # the u = 2 fit sees no record at all, so SEM draws on empty steps only

@@ -15,10 +15,9 @@ scenarios (``bench/workloads.py`` next to this file, read, not changed):
   E-step with ``draws = 2`` from there (every ``SufficientStats`` field,
   the draws' spread term in ``meas_trace`` included), plus the
   ``dfgp filter`` and ``dfgp smooth`` commands on its generated files, whose
-  prediction CSVs and state checkpoints are compared too (the checkpoints
-  byte for byte), and ``dfgp fit`` then ``dfgp smooth`` of the fixed-rank
-  model (``[estimator] lowrank_only = true``, FIXED_RANK_ITERS iterations)
-  into a subdirectory, whose predictions and trace are compared, and
+  prediction CSVs are compared too, and ``dfgp fit`` then ``dfgp smooth`` of
+  the fixed-rank model (``[estimator] lowrank_only = true``,
+  FIXED_RANK_ITERS iterations) into a subdirectory, whose predictions and trace are compared, and
   ``dfgp cv`` of dfgp and lowrank (CV_ITERS iterations) and of localkrige
   (windows of LK_K records, LK_FIT_EVALS covariance evaluations) under each
   protocol, holding out through t = T - 1 only (so filtering's last fit
@@ -148,8 +147,6 @@ def _worker(src: str, dest: str) -> None:
                 sys.exit(f"dfgp {cmd} failed")
             out[f"{w.name}/predictions_{cmd}.csv"] = np.loadtxt(
                 run / f"predictions_{cmd}.csv", delimiter=",", skiprows=1, ndmin=2)[None]
-            out[f"{w.name}/state_{cmd}.bin"] = np.fromfile(run / f"state_{cmd}.bin",
-                                                           dtype=np.uint8)[None]
         ini, sub = run / "lowrank.ini", run / "lowrank"
         ini.write_text((run / "run.ini").read_text() + "\n[estimator]\nlowrank_only = true\n"
                        f"max_iter = {FIXED_RANK_ITERS}\n")
