@@ -14,9 +14,8 @@ from .cv import HoldoutPlan, run_cv, split_holdout
 from .dynamics import (FilterResult, PredictionField, SmootherResult,
                        StatePosterior, filter_pass, filter_step, forecast_step,
                        predict_filter, predict_smooth, smoother_pass)
-from .estimate import (EstimationResult, EstimatorConfig, SufficientStats,
-                       conditional_simulate, e_step, fit_filtering_sequence,
-                       init_params, m_step, run_estimator)
+from .estimate import (EstimationResult, EstimatorConfig, SufficientStats, e_step,
+                       fit_filtering_sequence, init_params, m_step, run_estimator)
 from .exceptions import (FactorizationError, InvalidFootprintError,
                          InvalidParameterError, NumericalError, StructureError)
 from .grid import BAUGrid, Observations, build_grid

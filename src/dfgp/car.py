@@ -302,6 +302,17 @@ class CARStructure:
         s = float(np.log1p(-gamma))
         return float(self._logdet_chebyshev(s)) + self.n_components * s
 
+    def precision_draw(self, gamma: float, rng: np.random.Generator,
+                       size: int) -> np.ndarray:
+        """(n, size) draws of w ~ N(0, D - gamma E), by the split
+        D - gamma E = (1 - gamma) D + gamma M'M with M the incidence matrix:
+        w = sqrt(1 - gamma) D^{1/2} z1 + sqrt(gamma) M' z2.  It needs no
+        factor of D - gamma E."""
+        z1 = rng.standard_normal((self.n, size))
+        z2 = rng.standard_normal((self.edges.shape[0], size))
+        return (np.sqrt(1.0 - gamma) * np.sqrt(self.degrees)[:, None] * z1
+                + np.sqrt(gamma) * (self.incidence.T @ z2))
+
     def precision_logdet(self, params: CARParams) -> float:
         """ln|Q| for Q = (D - gamma E)/tau2."""
         return (-self.n * np.log(params.tau2) + self._log_degree_sum
@@ -832,23 +843,11 @@ def sparse_factorize(matrix: sp.spmatrix) -> SparseFactor:
 
 
 def sample_car(structure: CARStructure, params: CARParams,
-               rng: np.random.Generator, size: int = 1,
-               factor: SparseFactor | KroneckerSumFactor | None = None) -> np.ndarray:
-    """Draw size samples of xi ~ N(0, Q^{-1}) for the CAR precision Q.
-
-    Uses the split D - gamma*E = (1-gamma)*D + gamma*L with L = M'M the graph
-    Laplacian: w = sqrt(1-gamma)*D^{1/2} z1 + sqrt(gamma)*M' z2 has covariance
-    D - gamma*E, so tau * solve(D - gamma*E, w) has covariance Q^{-1}.
-    ``factor`` is an optional ``structure.factor(params.gamma)``, for callers
-    that draw several times at one gamma; the draws do not depend on who
-    built it.  Returns (n,) for size=1 else (size, n).
+               rng: np.random.Generator, size: int = 1) -> np.ndarray:
+    """Draw size samples of xi ~ N(0, Q^{-1}) for the CAR precision Q:
+    tau * solve(D - gamma E, w) with w ~ N(0, D - gamma E) from
+    ``CARStructure.precision_draw``.  Returns (n,) for size=1 else (size, n).
     """
-    if factor is None:
-        factor = structure.factor(params.gamma)
-    n, ne = structure.n, structure.edges.shape[0]
-    z1 = rng.standard_normal((n, size))
-    z2 = rng.standard_normal((ne, size))
-    w = (np.sqrt(1.0 - params.gamma) * np.sqrt(structure.degrees)[:, None] * z1
-         + np.sqrt(params.gamma) * (structure.incidence.T @ z2))
-    x = np.sqrt(params.tau2) * factor.solve(w)
+    factor = structure.factor(params.gamma)
+    x = np.sqrt(params.tau2) * factor.solve(structure.precision_draw(params.gamma, rng, size))
     return x[:, 0] if size == 1 else x.T

@@ -11,15 +11,14 @@ and every application of D uses the Woodbury identity
     D = V^{-1} - V^{-1} B F^{-1} B' V^{-1},      F = Q + B' V^{-1} B,
 
 so the only large factorization per step is that of the sparse SPD matrix
-F, built by ``fine_factor`` (which exact EM's E-step calls too) directly in
-the data set's nested-dissection order (``ModelData.fine_order``, computed
-on the first factorization and kept for every later step, SEM iteration and
-horizon).  On the bench scenario's F_1 at N = 65,536 (one BLAS thread) that
-order holds 5.0M entries against minimum degree's 5.6M; F_1 is built and
-factored in about 0.25 rather than 0.43-0.49 s, and 8 columns are solved in
-about 0.04 rather than 0.044 s.  The same
-factor gives the fine-scale posterior at no extra factorization cost: given
-eta_t and Z_t, xi_t ~ N(delta0 - psi eta_t, F^{-1}) with
+F, built by ``fine_factor`` directly in the data set's nested-dissection
+order (``ModelData.fine_order``, computed on the first factorization and
+kept for every later step, SEM iteration and horizon).  On the bench
+scenario's F_1 at N = 65,536 (one BLAS thread) that order holds 5.0M
+entries against minimum degree's 5.6M; F_1 is built and factored in about
+0.25 rather than 0.43-0.49 s, and 8 columns are solved in about 0.04 rather
+than 0.044 s.  The same factor gives the fine-scale posterior at no extra
+factorization cost: given eta_t and Z_t, xi_t ~ N(delta0 - psi eta_t, F^{-1}) with
     delta0 = F^{-1} B' V^{-1} (z - X beta),      psi = F^{-1} B' V^{-1} S,
 which depend on no state.  Each step stores them at the tracked nodes, so
 the smoother moves (eta, P) alone and the predictors read E[xi] and var(xi)
@@ -51,10 +50,10 @@ small (LOOKAHEAD_MAX_NNZ).  The factors are always built, and psi always
 allocated, on the calling thread: 24 factorizations at N = 10^4 peaked at
 223 MB RSS there and at 319 MB on pool threads, through heap fragmentation.
 
-Means are computed for any number of observation columns at once (the
-conditional-simulation machinery feeds simulated replicates through the same
-sweep); covariances are shared across columns.  Each step also yields its
-term of the marginal -2 log-likelihood (``FilterResult.neg2loglik``).
+The E-step reads the spread of xi_t about its mean from that same factor:
+``filter_pass`` hands each step's factor of F (of Q at a step without
+records) to an optional callback before dropping it.  Each step also yields
+its term of the marginal -2 log-likelihood (``FilterResult.neg2loglik``).
 Parameters without a CAR block (``DFGPParams.car == ()``) are the fixed-rank
 model: there is no xi, so D = V^{-1}, no F is formed and delta = 0.
 """
@@ -63,6 +62,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Callable
 from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -127,17 +127,16 @@ class StatePosterior:
     want_variance).  Filtered and smoothed states share delta0, psi and
     fine_var and differ only in (eta, P, lag1); ``delta`` and ``R_diag``
     follow.  ``eta``, ``delta0`` and ``quad`` = alpha' Sigma^{-1} alpha carry
-    one column per observation set fed through the sweep (column 0 is the
-    real data); ``logdet_sigma`` is ln|Sigma|; ``lag1`` is
+    one column, the data's; ``logdet_sigma`` is ln|Sigma|; ``lag1`` is
     cov(eta_t, eta_{t-1} | Z), on smoothed states only.
     """
 
     time_index: int
-    eta: np.ndarray                 # (r, k)
+    eta: np.ndarray                 # (r, 1)
     P: np.ndarray                   # (r, r)
-    eta_pred: np.ndarray            # (r, k)
+    eta_pred: np.ndarray            # (r, 1)
     P_pred: np.ndarray              # (r, r)
-    delta0: np.ndarray              # (m, k)
+    delta0: np.ndarray              # (m, 1)
     fine_var: np.ndarray | None     # (m,)
     psi: np.ndarray                 # (m, r)
     n_obs: int = 0
@@ -147,7 +146,7 @@ class StatePosterior:
 
     @property
     def delta(self) -> np.ndarray:
-        """E[delta_t^P | data] = delta0 - psi eta, (m, k)."""
+        """E[delta_t^P | data] = delta0 - psi eta, (m, 1)."""
         return self.delta0 - self.psi @ self.eta
 
     @property
@@ -175,7 +174,7 @@ class FilterResult:
 @dataclass
 class SmootherResult:
     states: list[StatePosterior]
-    eta0: np.ndarray               # (r, k) smoothed initial state mean
+    eta0: np.ndarray               # (r, 1) smoothed initial state mean
     P0: np.ndarray                 # (r, r)
     pred_nodes: np.ndarray
 
@@ -196,29 +195,23 @@ def forecast_step(eta: np.ndarray, P: np.ndarray, H: np.ndarray,
     return H @ eta, sym(H @ P @ H.T + U)
 
 
-def check_horizon(data: ModelData, params: DFGPParams) -> int:
-    """data.T, after refusing parameters that span another number of steps."""
-    if params.u != data.T:
-        raise ValueError(f"parameters span {params.u} time steps, the data {data.T}")
-    return data.T
-
-
 def filter_pass(data: ModelData, params: DFGPParams, *,
                 pred_bau: np.ndarray | None = None,
-                extra_obs: list[np.ndarray] | None = None,
-                want_variance: bool = False) -> FilterResult:
+                want_variance: bool = False,
+                on_factor: Callable[[int, SparseFactor], None] | None = None) -> FilterResult:
     """Forward filtering sweep over t = 1..data.T; params must span data.T
     steps (``ModelData.horizon`` cuts the data to a shorter horizon).
 
     pred_bau: flat BAU indices where the fine-scale posterior (delta0, psi,
         fine_var) is tracked; None disables tracking,
         data.structure.valid_idx tracks every BAU.
-    extra_obs: optional per-time arrays (n_t, k-1) of additional observation
-        columns sharing the design of the real data, (0, k-1) at a step
-        without records.
     want_variance: also compute fine_var (per step, one sparse solve per
         prediction BAU for small sets, else one selected inversion of the
         factor; see ``SparseFactor.solve_selected_diag``).
+    on_factor: called as on_factor(t, factor) on this thread, in step order,
+        with step t's factor of F_t (``fine_factor``; of Q_t at a step
+        without records) before the pass drops it, while the step's solves
+        run on the solve pool.  It needs a CAR block.
 
     Each step is a ``_SparseStage`` built here, the single carrier of its
     theta_t, slice and outputs, run as ``filter_step(eta_pred, P_pred,
@@ -226,24 +219,25 @@ def filter_pass(data: ModelData, params: DFGPParams, *,
     F held at most LOOKAHEAD_MAX_NNZ entries, the next step's F is factored
     on this thread while this step's solves run on the solve pool.
     """
-    u = check_horizon(data, params)
+    u = data.T
+    if params.u != u:
+        raise ValueError(f"parameters span {params.u} time steps, the data {u}")
     r = params.r
     if pred_bau is None:
         pred_nodes = np.zeros(0, dtype=np.int64)
     else:
         pred_nodes = data.node_index(np.asarray(pred_bau, dtype=np.int64))
-    n_rhs = 1 + (0 if extra_obs is None else extra_obs[0].shape[1])
     # every step's psi and delta0 in one block each: the states keep them
     # all, and one allocation keeps them out of the heap that the per-step
     # factors reuse
     psi = np.zeros((u, pred_nodes.size, r))
-    delta0 = np.zeros((u, pred_nodes.size, n_rhs))
+    delta0 = np.zeros((u, pred_nodes.size, 1))
 
     def stage(t: int) -> _SparseStage:
-        return _SparseStage(data, params, t, None if extra_obs is None else extra_obs[t - 1],
-                            pred_nodes, psi[t - 1], delta0[t - 1], want_variance)
+        return _SparseStage(data, params, t, pred_nodes, psi[t - 1], delta0[t - 1],
+                            want_variance)
 
-    eta = np.zeros((r, n_rhs))
+    eta = np.zeros((r, 1))
     P = params.K0.copy()
     states: list[StatePosterior] = []
     ahead = None
@@ -256,6 +250,10 @@ def filter_pass(data: ModelData, params: DFGPParams, *,
             this.start()
             ahead = stage(t + 1)
             ahead.prepare()
+        if on_factor is not None:
+            this.start()
+            on_factor(t, this.factor if this.slc.n_obs else
+                      fine_factor(data, this.car, this.slc, this.sigma2_row))
         st = filter_step(eta_pred, P_pred, this)
         last_nnz = this.factor_nnz
         states.append(st)
@@ -288,17 +286,15 @@ class _SparseStage:
     ``finish`` (the Woodbury corrections).  Each part runs the parts before
     it that have not run.  After ``finish``: ``ln_dinv`` = ln|D^{-1}|,
     ``sds`` = S'DS, ``sdy`` = S'D y0 and ``ydy`` = y0'D y0 for
-    y0 = z - X beta (k columns), ``delta0`` and ``psi`` at the tracked
+    y0 = z - X beta (one column), ``delta0`` and ``psi`` at the tracked
     nodes (filled in place), ``fine_var`` and ``factor_nnz``.
     """
 
-    def __init__(self, data: ModelData, params: DFGPParams, t: int, extra: np.ndarray | None,
-                 pred_nodes: np.ndarray, psi: np.ndarray, delta0: np.ndarray,
-                 want_variance: bool):
+    def __init__(self, data: ModelData, params: DFGPParams, t: int, pred_nodes: np.ndarray,
+                 psi: np.ndarray, delta0: np.ndarray, want_variance: bool):
         self.data, self.slc = data, data.slices[t - 1]
         self.car = params.car[t - 1] if params.car else None
         self.sigma2_row, self.beta_t = params.sigma2_eps[t - 1], params.beta[t - 1]
-        self.extra = extra
         self.pred_nodes, self.psi, self.delta0 = pred_nodes, psi, delta0
         self.want_variance = want_variance
         self.fine_var = np.zeros(pred_nodes.size) if want_variance else None
@@ -312,8 +308,7 @@ class _SparseStage:
             return
         self._prepared = True
         slc, car, sigma2_row = self.slc, self.car, self.sigma2_row
-        zcols = slc.z[:, None] if self.extra is None else np.column_stack([slc.z, self.extra])
-        y0 = zcols - (slc.X @ self.beta_t)[:, None]
+        y0 = slc.z[:, None] - (slc.X @ self.beta_t)[:, None]
         v = slc.v_diag(sigma2_row)
         vy = y0 / v[:, None]
         # S' V^{-1} by rows, so that a block of its rows is a cheap slice
@@ -378,26 +373,26 @@ def filter_step(eta_pred: np.ndarray, P_pred: np.ndarray,
     """One measurement update from forecast moments to filtered moments:
     finish the step's sparse stage, then run the r x r recursion.
 
-    eta_pred has one column for the data and one per column of the stage's
-    ``extra``.  With no observations the filtered moments equal the forecast
-    and the fine-scale posterior reverts to its prior.  All D-applications
+    eta_pred has one column, the data's.  With no observations the filtered
+    moments equal the forecast and the fine-scale posterior reverts to its
+    prior.  All D-applications
     factor through the sparse SPD matrix F = Q + B' V^{-1} B; without a CAR
     block (the fixed-rank model) D = V^{-1}.
     """
     slc = stage.slc
-    t, n_rhs = slc.time_index, eta_pred.shape[1]
+    t = slc.time_index
     stage.finish()
     if slc.n_obs == 0:
         return StatePosterior(
             time_index=t, eta=eta_pred.copy(), P=P_pred.copy(),
             eta_pred=eta_pred, P_pred=P_pred, delta0=stage.delta0,
-            fine_var=stage.fine_var, psi=stage.psi, n_obs=0, quad=np.zeros(n_rhs))
+            fine_var=stage.fine_var, psi=stage.psi, n_obs=0, quad=np.zeros(1))
     sda = stage.sdy - stage.sds @ eta_pred                          # S' D alpha
     ada = stage.ydy - (eta_pred * (stage.sdy + sda)).sum(axis=0)   # alpha' D alpha
     pp_cf = _cho(P_pred, t, "forecast covariance")
     A = sym(_cho_inv(pp_cf) + stage.sds)
     a_cf = _cho(A, t, "information matrix")
-    gain = la.cho_solve(a_cf, sda)                  # (r, k)
+    gain = la.cho_solve(a_cf, sda)                  # (r, 1)
     eta_f = eta_pred + gain
     P_f = _cho_inv(a_cf)
     return StatePosterior(

@@ -1,12 +1,16 @@
 """Maximum-likelihood parameter estimation.
 
-Two modes share one M-step.  Moments of the dynamic coefficients come
-exactly from a filter/smoother sweep in both; the fine-scale expectations:
+Two modes share one E-step and one M-step.  The E-step makes one
+filter/smoother sweep, which gives the moments of the dynamic coefficients
+and the smoothed fine-scale mean m_t exactly in both modes.  The modes
+differ only in the spread of (eta_t, xi_t) about (eta_bar_t, m_t), which
+both read from the factor of F_t that the filter pass builds:
 
-* ``sem``: stochastic EM, from conditional-simulation draws.
-* ``exact``: full EM, exact from the smoothed fine-scale moments and one
-  selected inversion of F_t per step; no dense joint, so no cap on N.  The
-  dense joint is only the test oracle, in ``tests/oracle.py``.
+* ``sem``: stochastic EM, from ``draws`` Monte Carlo draws of that spread
+  per step, at O(N r draws) per step.
+* ``exact``: full EM, exact from one selected inversion of that factor per
+  step; no dense joint, so no cap on N.  The dense joint is only the test
+  oracle, in ``tests/oracle.py``.
 
 Parameters without a CAR block (``car == ()``) are the fixed-rank model, so both
 modes run its exact E-step; only ``run_estimator`` reads ``lowrank_only``.
@@ -24,8 +28,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .car import GAMMA_MAX, CARParams, KroneckerSumFactor, SparseFactor, sample_car
-from .dynamics import _row_quad, check_horizon, filter_pass, fine_factor, smoother_pass
+from .car import GAMMA_MAX, CARParams, SparseFactor
+from .car import sample_car  # noqa: F401  (the benchmark's tracer test reads estimate.sample_car)
+from .dynamics import _cho, _row_quad, filter_pass, smoother_pass
 from .exceptions import InvalidParameterError
 from .model import DFGPParams, ModelData, as_dense, sym
 
@@ -46,6 +51,7 @@ class EstimatorConfig:
     time-invariant block; the last entry must equal the fitted horizon).
     lowrank_only: fit the fixed-rank model, which has no fine-scale CAR
     component: run_estimator starts from the start parameters with car = ().
+    draws: SEM's draws per step of the spread about the smoothed means.
     """
 
     mode: str = "sem"
@@ -80,8 +86,9 @@ class SufficientStats:
     """Per-iteration E-step summaries consumed by the M-step.
 
     K[t] = P_{t|u} + eta eta' for t = 0..u; L[t-1] couples t to t-1.
-    xi_* fields are exact expectations (exact mode) or draw averages (SEM);
-    meas_trace is the beta-free spread term of E[res' V_eps^{-1} res].
+    xi_mean is the smoothed mean of xi_t; xi_quad_* and meas_trace (the rows
+    of Cov(S eta_t + B xi_t | Z) / v summed per instrument) add the spread
+    about the smoothed means, exactly (exact mode) or as draw averages (SEM).
     """
 
     eta_mean: np.ndarray           # (u+1, r)
@@ -111,55 +118,6 @@ class EstimationResult:
     message: str = ""
 
 
-def conditional_simulate(data: ModelData, params: DFGPParams,
-                         rng: np.random.Generator, *, ndraws: int = 1):
-    """Draws from [eta_{0:u}, xi_{1:u} | Z_{1:u}], u = data.T, by conditional
-    simulation.
-
-    A prior trajectory (eta*, xi*) and synthetic data Z* are drawn from the
-    generative model; the conditional draw is
-        x* + E[x | Z] - E[x | Z*],
-    with both conditional means obtained from one multi-column sweep.
-    Returns (eta_draws (ndraws, u+1, r), xi_draws (ndraws, u, n_valid), sweep)
-    where sweep = (filter result, smoother result) at the real data.
-    """
-    u = check_horizon(data, params)
-    r, nv = params.r, data.structure.n
-    eta_star = np.zeros((u + 1, r, ndraws))
-    eta_star[0] = np.linalg.cholesky(params.K0) @ rng.standard_normal((r, ndraws))
-    xi_star = np.zeros((u, nv, ndraws))
-    z_star: list[np.ndarray] = []
-    gammas = [c.gamma for c in params.car]
-    # D - gamma E, kept while a later step shares gamma
-    factors: dict[float, SparseFactor | KroneckerSumFactor] = {}
-    for t in range(1, u + 1):
-        cu = np.linalg.cholesky(params.U_at(t))
-        eta_star[t] = params.H_at(t) @ eta_star[t - 1] + cu @ rng.standard_normal((r, ndraws))
-        g = gammas[t - 1]
-        if g not in factors:
-            factors[g] = data.structure.factor(g)
-        factor = factors[g] if g in gammas[t:] else factors.pop(g)
-        xi_star[t - 1] = sample_car(data.structure, params.car[t - 1], rng, size=ndraws,
-                                    factor=factor).reshape(ndraws, nv).T
-        slc = data.slices[t - 1]         # a step without records gives (0, ndraws)
-        eps = (np.sqrt(slc.v_diag(params.sigma2_eps[t - 1]))[:, None]
-               * rng.standard_normal((slc.n_obs, ndraws)))
-        z_star.append((slc.X @ params.beta[t - 1])[:, None]
-                      + as_dense(slc.S @ eta_star[t]) + slc.B @ xi_star[t - 1] + eps)
-
-    filt = filter_pass(data, params, pred_bau=data.structure.valid_idx, extra_obs=z_star)
-    sm = smoother_pass(filt, params)
-    eta_draws = np.empty((ndraws, u + 1, r))
-    xi_draws = np.empty((ndraws, u, nv))
-    eta_draws[:, 0] = (eta_star[0] + sm.eta0[:, :1] - sm.eta0[:, 1:]).T
-    for t in range(1, u + 1):
-        st = sm.states[t - 1]
-        delta = st.delta
-        eta_draws[:, t] = (eta_star[t] + st.eta[:, :1] - st.eta[:, 1:]).T
-        xi_draws[:, t - 1] = (xi_star[t - 1] + delta[:, :1] - delta[:, 1:]).T
-    return eta_draws, xi_draws, (filt, sm)
-
-
 def _eta_stats_from_smoother(sm, u: int, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     eta_mean = np.vstack([sm.eta0[:, 0]] + [sm.states[t - 1].eta[:, 0] for t in range(1, u + 1)])
     K = np.empty((u + 1, r, r))
@@ -172,51 +130,86 @@ def _eta_stats_from_smoother(sm, u: int, r: int) -> tuple[np.ndarray, np.ndarray
     return eta_mean, K, L
 
 
+class _ExactSpread:
+    """Exact mode's spread: Cov(xi_t | Z) = Z_t + psi_t P_{t|u} psi_t', with
+    Z_t = F_t^{-1} on pattern(F_t) by selected inversion of the filter's
+    factor, read there as diag Z, sum E o Z and diag(B Z B').  E's pattern,
+    which E[xi'E xi] reads, drops out of F_t at gamma = 0."""
+
+    def __init__(self, data: ModelData, params: DFGPParams):
+        if any(c.gamma == 0 for c in params.car):
+            raise InvalidParameterError("exact EM needs gamma > 0 at every time step")
+        self.data, self.parts = data, {}
+
+    def __call__(self, t: int, factor: SparseFactor) -> None:
+        Z, B = factor.selected_inverse(), self.data.slices[t - 1].B
+        self.parts[t] = (Z.diagonal(), self.data.structure.adjacency.multiply(Z).sum(),
+                         np.asarray((B @ Z).multiply(B).sum(axis=1)).ravel())
+
+    def moments(self, t: int, m: np.ndarray, st, deg, adj):
+        zdiag, adj_z, bzb = self.parts.pop(t)
+        slc, psi, P = self.data.slices[t - 1], st.psi, st.P
+        # Cov(S eta + B xi) = (S - B psi) P (S - B psi)' + B F^{-1} B'
+        return (m @ (deg * m) + deg @ (zdiag + _row_quad(psi, P)),
+                m @ (adj @ m) + adj_z + float((P * (psi.T @ (adj @ psi))).sum()),
+                _row_quad(as_dense(slc.S) - slc.B @ psi, P) + bzb)
+
+
+class _DrawnSpread:
+    """SEM's spread, by Monte Carlo.  In the filter pass it draws
+    w ~ N(0, F_t) as a draw of Q_t (``CARStructure.precision_draw``) plus
+    B' V^{-1/2} z, and keeps e = F_t^{-1} w ~ N(0, F_t^{-1}).  After
+    smoothing it draws d_eta ~ N(0, P_{t|u}); dev = e - psi_t d_eta then has
+    the spread of xi_t, and S d_eta + B dev that of S eta_t + B xi_t."""
+
+    def __init__(self, data: ModelData, params: DFGPParams, draws: int, rng):
+        self.data, self.params, self.draws, self.rng, self.e = data, params, draws, rng, {}
+
+    def __call__(self, t: int, factor: SparseFactor) -> None:
+        slc, car = self.data.slices[t - 1], self.params.car[t - 1]
+        w = self.data.structure.precision_draw(car.gamma, self.rng, self.draws)
+        w /= np.sqrt(car.tau2)
+        z = self.rng.standard_normal((slc.n_obs, self.draws))
+        w += slc.B.T @ (z / np.sqrt(slc.v_diag(self.params.sigma2_eps[t - 1]))[:, None])
+        self.e[t] = factor.solve(w)
+
+    def moments(self, t: int, m: np.ndarray, st, deg, adj):
+        root = np.tril(_cho(st.P, t, "smoothed covariance")[0])
+        d_eta = root @ self.rng.standard_normal((self.params.r, self.draws))
+        dev = self.e.pop(t) - st.psi @ d_eta
+        slc = self.data.slices[t - 1]
+        return (m @ (deg * m) + float((dev * (deg[:, None] * dev)).sum(axis=0).mean()),
+                m @ (adj @ m) + float((dev * (adj @ dev)).sum(axis=0).mean()),
+                ((as_dense(slc.S @ d_eta) + slc.B @ dev) ** 2).mean(axis=1))
+
+
 def e_step(data: ModelData, params: DFGPParams, config: EstimatorConfig,
            rng: np.random.Generator) -> SufficientStats:
     """E-step summaries plus the -2 log-likelihood, from one filter/smoother
-    sweep.  SEM averages over conditional draws of xi; exact mode uses
-    Cov(xi_t | Z) = Z_t + psi_t P_{t|u} psi_t', with Z_t = F_t^{-1} on
-    pattern(F_t).  The fixed-rank model has no xi to draw, so it takes the
-    exact branch in both modes and tracks no node."""
+    sweep and one loop over t (see the module docstring).  ``moments`` of the
+    mode's spread gives E[xi'D xi], E[xi'E xi] and the rows of
+    Cov(S eta + B xi | Z).  The fixed-rank model has no xi, so both modes run
+    its exact E-step, which tracks no node."""
     u = data.T
     r, nv = params.r, data.structure.n
     deg = data.structure.degrees
     adj = data.structure.adjacency
     xi_mean, xi_qd, xi_qa = np.zeros((u, nv)), np.zeros(u), np.zeros(u)
     meas_trace = np.zeros((u, params.n_instruments))
-    sem = config.mode == "sem" and bool(params.car)
-    if sem:
-        _eta_draws, xi_draws, (filt, sm) = conditional_simulate(
-            data, params, rng, ndraws=config.draws)
-    else:
-        filt = filter_pass(data, params, pred_bau=data.structure.valid_idx if params.car else None)
-        sm = smoother_pass(filt, params)
+    spread = None
+    if params.car:
+        spread = (_DrawnSpread(data, params, config.draws, rng) if config.mode == "sem"
+                  else _ExactSpread(data, params))
+    filt = filter_pass(data, params, on_factor=spread,
+                       pred_bau=None if spread is None else data.structure.valid_idx)
+    sm = smoother_pass(filt, params)
     for t in range(1, u + 1):
         slc, st = data.slices[t - 1], sm.states[t - 1]
-        if sem:
-            draws = xi_draws[:, t - 1]
-            xi_mean[t - 1] = m = draws.mean(axis=0)
-            xi_qd[t - 1] = np.mean([x @ (deg * x) for x in draws])
-            xi_qa[t - 1] = np.mean([x @ (adj @ x) for x in draws])
-            # rows of the draws' spread of B xi about their mean (0 for one draw)
-            quad_rows = ((slc.B @ (draws - m).T) ** 2).mean(axis=1)
-        elif not params.car:
+        if spread is None:
             quad_rows = _row_quad(as_dense(slc.S), st.P)
         else:
-            # E's pattern, which E[xi' E xi] reads, drops out of F_t at gamma = 0
-            if params.car[t - 1].gamma == 0:
-                raise InvalidParameterError("exact EM needs gamma > 0 at every time step")
-            Z = fine_factor(data, params.car[t - 1], slc,
-                            params.sigma2_eps[t - 1]).selected_inverse()
-            m, psi, P = st.delta[:, 0], st.psi, st.P
-            xi_mean[t - 1] = m
-            xi_qd[t - 1] = m @ (deg * m) + deg @ (Z.diagonal() + _row_quad(psi, P))
-            xi_qa[t - 1] = (m @ (adj @ m) + adj.multiply(Z).sum()
-                            + float((P * (psi.T @ (adj @ psi))).sum()))
-            # rows of Cov(S eta + B xi) = (S - B psi) P (S - B psi)' + B F^{-1} B'
-            quad_rows = (_row_quad(as_dense(slc.S) - slc.B @ psi, P)
-                         + np.asarray((slc.B @ Z).multiply(slc.B).sum(axis=1)).ravel())
+            xi_mean[t - 1] = m = st.delta[:, 0]
+            xi_qd[t - 1], xi_qa[t - 1], quad_rows = spread.moments(t, m, st, deg, adj)
         for k, rows in slc.instrument_rows.items():
             meas_trace[t - 1, k - 1] = float((quad_rows[rows] / slc.v_factors[rows]).sum())
     eta_mean, K, L = _eta_stats_from_smoother(sm, u, r)

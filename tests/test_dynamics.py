@@ -102,35 +102,41 @@ class TestSolvePool:
     """The solve pool only reorders independent SuperLU calls, and the
     look-ahead only moves when the next step's F is factored, so the states
     depend neither on how many threads run them nor on the look-ahead rule.
+    Nor does a seeded SEM E-step, whose draws the filter pass's callback
+    makes on the calling thread while the step's solves run on the pool.
     With one worker, a pool task that waited on the pool would hang here."""
 
     @pytest.mark.parametrize("workers", [1, 8])
     def test_states_bit_identical(self, monkeypatch, workers):
-        # two blocks of columns (r = 13), four observation columns, an empty
-        # step; every node is tracked: the 6x5 grid's 30 take unit solves,
-        # the 12x10 grid's 120 a selected inversion.  The look-ahead rule is
-        # forced off for the reference, then off and on.
+        # two blocks of columns (r = 13), an empty step; every node is
+        # tracked: the 6x5 grid's 30 take unit solves, the 12x10 grid's 120 a
+        # selected inversion.  The look-ahead rule is forced off for the
+        # reference, then off and on.
+        from dfgp.estimate import EstimatorConfig, SufficientStats, e_step
         for nx, ny in ((6, 5), (12, 10)):
             data, params = make_instance(3, nx=nx, ny=ny, T=4, r_counts=(4, 9),
                                          empty_times=(2,))
-            rng = np.random.default_rng(0)
-            extra = [rng.standard_normal((slc.n_obs, 3)) for slc in data.slices]
             pred = data.structure.valid_idx
             assert params.r > SOLVE_BLOCK and (pred.size < SELECTED_INVERSION_MIN) == (nx == 6)
-            run = partial(filter_pass, data, params, pred_bau=pred, extra_obs=extra,
-                          want_variance=True)
+            run = partial(filter_pass, data, params, pred_bau=pred, want_variance=True)
+            sem = partial(e_step, data, params, EstimatorConfig(mode="sem", draws=3))
             monkeypatch.setattr(dynamics, "LOOKAHEAD_MAX_NNZ", 0)
-            ref = run()
+            ref, ref_sem = run(), sem(np.random.default_rng(7))
             for max_nnz in (0, 10**12):
                 monkeypatch.setattr(dynamics, "LOOKAHEAD_MAX_NNZ", max_nnz)
                 with stand_in_pool(workers) as requests:
                     runs = [run() for _ in range(5)]  # repeats give a race more chances
+                    sems = [sem(np.random.default_rng(7)) for _ in range(3)]
                 assert requests
                 for got in runs:
                     for a, b in zip(ref.states, got.states, strict=True):
                         for f in dataclasses.fields(a):
                             x, y = getattr(a, f.name), getattr(b, f.name)
                             assert np.array_equal(x, y), (nx, max_nnz, f.name)
+                for got in sems:
+                    for f in dataclasses.fields(SufficientStats):
+                        x, y = getattr(ref_sem, f.name), getattr(got, f.name)
+                        assert np.array_equal(x, y), (nx, max_nnz, f.name)
 
 
 class TestLookAhead:

@@ -9,98 +9,11 @@ from dfgp import car as car_mod
 from dfgp import dynamics
 from dfgp import estimate as estimate_mod
 from dfgp.car import GAMMA_MAX, CARParams, sample_car
-from dfgp.estimate import (EstimatorConfig, SufficientStats, _gamma_objective,
-                           conditional_simulate, e_step, fit_filtering_sequence,
-                           init_params, m_step, optimize_gamma, run_estimator)
+from dfgp.estimate import (EstimatorConfig, SufficientStats, _gamma_objective, e_step,
+                           fit_filtering_sequence, init_params, m_step, optimize_gamma,
+                           run_estimator)
 from dfgp.synth import ScenarioConfig, scenario_data
 
-
-
-class TestConditionalSimulate:
-    def test_deterministic_given_seed(self):
-        data, params = make_instance(0)
-        a = conditional_simulate(data, params, np.random.default_rng(3))
-        b = conditional_simulate(data, params, np.random.default_rng(3))
-        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
-
-    @staticmethod
-    def _shared_gammas(mask=None):
-        data, params = make_instance(2, nx=4, ny=4, T=4, mask=mask)
-        car = params.car
-        return data, dataclasses.replace(params, car=(car[0], car[1], car[0], car[0]))
-
-    def test_one_factor_per_gamma_keeps_draws(self, monkeypatch):
-        # a full grid: count the factors CARStructure.factor builds
-        data, params = self._shared_gammas()
-        made = []
-        real = car_mod.CARStructure.factor
-        monkeypatch.setattr(car_mod.CARStructure, "factor",
-                            lambda self, gamma: made.append(gamma) or real(self, gamma))
-        self._check_one_factor_per_gamma(monkeypatch, data, params, made)
-
-    def test_one_factor_per_gamma_on_masked_grid(self, monkeypatch):
-        mask = np.ones(16, dtype=bool)
-        mask[5] = False
-        data, params = self._shared_gammas(mask)
-        made = []
-        real = car_mod.sparse_factorize
-        monkeypatch.setattr(car_mod, "sparse_factorize",
-                            lambda m: made.append(1) or real(m))
-        self._check_one_factor_per_gamma(monkeypatch, data, params, made)
-
-    @staticmethod
-    def _check_one_factor_per_gamma(monkeypatch, data, params, made):
-        a = conditional_simulate(data, params, np.random.default_rng(5), ndraws=2)
-        assert len(made) == 2
-        # a factorization per draw, as sample_car makes without a prebuilt factor
-        monkeypatch.setattr(estimate_mod, "sample_car",
-                            lambda s, p, rng, size=1, factor=None: sample_car(s, p, rng, size))
-        b = conditional_simulate(data, params, np.random.default_rng(5), ndraws=2)
-        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
-
-    def test_uninformative_data_returns_prior_draw(self):
-        data, params = make_instance(1, v_range=(1e14, 2e14))
-        rng = np.random.default_rng(0)
-        etas, xis, (filt, sm) = conditional_simulate(data, params, rng, ndraws=1)
-        # correction E[x|Z] - E[x|Z*] must vanish as the data become useless
-        # (scales as 1/sqrt(V): the simulated Z* carries noise of size sqrt(V))
-        for t in range(1, params.u + 1):
-            st = sm.states[t - 1]
-            assert np.abs(st.delta[:, 0] - st.delta[:, 1]).max() < 1e-5
-            assert np.abs(st.eta[:, 0] - st.eta[:, 1]).max() < 1e-5
-
-    def test_interpolation_limit_reproduces_residual(self):
-        # every BAU observed once with near-zero noise: S eta + B xi must
-        # reproduce Z - X beta along the conditional draw
-        data, params = make_instance(2, k0=1, v_range=(1e-10, 2e-10))
-        # keep only time steps where every BAU is observed: rebuild with full cover
-        from dfgp.model import assemble
-        rng0 = np.random.default_rng(9)
-        records = [(t, 1, [i], float(rng0.standard_normal()), 1e-10)
-                   for t in range(1, params.u + 1) for i in range(data.grid.n_bau)]
-        data = assemble(make_observations(records, params.u), data.grid, data.basis,
-                        data.structure, covariates=("1", "y"))
-        params = dataclasses.replace(params, sigma2_eps=params.sigma2_eps[:, :1])
-        etas, xis, _ = conditional_simulate(data, params, np.random.default_rng(1))
-        for t in range(1, params.u + 1):
-            slc = data.slices[t - 1]
-            fitted = slc.S @ etas[0, t] + slc.B @ xis[0, t - 1]
-            resid = slc.z - slc.X @ params.beta[t - 1]
-            assert np.abs(fitted - resid).max() < 1e-3
-
-    def test_draw_mean_matches_posterior(self):
-        data, params = make_instance(1, T=2)
-        rng = np.random.default_rng(0)
-        etas, xis, _ = conditional_simulate(data, params, rng, ndraws=3000)
-        dj = DenseJoint(data, params)
-        mean, cov = dj.posterior()
-        for t in range(1, 3):
-            ex = mean[dj.xi_slice(t)]
-            se = np.sqrt(np.diag(cov[dj.xi_slice(t), dj.xi_slice(t)]) / 3000)
-            assert (np.abs(xis[:, t - 1].mean(axis=0) - ex) <= 5 * se).all()
-            ee = mean[dj.eta_slice(t)]
-            see = np.sqrt(np.diag(cov[dj.eta_slice(t), dj.eta_slice(t)]) / 3000)
-            assert (np.abs(etas[:, t].mean(axis=0) - ee) <= 5 * see).all()
 
 
 class TestEStep:
@@ -118,11 +31,131 @@ class TestEStep:
 
     def test_sem_reproducible(self):
         data, params = make_instance(3)
-        cfg = EstimatorConfig(mode="sem", seed=0)
+        cfg = EstimatorConfig(mode="sem", seed=0, draws=2)
         a = e_step(data, params, cfg, np.random.default_rng(11))
         b = e_step(data, params, cfg, np.random.default_rng(11))
-        assert np.array_equal(a.xi_mean, b.xi_mean)
-        assert np.array_equal(a.K, b.K)
+        for f in dataclasses.fields(SufficientStats):
+            assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
+        c = e_step(data, params, cfg, np.random.default_rng(12))
+        assert not np.array_equal(a.meas_trace, c.meas_trace)
+
+    def test_sem_draws_deterministic_given_seed(self):
+        # the filter-pass draws e = F_t^{-1} w themselves, at every step,
+        # one with no records included
+        data, params = make_instance(0, empty_times=(2,))
+
+        def draws(seed):
+            spread = estimate_mod._DrawnSpread(data, params, 3, np.random.default_rng(seed))
+            dynamics.filter_pass(data, params, on_factor=spread)
+            return spread.e
+
+        a, b, c = draws(3), draws(3), draws(4)
+        assert sorted(a) == list(range(1, params.u + 1))
+        for t in a:
+            assert a[t].shape == (data.structure.n, 3)
+            assert np.array_equal(a[t], b[t]), t
+            assert not np.array_equal(a[t], c[t]), t
+
+    @pytest.mark.parametrize("empty_times", [(), (2,)], ids=["observed", "empty-t2"])
+    def test_exact_factors_each_step_once(self, monkeypatch, empty_times):
+        # the spread reads the filter pass's own factor of F_t, which is Q_t
+        # at a step without records
+        data, params = make_instance(4, T=3, empty_times=empty_times)
+        made = []
+        monkeypatch.setattr(dynamics, "SparseFactor",
+                            lambda *a: made.append(1) or car_mod.SparseFactor(*a))
+        e_step(data, params, EstimatorConfig(mode="exact"), np.random.default_rng(0))
+        assert len(made) == params.u
+
+    @pytest.mark.parametrize("masked", [False, True], ids=["full", "masked"])
+    def test_sem_factors_d_minus_gamma_e_once_per_gamma(self, monkeypatch, masked):
+        # four steps sharing two gammas: the likelihood's log-determinants
+        # factor D - gamma E once per gamma, and drawing needs no such factor
+        mask = None
+        if masked:
+            mask = np.ones(16, dtype=bool)
+            mask[5] = False
+        data, params = make_instance(2, nx=4, ny=4, T=4, mask=mask)
+        car = params.car
+        params = dataclasses.replace(params, car=(car[0], car[1], car[0], car[0]))
+        assert data.structure.closed_form != masked
+        made = []
+        real = car_mod.CARStructure.factor
+        monkeypatch.setattr(car_mod.CARStructure, "factor",
+                            lambda self, gamma: made.append(gamma) or real(self, gamma))
+        e_step(data, params, EstimatorConfig(mode="sem", draws=2), np.random.default_rng(5))
+        assert sorted(made) == sorted([car[0].gamma, car[1].gamma])
+
+    def test_sem_matches_dense_posterior(self):
+        # xi_mean is the smoothed mean, exact mode's bit for bit.  The rest
+        # are m'Mm plus draw averages of Gaussian quadratic forms y'My with
+        # y ~ N(0, C): mean tr(MC), sd sqrt(2 tr((MC)^2) / n).  C is the
+        # posterior covariance of xi_t, or of (eta_t, xi_t) for the rows of
+        # Cov(S eta + B xi | Z) in meas_trace.
+        data, params = make_instance(4, T=2)
+        ndraws = 4000
+        sem = e_step(data, params, EstimatorConfig(mode="sem", draws=ndraws),
+                     np.random.default_rng(1))
+        exact = e_step(data, params, EstimatorConfig(mode="exact"), np.random.default_rng(0))
+        assert np.array_equal(sem.xi_mean, exact.xi_mean)
+        want = _dense_e_step(data, params)
+        dj = DenseJoint(data, params)
+        _, cov = dj.posterior()
+        deg, adj = data.structure.degrees, data.structure.adjacency.toarray()
+
+        def close(got, expect, M, C):
+            sd = np.sqrt(2 * np.trace(M @ C @ M @ C) / ndraws)
+            return abs(got - expect) <= 5 * sd
+
+        for t in range(1, params.u + 1):
+            es, xs = dj.eta_slice(t), dj.xi_slice(t)
+            C = cov[xs, xs]
+            assert close(sem.xi_quad_deg[t - 1], want.xi_quad_deg[t - 1], np.diag(deg), C)
+            assert close(sem.xi_quad_adj[t - 1], want.xi_quad_adj[t - 1], adj, C)
+            idx = np.r_[es.start:es.stop, xs.start:xs.stop]
+            slc = data.slices[t - 1]
+            for k, rr in slc.instrument_rows.items():
+                SB = np.hstack([slc.S[rr].toarray(), slc.B[rr].toarray()])
+                M = SB.T @ (SB / slc.v_factors[rr, None])
+                assert close(sem.meas_trace[t - 1, k - 1], want.meas_trace[t - 1, k - 1],
+                             M, cov[np.ix_(idx, idx)]), (t, k)
+
+    def test_sem_draws_the_prior_on_uninformative_data(self):
+        # as the data lose all weight, the spread of xi_t is its prior Q_t^{-1}
+        data, params = make_instance(1, v_range=(1e14, 2e14))
+        ndraws = 4000
+        sem = e_step(data, params, EstimatorConfig(mode="sem", draws=ndraws),
+                     np.random.default_rng(0))
+        dj = DenseJoint(data, params)
+        deg, adj = np.diag(data.structure.degrees), data.structure.adjacency.toarray()
+        assert np.abs(sem.xi_mean).max() < 1e-5
+        for t in range(1, params.u + 1):
+            C = dj.q_inv[t - 1]
+            for M, got in ((deg, sem.xi_quad_deg[t - 1]), (adj, sem.xi_quad_adj[t - 1])):
+                sd = np.sqrt(2 * np.trace(M @ C @ M @ C) / ndraws)
+                assert abs(got - np.trace(M @ C)) <= 5 * sd, t
+
+    def test_sem_interpolation_limit(self):
+        # every BAU observed once with near-zero noise: S eta + B xi is pinned
+        # to Z - X beta, so the smoothed means reproduce the residual and a
+        # draw's spread of S eta + B xi about them is at the noise scale
+        data, params = make_instance(2, k0=1, v_range=(1e-10, 2e-10))
+        from dfgp.model import assemble
+        rng0 = np.random.default_rng(9)
+        records = [(t, 1, [i], float(rng0.standard_normal()), 1e-10)
+                   for t in range(1, params.u + 1) for i in range(data.grid.n_bau)]
+        data = assemble(make_observations(records, params.u), data.grid, data.basis,
+                        data.structure, covariates=("1", "y"))
+        params = dataclasses.replace(params, sigma2_eps=params.sigma2_eps[:, :1])
+        sem = e_step(data, params, EstimatorConfig(mode="sem"), np.random.default_rng(1))
+        for t in range(1, params.u + 1):
+            slc = data.slices[t - 1]
+            fitted = slc.S @ sem.eta_mean[t] + slc.B @ sem.xi_mean[t - 1]
+            resid = slc.z - slc.X @ params.beta[t - 1]
+            assert np.abs(fitted - resid).max() < 1e-3
+            # sum over records of (spread / noise variance factor), each
+            # at most sigma2 in expectation: chi-square-sized, not 1e10
+            assert sem.meas_trace[t - 1, 0] < 10 * slc.n_obs * params.sigma2_eps[t - 1, 0]
 
     def test_exact_vs_sem_averaged_agree(self):
         data, params = make_instance(4, T=2)
@@ -140,8 +173,8 @@ class TestEStep:
         assert np.allclose(sem.xi_quad_deg, exact.xi_quad_deg, rtol=0.25)
 
     def test_sem_spread_term_matches_dense(self):
-        # with draws > 1, SEM's meas_trace is the draws' spread of B xi per
-        # record: sum over rows of diag(B Cov(xi_t | Z) B') / v
+        # SEM's meas_trace is the draws' spread of S eta + B xi per record:
+        # sum over rows of diag([S B] Cov((eta_t, xi_t) | Z) [S B]') / v
         data, params = make_instance(4, T=2)
         ndraws = 800
         sem = e_step(data, params, EstimatorConfig(mode="sem", draws=ndraws),
@@ -149,10 +182,12 @@ class TestEStep:
         dj = DenseJoint(data, params)
         _, cov = dj.posterior()
         for t in range(1, params.u + 1):
-            slc, C = data.slices[t - 1], cov[dj.xi_slice(t), dj.xi_slice(t)]
+            es, xs = dj.eta_slice(t), dj.xi_slice(t)
+            idx = np.r_[es.start:es.stop, xs.start:xs.stop]
+            slc, C = data.slices[t - 1], cov[np.ix_(idx, idx)]
             for k, rr in slc.instrument_rows.items():
-                Bk = slc.B[rr].toarray()
-                M = Bk.T @ (Bk / slc.v_factors[rr, None])
+                SB = np.hstack([slc.S[rr].toarray(), slc.B[rr].toarray()])
+                M = SB.T @ (SB / slc.v_factors[rr, None])
                 want = np.trace(M @ C)
                 # the draw average of a Gaussian quadratic form: sd sqrt(2 tr((MC)^2) / n)
                 sd = np.sqrt(2 * np.trace(M @ C @ M @ C) / ndraws)

@@ -84,16 +84,15 @@ class TestMarginal:
     def test_woodbury_quadratic_matches_dense_on_random_vectors(self):
         data, params = make_instance(2, T=1)
         dj = DenseJoint(data, params)
-        n = data.slices[0].n_obs
+        slc = data.slices[0]
         rng = np.random.default_rng(5)
-        extra = rng.standard_normal((n, 3))
-        filt = filter_pass(data, params, extra_obs=[extra])
-        mu = dj.mean_z
-        sig = dj.cov_z
+        extra = rng.standard_normal((slc.n_obs, 3))
         for j in range(3):
-            resid = extra[:, j] - mu
-            expect = resid @ np.linalg.solve(sig, resid)
-            assert filt.states[0].quad[j + 1] == pytest.approx(expect, rel=1e-8)
+            # each random vector is the data's z in its own pass
+            slc.z = extra[:, j]
+            resid = extra[:, j] - dj.mean_z
+            expect = resid @ np.linalg.solve(dj.cov_z, resid)
+            assert filter_pass(data, params).states[0].quad[0] == pytest.approx(expect, rel=1e-8)
 
     def test_lowrank_reduction_matches_direct_innovation_form(self):
         # independent dense implementation of the low-rank-only likelihood

@@ -13,7 +13,8 @@ scenarios (``bench/workloads.py`` next to this file, read, not changed):
   exact-mode EM iteration from ``init_params`` (every ``SufficientStats``
   field of its E-step and the parameters its M-step returns) and one SEM
   E-step with ``draws = 2`` from there (every ``SufficientStats`` field,
-  the draws' spread term in ``meas_trace`` included), plus the
+  whose spread parts in ``xi_quad_deg``, ``xi_quad_adj`` and ``meas_trace``
+  average the two draws), plus the
   ``dfgp filter`` and ``dfgp smooth`` commands on its generated files, whose
   prediction CSVs are compared too, and ``dfgp fit`` then ``dfgp smooth`` of
   the fixed-rank model (``[estimator] lowrank_only = true``,
