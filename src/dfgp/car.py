@@ -3,9 +3,9 @@
 The fine-scale component has sparse precision
     Q = Delta^{-1} (I - gamma W) / tau^2 = (D - gamma E) / tau^2,
 where E is the 0/1 adjacency, D = diag(degrees) and W = D^{-1} E is the
-row-normalized proximity matrix.  Solves and the log-determinant of a
-sparse SPD matrix go through one sparse symmetric factorization (SuperLU in
-symmetric mode with a fill-reducing ordering).
+row-normalized proximity matrix.  The log-determinant of a sparse SPD
+matrix comes from one sparse symmetric factorization (SuperLU in symmetric
+mode with a fill-reducing ordering), and solves from that factor's own L.
 
 D - gamma E has two kinds of factor, built by ``CARStructure.factor`` alone
 and used through the same four names (``solve``, ``logdet``,
@@ -42,37 +42,65 @@ order takes 0.2-0.25 s once.  D - gamma E alone keeps minimum degree: on a
 masked 256 x 256 grid (N = 50,535) nested dissection held 3.35M entries
 against 2.30M, for a factor and 2-column solve of 178 against 209 ms.
 
+``SparseFactor`` keeps SuperLU's L and pivots d, P M P' = L diag(d) L',
+drops SuperLU's object, and solves with L itself by level scheduling
+(Anderson & Saad 1989) over the supernodal elimination tree that selected
+inversion also walks.  L's supernodes are sorted by depth, deepest first,
+and one depth is one level: the forward pass makes, per level, one product
+of the level's rows of L with a C-ordered block of right-hand sides and
+one with the strictly lower part of the inverses of its dense diagonal
+blocks, each one call of scipy's compiled CSR kernel; the backward pass does
+the same with L by columns, built on first use.  A half solve W =
+D^{-1/2} L^{-1} P b stops after the forward pass, and its Gram W'W is
+b' M^{-1} b.  On the bench scenario's F_1 (N = 65,536; one BLAS thread of a
+2-vCPU host, medians of 5) the solves of a smooth-65k step, 100 half-solve
+columns and 32 unit vectors, take 0.14 s on the 2-thread pool, where
+SuperLU's took 0.45 s; a full 100-column solve takes 0.34 s on one thread
+against 0.75 s in one SuperLU call.  Setting up the levels adds 40-50% to a
+factorization: 0.24 -> 0.33 s at N = 65,536, 25 -> 35 ms at 10^4 and
+8.8 -> 13 ms at 4,096.  The factor then holds 34 MB at N = 65,536 (67 MB
+once L by columns is built), where SuperLU's object and the copies of L and
+U it exports held about 130 MB for the factor's life.
+
 Exact EM needs M^{-1} on the pattern of M (``SparseFactor.selected_inverse``),
 prediction variances its diagonal (``solve_selected_diag``); both come from
 one Takahashi selected inversion over the pattern of L, which makes no
 solve.  It walks the elimination tree of L's supernodes one depth at a
 time and runs the supernodes of one depth and shape as one stack of numpy
 calls, so its cost is a few calls per depth and shape rather than a Python
-loop over ~N/2 supernodes.  For the diagonal, below SELECTED_INVERSION_MIN
-requested indices one unit solve each (on the solve pool) is cheaper.
-Measured on the bench scenario's F_t in the nested-dissection order, one
-BLAS thread of a 2-vCPU host, median of 7: the full diagonal takes 38 ms at
-N = 4,096 (a unit solve 0.22 ms), 0.12 s at 16,384 (0.9 ms) and 0.63 s at
-65,536 (5.2 ms), so the crossover lies at about 176, 131 and 122 indices
-(a second run: 258, 115 and 116).  These runs were on a slower hour of the
-host than the earlier minimum-degree figures (0.025 s and 0.5 s for the
-diagonal, crossovers of 130, 100 and 75-85).
+loop over ~N/2 supernodes.  The level order keeps each supernode's columns
+and the relative order of every column's rows, so it makes the calls it
+made in SuperLU's order and gives the same bits.  For the diagonal, below
+SELECTED_INVERSION_MIN requested indices the squared column norms of the
+half solves of unit vectors (forward passes only, on the solve pool) are
+cheaper.  Measured on the bench scenario's F_t in the nested-dissection
+order, one BLAS thread of a 2-vCPU host, median of 7: the full diagonal
+takes 26-29 ms at N = 4,096 (a unit column 0.07-0.09 ms), 79-86 ms at
+16,384 (0.21-0.33 ms) and 0.37 s at 65,536 (1.3-1.4 ms), so the crossover
+lies at 299-396, 260-377 and 267-273 indices; SuperLU's unit solves crossed
+at 179, 128 and 119 in the same hour.
 
-Independent SuperLU calls (the blocks of one factor's multi-column solves,
+Independent tasks (the column blocks of one factor's many-column solves,
 the curve's nodes) run on one thread pool with a thread per CPU the process
 may run on (``run_parallel``).  The filter starts a step's solves there
 without waiting (``run_ahead``) and factors the next step's F meanwhile.
-Each task makes the same calls on the same data whatever thread runs it, so
-results do not depend on the thread count.
+SuperLU and the level kernels release the GIL, but each level also makes a
+few short numpy calls that need it.  Each column of a solve gets the same
+bits in any block of columns, and each task makes the same calls on the
+same data whatever thread runs it, so results depend neither on the thread
+count nor on the split.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from collections.abc import Callable, Sequence
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -80,6 +108,7 @@ import scipy.sparse.linalg as spla
 from numpy.polynomial import Chebyshev
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dtrtri
+from scipy.sparse import _sparsetools
 from scipy.sparse.csgraph import connected_components
 
 from .exceptions import FactorizationError, InvalidParameterError, StructureError
@@ -96,9 +125,20 @@ GAMMA_MIN = 0.0
 LOGDET_CURVE_NODES = 64
 
 # Fewest requested indices for which SparseFactor.solve_selected_diag inverts
-# the whole factor by selected inversion instead of solving one unit vector
-# per index (measured crossover: see the module docstring).
-SELECTED_INVERSION_MIN = 112
+# the whole factor by selected inversion instead of a forward half solve per
+# index (measured crossover: see the module docstring).
+SELECTED_INVERSION_MIN = 256
+
+# Doubles of dense right-hand side per block of a many-column solve against
+# an n x n factor (the r + 1 columns of a filter step, the unit vectors of a
+# few standard errors): blocks of at most SOLVE_BLOCK_ENTRIES // n columns,
+# and at least one block per solve-pool worker, each a worker's working set.
+# Measured on the bench scenario's F_1, 132 columns of half solves on a
+# 2-CPU pool, one BLAS thread, median of 5, blocks of 8 / 16 / 24 / 33 / 66
+# columns: 0.24 / 0.16 / 0.14 / 0.13 / 0.13 s at N = 65,536 (where this
+# gives 32) and 39 / 29 / 25 / 26 / 22 ms at N = 10^4 (209); a block of 50
+# columns at N = 65,536 raised smooth-65k's peak RSS by about 50 MB.
+SOLVE_BLOCK_ENTRIES = 2 ** 21
 
 # nested_dissection leaves a part of at most ND_LEAF nodes uncut and cuts
 # each larger part at one of the grid lines within ND_WINDOW of its median.
@@ -120,22 +160,6 @@ ND_WINDOW = 3
 # Its two eigenvector matrices then hold at most 16 N numbers.
 KRONECKER_MAX_RATIO = 16
 
-# Right-hand sides per SuperLU solve when many columns are solved against one
-# factor (the r columns of the filter step, the unit vectors of the
-# selected-diagonal solves); the blocks run on the solve pool.  Measured for
-# the 99 columns and the innovation column of a 256x256 F_t on a 2-CPU pool,
-# one BLAS thread, median of 7: 0.31 s in blocks of 8, 0.39 s of 4, 0.30 s
-# of 12, 0.32 s of 16, 0.46 s of 33, 1.0 s all at once; the columns alone in
-# blocks of 8 take 0.58 s on one thread.  Re-measured on the bench F_1 in the
-# nested-dissection order (a slower hour of the same host), blocks of 8, 12
-# and 16: 22 / 21 / 21 ms at N = 4,096, 99 / 106 / 105 ms at 16,384 and
-# 533 / 487 / 508 ms at 65,536 (4: 35, 151 and 677 ms), so 8 stays.  Blocks
-# of up to 16 give the same bits as blocks of 8, blocks of 33 and more do
-# not.  A block also bounds each worker's dense right-hand side at
-# n x SOLVE_BLOCK.
-SOLVE_BLOCK = 8
-
-
 @cache
 def _pool() -> ThreadPoolExecutor:
     """The process's solve pool, one thread per CPU the process may run on,
@@ -145,6 +169,15 @@ def _pool() -> ThreadPoolExecutor:
     except AttributeError:  # no affinity call on this platform
         workers = os.cpu_count() or 1
     return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="dfgp-solve")
+
+
+def column_blocks(k: int, n: int) -> list[slice]:
+    """k columns of n rows as near-equal contiguous blocks of at most
+    SOLVE_BLOCK_ENTRIES // n columns, at least one per solve-pool worker
+    (fewer when k is smaller).  A solve gives each column the same bits in
+    any block, so results do not depend on the split."""
+    parts = min(max(-(-k * n // SOLVE_BLOCK_ENTRIES), _pool()._max_workers), k)
+    return [slice(k * i // parts, k * (i + 1) // parts) for i in range(parts)]
 
 
 def run_parallel(tasks: Sequence[Callable[[], object]]) -> list:
@@ -499,12 +532,22 @@ def build_adjacency(grid: BAUGrid) -> CARStructure:
 class SparseFactor:
     """Symmetric sparse factorization with solve() and logdet().
 
-    Wraps SuperLU in symmetric mode (no off-diagonal pivoting).  With
-    ``order`` None, ``matrix`` is M and SuperLU orders it by minimum degree
-    on M + M'; otherwise ``matrix`` is M[order][:, order], factored in that
-    order, and solve() and solve_selected_diag() still answer for M.  Either
-    way SuperLU postorders the elimination tree.  Positive definiteness is
-    certified by the pivots; a non-SPD input raises FactorizationError.
+    SuperLU in symmetric mode (no off-diagonal pivoting) factors the matrix
+    as P M P' = L diag(d) L'.  With ``order`` None, ``matrix`` is M and
+    SuperLU orders it by minimum degree on M + M'; otherwise ``matrix`` is
+    M[order][:, order], factored in that order, and every answer is still
+    for M.  Either way SuperLU postorders the elimination tree.  Positive
+    definiteness is certified by the pivots d; a non-SPD input raises
+    FactorizationError.
+
+    The factor keeps L and d and drops SuperLU's object.  L is kept by rows
+    in a level order (``_levels``): its supernodes sorted by depth in their
+    elimination tree, deepest first, so a triangular solve runs one depth
+    at a time as one sparse product per depth and the depth's dense
+    diagonal-block inverses.  The order keeps each supernode's columns and
+    the relative order of every column's rows, so selected inversion, which
+    reads L by columns (``_by_column``), makes the calls it makes in
+    SuperLU's order.
     """
 
     def __init__(self, matrix: sp.spmatrix, order: np.ndarray | None):
@@ -512,73 +555,165 @@ class SparseFactor:
         if m.shape[0] != m.shape[1]:
             raise ValueError("matrix must be square")
         try:
-            self._lu = spla.splu(m, permc_spec="MMD_AT_PLUS_A" if order is None else "NATURAL",
-                                 diag_pivot_thresh=0.0,
-                                 options=dict(SymmetricMode=True))
+            lu = spla.splu(m, permc_spec="MMD_AT_PLUS_A" if order is None else "NATURAL",
+                           diag_pivot_thresh=0.0,
+                           options=dict(SymmetricMode=True))
         except RuntimeError as exc:  # singular
             raise FactorizationError(f"sparse factorization failed: {exc}") from exc
-        self._d = self._lu.U.diagonal()       # the pivots: U = diag(d) L'
-        if not (self._d > 0).all():
+        if not np.array_equal(lu.perm_r, lu.perm_c):
+            raise FactorizationError("the factor's row and column permutations differ")
+        L, U = lu.L, lu.U
+        d = U.diagonal()                    # the pivots: U = diag(d) L'
+        if not (d > 0).all():
             raise FactorizationError("matrix is not positive definite")
-        self._logdet = float(np.log(self._d).sum())
+        self._logdet = float(np.log(d).sum())
         self.shape = m.shape
-        self.nnz = int(self._lu.nnz)          # entries SuperLU stores for L and U
-        self._order = order
-        if order is None:
-            self._perm = self._lu.perm_r
-        else:
-            self._position = _inverse(order)          # where M's row j sits in matrix
-            self._perm = self._lu.perm_r[self._position]
-        # self._perm[j]: the row and column of L that hold M's row and column j
+        self.nnz = int(lu.nnz)              # entries SuperLU stores for L and U
+        # the counts SuperLU's exported L and U held, under its object's
+        # names: bench/tracer.py reads _lu.L.nnz + _lu.U.nnz
+        self._lu = SimpleNamespace(L=SimpleNamespace(nnz=L.nnz), U=SimpleNamespace(nnz=U.nnz))
+        # M's row j is row perm[j] of L
+        perm = lu.perm_r if order is None else lu.perm_r[_inverse(order)]
+        del lu, U
+        rows = L.tocsr()
+        try:
+            tree = _supernode_tree(L, rows)
+        except FactorizationError:          # levels that would not order a solve
+            L = _closed_pattern(L)
+            rows = L.tocsr()
+            tree = _supernode_tree(L, rows)
+        n = self.shape[0]
+        w = np.diff(np.append(tree.starts, n))
+        by_depth = np.argsort(-tree.depth, kind="stable")
+        wq = w[by_depth]
+        at = _ragged(tree.starts[by_depth], wq)        # L's column at each position
+        pos = _inverse(at).astype(rows.indices.dtype)
+        parent = tree.parent[by_depth]
+        parent = np.where(parent < 0, -1, _inverse(by_depth)[parent])
+        self._tree = _Tree(np.cumsum(wq) - wq, parent, tree.depth[by_depth])
+        self._d = d[at]
+        self.positions = pos[perm]              # M's row j sits at position positions[j]
+        self._gather = _inverse(self.positions)  # the row of M at each position
+        starts, depth = self._tree.starts, self._tree.depth
+        cut = starts[np.flatnonzero(depth[1:] != depth[:-1]) + 1].tolist()
+        self._rows = rows[at]
+        self._rows.indices = np.take(pos, self._rows.indices)
+        self._blocks = _block_inverses(rows, tree.starts, w, pos)
+        # each level's positions, and whether it has a diagonal block wider
+        # than one column
+        bp = self._blocks.indptr
+        self._levels = [(s, e, bool(bp[e] > bp[s])) for s, e in zip([0, *cut], [*cut, n])]
+        self._cols: sp.csc_matrix | None = None
+        self._lock = threading.Lock()
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve M x = b for one vector or a dense block of right-hand sides."""
+    def solve(self, b: np.ndarray, half: bool = False) -> np.ndarray:
+        """Solve M x = b for one vector or a dense block of right-hand sides.
+
+        With ``half``, only the forward half: b is a C-ordered (n, k) block
+        that holds M's row j at row ``positions[j]``, and it is overwritten
+        with W = D^{-1/2} L^{-1} P b and returned.  Then W'W = b' M^{-1} b,
+        and ``finish_solve`` gives M^{-1} b.
+        """
+        if half:
+            self._forward(b)
+            b /= np.sqrt(self._d)[:, None]
+            return b
         b = np.asarray(b, dtype=float)
-        if self._order is None:
-            return self._lu.solve(b)
-        x = b[self._order]
-        return np.take(self._lu.solve(x), self._position, axis=0, out=x)
+        y = b.reshape(b.shape[0], -1)[self._gather]
+        self._forward(y)
+        y /= self._d[:, None]
+        self._backward(y)
+        return y[self.positions].reshape(b.shape)
 
-    def solve_selected_diag(self, indices: np.ndarray) -> np.ndarray:
-        """(M^{-1})_{jj} for the requested indices: by selected inversion of
-        the whole factor from SELECTED_INVERSION_MIN indices on, else by unit
-        solves in blocks of SOLVE_BLOCK."""
+    def finish_solve(self, w: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+        """The rows ``nodes`` of M^{-1} b from W = solve(b, half=True):
+        P' L^{-T} D^{-1/2} W there."""
+        y = w / np.sqrt(self._d)[:, None]
+        self._backward(y)
+        return y[self.positions[nodes]]
+
+    def _forward(self, y: np.ndarray) -> None:
+        """y <- L^{-1} y in place, deepest level first.  A level's rows of L
+        reach only earlier positions and the level's own diagonal blocks;
+        the level's part of y is zeroed during the product, so the blocks
+        add nothing, and their inverses are applied after."""
+        self._by_levels(y, self._levels, self._rows, self._blocks)
+
+    def _backward(self, y: np.ndarray) -> None:
+        """y <- L^{-T} y in place, root level first, by the rows of L'."""
+        cols = self._by_column()
+        lt = sp.csr_matrix((cols.data, cols.indices, cols.indptr), shape=self.shape)
+        self._by_levels(y, self._levels[::-1], lt, self._blocks_t)
+
+    @staticmethod
+    def _by_levels(y: np.ndarray, levels: list, rows: sp.csr_matrix,
+                   blocks: sp.csr_matrix) -> None:
+        """The levels' steps y_l <- (I + N_l)(y_l - A_l y) in the given
+        order, A_l the level's rows of ``rows`` and N_l its rows of
+        ``blocks``, with two scratch arrays for all of them."""
+        width = max(e - s for s, e, _wide in levels)
+        t_buf, u_buf = np.empty((2, width * y.shape[1]))
+        for s, e, wide in levels:
+            t = t_buf[:(e - s) * y.shape[1]].reshape(e - s, -1)
+            u = u_buf[:t.size].reshape(t.shape)
+            t[...] = y[s:e]
+            y[s:e] = 0.0
+            t -= _rows_times(rows, s, e, y, u)
+            if wide:
+                y[s:e] = t
+                t += _rows_times(blocks, s, e, y, u)
+            y[s:e] = t
+
+    def _by_column(self) -> sp.csc_matrix:
+        """L in the level order by columns, with sorted indices, which
+        selected inversion reads (and, as the rows of L', the backward
+        pass).  Built on first use, once, whichever thread asks."""
+        with self._lock:
+            if self._cols is None:
+                self._blocks_t = self._blocks.T.tocsr()
+                self._cols = self._rows.tocsc()
+            return self._cols
+
+    def solve_selected_diag(self, indices: np.ndarray,
+                            halves: np.ndarray | None = None) -> np.ndarray:
+        """(M^{-1})_{jj} for the requested indices: the squared column norms
+        of ``halves`` when the caller has the half solves of their unit
+        vectors, else by selected inversion of the whole factor from
+        SELECTED_INVERSION_MIN indices on, else as the squared column norms
+        of those half solves, made in blocks on the solve pool."""
         indices = np.asarray(indices, dtype=np.int64)
+        if halves is not None:
+            return column_sq_norms(halves)
         if indices.size >= SELECTED_INVERSION_MIN:
             return self._inverse_diagonal()[indices]
-        blocks = run_parallel([partial(self._unit_solve_diag, indices[s:s + SOLVE_BLOCK])
-                               for s in range(0, indices.size, SOLVE_BLOCK)])
+        blocks = run_parallel([partial(self._unit_variances, indices[c])
+                               for c in column_blocks(indices.size, self.shape[0])])
         return np.concatenate([np.empty(0), *blocks])
 
-    def _unit_solve_diag(self, idx: np.ndarray) -> np.ndarray:
-        unit = (idx, np.arange(idx.size))
-        rhs = np.zeros((self.shape[0], idx.size))
-        rhs[unit] = 1.0
-        return self.solve(rhs)[unit]
+    def _unit_variances(self, idx: np.ndarray) -> np.ndarray:
+        units = np.zeros((self.shape[0], idx.size))
+        units[self.positions[idx], np.arange(idx.size)] = 1.0
+        return column_sq_norms(self.solve(units, half=True))
 
     def selected_inverse(self) -> sp.csc_matrix:
         """M^{-1} on pattern(L + L'), which contains pattern(M), in the
         original order; entries off that pattern are not stored."""
-        z, p = self._permuted_inverse(), self._perm
+        z, p = self._level_inverse(), self.positions
         return (z + sp.tril(z, k=-1).T).tocsc()[p][:, p]
 
     def _inverse_diagonal(self) -> np.ndarray:
-        z = self._permuted_inverse()
-        return z.data[z.indptr[:-1]][self._perm]
+        z = self._level_inverse()
+        return z.data[z.indptr[:-1]][self.positions]
 
-    def _permuted_inverse(self) -> sp.csc_matrix:
-        """Z = (L diag(d) L')^{-1} on the lower pattern of L.  SuperLU in
-        symmetric mode with no off-diagonal pivoting gives P A P' = L U for
-        the matrix A it factored, with perm_r == perm_c and U = diag(d) L',
-        so (M^{-1})_{ij} = Z[p_i, p_j] with p = ``_perm``."""
-        lu = self._lu
-        if not np.array_equal(lu.perm_r, lu.perm_c):
-            raise FactorizationError("selected inversion needs equal row and column "
-                                     "permutations")
+    def _level_inverse(self) -> sp.csc_matrix:
+        """Z = (L diag(d) L')^{-1} on the lower pattern of L, in the level
+        order: (M^{-1})_{ij} = Z[p_i, p_j] with p = ``positions``."""
+        L = self._by_column()
         try:
-            return _selected_inverse(lu.L, self._d)
+            return _selected_inverse(L, self._d, self._tree)
         except FactorizationError:
-            return _selected_inverse(_closed_pattern(lu.L), self._d)
+            L = _closed_pattern(L)
+            return _selected_inverse(L, self._d, _supernode_tree(L, L.tocsr()))
 
     def logdet(self) -> float:
         return self._logdet
@@ -641,15 +776,122 @@ def _path_eigh(n: int, gamma: float) -> tuple[np.ndarray, np.ndarray]:
     return (1.0 - gamma) * (d @ u ** 2) + gamma * (np.diff(u, axis=0) ** 2).sum(axis=0), u
 
 
-def _selected_inverse(L: sp.spmatrix, d: np.ndarray) -> sp.csc_matrix:
+class _Tree(NamedTuple):
+    """The supernodes of a unit lower triangular L: each one's first column,
+    the supernode holding the first row below it (-1 at a root), and its
+    depth in that forest."""
+
+    starts: np.ndarray
+    parent: np.ndarray
+    depth: np.ndarray
+
+
+def _supernode_tree(L: sp.csc_matrix, rows: sp.csr_matrix) -> _Tree:
+    """The supernodal elimination tree of a unit lower triangular L, given
+    by columns with each column's diagonal entry first and by rows with
+    sorted indices.
+
+    A supernode is a run of columns where each column's rows are its
+    diagonal and the rows of the next, so its block of L is dense,
+    [L_SS; L_KS], and its columns share the rows K below it.  Column c
+    continues into c + 1 exactly when cnt(c) - 1 = cnt(c + 1) and every
+    row holding c + 1 holds c: in L's sorted rows, no entry of column c + 1
+    starts a run of consecutive columns.  Raises FactorizationError when a
+    row of some K lies in a supernode no shallower than its own: the
+    pattern is then not closed under elimination, and its levels would not
+    order a triangular solve.
+    """
+    n = L.shape[0]
+    ip, lrows = L.indptr, L.indices
+    cnt = np.diff(ip)
+    if (cnt < 1).any() or not np.array_equal(lrows[ip[:-1]], np.arange(n)):
+        raise FactorizationError("factor lacks a stored diagonal entry")
+    cols = rows.indices
+    run_starts = np.diff(cols) != 1
+    run_starts[rows.indptr[1:-1] - 1] = True        # a row's first entry
+    starts_run = np.zeros(n, dtype=bool)
+    starts_run[cols[1:][run_starts]] = True
+    joins = (cnt[:-1] - 1 == cnt[1:]) & ~starts_run[1:]
+    starts = np.flatnonzero(np.concatenate([[True], ~joins]))
+    w = np.diff(np.append(starts, n))
+    last = starts + w - 1
+    k = cnt[last] - 1
+    has_k = k > 0
+    krows = lrows[_ragged(ip[last[has_k]] + 1, k[has_k])]
+    sn = np.repeat(np.arange(starts.size), w)
+    parent = np.full(starts.size, -1)
+    parent[has_k] = sn[np.minimum.reduceat(krows, np.cumsum(k[has_k]) - k[has_k])]
+    depth = _tree_depths(parent)
+    if (depth[sn[krows]] >= np.repeat(depth[has_k], k[has_k])).any():
+        raise FactorizationError("the pattern of the factor is not closed under elimination")
+    return _Tree(starts, parent, depth)
+
+
+def _block_inverses(rows: sp.csr_matrix, starts: np.ndarray, w: np.ndarray,
+                    pos: np.ndarray) -> sp.csr_matrix:
+    """The strictly lower part of inv(L_SS) for every supernode S, as one
+    block-diagonal CSR matrix at the positions ``pos`` of L's columns.  L
+    is given by rows with sorted indices, so row s + a of a supernode from
+    column s ends with its entries in columns s .. s + a.  The m supernodes
+    of one width w take whichever makes fewer calls: one LAPACK inversion
+    each when m <= w, else one row substitution for all of them per row,
+    row i of inv(L_SS) being e_i - L_SS[i, :i] inv(L_SS)[:i]."""
+    n = rows.shape[0]
+    first = np.zeros(n, dtype=np.int64)     # the position of each row's supernode
+    first[pos[starts]] = pos[starts]
+    first = np.maximum.accumulate(first)    # by position: supernodes are contiguous there
+    size = np.arange(n) - first             # entries of each row, by position
+    indptr = np.concatenate([[0], np.cumsum(size)])
+    indices = np.empty(indptr[-1], dtype=rows.indices.dtype)
+    data = np.empty(indptr[-1])
+    for width in np.unique(w[w > 1]).tolist():
+        s = starts[w == width]
+        a = np.repeat(np.arange(width), np.arange(width))     # the strictly lower
+        b = _ragged(np.zeros(width, dtype=np.int64), np.arange(width))  # part, row-major
+        blk = np.zeros((s.size, width, width))
+        blk[:, a, b] = rows.data[rows.indptr[s[:, None] + a + 1] - 1 - (a - b)]
+        if s.size <= width:
+            inv = np.stack([dtrtri(x, lower=1, unitdiag=1)[0] for x in blk])
+        else:
+            inv = np.zeros_like(blk)        # its strictly lower part
+            inv[:, 1, 0] = -blk[:, 1, 0]
+            for i in range(2, width):
+                inv[:, i, :i] = -(blk[:, i, None, :i] @ inv[:, :i, :i])[:, 0] - blk[:, i, :i]
+        at = indptr[pos[s]][:, None] + np.arange(a.size)
+        indices[at] = pos[s][:, None] + b
+        data[at] = inv[:, a, b]
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+
+
+def _rows_times(m: sp.csr_matrix, s: int, e: int, x: np.ndarray,
+                out: np.ndarray) -> np.ndarray:
+    """Rows s .. e - 1 of the CSR matrix m times the C-ordered (n, k) x,
+    written to the C-ordered out and returned.  It calls scipy's compiled
+    CSR kernel, the one behind m @ x, on m's own arrays, so a level of a
+    triangular solve costs one C call and no matrix object; the kernel
+    releases the GIL."""
+    out[...] = 0.0
+    _sparsetools.csr_matvecs(e - s, m.shape[1], x.shape[1], m.indptr[s:e + 1], m.indices,
+                             m.data, x.ravel(), out.ravel())
+    return out
+
+
+def column_sq_norms(w: np.ndarray) -> np.ndarray:
+    """The squared norm of each column of w, each summed alone the same way
+    whatever w's width, so a column's bits do not depend on its block."""
+    t = np.ascontiguousarray(w.T)
+    t *= t
+    return t.sum(axis=1)
+
+
+def _selected_inverse(L: sp.csc_matrix, d: np.ndarray, tree: _Tree) -> sp.csc_matrix:
     """Z = (L diag(d) L')^{-1} on the pattern of L (its lower triangle), with
-    L unit lower triangular; the result shares L's sorted index arrays.
+    L unit lower triangular, CSC with sorted indices, and ``tree`` its
+    supernodes (``_supernode_tree``); the result shares L's index arrays.
 
     Takahashi recursion (Takahashi, Fagan & Chen 1973; Rue & Martino 2007)
-    over the supernodes of L.  A supernode S is a run of columns where each
-    column's rows below the diagonal are the rows of the next, so its block
-    of L is dense, [L_SS; L_KS] with K the rows below S.  With
-    Lh = L_KS L_SS^{-1}:
+    over the supernodes of L, whose blocks are dense, [L_SS; L_KS] with K the
+    rows below S.  With Lh = L_KS L_SS^{-1}:
 
         Z_KS = -Z_KK Lh,        Z_SS = (L_SS D_S L_SS')^{-1} - Lh' Z_KS.
 
@@ -664,31 +906,16 @@ def _selected_inverse(L: sp.spmatrix, d: np.ndarray) -> sp.csc_matrix:
     stack of numpy calls (_takahashi_stack).  Z itself is kept only on the
     pattern of L.
     """
-    L = sp.csc_matrix(L)
-    L.sort_indices()
     n = L.shape[0]
     ip = L.indptr.astype(np.int64)
     rows = L.indices  # per-entry arrays keep L's index dtype: int32 unless nnz(L) >= 2^31
     cnt = np.diff(ip)
-    if (cnt < 1).any() or not np.array_equal(rows[ip[:-1]], np.arange(n)):
-        raise FactorizationError("factor lacks a stored diagonal entry")
-    col = np.repeat(np.arange(n, dtype=rows.dtype), cnt)
-    # column j + 1 continues the supernode of column j when the rows of j
-    # below its diagonal are exactly the rows of j + 1
-    joins = np.zeros(n, dtype=bool)
-    joins[:-1] = cnt[:-1] == cnt[1:] + 1
-    p = np.flatnonzero(joins[col] & (rows != col))
-    joins[col[p[rows[p] != rows[p + cnt[col[p]] - 1]]]] = False
-    del p, col
-    starts = np.flatnonzero(np.concatenate([[True], ~joins[:-1]]))
+    starts, parent, depth = tree
     w = np.diff(np.append(starts, n))
     side = cnt[starts]                         # rows of the supernode: S, then K
     k = side - w
     below = ip[starts + w - 1] + 1             # where K begins in the last column
-    parent = np.full(starts.size, -1)
     has_k = k > 0
-    parent[has_k] = np.searchsorted(starts, rows[below[has_k]], side="right") - 1
-    depth = _tree_depths(parent)
     # one table per supernode with children, numbered in supernode order
     hc = np.unique(parent[has_k])
     tab_id = np.full(starts.size, -1)

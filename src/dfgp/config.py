@@ -1,7 +1,6 @@
 """Run configuration: one INI-style file drives every CLI command.
 
-Parsing and serialization round-trip exactly and are both derived from the
-dataclass fields below, ``EstimatorConfig``'s, ``HoldoutPlan``'s and
+Parsing is derived from the dataclass fields below, ``EstimatorConfig``'s, ``HoldoutPlan``'s and
 ``ScenarioConfig``'s, their types and defaults; all scientific choices live
 in the file, the fixed-rank switch ([estimator] lowrank_only) included, so
 runs are reproducible from (config, seed) alone.
@@ -10,7 +9,6 @@ runs are reproducible from (config, seed) alone.
 from __future__ import annotations
 
 import configparser
-import io as _io
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import get_args, get_type_hints
 
@@ -122,18 +120,15 @@ class RunConfig:
         return replace(self.holdout, seed=self.seed)
 
 
-def _codec(hint):
-    """(parse, format) between an INI string and a field of type ``hint``;
-    tuples are comma-separated, floats are written with repr."""
+def _parser(hint):
+    """The parser of an INI string into a field of type ``hint`` (None for a
+    bool, which ConfigParser.getboolean reads); tuples are comma-separated."""
     if hint is bool:
-        return None, lambda b: str(b).lower()     # parsed by getboolean
-    if hint in (int, str):
-        return hint, str
-    if hint is float:
-        return float, repr
+        return None
+    if hint in (int, str, float):
+        return hint
     item = get_args(hint)[0]                      # tuple[item, ...]
-    return (lambda s: tuple(item(x.strip()) for x in s.split(",") if x.strip() != ""),
-            lambda v: ",".join(map(repr if item is float else str, v)))
+    return lambda s: tuple(item(x.strip()) for x in s.split(",") if x.strip() != "")
 
 
 # ScenarioConfig fields that other sections set, in scenario_config's order
@@ -195,7 +190,7 @@ def parse_config(text: str) -> RunConfig:
         if cp.has_option(section, key):
             try:
                 value = (cp.getboolean(section, key) if hint is bool
-                         else _codec(hint)[0](cp.get(section, key)))
+                         else _parser(hint)(cp.get(section, key)))
             except ValueError as exc:
                 raise ValueError(f"[{section}] {key}: {exc}") from None
             (top.setdefault(owner, {}) if owner else top)[name] = value
@@ -215,17 +210,3 @@ def parse_config(text: str) -> RunConfig:
 def load_config(path) -> RunConfig:
     with open(path) as f:
         return parse_config(f.read())
-
-
-def serialize_config(cfg: RunConfig) -> str:
-    cp = configparser.ConfigParser()
-    for section, key, owner, name, hint in _options():
-        if not cp.has_section(section):
-            cp.add_section(section)
-        obj = (getattr(cfg, owner[0]).instruments[owner[1]] if isinstance(owner, tuple)
-               else getattr(cfg, owner) if owner else cfg)
-        cp.set(section, key, _codec(hint)[1](getattr(obj, name)))
-    buf = _io.StringIO()
-    cp.write(buf)
-    return buf.getvalue()
-

@@ -16,9 +16,9 @@ order (``ModelData.fine_order``, computed on the first factorization and
 kept for every later step, SEM iteration and horizon).  On the bench
 scenario's F_1 at N = 65,536 (one BLAS thread) that order holds 5.0M
 entries against minimum degree's 5.6M; F_1 is built and factored in about
-0.25 rather than 0.43-0.49 s, and 8 columns are solved in about 0.04 rather
-than 0.044 s.  The same factor gives the fine-scale posterior at no extra
-factorization cost: given eta_t and Z_t, xi_t ~ N(delta0 - psi eta_t, F^{-1}) with
+0.25 rather than 0.43-0.49 s.  The same factor gives the fine-scale
+posterior at no extra factorization cost: given eta_t and Z_t,
+xi_t ~ N(delta0 - psi eta_t, F^{-1}) with
     delta0 = F^{-1} B' V^{-1} (z - X beta),      psi = F^{-1} B' V^{-1} S,
 which depend on no state.  Each step stores them at the tracked nodes, so
 the smoother moves (eta, P) alone and the predictors read E[xi] and var(xi)
@@ -34,9 +34,22 @@ finishes it and runs the recursion.  With y0 = z - X beta, the stage maps
     delta0 and psi at the tracked nodes,  fine_var = diag F^{-1} there,
 
 where S'V^{-1}S = sum_k S_k' W_k S_k / sigma2_k comes from per-instrument
-pieces cached on the slice (``AssembledTimeSlice.basis_gram``), and the
-Woodbury terms are S'V^{-1}(B G) with G = F^{-1} B'V^{-1}S solved in column
-blocks.  The recursion forms the innovation terms from eta_p:
+pieces cached on the slice (``AssembledTimeSlice.basis_gram``).  With
+F = P'L D L'P from its factor, every Woodbury term is a Gram of one half
+solve (``SparseFactor.solve(..., half=True)``, forward passes only) of
+r + 1 columns,
+
+    W = [W_S | W_y] = D^{-1/2} L^{-1} P B'V^{-1} [S | y0]:
+    S'V^{-1}B F^{-1} B'V^{-1}S = W_S'W_S,  likewise W_S'W_y and W_y'W_y.
+
+At m <= r tracked nodes the step also half-solves their unit vectors,
+U = D^{-1/2} L^{-1} P E_nodes, and reads psi = U'W_S, delta0 = U'W_y and
+fine_var as the squared column norms of U; at more nodes each block of W
+finishes its solve (the backward pass) at the nodes instead.  The rule
+depends on m and r alone.  On the bench scenario's F_1 the solves of a
+smooth-65k step (r + 1 = 100 half-solve columns and m = 32 unit vectors)
+take 0.14 s on a 2-thread pool, where SuperLU's took 0.45 s.  The
+recursion forms the innovation terms from eta_p:
 
     S'D alpha     = S'D y0 - S'DS eta_p,
     alpha'D alpha = y0'D y0 - 2 eta_p'S'D y0 + eta_p'S'DS eta_p,
@@ -71,14 +84,16 @@ import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
 
-from .car import SOLVE_BLOCK, CARParams, SparseFactor, run_ahead
+from .car import CARParams, SparseFactor, column_blocks, run_ahead
 from .exceptions import FactorizationError, NumericalError
 from .model import AssembledTimeSlice, DFGPParams, ModelData, sym
 
 # filter_pass factors the next step's F ahead, during this step's solves,
 # while the last step's factor held at most LOOKAHEAD_MAX_NNZ entries
-# (SparseFactor.nnz, about 21 bytes an entry), so the second factor it holds
-# stays under ~40 MB.  Measured on the bench scenario, one BLAS thread of a
+# (SparseFactor.nnz).  A factor holds about 7 bytes an entry, 14 once its
+# backward pass has read L by columns, and about 26 while SuperLU builds it
+# (measured at N = 10^4 and 65,536), so the second factor stays under ~30 MB
+# and peaks near 50 MB.  Measured on the bench scenario, one BLAS thread of a
 # 2-CPU host: the SEM filter pass (T = 8, every node tracked, two columns)
 # with the look-ahead against without, time and process peak RSS:
 #   N = 10,000, nnz 0.64M: -10%, 221 -> 256 MB
@@ -205,9 +220,11 @@ def filter_pass(data: ModelData, params: DFGPParams, *,
     pred_bau: flat BAU indices where the fine-scale posterior (delta0, psi,
         fine_var) is tracked; None disables tracking,
         data.structure.valid_idx tracks every BAU.
-    want_variance: also compute fine_var (per step, one sparse solve per
-        prediction BAU for small sets, else one selected inversion of the
-        factor; see ``SparseFactor.solve_selected_diag``).
+    want_variance: also compute fine_var: at m <= r tracked nodes from
+        the half solves of their unit vectors that the step makes anyway,
+        at more a half solve per node below SELECTED_INVERSION_MIN nodes,
+        else one selected inversion of the factor (see
+        ``SparseFactor.solve_selected_diag``).
     on_factor: called as on_factor(t, factor) on this thread, in step order,
         with step t's factor of F_t (``fine_factor``; of Q_t at a step
         without records) before the pass drops it, while the step's solves
@@ -281,10 +298,9 @@ class _SparseStage:
 
     It runs in three parts, so that filter_pass can factor the next step's F
     while this step's solves run: ``prepare`` (the products with V^{-1} and
-    the factor of F), ``start`` (the solves against F on the solve pool,
-    which fill ``psi``, and meanwhile ``fine_var`` on the calling thread) and
-    ``finish`` (the Woodbury corrections).  Each part runs the parts before
-    it that have not run.  After ``finish``: ``ln_dinv`` = ln|D^{-1}|,
+    the factor of F), ``start`` (the half solves against F on the solve
+    pool) and ``finish`` (the Grams, psi, delta0 and fine_var).  Each part
+    runs the parts before it that have not run.  After ``finish``: ``ln_dinv`` = ln|D^{-1}|,
     ``sds`` = S'DS, ``sdy`` = S'D y0 and ``ydy`` = y0'D y0 for
     y0 = z - X beta (one column), ``delta0`` and ``psi`` at the tracked
     nodes (filled in place), ``fine_var`` and ``factor_nnz``.
@@ -311,21 +327,23 @@ class _SparseStage:
         y0 = slc.z[:, None] - (slc.X @ self.beta_t)[:, None]
         v = slc.v_diag(sigma2_row)
         vy = y0 / v[:, None]
-        # S' V^{-1} by rows, so that a block of its rows is a cheap slice
-        self.svt = svt = sp.csr_matrix(sp.csr_matrix(slc.S).T.multiply(1.0 / v))
+        svt = sp.csr_matrix(slc.S).T.multiply(1.0 / v)            # S' V^{-1}
         self.sds = sum(g / sigma2_row[k - 1] for k, g in slc.basis_gram.items())
         self.sdy = svt @ y0
         self.ydy = (y0 * vy).sum(axis=0)
         self.ln_dinv = float(np.log(v).sum())
         if car is not None:
             self.factor = fine_factor(self.data, car, slc, sigma2_row)
-            self.bvy = slc.B.T @ vy                                    # B' V^{-1} y0
+            # V^{-1} [S | y0] by columns, so that a block of them is a cheap slice
+            self.vsy = sp.hstack([svt.T, sp.csc_matrix(vy)], format="csc")
             self.ln_dinv += self.factor.logdet() - self.data.structure.precision_logdet(car)
             self.factor_nnz = self.factor.nnz
 
     def start(self) -> None:
-        """F^{-1} B' V^{-1} y0, and F^{-1} B' V^{-1} S in column blocks that
-        fill psi and gcorr = S' V^{-1} B F^{-1} B' V^{-1} S."""
+        """Start the half solves W = D^{-1/2} L^{-1} P B'V^{-1} [S | y0]
+        against F = P'L D L'P on the solve pool, in column blocks, and at
+        m <= r tracked nodes U = D^{-1/2} L^{-1} P E_nodes; at more nodes the
+        blocks finish their solves, F^{-1} B'V^{-1} [S | y0] at the nodes."""
         if self._solves is not None:
             return
         self.prepare()
@@ -339,33 +357,57 @@ class _SparseStage:
             return
         if factor is None:
             return
-        B, svt, psi = self.slc.B, self.svt, self.psi
-        r = psi.shape[1]
-        self.gcorr = gcorr = np.zeros((r, r))
+        B, vsy, order = self.slc.B, self.vsy, factor.positions
+        n, k, r = factor.shape[0], vsy.shape[1], self.psi.shape[1]
+        few = nodes.size < k
+        self.W = W = np.empty((n, k))
+        bt = sp.csr_matrix((B.data, order[B.indices], B.indptr), shape=B.shape).T   # in F's order
 
-        def solve_cols(cols: slice) -> None:
-            # the blocks write disjoint columns of gcorr and psi
-            gf = factor.solve(B.T @ svt[cols].toarray().T)
-            gcorr[:, cols] = svt @ (B @ gf)
-            psi[:, cols] = gf[nodes]
+        def half(cols: slice) -> None:
+            # the blocks write disjoint columns of W, psi and delta0
+            W[:, cols] = w = factor.solve(bt @ vsy[:, cols].toarray(), half=True)
+            if not few:     # F^{-1} B'V^{-1} [S | y0] at the nodes
+                g = factor.finish_solve(w, nodes)
+                xs = slice(cols.start, min(cols.stop, r))
+                self.psi[:, xs] = g[:, :xs.stop - xs.start]
+                if cols.stop > r:
+                    self.delta0[:] = g[:, r - cols.start:]
 
-        self._solves = [run_ahead(task) for task in
-                        [partial(factor.solve, self.bvy)]
-                        + [partial(solve_cols, slice(c0, min(c0 + SOLVE_BLOCK, r)))
-                           for c0 in range(0, r, SOLVE_BLOCK)]]
-        if want_var:
-            self.fine_var = factor.solve_selected_diag(nodes)
+        tasks = [partial(half, c) for c in column_blocks(k, n)]
+        self.U = None
+        if few and nodes.size:
+            self.U = U = np.empty((n, nodes.size))
+
+            def units(cols: slice) -> None:
+                e = np.zeros((n, cols.stop - cols.start))
+                e[order[nodes[cols]], np.arange(e.shape[1])] = 1.0
+                U[:, cols] = factor.solve(e, half=True)
+
+            tasks += [partial(units, c) for c in column_blocks(nodes.size, n)]
+        self._solves = [run_ahead(task) for task in tasks]
 
     def finish(self) -> None:
+        """The Woodbury corrections, all Grams of W; at few nodes psi and
+        delta0 as U'W.  ``fine_var`` comes from the factor (from U at few
+        nodes) once the solves are done: selected inversion's many short
+        numpy calls would hold the GIL that the solves' per-level calls
+        need."""
         self.start()
         if not self._solves:        # no observation, or no fine-scale component
             return
-        # fb = F^{-1} B' V^{-1} y0 = E[xi | eta = 0, Z] at every node
-        fb = [f.result() for f in self._solves][0]
-        self.sds = self.sds - self.gcorr
-        self.sdy = self.sdy - self.svt @ (self.slc.B @ fb)
-        self.ydy = self.ydy - (self.bvy * fb).sum(axis=0)
-        np.take(fb, self.pred_nodes, axis=0, out=self.delta0)
+        for f in self._solves:
+            f.result()
+        W, U, r = self.W, self.U, self.psi.shape[1]
+        if U is not None:
+            g = U.T @ W             # F^{-1} B'V^{-1} [S | y0] at the nodes
+            self.psi[:], self.delta0[:] = g[:, :r], g[:, r:]
+        if self.fine_var is not None and self.pred_nodes.size:
+            self.fine_var = self.factor.solve_selected_diag(self.pred_nodes, U)
+        gram = W.T @ W          # [S | y0]' V^{-1} B F^{-1} B' V^{-1} [S | y0]
+        self.sds = self.sds - gram[:r, :r]
+        self.sdy = self.sdy - gram[:r, r:]
+        self.ydy = self.ydy - gram[r, r:]
+        self.W = self.U = None
 
 
 def filter_step(eta_pred: np.ndarray, P_pred: np.ndarray,

@@ -3,14 +3,16 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import solveh_banded
 from scipy.linalg.lapack import dtrtri
 from conftest import relerr, stand_in_pool
 from oracle import build_precision
 
+import dfgp.car as car
 from dfgp.car import (CARParams, CARStructure, GAMMA_MAX, SELECTED_INVERSION_MIN,
-                      SOLVE_BLOCK, KroneckerSumFactor, OrderedPrecision, SparseFactor,
-                      _selected_inverse, build_adjacency, nested_dissection, run_parallel,
-                      sample_car, sparse_factorize)
+                      KroneckerSumFactor, OrderedPrecision, SparseFactor, _selected_inverse,
+                      _supernode_tree, build_adjacency, column_sq_norms, nested_dissection,
+                      run_parallel, sample_car, sparse_factorize)
 from dfgp.exceptions import (FactorizationError, InvalidParameterError,
                              StructureError)
 from dfgp.grid import build_grid
@@ -166,27 +168,29 @@ class TestRunParallel:
             run_parallel([lambda: 1, lambda: sparse_factorize(indefinite)])
 
 
-class TestUnitSolveBlocks:
-    """The unit-solve branch solves at most SOLVE_BLOCK columns at a time."""
+class TestUnitVariances:
+    """Below SELECTED_INVERSION_MIN indices the diagonal of M^{-1} is the
+    squared column norms of forward half solves of unit vectors."""
 
-    def test_diag_and_block_match_dense(self, monkeypatch):
+    def test_diag_matches_dense_with_forward_solves_only(self, monkeypatch):
         s = build_adjacency(build_grid(10, 10, 1.0))
         q = build_precision(s, CARParams(0.9, 0.7))
         f = sparse_factorize(q)
         widths = []
         real = SparseFactor.solve
 
-        def recording(self, b):
-            widths.append(np.asarray(b).shape[1])
-            return real(self, b)
+        def recording(self, b, half=False):
+            assert half
+            widths.append(b.shape[1])
+            return real(self, b, half)
 
         monkeypatch.setattr(SparseFactor, "solve", recording)
+        monkeypatch.setattr(SparseFactor, "_backward", None)     # no backward pass
         idx = np.array([97, 3, 50, 51, 0, 12, 88, 40, 41, 42, 7, 66, 99, 23, 5, 60, 30, 2, 77, 14])
-        assert SOLVE_BLOCK < idx.size < SELECTED_INVERSION_MIN
+        assert idx.size < SELECTED_INVERSION_MIN
         inv = np.linalg.inv(q.toarray())
         diag = f.solve_selected_diag(idx)
         assert np.abs(diag - np.diag(inv)[idx]).max() <= 1e-12 * np.abs(inv).max()
-        assert max(widths) == SOLVE_BLOCK
         assert sum(widths) == idx.size
 
 
@@ -425,9 +429,9 @@ class TestSelectedInversion:
     def test_bit_identical_to_one_supernode_at_a_time(self, make):
         # each stacked supernode makes the one-supernode calls on arrays of
         # the same layout, however many share its depth and shape
-        lu = sparse_factorize(make())._lu
-        d = lu.U.diagonal()
-        assert np.array_equal(_selected_inverse(lu.L, d).data, _takahashi_by_supernode(lu.L, d))
+        f = sparse_factorize(make())
+        L, d = f._by_column(), f._d
+        assert np.array_equal(_selected_inverse(L, d, f._tree).data, _takahashi_by_supernode(L, d))
 
     def test_scenario_64x64_diagonal_against_unit_solves(self):
         # cli-smooth-4k's F_t: an elimination tree of many depths whose
@@ -466,7 +470,7 @@ class TestSelectedInversion:
         # per entry of L: its data and int32 index, an int64 key, int32 block
         # row and column, and Z; about 32 bytes (58 with int64 block indices)
         f = sparse_factorize(_scenario_f(64, 64))
-        nnz = f._lu.L.nnz
+        nnz = f._by_column().nnz       # the factor's own L, by columns, built here
         tracemalloc.start()
         try:
             f._inverse_diagonal()
@@ -477,9 +481,8 @@ class TestSelectedInversion:
 
     def test_missing_pattern_entry_raises(self):
         s = build_adjacency(build_grid(10, 10, 1.0))
-        lu = sparse_factorize(build_precision(s, CARParams(0.5, 1.0)))._lu
-        L = sp.csc_matrix(lu.L)
-        L.sort_indices()
+        f = sparse_factorize(build_precision(s, CARParams(0.5, 1.0)))
+        L = f._by_column()
         ip, rows = L.indptr, L.indices
         col = np.repeat(np.arange(s.n), np.diff(ip))
         # drop L[i, j] where i > j are both rows of column c below its
@@ -490,7 +493,7 @@ class TestSelectedInversion:
         assert keep.sum() == L.nnz - 1
         pruned = sp.csc_matrix((L.data[keep], (rows[keep], col[keep])), shape=L.shape)
         with pytest.raises(FactorizationError, match="not closed"):
-            _selected_inverse(pruned, lu.U.diagonal())
+            _selected_inverse(pruned, f._d, _supernode_tree(pruned, pruned.tocsr()))
 
 
 def _tiled_f(structure, nx, block, offset, gamma=0.75):
@@ -563,7 +566,7 @@ class TestNestedDissection:
         _, mmd, nd = self._factors(make)
         idx = np.random.default_rng(4).choice(mmd.shape[0], SELECTED_INVERSION_MIN + 9,
                                               replace=False)
-        for some in (idx[:SOLVE_BLOCK + 3], idx):     # unit solves, selected inversion
+        for some in (idx[:11], idx):     # unit solves, selected inversion
             got, want = nd.solve_selected_diag(some), mmd.solve_selected_diag(some)
             assert np.abs(got / want - 1.0).max() <= 1e-12
 
@@ -599,3 +602,98 @@ class TestNestedDissection:
             assert (ordered.base_precision(gamma) != want).nnz == 0
         B = sp.random(7, s.n, density=0.01, format="csr", random_state=6)
         assert (ordered.relabel(B) != B[:, order]).nnz == 0
+
+
+def _ordered_factor(structure, nx, block, offset):
+    """F = D - 0.75 E + 4 B'B for block x block tiles (``_tiled_f``) and its
+    factor in the nested-dissection order of its pattern."""
+    F, coords, pattern = _tiled_f(structure, nx, block, offset)
+    order = nested_dissection(coords, pattern)
+    return F, SparseFactor(F[order][:, order].tocsc(), order)
+
+
+_LEVEL_CASES = pytest.mark.parametrize("make", [
+    lambda: (build_precision(build_adjacency(build_grid(30, 20, 1.0)), CARParams(0.9, 0.5)),
+             None),
+    lambda: (build_precision(_straddling_mask(), CARParams(0.99, 1.0)), None),
+    lambda: _ordered_factor(_straddling_mask(), 60, 5, (2, 3)),
+    lambda: _ordered_factor(build_adjacency(build_grid(40, 30, 1.0)), 40, 4, (1, 2)),
+], ids=["rook-mmd", "masked-mmd", "masked-nested-dissection", "rook-nested-dissection"])
+
+
+class TestLevelSolve:
+    """Solves against the factor's own L, level by level, against dense
+    solves: minimum-degree and nested-dissection factors, masked grids, and
+    the 2 x 24,000 strip whose L lost fill that underflowed."""
+
+    @staticmethod
+    def _factor(make):
+        m, f = make()
+        return m.toarray(), f if f is not None else sparse_factorize(m)
+
+    @_LEVEL_CASES
+    def test_solve_matches_dense(self, make):
+        m, f = self._factor(make)
+        b = np.random.default_rng(5).standard_normal((m.shape[0], 3))
+        want = np.linalg.solve(m, b)
+        assert relerr(f.solve(b), want) <= 1e-12
+        assert relerr(f.solve(b[:, 1]), want[:, 1]) <= 1e-12
+        assert f.solve(b[:, 1]).shape == (m.shape[0],)
+        assert f.solve(b[:, :0]).shape == (m.shape[0], 0)
+
+    @_LEVEL_CASES
+    def test_half_solves_grams_and_unit_columns(self, make):
+        # W = D^{-1/2} L^{-1} P X: W'W = X' M^{-1} X, finish_solve gives M^{-1} X,
+        # and the squared column norms of the half solves of unit vectors are
+        # the diagonal of M^{-1}
+        m, f = self._factor(make)
+        n = m.shape[0]
+        inv = np.linalg.inv(m)
+        x = np.random.default_rng(6).standard_normal((n, 4))
+        y = np.empty_like(x)
+        y[f.positions] = x
+        w = f.solve(y, half=True)
+        assert relerr(w.T @ w, x.T @ inv @ x) <= 1e-12
+        nodes = np.random.default_rng(7).choice(n, 9, replace=False)
+        assert relerr(f.finish_solve(w, np.arange(n)), inv @ x) <= 1e-12
+        assert relerr(f.finish_solve(w, nodes), (inv @ x)[nodes]) <= 1e-12
+        units = np.zeros((n, nodes.size))
+        units[f.positions[nodes], np.arange(nodes.size)] = 1.0
+        units = f.solve(units, half=True)
+        assert relerr(column_sq_norms(units), np.diag(inv)[nodes]) <= 1e-12
+        assert np.array_equal(f.solve_selected_diag(nodes, units), column_sq_norms(units))
+
+    def test_strip_against_band_solve(self):
+        # nested dissection of a 2 x 24,000 strip: SuperLU's L leaves out
+        # fill that underflowed, and the levels respect every entry it keeps.
+        # In the order that interleaves the two rows F is a band matrix.
+        s = build_adjacency(build_grid(24000, 2, 1.0))
+        F, f = _ordered_factor(s, 24000, 2, (1, 1))
+        y, x = np.divmod(s.valid_idx, 24000)
+        p = np.lexsort((y, x))
+        band = F[p][:, p].tocoo()
+        u = int((band.col - band.row).max())
+        upper = band.row <= band.col
+        ab = np.zeros((u + 1, s.n))
+        ab[u + band.row[upper] - band.col[upper], band.col[upper]] = band.data[upper]
+        b = np.random.default_rng(8).standard_normal((s.n, 2))
+        want = np.empty_like(b)
+        want[p] = solveh_banded(ab, b[p])
+        assert relerr(f.solve(b), want) <= 1e-12
+        assert relerr(f.solve(b[:, 0]), want[:, 0]) <= 1e-12
+
+    def test_unclosed_pattern_solves_by_its_closure(self, monkeypatch):
+        # a pattern whose levels would not order the solve is closed first
+        real, calls = car._supernode_tree, []
+
+        def first_refuses(L, rows):
+            calls.append(L.nnz)
+            if len(calls) == 1:
+                raise FactorizationError("the pattern of the factor is not closed")
+            return real(L, rows)
+
+        monkeypatch.setattr(car, "_supernode_tree", first_refuses)
+        m = build_precision(build_adjacency(build_grid(30, 20, 1.0)), CARParams(0.9, 0.5))
+        b = np.random.default_rng(9).standard_normal((m.shape[0], 2))
+        assert relerr(sparse_factorize(m).solve(b), np.linalg.solve(m.toarray(), b)) <= 1e-12
+        assert len(calls) == 2

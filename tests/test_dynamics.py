@@ -8,7 +8,7 @@ from conftest import make_instance, make_observations, relerr, stand_in_pool
 from oracle import DenseJoint, build_precision
 
 from dfgp import dynamics
-from dfgp.car import SELECTED_INVERSION_MIN, SOLVE_BLOCK, SparseFactor, sparse_factorize
+from dfgp.car import SELECTED_INVERSION_MIN, SparseFactor, sparse_factorize
 from dfgp.dynamics import (filter_pass, forecast_step, predict_filter,
                            predict_smooth, smoother_pass)
 from dfgp.exceptions import NumericalError
@@ -99,43 +99,48 @@ class TestOracleEquivalence:
 
 
 class TestSolvePool:
-    """The solve pool only reorders independent SuperLU calls, and the
-    look-ahead only moves when the next step's F is factored, so the states
-    depend neither on how many threads run them nor on the look-ahead rule.
-    Nor does a seeded SEM E-step, whose draws the filter pass's callback
-    makes on the calling thread while the step's solves run on the pool.
-    With one worker, a pool task that waited on the pool would hang here."""
+    """The solve pool only reorders independent solves, each column of
+    which gets the same bits in any block, and the look-ahead only moves
+    when the next step's F is factored, so the states depend neither on how
+    many threads run them (nor so on how the columns are split) nor on the
+    look-ahead rule.  Nor does a seeded SEM E-step, whose draws the filter
+    pass's callback makes on the calling thread while the step's solves run
+    on the pool.  With one worker, a pool task that waited on the pool would
+    hang here."""
 
-    @pytest.mark.parametrize("workers", [1, 8])
+    @pytest.mark.parametrize("workers", [1, 3, 8])
     def test_states_bit_identical(self, monkeypatch, workers):
-        # two blocks of columns (r = 13), an empty step; every node is
-        # tracked: the 6x5 grid's 30 take unit solves, the 12x10 grid's 120 a
-        # selected inversion.  The look-ahead rule is forced off for the
-        # reference, then off and on.
+        # r = 13 and an empty step.  Every node tracked: the 6x5 grid's 30
+        # take backward solves and unit solves, the 17x16 grid's 272 a
+        # selected inversion; 5 nodes take U'W.  The look-ahead rule is
+        # forced off for the reference, then off and on.
         from dfgp.estimate import EstimatorConfig, SufficientStats, e_step
-        for nx, ny in ((6, 5), (12, 10)):
+        for nx, ny in ((6, 5), (17, 16)):
             data, params = make_instance(3, nx=nx, ny=ny, T=4, r_counts=(4, 9),
                                          empty_times=(2,))
-            pred = data.structure.valid_idx
-            assert params.r > SOLVE_BLOCK and (pred.size < SELECTED_INVERSION_MIN) == (nx == 6)
-            run = partial(filter_pass, data, params, pred_bau=pred, want_variance=True)
+            every = data.structure.valid_idx
+            assert every.size > params.r and (every.size < SELECTED_INVERSION_MIN) == (nx == 6)
+            runs = [partial(filter_pass, data, params, pred_bau=pred, want_variance=True)
+                    for pred in (every, every[[0, 7, 11, 19, 29]])]
             sem = partial(e_step, data, params, EstimatorConfig(mode="sem", draws=3))
             monkeypatch.setattr(dynamics, "LOOKAHEAD_MAX_NNZ", 0)
-            ref, ref_sem = run(), sem(np.random.default_rng(7))
+            refs, ref_sem = [run() for run in runs], sem(np.random.default_rng(7))
             for max_nnz in (0, 10**12):
                 monkeypatch.setattr(dynamics, "LOOKAHEAD_MAX_NNZ", max_nnz)
                 with stand_in_pool(workers) as requests:
-                    runs = [run() for _ in range(5)]  # repeats give a race more chances
+                    # repeats give a race more chances
+                    got = [[run() for _ in range(3)] for run in runs]
                     sems = [sem(np.random.default_rng(7)) for _ in range(3)]
                 assert requests
-                for got in runs:
-                    for a, b in zip(ref.states, got.states, strict=True):
-                        for f in dataclasses.fields(a):
-                            x, y = getattr(a, f.name), getattr(b, f.name)
-                            assert np.array_equal(x, y), (nx, max_nnz, f.name)
-                for got in sems:
+                for ref, repeats in zip(refs, got):
+                    for res in repeats:
+                        for a, b in zip(ref.states, res.states, strict=True):
+                            for f in dataclasses.fields(a):
+                                x, y = getattr(a, f.name), getattr(b, f.name)
+                                assert np.array_equal(x, y), (nx, max_nnz, f.name)
+                for res in sems:
                     for f in dataclasses.fields(SufficientStats):
-                        x, y = getattr(ref_sem, f.name), getattr(got, f.name)
+                        x, y = getattr(ref_sem, f.name), getattr(res, f.name)
                         assert np.array_equal(x, y), (nx, max_nnz, f.name)
 
 
@@ -438,11 +443,11 @@ class TestSelectedDiagWork:
         unit_cols = []
         real = SparseFactor.solve
 
-        def recording(self, b):
+        def recording(self, b, half=False):
             b = np.asarray(b)
             if b.ndim == 2 and ((b != 0).sum(axis=0) == 1).all() and (b.max(axis=0) == 1.0).all():
                 unit_cols.append(b.shape[1])
-            return real(self, b)
+            return real(self, b, half)
 
         monkeypatch.setattr(SparseFactor, "solve", recording)
         full = filter_pass(data, params, pred_bau=data.structure.valid_idx, want_variance=True)

@@ -1,10 +1,13 @@
+import configparser
 import csv
 import dataclasses
 import filecmp
 import hashlib
+import io
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +18,7 @@ from conftest import make_observations
 from dfgp import io as dio
 from dfgp.car import CARParams
 from dfgp.cli import main
-from dfgp.config import load_config, parse_config, serialize_config
+from dfgp.config import RunConfig, _options, load_config, parse_config
 from dfgp.cv import HoldoutPlan
 from dfgp.estimate import EstimatorConfig
 from dfgp.grid import build_grid
@@ -362,6 +365,34 @@ def test_a_command_imports_every_package_module():
                                 capture_output=True, text=True).stdout.split())
     shipped = {f"dfgp.{p.stem}" for p in pkg.glob("*.py") if p.stem != "__init__"}
     assert sorted(shipped - loaded) == []
+
+
+def _formatter(hint):
+    """The INI text of a field of type ``hint``: tuples comma-separated,
+    floats written with repr."""
+    if hint is bool:
+        return lambda b: str(b).lower()
+    if hint in (int, str):
+        return str
+    if hint is float:
+        return repr
+    item = typing.get_args(hint)[0]               # tuple[item, ...]
+    return lambda v: ",".join(map(repr if item is float else str, v))
+
+
+def serialize_config(cfg: RunConfig) -> str:
+    """The INI text that parse_config reads back as cfg: the config tests'
+    reference inverse of the parser, built from the same options."""
+    cp = configparser.ConfigParser()
+    for section, key, owner, name, hint in _options():
+        if not cp.has_section(section):
+            cp.add_section(section)
+        obj = (getattr(cfg, owner[0]).instruments[owner[1]] if isinstance(owner, tuple)
+               else getattr(cfg, owner) if owner else cfg)
+        cp.set(section, key, _formatter(hint)(getattr(obj, name)))
+    buf = io.StringIO()
+    cp.write(buf)
+    return buf.getvalue()
 
 
 class TestConfig:
