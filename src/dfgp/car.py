@@ -85,10 +85,13 @@ the curve's nodes) run on one thread pool with a thread per CPU the process
 may run on (``run_parallel``).  The filter starts a step's solves there
 without waiting (``run_ahead``) and factors the next step's F meanwhile.
 SuperLU and the level kernels release the GIL, but each level also makes a
-few short numpy calls that need it.  Each column of a solve gets the same
-bits in any block of columns, and each task makes the same calls on the
-same data whatever thread runs it, so results depend neither on the thread
-count nor on the split.
+few short numpy calls that need it, so a solve takes a block per worker
+only where each block holds SOLVE_BLOCK_MIN_ENTRIES numbers, and a filter
+pass's callback (exact EM's selected inversion, SEM's draws) runs after
+the step's solves rather than beside them.  Each column of a solve gets
+the same bits in any block of columns, and each task makes the same calls
+on the same data whatever thread runs it, so results depend neither on
+the thread count nor on the split.
 """
 
 from __future__ import annotations
@@ -108,8 +111,12 @@ import scipy.sparse.linalg as spla
 from numpy.polynomial import Chebyshev
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dtrtri
-from scipy.sparse import _sparsetools
 from scipy.sparse.csgraph import connected_components
+
+try:        # scipy's private CSR kernel, used on purpose; see _rows_times
+    from scipy.sparse._sparsetools import csr_matvecs as _csr_matvecs
+except ImportError:
+    _csr_matvecs = None
 
 from .exceptions import FactorizationError, InvalidParameterError, StructureError
 from .grid import BAUGrid
@@ -132,13 +139,24 @@ SELECTED_INVERSION_MIN = 256
 # Doubles of dense right-hand side per block of a many-column solve against
 # an n x n factor (the r + 1 columns of a filter step, the unit vectors of a
 # few standard errors): blocks of at most SOLVE_BLOCK_ENTRIES // n columns,
-# and at least one block per solve-pool worker, each a worker's working set.
+# and one block per solve-pool worker where each gets at least
+# SOLVE_BLOCK_MIN_ENTRIES, each a worker's working set.
 # Measured on the bench scenario's F_1, 132 columns of half solves on a
 # 2-CPU pool, one BLAS thread, median of 5, blocks of 8 / 16 / 24 / 33 / 66
 # columns: 0.24 / 0.16 / 0.14 / 0.13 / 0.13 s at N = 65,536 (where this
 # gives 32) and 39 / 29 / 25 / 26 / 22 ms at N = 10^4 (209); a block of 50
 # columns at N = 65,536 raised smooth-65k's peak RSS by about 50 MB.
 SOLVE_BLOCK_ENTRIES = 2 ** 21
+
+# Fewest doubles of right-hand side for which a solve gets a block of its own
+# on another pool worker: a level solve makes a few short numpy calls per
+# level, which need the GIL, so two small blocks run slower than one.  One
+# half solve plus a backward pass at 50 rows, in one block against two on a
+# 2-CPU pool, one BLAS thread, median of 41 (k columns, N nodes): 1.3 / 3.5 ms
+# at k = 50, N = 900; 4.6 / 5.2 ms at k = 100, N = 1,600; 5.1 / 7.0 ms at
+# k = 50, N = 4,096; 16 / 11 ms at k = 100, N = 4,096; 9.1 / 9.2 ms at k = 32,
+# N = 10^4; 27 / 23 ms at k = 100, N = 10^4.
+SOLVE_BLOCK_MIN_ENTRIES = 2 ** 17
 
 # nested_dissection leaves a part of at most ND_LEAF nodes uncut and cuts
 # each larger part at one of the grid lines within ND_WINDOW of its median.
@@ -174,9 +192,11 @@ def _pool() -> ThreadPoolExecutor:
 def column_blocks(k: int, n: int) -> list[slice]:
     """k columns of n rows as near-equal contiguous blocks of at most
     SOLVE_BLOCK_ENTRIES // n columns, at least one per solve-pool worker
-    (fewer when k is smaller).  A solve gives each column the same bits in
-    any block, so results do not depend on the split."""
-    parts = min(max(-(-k * n // SOLVE_BLOCK_ENTRIES), _pool()._max_workers), k)
+    while each holds SOLVE_BLOCK_MIN_ENTRIES numbers (fewer when k is
+    smaller).  A solve gives each column the same bits in any block, so
+    results do not depend on the split."""
+    workers = min(_pool()._max_workers, k * n // SOLVE_BLOCK_MIN_ENTRIES)
+    parts = min(max(-(-k * n // SOLVE_BLOCK_ENTRIES), workers), k)
     return [slice(k * i // parts, k * (i + 1) // parts) for i in range(parts)]
 
 
@@ -680,7 +700,10 @@ class SparseFactor:
         of ``halves`` when the caller has the half solves of their unit
         vectors, else by selected inversion of the whole factor from
         SELECTED_INVERSION_MIN indices on, else as the squared column norms
-        of those half solves, made in blocks on the solve pool."""
+        of those half solves, made in blocks on the solve pool.  A filter
+        step passes the half solves it makes anyway, so every fine-scale
+        variance goes through this method, which bench/tracer.py times and
+        whose span a traced smoothing run must fire."""
         indices = np.asarray(indices, dtype=np.int64)
         if halves is not None:
             return column_sq_norms(halves)
@@ -869,10 +892,15 @@ def _rows_times(m: sp.csr_matrix, s: int, e: int, x: np.ndarray,
     written to the C-ordered out and returned.  It calls scipy's compiled
     CSR kernel, the one behind m @ x, on m's own arrays, so a level of a
     triangular solve costs one C call and no matrix object; the kernel
-    releases the GIL."""
+    releases the GIL.  The kernel is private to scipy, so without it the
+    public m[s:e] @ x, which calls the same kernel on a slice, does the
+    same."""
+    if _csr_matvecs is None:
+        out[...] = m[s:e] @ x
+        return out
     out[...] = 0.0
-    _sparsetools.csr_matvecs(e - s, m.shape[1], x.shape[1], m.indptr[s:e + 1], m.indices,
-                             m.data, x.ravel(), out.ravel())
+    _csr_matvecs(e - s, m.shape[1], x.shape[1], m.indptr[s:e + 1], m.indices,
+                 m.data, x.ravel(), out.ravel())
     return out
 
 

@@ -227,8 +227,9 @@ def filter_pass(data: ModelData, params: DFGPParams, *,
         ``SparseFactor.solve_selected_diag``).
     on_factor: called as on_factor(t, factor) on this thread, in step order,
         with step t's factor of F_t (``fine_factor``; of Q_t at a step
-        without records) before the pass drops it, while the step's solves
-        run on the solve pool.  It needs a CAR block.
+        without records) after the step's solves are done and before the
+        pass drops it: its work would hold the GIL that the solves'
+        per-level calls need.  It needs a CAR block.
 
     Each step is a ``_SparseStage`` built here, the single carrier of its
     theta_t, slice and outputs, run as ``filter_step(eta_pred, P_pred,
@@ -267,11 +268,10 @@ def filter_pass(data: ModelData, params: DFGPParams, *,
             this.start()
             ahead = stage(t + 1)
             ahead.prepare()
+        st = filter_step(eta_pred, P_pred, this)
         if on_factor is not None:
-            this.start()
             on_factor(t, this.factor if this.slc.n_obs else
                       fine_factor(data, this.car, this.slc, this.sigma2_row))
-        st = filter_step(eta_pred, P_pred, this)
         last_nnz = this.factor_nnz
         states.append(st)
         eta, P = st.eta, st.P

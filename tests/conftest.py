@@ -38,12 +38,14 @@ def stand_in_pool(workers):
 
     Yields the list of pool requests, so a test can check the stand-in was
     used.  Above one worker the interpreter switches threads every
-    microsecond, so tasks interleave as finely as they can.
+    microsecond, so tasks interleave as finely as they can, and every solve
+    of more than one column is split across the workers, however small.
     """
     requests = []
     switch = sys.getswitchinterval()
     with pytest.MonkeyPatch.context() as mp, ThreadPoolExecutor(max_workers=workers) as pool:
         mp.setattr("dfgp.car._pool", lambda: requests.append(1) or pool)
+        mp.setattr("dfgp.car.SOLVE_BLOCK_MIN_ENTRIES", 1)
         if workers > 1:
             sys.setswitchinterval(1e-6)
         try:

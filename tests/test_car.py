@@ -641,6 +641,16 @@ class TestLevelSolve:
         assert f.solve(b[:, 1]).shape == (m.shape[0],)
         assert f.solve(b[:, :0]).shape == (m.shape[0], 0)
 
+    def test_public_product_when_the_kernel_is_missing(self, monkeypatch):
+        # without scipy's private CSR kernel the levels use m[s:e] @ x
+        m = build_precision(build_adjacency(build_grid(30, 20, 1.0)), CARParams(0.9, 0.5))
+        b = np.random.default_rng(4).standard_normal((m.shape[0], 3))
+        f = sparse_factorize(m)
+        want = f.solve(b)
+        monkeypatch.setattr(car, "_csr_matvecs", None)
+        assert relerr(f.solve(b), want) <= 1e-14
+        assert relerr(f.solve(b[:, 0]), want[:, 0]) <= 1e-14
+
     @_LEVEL_CASES
     def test_half_solves_grams_and_unit_columns(self, make):
         # W = D^{-1/2} L^{-1} P X: W'W = X' M^{-1} X, finish_solve gives M^{-1} X,
@@ -661,6 +671,7 @@ class TestLevelSolve:
         units[f.positions[nodes], np.arange(nodes.size)] = 1.0
         units = f.solve(units, half=True)
         assert relerr(column_sq_norms(units), np.diag(inv)[nodes]) <= 1e-12
+        assert np.array_equal(f.solve_selected_diag(nodes), column_sq_norms(units))
         assert np.array_equal(f.solve_selected_diag(nodes, units), column_sq_norms(units))
 
     def test_strip_against_band_solve(self):

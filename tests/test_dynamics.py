@@ -104,8 +104,8 @@ class TestSolvePool:
     when the next step's F is factored, so the states depend neither on how
     many threads run them (nor so on how the columns are split) nor on the
     look-ahead rule.  Nor does a seeded SEM E-step, whose draws the filter
-    pass's callback makes on the calling thread while the step's solves run
-    on the pool.  With one worker, a pool task that waited on the pool would
+    pass's callback makes on the calling thread after each step's pool
+    solves.  With one worker, a pool task that waited on the pool would
     hang here."""
 
     @pytest.mark.parametrize("workers", [1, 3, 8])
