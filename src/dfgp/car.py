@@ -56,11 +56,21 @@ b' M^{-1} b.  On the bench scenario's F_1 (N = 65,536; one BLAS thread of a
 2-vCPU host, medians of 5) the solves of a smooth-65k step, 100 half-solve
 columns and 32 unit vectors, take 0.14 s on the 2-thread pool, where
 SuperLU's took 0.45 s; a full 100-column solve takes 0.34 s on one thread
-against 0.75 s in one SuperLU call.  Setting up the levels adds 40-50% to a
-factorization: 0.24 -> 0.33 s at N = 65,536, 25 -> 35 ms at 10^4 and
-8.8 -> 13 ms at 4,096.  The factor then holds 34 MB at N = 65,536 (67 MB
-once L by columns is built), where SuperLU's object and the copies of L and
-U it exports held about 130 MB for the factor's life.
+against 0.75 s in one SuperLU call.  Setting up the levels adds 40-70% to
+SuperLU's factorization and export of L and U: per F_t of the bench
+scenarios, 201 + 23 -> 318 ms at N = 65,536, 20 + 4 -> 40 ms at 10^4 and
+8 + 2 -> 17 ms at 4,096.  At N = 65,536 four passes over L's ~2.5M entries
+take about half of it: SuperLU's export, L by rows (23 ms), the row gather
+into the level order and the relabelling of its columns (12 ms each); the
+supernode runs (``_supernode_tree``) and the block inverses take ~19 ms
+each.  Finding the runs from L by columns alone, which would leave L by
+rows to be built once, already in the level order, costs more: comparing
+each column with the next in SuperLU's row order takes 16 ms against 7.5
+for the run test on L's rows, and it splits a run where two of SuperLU's
+own supernodes meet (one on F_1), which changes the solves' bits.  The
+factor then holds 34 MB at N = 65,536 (67 MB once L by columns is built),
+where SuperLU's object and the copies of L and U it exports held about
+130 MB for the factor's life.
 
 Exact EM needs M^{-1} on the pattern of M (``SparseFactor.selected_inverse``),
 prediction variances its diagonal (``solve_selected_diag``); both come from
@@ -82,8 +92,11 @@ at 179, 128 and 119 in the same hour.
 
 Independent tasks (the column blocks of one factor's many-column solves,
 the curve's nodes) run on one thread pool with a thread per CPU the process
-may run on (``run_parallel``).  The filter starts a step's solves there
-without waiting (``run_ahead``) and factors the next step's F meanwhile.
+may run on (``run_parallel``).  The filter starts tasks there without
+waiting (``run_ahead``): a step's factor-free products while it factors F_t
+on the calling thread, then the step's solves, whose unit blocks also take
+their nodes' variances, and U'W beside the calling thread's W'W; while the
+last factor was small it factors the next step's F during the solves.
 SuperLU and the level kernels release the GIL, but each level also makes a
 few short numpy calls that need it, so a solve takes a block per worker
 only where each block holds SOLVE_BLOCK_MIN_ENTRIES numbers, and a filter
@@ -158,6 +171,16 @@ SOLVE_BLOCK_ENTRIES = 2 ** 21
 # N = 10^4; 27 / 23 ms at k = 100, N = 10^4.
 SOLVE_BLOCK_MIN_ENTRIES = 2 ** 17
 
+# Columns SuperLU updates as one panel (its panel_size; scipy's default is
+# 10).  The factors hold the same entries either way, and the pivots agree to
+# ~1e-15.  One BLAS thread of a 2-vCPU host, median per F_t over every F_t of
+# the bench scenarios, 5-7 alternating repeats, default against 1: 7.8 / 6.4 ms
+# at N = 4,096, 21.2 / 17.3 ms at 10^4 and 221 / 204 ms at 65,536 (every
+# repeat won); on toy F_t 0.046 / 0.044 ms at N = 12 and 2.8 / 2.1 ms at
+# 1,600; D - gamma E of a masked 100 x 100 grid in minimum-degree order
+# 21.0 / 14.3 ms.
+SUPERLU_PANEL_SIZE = 1
+
 # nested_dissection leaves a part of at most ND_LEAF nodes uncut and cuts
 # each larger part at one of the grid lines within ND_WINDOW of its median.
 # Measured on six F_t patterns (64^2, 128^2 and 256^2 grids; 4 x 4 coarse
@@ -219,6 +242,19 @@ def run_ahead(task: Callable[[], object]) -> Future:
     the future from inside a pool task.
     """
     return _pool().submit(task)
+
+
+def run_sized(task: Callable[[], object], numbers: int) -> Future:
+    """``run_ahead`` for a task over ``numbers`` numbers.  Below
+    SOLVE_BLOCK_MIN_ENTRIES the task runs here, raising what it raises, and
+    its future is returned done: a worker would first wait for the GIL this
+    thread holds, up to the interpreter's switch interval, which costs more
+    than so small a task saves."""
+    if numbers >= SOLVE_BLOCK_MIN_ENTRIES:
+        return run_ahead(task)
+    done = Future()
+    done.set_result(task())
+    return done
 
 
 @dataclass(frozen=True)
@@ -576,7 +612,7 @@ class SparseFactor:
             raise ValueError("matrix must be square")
         try:
             lu = spla.splu(m, permc_spec="MMD_AT_PLUS_A" if order is None else "NATURAL",
-                           diag_pivot_thresh=0.0,
+                           diag_pivot_thresh=0.0, panel_size=SUPERLU_PANEL_SIZE,
                            options=dict(SymmetricMode=True))
         except RuntimeError as exc:  # singular
             raise FactorizationError(f"sparse factorization failed: {exc}") from exc

@@ -56,10 +56,33 @@ recursion forms the innovation terms from eta_p:
 
 then A, eta_f and P_f as above, and ln|Sigma| = ln|A| + ln|P_p| + ln|D^{-1}|.
 
+A step runs on two threads.  ``prepare`` hands the factor-free products
+(y0, S'V^{-1}S from the slice's basis Grams, S'V^{-1}y0, y0'V^{-1}y0,
+ln|V| and V^{-1} [S | y0]) to the solve pool as one task, and meanwhile
+assembles and factors F on the calling thread, where SuperLU releases the
+GIL; ``start`` puts the half solves on the pool in column blocks, each unit
+block also taking its nodes' variances; ``finish`` takes U'W on the pool
+beside W'W on the calling thread.  A task over fewer than
+SOLVE_BLOCK_MIN_ENTRIES numbers runs on the calling thread instead
+(``run_sized``): handing it over costs more than it saves.  Per smooth-65k
+step (N = 65,536, r = 99, 32 nodes; one BLAS thread of a 2-vCPU host,
+two passes) the calling thread spends about 40 ms assembling F, 210-230 ms
+in SuperLU and 115-130 ms exporting L and setting up the levels, then waits
+for the solves (230-240 ms of pool-thread time) and takes W'W.  The
+products, ~50 ms a step on the pool (each slice's basis Grams on first use
+included), and the unit variances, ~17 ms, run beside SuperLU and the
+solves; a step takes 0.58-0.62 s.
+
 Because the stage reads no state, ``filter_pass`` factors the next step's F
 on the calling thread while this step's solves run on the solve pool.  That
 holds two factors at once, so it does so only while the last factor was
-small (LOOKAHEAD_MAX_NNZ).  The factors are always built, and psi always
+small (LOOKAHEAD_MAX_NNZ); the next step's products then queue behind this
+step's solves (submitting them first measured the same at N = 4,096 and
+10^4).  A larger step starts nothing of the next before its solves end:
+forced on at smooth-65k, the look-ahead cut the run by ~15% but raised peak
+RSS from 467-484 to 628-672 MB, and assembling F_{t+1} alone during step
+t's solves, with no second factor, still raised it to 536-556 MB through
+heap interleaving.  The factors are always built, and psi always
 allocated, on the calling thread: 24 factorizations at N = 10^4 peaked at
 223 MB RSS there and at 319 MB on pool threads, through heap fragmentation.
 
@@ -76,7 +99,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Callable
-from concurrent.futures import Future
+from concurrent.futures import Future, wait
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -84,7 +107,7 @@ import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
 
-from .car import CARParams, SparseFactor, column_blocks, run_ahead
+from .car import CARParams, SparseFactor, column_blocks, run_ahead, run_sized
 from .exceptions import FactorizationError, NumericalError
 from .model import AssembledTimeSlice, DFGPParams, ModelData, sym
 
@@ -235,7 +258,8 @@ def filter_pass(data: ModelData, params: DFGPParams, *,
     theta_t, slice and outputs, run as ``filter_step(eta_pred, P_pred,
     stage)``.  The stage reads no state, so while the last step's factor of
     F held at most LOOKAHEAD_MAX_NNZ entries, the next step's F is factored
-    on this thread while this step's solves run on the solve pool.
+    on this thread while this step's solves run on the solve pool.  A pass
+    that fails raises once every pool task it started has ended.
     """
     u = data.T
     if params.u != u:
@@ -258,23 +282,29 @@ def filter_pass(data: ModelData, params: DFGPParams, *,
     eta = np.zeros((r, 1))
     P = params.K0.copy()
     states: list[StatePosterior] = []
-    ahead = None
+    this = ahead = None
     last_nnz = 0         # entries of the last step's factor; 0 when it made none
-    for t in range(1, u + 1):
-        eta_pred, P_pred = forecast_step(eta, P, params.H_at(t), params.U_at(t))
-        this = stage(t) if ahead is None else ahead
-        ahead = None
-        if t < u and 0 < last_nnz <= LOOKAHEAD_MAX_NNZ:
-            this.start()
-            ahead = stage(t + 1)
-            ahead.prepare()
-        st = filter_step(eta_pred, P_pred, this)
-        if on_factor is not None:
-            on_factor(t, this.factor if this.slc.n_obs else
-                      fine_factor(data, this.car, this.slc, this.sigma2_row))
-        last_nnz = this.factor_nnz
-        states.append(st)
-        eta, P = st.eta, st.P
+    try:
+        for t in range(1, u + 1):
+            eta_pred, P_pred = forecast_step(eta, P, params.H_at(t), params.U_at(t))
+            this = stage(t) if ahead is None else ahead
+            ahead = None
+            if t < u and 0 < last_nnz <= LOOKAHEAD_MAX_NNZ:
+                this.start()
+                ahead = stage(t + 1)
+                ahead.prepare()
+            st = filter_step(eta_pred, P_pred, this)
+            if on_factor is not None:
+                on_factor(t, this.factor if this.slc.n_obs else
+                          fine_factor(data, this.car, this.slc, this.sigma2_row))
+            last_nnz = this.factor_nnz
+            states.append(st)
+            eta, P = st.eta, st.P
+    except BaseException:
+        for s in (this, ahead):     # no task of a failed pass outlives it
+            if s is not None:
+                s.settle()
+        raise
     return FilterResult(states=states, pred_nodes=pred_nodes)
 
 
@@ -297,10 +327,12 @@ class _SparseStage:
     """The state-free part of step t of a filter pass (see the module docstring).
 
     It runs in three parts, so that filter_pass can factor the next step's F
-    while this step's solves run: ``prepare`` (the products with V^{-1} and
-    the factor of F), ``start`` (the half solves against F on the solve
-    pool) and ``finish`` (the Grams, psi, delta0 and fine_var).  Each part
-    runs the parts before it that have not run.  After ``finish``: ``ln_dinv`` = ln|D^{-1}|,
+    while this step's solves run: ``prepare`` (the factor-free products on
+    the solve pool, the factor of F on the calling thread), ``start`` (the
+    half solves against F on the solve pool) and ``finish`` (the Grams,
+    psi, delta0 and fine_var).  Each part runs the parts before it that
+    have not run, and ``settle`` waits for every pool task the stage
+    started.  After ``finish``: ``ln_dinv`` = ln|D^{-1}|,
     ``sds`` = S'DS, ``sdy`` = S'D y0 and ``ydy`` = y0'D y0 for
     y0 = z - X beta (one column), ``delta0`` and ``psi`` at the tracked
     nodes (filled in place), ``fine_var`` and ``factor_nnz``.
@@ -316,14 +348,26 @@ class _SparseStage:
         self.fine_var = np.zeros(pred_nodes.size) if want_variance else None
         self.factor: SparseFactor | None = None
         self.factor_nnz = 0
-        self._prepared = False
+        self._tasks: list[Future] = []      # the products', then the pool tasks'
         self._solves: list[Future] | None = None
 
     def prepare(self) -> None:
-        if self._prepared or self.slc.n_obs == 0:
+        """Start the factor-free products on the solve pool (``run_sized``),
+        then factor F on this thread: SuperLU releases the GIL while it
+        factors."""
+        if self._tasks or self.slc.n_obs == 0:
             return
-        self._prepared = True
-        slc, car, sigma2_row = self.slc, self.car, self.sigma2_row
+        self._tasks.append(run_sized(self._products, self.slc.n_obs * self.psi.shape[1]))
+        if self.car is not None:
+            self.factor = fine_factor(self.data, self.car, self.slc, self.sigma2_row)
+            self.factor_nnz = self.factor.nnz
+
+    def _products(self) -> None:
+        """Everything the step computes without F: y0, S'V^{-1}S from the
+        slice's basis Grams, S'V^{-1}y0, y0'V^{-1}y0, ln|V| and, with a CAR
+        block, V^{-1} [S | y0] by columns, so that a block of them is a
+        cheap slice."""
+        slc, sigma2_row = self.slc, self.sigma2_row
         y0 = slc.z[:, None] - (slc.X @ self.beta_t)[:, None]
         v = slc.v_diag(sigma2_row)
         vy = y0 / v[:, None]
@@ -332,18 +376,19 @@ class _SparseStage:
         self.sdy = svt @ y0
         self.ydy = (y0 * vy).sum(axis=0)
         self.ln_dinv = float(np.log(v).sum())
-        if car is not None:
-            self.factor = fine_factor(self.data, car, slc, sigma2_row)
-            # V^{-1} [S | y0] by columns, so that a block of them is a cheap slice
+        if self.car is not None:
             self.vsy = sp.hstack([svt.T, sp.csc_matrix(vy)], format="csc")
-            self.ln_dinv += self.factor.logdet() - self.data.structure.precision_logdet(car)
-            self.factor_nnz = self.factor.nnz
+
+    def settle(self) -> None:
+        """Wait for every pool task this stage started, whatever they raise."""
+        wait(self._tasks)
 
     def start(self) -> None:
         """Start the half solves W = D^{-1/2} L^{-1} P B'V^{-1} [S | y0]
         against F = P'L D L'P on the solve pool, in column blocks, and at
-        m <= r tracked nodes U = D^{-1/2} L^{-1} P E_nodes; at more nodes the
-        blocks finish their solves, F^{-1} B'V^{-1} [S | y0] at the nodes."""
+        m <= r tracked nodes U = D^{-1/2} L^{-1} P E_nodes, whose blocks also
+        give fine_var at their nodes; at more nodes the W blocks finish
+        their solves, F^{-1} B'V^{-1} [S | y0] at the nodes."""
         if self._solves is not None:
             return
         self.prepare()
@@ -355,8 +400,10 @@ class _SparseStage:
                 afac = self.data.structure.factor(car.gamma)
                 self.fine_var = car.tau2 * afac.solve_selected_diag(nodes)
             return
+        self._tasks[0].result()         # the products
         if factor is None:
             return
+        self.ln_dinv += factor.logdet() - self.data.structure.precision_logdet(car)
         B, vsy, order = self.slc.B, self.vsy, factor.positions
         n, k, r = factor.shape[0], vsy.shape[1], self.psi.shape[1]
         few = nodes.size < k
@@ -379,19 +426,23 @@ class _SparseStage:
             self.U = U = np.empty((n, nodes.size))
 
             def units(cols: slice) -> None:
+                # the blocks write disjoint columns of U and entries of fine_var
                 e = np.zeros((n, cols.stop - cols.start))
                 e[order[nodes[cols]], np.arange(e.shape[1])] = 1.0
-                U[:, cols] = factor.solve(e, half=True)
+                U[:, cols] = u = factor.solve(e, half=True)
+                if want_var:
+                    self.fine_var[cols] = factor.solve_selected_diag(nodes[cols], u)
 
             tasks += [partial(units, c) for c in column_blocks(nodes.size, n)]
         self._solves = [run_ahead(task) for task in tasks]
+        self._tasks += self._solves
 
     def finish(self) -> None:
         """The Woodbury corrections, all Grams of W; at few nodes psi and
-        delta0 as U'W.  ``fine_var`` comes from the factor (from U at few
-        nodes) once the solves are done: selected inversion's many short
-        numpy calls would hold the GIL that the solves' per-level calls
-        need."""
+        delta0 as U'W, on the pool beside W'W.  At more nodes ``fine_var``
+        comes from the factor once the solves are done: selected
+        inversion's many short numpy calls would hold the GIL that the
+        solves' per-level calls need."""
         self.start()
         if not self._solves:        # no observation, or no fine-scale component
             return
@@ -399,11 +450,14 @@ class _SparseStage:
             f.result()
         W, U, r = self.W, self.U, self.psi.shape[1]
         if U is not None:
-            g = U.T @ W             # F^{-1} B'V^{-1} [S | y0] at the nodes
-            self.psi[:], self.delta0[:] = g[:, :r], g[:, r:]
-        if self.fine_var is not None and self.pred_nodes.size:
-            self.fine_var = self.factor.solve_selected_diag(self.pred_nodes, U)
+            utw = run_sized(partial(np.matmul, U.T, W), U.size)   # F^{-1} B'V^{-1} [S | y0] at the nodes
+            self._tasks.append(utw)
+        elif self.fine_var is not None and self.pred_nodes.size:
+            self.fine_var = self.factor.solve_selected_diag(self.pred_nodes)
         gram = W.T @ W          # [S | y0]' V^{-1} B F^{-1} B' V^{-1} [S | y0]
+        if U is not None:
+            g = utw.result()
+            self.psi[:], self.delta0[:] = g[:, :r], g[:, r:]
         self.sds = self.sds - gram[:r, :r]
         self.sdy = self.sdy - gram[:r, r:]
         self.ydy = self.ydy - gram[r, r:]

@@ -1,5 +1,8 @@
 import dataclasses
+import threading
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
 import numpy as np
@@ -99,22 +102,39 @@ class TestOracleEquivalence:
 
 
 class TestSolvePool:
-    """The solve pool only reorders independent solves, each column of
-    which gets the same bits in any block, and the look-ahead only moves
-    when the next step's F is factored, so the states depend neither on how
-    many threads run them (nor so on how the columns are split) nor on the
-    look-ahead rule.  Nor does a seeded SEM E-step, whose draws the filter
-    pass's callback makes on the calling thread after each step's pool
-    solves.  With one worker, a pool task that waited on the pool would
-    hang here."""
+    """The solve pool only reorders independent tasks: each step's
+    factor-free products, its solves, each column of which gets the same
+    bits in any block, the unit blocks' variances and U'W.  The look-ahead
+    only moves when the next step's F is factored.  So the states depend
+    neither on how many threads run them (nor so on how the columns are
+    split) nor on the look-ahead rule.  Nor does a seeded SEM E-step, whose
+    draws the filter pass's callback makes on the calling thread after each
+    step's pool solves.  With one worker, a pool task that waited on the
+    pool would hang here."""
 
     @pytest.mark.parametrize("workers", [1, 3, 8])
     def test_states_bit_identical(self, monkeypatch, workers):
         # r = 13 and an empty step.  Every node tracked: the 6x5 grid's 30
         # take backward solves and unit solves, the 17x16 grid's 272 a
-        # selected inversion; 5 nodes take U'W.  The look-ahead rule is
-        # forced off for the reference, then off and on.
+        # selected inversion; 5 nodes take U'W and their variances from the
+        # unit blocks.  The look-ahead rule is forced off for the reference,
+        # then off and on.
         from dfgp.estimate import EstimatorConfig, SufficientStats, e_step
+        on_main = {"products": [], "unit variances": []}
+        real_products, real_diag = dynamics._SparseStage._products, SparseFactor.solve_selected_diag
+
+        def products(stage):
+            on_main["products"].append(threading.current_thread() is threading.main_thread())
+            real_products(stage)
+
+        def diag(factor, indices, halves=None):
+            if halves is not None:
+                on_main["unit variances"].append(
+                    threading.current_thread() is threading.main_thread())
+            return real_diag(factor, indices, halves)
+
+        monkeypatch.setattr(dynamics._SparseStage, "_products", products)
+        monkeypatch.setattr(SparseFactor, "solve_selected_diag", diag)
         for nx, ny in ((6, 5), (17, 16)):
             data, params = make_instance(3, nx=nx, ny=ny, T=4, r_counts=(4, 9),
                                          empty_times=(2,))
@@ -125,6 +145,8 @@ class TestSolvePool:
             sem = partial(e_step, data, params, EstimatorConfig(mode="sem", draws=3))
             monkeypatch.setattr(dynamics, "LOOKAHEAD_MAX_NNZ", 0)
             refs, ref_sem = [run() for run in runs], sem(np.random.default_rng(7))
+            for calls in on_main.values():
+                calls.clear()
             for max_nnz in (0, 10**12):
                 monkeypatch.setattr(dynamics, "LOOKAHEAD_MAX_NNZ", max_nnz)
                 with stand_in_pool(workers) as requests:
@@ -142,6 +164,8 @@ class TestSolvePool:
                     for f in dataclasses.fields(SufficientStats):
                         x, y = getattr(ref_sem, f.name), getattr(res, f.name)
                         assert np.array_equal(x, y), (nx, max_nnz, f.name)
+            for task, main in on_main.items():       # every one ran on a pool thread
+                assert main and not any(main), (nx, task)
 
 
 class TestLookAhead:
@@ -339,6 +363,46 @@ class TestFilterSpecialCases:
         with pytest.raises(NumericalError) as exc:
             filter_pass(data, params)
         assert exc.value.time_index == 1
+
+    @pytest.mark.parametrize("max_nnz", [0, 10**12])
+    def test_non_spd_f_fails_its_step_after_its_pool_tasks(self, monkeypatch, max_nnz):
+        # tau2 < 0 makes F_3 = Q_3 + B'V^{-1}B indefinite.  The factor fails
+        # while step 3's factor-free products still run on the pool (with
+        # the look-ahead, beside step 2's solves); the pass raises only once
+        # every task it started has ended.
+        data, params = make_instance(4, nx=6, ny=5, T=4, r_counts=(4,))
+        object.__setattr__(params.car[2], "tau2", -1e-3)
+        monkeypatch.setattr(dynamics, "LOOKAHEAD_MAX_NNZ", max_nnz)
+        monkeypatch.setattr("dfgp.car.SOLVE_BLOCK_MIN_ENTRIES", 1)    # every task on the pool
+        started, tasks = threading.Event(), []
+        real_products, real_factor = dynamics._SparseStage._products, dynamics.fine_factor
+
+        class Recording(ThreadPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                tasks.append(super().submit(fn, *args, **kwargs))
+                return tasks[-1]
+
+        def products(stage):
+            if stage.slc.time_index == 3:
+                started.set()
+                time.sleep(0.3)
+            real_products(stage)
+
+        def factor(data, car, slc, sigma2_row):
+            if slc.time_index == 3:
+                assert started.wait(10)
+            return real_factor(data, car, slc, sigma2_row)
+
+        monkeypatch.setattr(dynamics._SparseStage, "_products", products)
+        monkeypatch.setattr(dynamics, "fine_factor", factor)
+        with Recording(max_workers=2) as pool:
+            monkeypatch.setattr("dfgp.car._pool", lambda: pool)
+            with pytest.raises(NumericalError) as exc:
+                filter_pass(data, params, pred_bau=data.structure.valid_idx[:3],
+                            want_variance=True)
+            assert all(f.done() for f in tasks)
+        assert exc.value.time_index == 3 and "time index 3" in str(exc.value)
+        assert len(tasks) > 3
 
 
 class TestSmootherSpecialCases:

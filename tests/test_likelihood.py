@@ -116,3 +116,39 @@ class TestMarginal:
             P = P - gain @ S @ P
         assert got == pytest.approx(total, rel=1e-8)
 
+
+
+class TestBasisGram:
+    @pytest.mark.parametrize("one_row_blocks", [False, True])
+    def test_dense_blocks_match_sparse_product(self, monkeypatch, one_row_blocks):
+        # a masked 7 x 6 grid, two instruments, instrument 1 absent at t = 2;
+        # blocks of one row split every instrument's rows
+        from dfgp import model
+        from dfgp.basis import layout_multires
+        if one_row_blocks:
+            monkeypatch.setattr(model, "SOLVE_BLOCK_MIN_ENTRIES", 1)
+        mask = np.ones(42, dtype=bool)
+        mask[[8, 9, 15, 33]] = False
+        grid = build_grid(7, 6, 1.0, mask=mask)
+        valid = grid.valid_indices()
+        rng = np.random.default_rng(11)
+        records = []
+        for t in (1, 2, 3):
+            if t != 2:
+                records += [(t, 1, [int(i)], float(rng.standard_normal()),
+                             float(rng.uniform(0.5, 2.0)))
+                            for i in rng.choice(valid, 9, replace=False)]
+            records += [(t, 2, rng.choice(valid, 3, replace=False).tolist(),
+                         float(rng.standard_normal()), float(rng.uniform(0.5, 2.0)))
+                        for _ in range(4)]
+        data = assemble(make_observations(records, 3), grid,
+                        layout_multires(grid.bbox, [4, 9]), build_adjacency(grid),
+                        covariates=("1",))
+        assert sorted(data.slices[1].instrument_rows) == [2]
+        for slc in data.slices:
+            S = sp.csr_matrix(slc.S)
+            grams = slc.basis_gram
+            assert sorted(grams) == sorted(slc.instrument_rows)
+            for k, rows in slc.instrument_rows.items():
+                want = (S[rows].T @ sp.diags(1.0 / slc.v_factors[rows]) @ S[rows]).toarray()
+                assert np.abs(grams[k] - want).max() <= 1e-12 * np.abs(want).max()
